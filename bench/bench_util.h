@@ -16,6 +16,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -168,9 +169,24 @@ class WallTimer {
 };
 
 struct BenchPoint {
+  BenchPoint(std::string point, SimNs sim_ns, double wall)
+      : name(std::move(point)), simulated_ns(sim_ns), wall_ms(wall) {}
+
   std::string name;        // figure point, e.g. "fig08/BS/dpus:480/vPIM"
   SimNs simulated_ns = 0;  // virtual time — must not depend on threads
   double wall_ms = 0.0;    // host wall-clock for the measured iteration
+  // Bench-specific columns, written after wall_ms in insertion order.
+  // Values are formatted on insertion so each bench keeps its own format.
+  std::vector<std::pair<std::string, std::string>> extra;
+
+  void add(std::string key, unsigned long long value) {
+    extra.emplace_back(std::move(key), std::to_string(value));
+  }
+  void add(std::string key, double value, int decimals) {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%.*f", decimals, value);
+    extra.emplace_back(std::move(key), buf);
+  }
 };
 
 // Where BENCH_*.json (and other bench artifacts) land. Historically the
@@ -207,12 +223,16 @@ inline void write_bench_json(const std::string& target,
                target.c_str(), ThreadPool::instance().size());
   std::fprintf(f, "  \"points\": [\n");
   for (std::size_t i = 0; i < points.size(); ++i) {
+    const BenchPoint& p = points[i];
     std::fprintf(f,
                  "    {\"name\": \"%s\", \"simulated_ns\": %llu, "
-                 "\"wall_ms\": %.3f}%s\n",
-                 points[i].name.c_str(),
-                 static_cast<unsigned long long>(points[i].simulated_ns),
-                 points[i].wall_ms, i + 1 < points.size() ? "," : "");
+                 "\"wall_ms\": %.3f",
+                 p.name.c_str(),
+                 static_cast<unsigned long long>(p.simulated_ns), p.wall_ms);
+    for (const auto& [key, value] : p.extra) {
+      std::fprintf(f, ", \"%s\": %s", key.c_str(), value.c_str());
+    }
+    std::fprintf(f, "}%s\n", i + 1 < points.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);

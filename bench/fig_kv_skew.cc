@@ -247,37 +247,18 @@ void run_kv_skew(benchmark::State& state, const Arm& arm,
 }
 
 void write_kv_skew_json() {
-  const std::string path = bench_out_path("BENCH_kv_skew.json");
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench: cannot write %s\n", path.c_str());
-    return;
+  std::vector<BenchPoint> points;
+  for (const Row& row : g_rows) {
+    BenchPoint& p =
+        points.emplace_back(row.name, row.simulated_ns, row.wall_ms);
+    p.add("goodput_ops", row.goodput_ops, 1);
+    p.add("cache_hit_ratio", row.cache_hit_ratio, 4);
+    p.add("rebalances", row.rebalances);
+    p.add("cycles", row.cycles);
+    p.add("p50_op_ns", row.p50_op_ns);
+    p.add("p99_op_ns", row.p99_op_ns);
   }
-  std::fprintf(f, "{\n  \"target\": \"kv_skew\",\n  \"threads\": %u,\n",
-               ThreadPool::instance().size());
-  std::fprintf(f, "  \"points\": [\n");
-  for (std::size_t i = 0; i < g_rows.size(); ++i) {
-    std::fprintf(
-        f,
-        "    {\"name\": \"%s\", \"simulated_ns\": %llu, "
-        "\"wall_ms\": %.3f, \"goodput_ops\": %.1f, "
-        "\"cache_hit_ratio\": %.4f, \"rebalances\": %llu, "
-        "\"cycles\": %llu, "
-        "\"p50_op_ns\": %llu, \"p99_op_ns\": %llu}%s\n",
-        g_rows[i].name.c_str(),
-        static_cast<unsigned long long>(g_rows[i].simulated_ns),
-        g_rows[i].wall_ms, g_rows[i].goodput_ops,
-        g_rows[i].cache_hit_ratio,
-        static_cast<unsigned long long>(g_rows[i].rebalances),
-        static_cast<unsigned long long>(g_rows[i].cycles),
-        static_cast<unsigned long long>(g_rows[i].p50_op_ns),
-        static_cast<unsigned long long>(g_rows[i].p99_op_ns),
-        i + 1 < g_rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s (%zu points, %u host threads)\n", path.c_str(),
-              g_rows.size(), ThreadPool::instance().size());
+  write_bench_json("kv_skew", points);
 }
 
 const Row* find_row(const char* label) {

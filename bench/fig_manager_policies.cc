@@ -195,35 +195,17 @@ void run_policy(benchmark::State& state, core::PlacementPolicyKind kind) {
 }
 
 void write_policies_json() {
-  const std::string path = bench_out_path("BENCH_manager_policies.json");
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench: cannot write %s\n", path.c_str());
-    return;
+  std::vector<BenchPoint> points;
+  for (const Row& row : g_rows) {
+    BenchPoint& p =
+        points.emplace_back(row.name, row.simulated_ns, row.wall_ms);
+    p.add("p50_alloc_ns", row.p50_alloc_ns);
+    p.add("p99_alloc_ns", row.p99_alloc_ns);
+    p.add("frag_permille", row.frag_permille);
+    p.add("failed_allocs", row.failed_allocs);
+    p.add("consolidation_migrations", row.consolidation_migrations);
   }
-  std::fprintf(f,
-               "{\n  \"target\": \"manager_policies\",\n  \"threads\": %u,\n",
-               ThreadPool::instance().size());
-  std::fprintf(f, "  \"points\": [\n");
-  for (std::size_t i = 0; i < g_rows.size(); ++i) {
-    const Row& r = g_rows[i];
-    std::fprintf(
-        f,
-        "    {\"name\": \"%s\", \"simulated_ns\": %llu, "
-        "\"wall_ms\": %.3f, \"p50_alloc_ns\": %llu, "
-        "\"p99_alloc_ns\": %llu, \"frag_permille\": %u, "
-        "\"failed_allocs\": %llu, \"consolidation_migrations\": %llu}%s\n",
-        r.name.c_str(), static_cast<unsigned long long>(r.simulated_ns),
-        r.wall_ms, static_cast<unsigned long long>(r.p50_alloc_ns),
-        static_cast<unsigned long long>(r.p99_alloc_ns), r.frag_permille,
-        static_cast<unsigned long long>(r.failed_allocs),
-        static_cast<unsigned long long>(r.consolidation_migrations),
-        i + 1 < g_rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s (%zu points, %u host threads)\n", path.c_str(),
-              g_rows.size(), ThreadPool::instance().size());
+  write_bench_json("manager_policies", points);
 }
 
 const Row* find_row(core::PlacementPolicyKind kind) {

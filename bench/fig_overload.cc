@@ -296,31 +296,15 @@ void run_overload(benchmark::State& state, const Level& level,
 }
 
 void write_overload_json() {
-  const std::string path = bench_out_path("BENCH_overload.json");
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench: cannot write %s\n", path.c_str());
-    return;
+  std::vector<BenchPoint> points;
+  for (const Row& row : g_rows) {
+    BenchPoint& p =
+        points.emplace_back(row.name, row.simulated_ns, row.wall_ms);
+    p.add("goodput_ops", row.goodput_ops, 1);
+    p.add("shed_ratio", row.shed_ratio, 4);
+    p.add("p99_admitted_ns", row.p99_admitted_ns);
   }
-  std::fprintf(f, "{\n  \"target\": \"overload\",\n  \"threads\": %u,\n",
-               ThreadPool::instance().size());
-  std::fprintf(f, "  \"points\": [\n");
-  for (std::size_t i = 0; i < g_rows.size(); ++i) {
-    std::fprintf(
-        f,
-        "    {\"name\": \"%s\", \"simulated_ns\": %llu, "
-        "\"wall_ms\": %.3f, \"goodput_ops\": %.1f, "
-        "\"shed_ratio\": %.4f, \"p99_admitted_ns\": %llu}%s\n",
-        g_rows[i].name.c_str(),
-        static_cast<unsigned long long>(g_rows[i].simulated_ns),
-        g_rows[i].wall_ms, g_rows[i].goodput_ops, g_rows[i].shed_ratio,
-        static_cast<unsigned long long>(g_rows[i].p99_admitted_ns),
-        i + 1 < g_rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s (%zu points, %u host threads)\n", path.c_str(),
-              g_rows.size(), ThreadPool::instance().size());
+  write_bench_json("overload", points);
 }
 
 const Row* find_row(bool admission_on, const char* label) {

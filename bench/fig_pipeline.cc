@@ -193,28 +193,13 @@ void run_nw_depth(benchmark::State& state, std::uint32_t depth) {
 }
 
 void write_pipeline_json() {
-  const std::string path = bench_out_path("BENCH_pipeline.json");
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench: cannot write %s\n", path.c_str());
-    return;
+  std::vector<BenchPoint> points;
+  for (const Row& row : g_rows) {
+    BenchPoint& p =
+        points.emplace_back(row.name, row.simulated_ns, row.wall_ms);
+    p.add("vmexits_per_op", row.vmexits_per_op, 4);
   }
-  std::fprintf(f, "{\n  \"target\": \"pipeline\",\n  \"threads\": %u,\n",
-               ThreadPool::instance().size());
-  std::fprintf(f, "  \"points\": [\n");
-  for (std::size_t i = 0; i < g_rows.size(); ++i) {
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"simulated_ns\": %llu, "
-                 "\"wall_ms\": %.3f, \"vmexits_per_op\": %.4f}%s\n",
-                 g_rows[i].name.c_str(),
-                 static_cast<unsigned long long>(g_rows[i].simulated_ns),
-                 g_rows[i].wall_ms, g_rows[i].vmexits_per_op,
-                 i + 1 < g_rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote %s (%zu points, %u host threads)\n", path.c_str(),
-              g_rows.size(), ThreadPool::instance().size());
+  write_bench_json("pipeline", points);
 }
 
 // Returns false if the async lane's vmexits/op does not strictly decrease

@@ -1,8 +1,8 @@
 // KV service walkthrough (ISSUE 10): a partitioned key-value store on a
 // vUPMEM device, driven with batched GET/PUT/DELETE/SCAN through the
 // SQ/CQ pipeline, then hammered with a Zipfian hot-key trace so the
-// skew-mitigation tier (hot-key cache + partition rebalancer + Manager
-// wrank resizes) has something to do.
+// skew-mitigation tier (hot-key cache + partition rebalancer) has
+// something to do.
 //
 // Build & run:  ./build/examples/kv_service
 #include <cstdio>
@@ -24,8 +24,6 @@ int main() {
   cfg.nr_dpus = 8;
   kv::KvService svc(fe, vm.vmm().memory(), host.clock, host.cost, host.obs,
                     cfg);
-  // Mirror the service footprint into the Manager's wrank ledger.
-  svc.attach_manager(&host.manager, "kv-demo");
   if (!svc.open()) {
     std::printf("no rank available\n");
     return 1;
@@ -83,15 +81,9 @@ int main() {
   std::printf("  rebalances      %llu (%llu records moved)\n",
               static_cast<unsigned long long>(st.rebalances),
               static_cast<unsigned long long>(st.migrated_records));
-  std::printf("  wrank resizes   %llu\n",
-              static_cast<unsigned long long>(st.wrank_resizes));
   std::printf("  device cycles   %llu for %llu batches\n",
               static_cast<unsigned long long>(st.cycles),
               static_cast<unsigned long long>(st.batches));
-  const core::ManagerStats ms = host.manager.stats();
-  std::printf("  manager: %llu wrank allocs, %llu resizes\n",
-              static_cast<unsigned long long>(ms.wrank_allocs),
-              static_cast<unsigned long long>(ms.wrank_resizes));
   std::printf("  virtual time    %.3f ms\n",
               static_cast<double>(host.clock.now()) / 1e6);
 

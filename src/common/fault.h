@@ -15,7 +15,7 @@
 //                     aborts, data is intact on retry. Retryable.
 //   kRankDeath      - the rank's control interface dies permanently. MRAM
 //                     contents stay readable through the rescue path
-//                     (Rank::clone_state_from) but no new CI/DMA completes.
+//                     (Rank::save_snapshot) but no new CI/DMA completes.
 //   kRankSeizure    - a native host app grabs a free rank out from under
 //                     the manager and scribbles on it, releasing it later.
 //   kLostCompletion - the device wedges and never completes one request;

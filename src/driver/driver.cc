@@ -82,6 +82,41 @@ void CopyBacklog::flush() {
   slot_.fill(-1);
 }
 
+void copy_banks(upmem::Rank& rank, const TransferMatrix& matrix,
+                const DataPath& path, CopyBacklog* defer) {
+  CopyBacklog now;
+  CopyBacklog& sink = defer != nullptr ? *defer : now;
+  for (const XferEntry& e : matrix.entries) {
+    if (e.size == 0) continue;
+    VPIM_CHECK(e.host != nullptr, "transfer entry without a host buffer");
+    VPIM_CHECK(e.dpu < upmem::kDpuSlotsPerRank,
+               "transfer entry targets an invalid DPU slot");
+    sink.add(rank, e, matrix.direction, path);
+  }
+  now.flush();
+}
+
+void broadcast_banks(upmem::Rank& rank, std::uint64_t mram_offset,
+                     std::span<const std::uint8_t> data) {
+  const bool page_aligned = (mram_offset % upmem::kMramPageSize) == 0;
+  const std::size_t full_pages = data.size() / upmem::kMramPageSize;
+  if (page_aligned && full_pages > 0) {
+    const std::size_t shared_bytes = full_pages * upmem::kMramPageSize;
+    auto pages = upmem::MramBank::build_pages(data.first(shared_bytes));
+    ThreadPool::instance().parallel_for(rank.nr_dpus(), [&](std::size_t d) {
+      upmem::MramBank& bank = rank.mram(static_cast<std::uint32_t>(d));
+      bank.adopt_pages(mram_offset, pages);
+      if (shared_bytes < data.size()) {
+        bank.write(mram_offset + shared_bytes, data.subspan(shared_bytes));
+      }
+    });
+  } else {
+    ThreadPool::instance().parallel_for(rank.nr_dpus(), [&](std::size_t d) {
+      rank.mram(static_cast<std::uint32_t>(d)).write(mram_offset, data);
+    });
+  }
+}
+
 // ---------------------------------------------------------------- mapping
 
 RankMapping::RankMapping(UpmemDriver* drv, std::uint32_t rank_index)
@@ -148,57 +183,9 @@ void RankMapping::transfer(const TransferMatrix& matrix,
   span.set_rank(rank_index_);
   machine.clock().advance(cost.native_xfer_fixed_ns +
                           CostModel::bytes_time(bytes, copy_gbps()));
-  if (defer != nullptr) {
-    // Pipelined drain: every cost and fault above fired normally; park the
-    // physical copies for one batched replay at the end of the drain.
-    for (const XferEntry& e : matrix.entries) {
-      if (e.size == 0) continue;
-      VPIM_CHECK(e.host != nullptr, "transfer entry without a host buffer");
-      VPIM_CHECK(e.dpu < upmem::kDpuSlotsPerRank,
-                 "transfer entry targets an invalid DPU slot");
-      defer->add(rank, e, matrix.direction, data_path_);
-    }
-    return;
-  }
-  // Group entries by target DPU, preserving request order within a group:
-  // one MRAM bank must replay its entries in order, but distinct banks are
-  // independent and fan out over the host pool (the backend's "operation
-  // workers" made real). Host parallelism only — virtual time was charged
-  // above, unchanged.
-  std::array<int, upmem::kDpuSlotsPerRank> slot;
-  slot.fill(-1);
-  std::vector<std::vector<const XferEntry*>> groups;
-  for (const XferEntry& e : matrix.entries) {
-    if (e.size == 0) continue;
-    VPIM_CHECK(e.host != nullptr, "transfer entry without a host buffer");
-    VPIM_CHECK(e.dpu < upmem::kDpuSlotsPerRank,
-               "transfer entry targets an invalid DPU slot");
-    int& g = slot[e.dpu];
-    if (g < 0) {
-      g = static_cast<int>(groups.size());
-      groups.emplace_back();
-    }
-    groups[g].push_back(&e);
-  }
-  const bool to_rank = matrix.direction == XferDirection::kToRank;
-  ThreadPool::instance().parallel_for(groups.size(), [&](std::size_t gi) {
-    std::vector<std::uint8_t> scratch;
-    for (const XferEntry* e : groups[gi]) {
-      if (to_rank) {
-        if (data_path_.real_transform) {
-          real_transform_roundtrip({e->host, e->size}, data_path_.naive,
-                                   scratch);
-        }
-        rank.mram(e->dpu).write(e->mram_offset, {e->host, e->size});
-      } else {
-        rank.mram(e->dpu).read(e->mram_offset, {e->host, e->size});
-        if (data_path_.real_transform) {
-          real_transform_roundtrip({e->host, e->size}, data_path_.naive,
-                                   scratch);
-        }
-      }
-    }
-  });
+  // A pipelined drain parks the copies for one batched replay at the end
+  // of the drain; every cost and fault above fired normally either way.
+  copy_banks(rank, matrix, data_path_, defer);
 }
 
 void RankMapping::broadcast(std::uint64_t mram_offset,
@@ -227,26 +214,7 @@ void RankMapping::broadcast(std::uint64_t mram_offset,
       cost.native_xfer_fixed_ns +
       CostModel::bytes_time(data.size() * rank.nr_dpus(), copy_gbps()));
 
-  // Storage-side fast path: share immutable pages across banks (copy-on-
-  // write), so a 60 MB broadcast to 60 DPUs costs 60 MB of real memory.
-  const bool page_aligned = (mram_offset % upmem::kMramPageSize) == 0;
-  const std::size_t full_pages = data.size() / upmem::kMramPageSize;
-  if (page_aligned && full_pages > 0) {
-    const std::size_t shared_bytes = full_pages * upmem::kMramPageSize;
-    auto pages = upmem::MramBank::build_pages(data.first(shared_bytes));
-    ThreadPool::instance().parallel_for(rank.nr_dpus(), [&](std::size_t d) {
-      rank.mram(static_cast<std::uint32_t>(d)).adopt_pages(mram_offset,
-                                                           pages);
-      if (shared_bytes < data.size()) {
-        rank.mram(static_cast<std::uint32_t>(d))
-            .write(mram_offset + shared_bytes, data.subspan(shared_bytes));
-      }
-    });
-  } else {
-    ThreadPool::instance().parallel_for(rank.nr_dpus(), [&](std::size_t d) {
-      rank.mram(static_cast<std::uint32_t>(d)).write(mram_offset, data);
-    });
-  }
+  broadcast_banks(rank, mram_offset, data);
 }
 
 void RankMapping::ci_load(std::string_view kernel_name) {

@@ -86,6 +86,20 @@ class CopyBacklog {
   std::vector<std::vector<Task>> groups_;
 };
 
+// The one bank-copy fan-out. Copies every non-empty entry of `matrix`
+// between its host buffer and `rank`'s MRAM banks: entries for one DPU
+// replay in request order, distinct banks fan out over the host pool. With
+// `defer`, the copies are parked there for a batched replay instead.
+// Charges no virtual time; every caller charges its own.
+void copy_banks(upmem::Rank& rank, const TransferMatrix& matrix,
+                const DataPath& path, CopyBacklog* defer = nullptr);
+
+// The one broadcast: writes `data` at `mram_offset` of every bank of
+// `rank`. Whole pages are built once and shared copy-on-write, so a 60 MB
+// broadcast to 60 DPUs costs 60 MB of real memory. Charges no time.
+void broadcast_banks(upmem::Rank& rank, std::uint64_t mram_offset,
+                     std::span<const std::uint8_t> data);
+
 // Performance-mode mapping of one rank. Exclusive: a rank can be mapped by
 // at most one process at a time. Move-only RAII; unmapping frees the rank
 // in sysfs, which is how the manager's observer learns about releases.

@@ -7,7 +7,6 @@
 #include "driver/xfer.h"
 #include "kv/kv_kernel.h"
 #include "virtio/pim_spec.h"
-#include "vpim/manager.h"
 
 namespace vpim::kv {
 
@@ -61,7 +60,6 @@ KvService::KvService(Frontend& fe, guest::GuestMemory& mem, SimClock& clock,
     out.counter("vpim_kv_rebalances_total", {}, stats_.rebalances);
     out.counter("vpim_kv_migrated_records_total", {},
                 stats_.migrated_records);
-    out.counter("vpim_kv_wrank_resizes_total", {}, stats_.wrank_resizes);
     out.counter("vpim_kv_device_errors_total", {}, stats_.device_errors);
     out.gauge("vpim_kv_cache_entries", {},
               static_cast<std::int64_t>(cache_.size()));
@@ -70,12 +68,6 @@ KvService::KvService(Frontend& fe, guest::GuestMemory& mem, SimClock& clock,
 
 KvService::~KvService() {
   if (open_) close();
-}
-
-void KvService::attach_manager(core::Manager* manager, std::string tenant) {
-  VPIM_CHECK(!open_, "attach_manager before open()");
-  manager_ = manager;
-  tenant_ = std::move(tenant);
 }
 
 bool KvService::open() {
@@ -137,23 +129,12 @@ bool KvService::open() {
     }
   }
   fe_.write_to_rank(m);
-
-  if (manager_ != nullptr) {
-    const core::AllocResult r = manager_->allocate_wrank(tenant_, 1);
-    wrank_live_ = r.status == core::AllocStatus::kOk;
-    wrank_id_ = r.wrank;
-    wrank_slots_ = wrank_live_ ? 1 : 0;
-  }
   open_ = true;
   return true;
 }
 
 void KvService::close() {
   if (!open_) return;
-  if (manager_ != nullptr && wrank_live_) {
-    manager_->release_wrank(wrank_id_);
-    wrank_live_ = false;
-  }
   fe_.close();
   open_ = false;
 }
@@ -557,7 +538,6 @@ void KvService::maybe_rebalance() {
     window_load_[victim] = 0;
   }
   std::fill(window_load_.begin(), window_load_.end(), 0);
-  update_wrank_footprint();
 }
 
 bool KvService::migrate_partition(std::uint32_t partition,
@@ -616,29 +596,6 @@ bool KvService::migrate_partition(std::uint32_t partition,
                    layout_.region, 2);
   }
   return true;
-}
-
-void KvService::update_wrank_footprint() {
-  if (manager_ == nullptr || !wrank_live_) return;
-  // Footprint: DPUs currently hosting at least one partition, clamped to
-  // the wrank slot range. This mirrors the service's spread into the
-  // Manager's oversubscription ledger.
-  std::vector<bool> hosts(config_.nr_dpus, false);
-  for (std::uint32_t p = 0; p < config_.partitions; ++p) {
-    hosts[placement_[p].dpu] = true;
-  }
-  std::uint32_t n = 0;
-  for (std::uint32_t d = 0; d < config_.nr_dpus; ++d) {
-    if (hosts[d]) ++n;
-  }
-  const std::uint32_t want = std::max<std::uint32_t>(
-      1, std::min<std::uint32_t>(n, manager_->config().wrank_slots_per_rank));
-  if (want == wrank_slots_) return;
-  const core::AllocResult r = manager_->resize_wrank(wrank_id_, want);
-  if (r.status == core::AllocStatus::kOk) {
-    wrank_slots_ = want;
-    ++stats_.wrank_resizes;
-  }
 }
 
 }  // namespace vpim::kv

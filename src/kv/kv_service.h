@@ -12,8 +12,7 @@
 //     same-batch mutation never refills the cache — enqueue-order
 //     coherence);
 //   - a windowed rebalancer migrates the hottest partitions off
-//     overloaded DPUs into free slots elsewhere, optionally mirroring its
-//     footprint into the Manager's wrank vocabulary via resize_wrank.
+//     overloaded DPUs into free slots elsewhere.
 //
 // Determinism: every decision (routing, cache eviction, rebalance pick)
 // runs on the serial control path and depends only on op order and
@@ -34,10 +33,6 @@
 #include "kv/kv_types.h"
 #include "vpim/frontend.h"
 
-namespace vpim::core {
-class Manager;
-}  // namespace vpim::core
-
 namespace vpim::kv {
 
 struct KvStats {
@@ -50,7 +45,6 @@ struct KvStats {
   std::uint64_t cycles = 0;        // device round trips
   std::uint64_t rebalances = 0;    // partition migrations
   std::uint64_t migrated_records = 0;
-  std::uint64_t wrank_resizes = 0;
   std::uint64_t device_errors = 0;  // ops resolved kDeviceFault/kTimeout
 };
 
@@ -69,11 +63,6 @@ class KvService {
   bool open();
   void close();
   bool is_open() const { return open_; }
-
-  // Mirrors the service footprint into the Manager's wrank tier: one
-  // wrank is allocated for `tenant` at open() and resized to track the
-  // number of hot DPUs after each rebalance pass. Call before open().
-  void attach_manager(core::Manager* manager, std::string tenant);
 
   // Executes one batch. Results land in op order; every op resolves with
   // a typed KvStatus even when the device faults mid-batch.
@@ -119,7 +108,6 @@ class KvService {
                     std::vector<KvResult>& results);
   void maybe_rebalance();
   bool migrate_partition(std::uint32_t partition, std::uint32_t to_dpu);
-  void update_wrank_footprint();
   void cache_insert(std::uint64_t key, std::uint64_t value);
   // Reaps completions for `tickets`; returns true when every ticket
   // completed with status 0.
@@ -154,12 +142,6 @@ class KvService {
   // Scan merge state: per op, rows gathered from every partition.
   std::vector<std::vector<std::pair<std::uint64_t, std::uint64_t>>>
       scan_rows_;
-
-  core::Manager* manager_ = nullptr;
-  std::string tenant_;
-  std::uint64_t wrank_id_ = 0;
-  bool wrank_live_ = false;
-  std::uint32_t wrank_slots_ = 0;
 
   KvStats stats_;
   obs::Histogram* batch_hist_ = nullptr;

@@ -43,21 +43,6 @@ std::span<std::uint8_t> Dpu::symbol_bytes(std::string_view name) {
   return {it->second.data(), it->second.size()};
 }
 
-void Dpu::clone_from(const Dpu& other) {
-  mram_.copy_from(other.mram_);
-  kernel_ = other.kernel_;
-  symbols_ = other.symbols_;
-  wram_heap_size_ = other.wram_heap_size_;
-}
-
-void Dpu::restore_symbols(
-    std::map<std::string, std::vector<std::uint8_t>> symbols) {
-  symbols_.clear();
-  for (auto& [name, bytes] : symbols) {
-    symbols_.emplace(name, std::move(bytes));
-  }
-}
-
 void Dpu::reset() {
   mram_.clear();
   kernel_ = nullptr;

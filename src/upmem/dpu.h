@@ -39,18 +39,6 @@ class Dpu {
   // WRAM left for the tasklet heap after symbol storage.
   std::uint32_t wram_heap_size() const { return wram_heap_size_; }
 
-  // Adopts another DPU's full state: MRAM content (copy-on-write), the
-  // loaded binary, and WRAM symbol values. Used by rank migration.
-  void clone_from(const Dpu& other);
-
-  // Snapshot plumbing (Rank::save_snapshot / load_snapshot).
-  const std::map<std::string, std::vector<std::uint8_t>, std::less<>>&
-  symbols() const {
-    return symbols_;
-  }
-  void restore_symbols(
-      std::map<std::string, std::vector<std::uint8_t>> symbols);
-
   // Fully clears DPU state (rank reset).
   void reset();
 

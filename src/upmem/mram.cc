@@ -83,25 +83,6 @@ void MramBank::clear() {
   for (auto& page : pages_) page.reset();
 }
 
-std::vector<std::pair<std::uint32_t, MramPageRef>> MramBank::export_pages()
-    const {
-  std::vector<std::pair<std::uint32_t, MramPageRef>> out;
-  for (std::uint32_t i = 0; i < pages_.size(); ++i) {
-    if (pages_[i]) out.emplace_back(i, pages_[i]);
-  }
-  return out;
-}
-
-void MramBank::import_pages(
-    const std::vector<std::pair<std::uint32_t, MramPageRef>>& pages) {
-  clear();
-  if (!pages.empty()) ensure_table();
-  for (const auto& [index, page] : pages) {
-    VPIM_CHECK(index < kMramPages, "imported page out of bounds");
-    pages_[index] = page;
-  }
-}
-
 std::size_t MramBank::resident_pages() const {
   std::size_t n = 0;
   for (const auto& page : pages_) {

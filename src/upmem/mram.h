@@ -44,22 +44,11 @@ class MramBank {
   static std::vector<MramPageRef> build_pages(
       std::span<const std::uint8_t> data);
 
-  // Adopts the full content of another bank by sharing its pages
-  // (copy-on-write). Used by rank migration: the physical copy is modeled
-  // in virtual time by the caller.
-  void copy_from(const MramBank& other) { pages_ = other.pages_; }
-
   // Drops every page (rank reset; content reads back as zero).
   void clear();
 
   // Number of materialized (non-shared-null) pages, for memory accounting.
   std::size_t resident_pages() const;
-
-  // Enumerates resident pages as (page index, shared ref) pairs.
-  std::vector<std::pair<std::uint32_t, MramPageRef>> export_pages() const;
-  // Replaces the whole bank content with the given page set.
-  void import_pages(
-      const std::vector<std::pair<std::uint32_t, MramPageRef>>& pages);
 
  private:
   MramPage& page_for_write(std::uint64_t page_index);

@@ -1,5 +1,7 @@
 #include "upmem/rank.h"
 
+#include <algorithm>
+
 #include "common/error.h"
 #include "common/thread_pool.h"
 
@@ -128,49 +130,16 @@ MramBank& Rank::mram(std::uint32_t dpu) {
   return this->dpu(dpu).mram();
 }
 
-void Rank::clone_state_from(const Rank& other) {
-  VPIM_CHECK(!ci_any_running(), "migration target is running");
-  VPIM_CHECK(other.ci_running_mask() == 0, "migration source is running");
-  VPIM_CHECK(other.nr_dpus() <= nr_dpus(),
-             "migration target has fewer DPUs than the source");
-  for (std::uint32_t i = 0; i < other.nr_dpus(); ++i) {
-    dpus_[i].clone_from(other.dpus_[i]);
-  }
-}
-
 Rank::Snapshot Rank::save_snapshot() const {
   VPIM_CHECK(!ci_any_running(), "snapshot of a running rank");
-  Snapshot snap;
-  snap.dpus.reserve(dpus_.size());
-  for (const Dpu& dpu : dpus_) {
-    Snapshot::DpuImage image;
-    image.kernel = std::string(dpu.loaded_kernel_name());
-    for (const auto& [name, bytes] : dpu.symbols()) {
-      image.symbols.emplace(name, bytes);
-    }
-    image.pages = dpu.mram().export_pages();
-    snap.dpus.push_back(std::move(image));
-  }
-  return snap;
+  return Snapshot{dpus_};
 }
 
-void Rank::load_snapshot(const Snapshot& snapshot) {
+void Rank::load_snapshot(Snapshot snapshot) {
   VPIM_CHECK(!ci_any_running(), "restore into a running rank");
   VPIM_CHECK(snapshot.dpus.size() <= dpus_.size(),
              "snapshot has more DPUs than the target rank");
-  for (std::uint32_t i = 0; i < snapshot.dpus.size(); ++i) {
-    const Snapshot::DpuImage& image = snapshot.dpus[i];
-    Dpu& dpu = dpus_[i];
-    dpu.reset();
-    if (!image.kernel.empty()) {
-      dpu.load(KernelRegistry::instance().get(image.kernel));
-      // Restore the symbol *values* over the freshly laid-out storage.
-      std::map<std::string, std::vector<std::uint8_t>> symbols(
-          image.symbols.begin(), image.symbols.end());
-      dpu.restore_symbols(std::move(symbols));
-    }
-    dpu.mram().import_pages(image.pages);
-  }
+  std::move(snapshot.dpus.begin(), snapshot.dpus.end(), dpus_.begin());
 }
 
 void Rank::reset_memory() {

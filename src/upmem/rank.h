@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -64,30 +63,23 @@ class Rank {
   // MRAM access used by the driver mappings; rejected mid-launch.
   MramBank& mram(std::uint32_t dpu);
 
-  // Adopts another rank's full state (migration target). Both ranks must
-  // be idle; the source keeps its content (pages are shared CoW).
-  void clone_state_from(const Rank& other);
-
-  // Snapshot of one rank's full software-visible state: per-DPU MRAM
-  // pages (shared copy-on-write, so a snapshot is nearly free in real
-  // memory), the loaded binary, and WRAM symbol values. The basis of the
-  // §7 pause/resume + consolidation direction.
+  // Snapshot of one rank's full software-visible state: whole DPU copies
+  // (MRAM pages shared copy-on-write, so a snapshot is nearly free in real
+  // memory; the loaded binary; WRAM symbol values). Loading one is the only
+  // way rank state is copied: §7 pause/resume parks a snapshot, and rank
+  // migration loads the source's snapshot into the target. Both ranks must
+  // be idle.
   struct Snapshot {
-    struct DpuImage {
-      std::string kernel;  // empty = no binary loaded
-      std::map<std::string, std::vector<std::uint8_t>> symbols;
-      std::vector<std::pair<std::uint32_t, MramPageRef>> pages;
-    };
-    std::vector<DpuImage> dpus;
+    std::vector<Dpu> dpus;
     // Bytes of resident MRAM content (what a physical save/restore moves).
     std::uint64_t resident_bytes() const {
       std::uint64_t n = 0;
-      for (const auto& d : dpus) n += d.pages.size() * kMramPageSize;
+      for (const Dpu& d : dpus) n += d.mram().resident_pages() * kMramPageSize;
       return n;
     }
   };
   Snapshot save_snapshot() const;
-  void load_snapshot(const Snapshot& snapshot);
+  void load_snapshot(Snapshot snapshot);
 
   // Clears all DPU state (manager reset path; time charged by the caller).
   void reset_memory();
@@ -103,7 +95,7 @@ class Rank {
   void set_obs(obs::Hub* hub) { obs_ = hub; }
 
   // Permanent rank death: the control interface and DMA windows stop
-  // responding. MRAM content stays recoverable via clone_state_from (the
+  // responding. MRAM content stays recoverable through save_snapshot (the
   // chips hold data; only the rank-level pipeline is gone).
   void fail() { failed_ = true; }
   bool failed() const { return failed_; }

@@ -1,6 +1,5 @@
 #include "vpim/backend.h"
 
-#include <array>
 #include <cstring>
 
 #include "common/error.h"
@@ -131,33 +130,7 @@ void Backend::data_transfer(const driver::TransferMatrix& matrix) {
   vmm_.clock().advance(cost.native_xfer_fixed_ns +
                        CostModel::bytes_time(bytes,
                                              cost.emulated_copy_gbps));
-  upmem::Rank& rank = emulated_->rank;
-  // Same per-bank fan-out as the physical path (RankMapping::transfer):
-  // entries for one DPU replay in order, distinct banks run host-parallel.
-  std::array<int, upmem::kDpuSlotsPerRank> slot;
-  slot.fill(-1);
-  std::vector<std::vector<const driver::XferEntry*>> groups;
-  for (const driver::XferEntry& e : matrix.entries) {
-    if (e.size == 0) continue;
-    VPIM_CHECK(e.dpu < upmem::kDpuSlotsPerRank,
-               "transfer entry targets an invalid DPU slot");
-    int& g = slot[e.dpu];
-    if (g < 0) {
-      g = static_cast<int>(groups.size());
-      groups.emplace_back();
-    }
-    groups[g].push_back(&e);
-  }
-  const bool to_rank = matrix.direction == driver::XferDirection::kToRank;
-  vmm_.pool().parallel_for(groups.size(), [&](std::size_t gi) {
-    for (const driver::XferEntry* e : groups[gi]) {
-      if (to_rank) {
-        rank.mram(e->dpu).write(e->mram_offset, {e->host, e->size});
-      } else {
-        rank.mram(e->dpu).read(e->mram_offset, {e->host, e->size});
-      }
-    }
-  });
+  driver::copy_banks(emulated_->rank, matrix, driver::DataPath{});
 }
 
 void Backend::data_broadcast(std::uint64_t mram_offset,
@@ -172,25 +145,7 @@ void Backend::data_broadcast(std::uint64_t mram_offset,
       cost.native_xfer_fixed_ns +
       CostModel::bytes_time(data.size() * rank.nr_dpus(),
                             cost.emulated_copy_gbps));
-  // Same copy-on-write page sharing as the physical broadcast path; banks
-  // are independent, so the per-DPU loop fans out over the pool.
-  const bool aligned = (mram_offset % upmem::kMramPageSize) == 0;
-  const std::size_t full_pages = data.size() / upmem::kMramPageSize;
-  if (aligned && full_pages > 0) {
-    const std::size_t shared = full_pages * upmem::kMramPageSize;
-    auto pages = upmem::MramBank::build_pages(data.first(shared));
-    vmm_.pool().parallel_for(rank.nr_dpus(), [&](std::size_t d) {
-      const auto dpu = static_cast<std::uint32_t>(d);
-      rank.mram(dpu).adopt_pages(mram_offset, pages);
-      if (shared < data.size()) {
-        rank.mram(dpu).write(mram_offset + shared, data.subspan(shared));
-      }
-    });
-  } else {
-    vmm_.pool().parallel_for(rank.nr_dpus(), [&](std::size_t d) {
-      rank.mram(static_cast<std::uint32_t>(d)).write(mram_offset, data);
-    });
-  }
+  driver::broadcast_banks(rank, mram_offset, data);
 }
 
 void Backend::check_deadline(const WireRequest& req) {
@@ -255,29 +210,23 @@ void Backend::run_with_recovery(OpRef op) {
 
 bool Backend::recover_rank_death() {
   const std::uint32_t dead = mapping_->rank_index();
-  upmem::Rank& src = drv_.machine().rank(dead);
-  if (src.ci_any_running()) return false;  // in-flight kernels are lost
+  if (drv_.machine().rank(dead).ci_any_running()) {
+    return false;  // in-flight kernels are lost
+  }
   // Keep the dead mapping held while asking for a replacement so the
   // manager cannot hand the dead rank straight back.
   const auto replacement = manager_.request_rank(tag_);
   if (!replacement.has_value()) return false;
-  std::optional<driver::RankMapping> new_mapping;
+  std::optional<driver::RankMapping> next;
   try {
-    new_mapping = drv_.map_rank(*replacement, tag_);
+    next = drv_.map_rank(*replacement, tag_);
   } catch (const VpimError&) {
     manager_.note_seized(*replacement);
     return false;
   }
-  new_mapping->set_data_path(data_path());
-  upmem::Rank& dst = drv_.machine().rank(*replacement);
   // Rescue stream: every bank read off the dying rank at degraded
-  // bandwidth, then written into the replacement.
-  const std::uint64_t bytes = 2ULL * src.nr_dpus() * upmem::kMramSize;
-  vmm_.clock().advance(
-      CostModel::bytes_time(bytes, vmm_.cost().rank_rescue_gbps));
-  dst.clone_state_from(src);
-  mapping_.reset();  // free the dead rank; its sysfs health stays failed
-  mapping_ = std::move(new_mapping);
+  // bandwidth. The dead rank is freed; its sysfs health stays failed.
+  move_state(std::move(*next), vmm_.cost().rank_rescue_gbps);
   ++stats_.fault_migrations;
   manager_.note_wrank_migration();
   VPIM_WARN("backend", "%s: wrank migrated off dead rank %u onto rank %u",
@@ -285,11 +234,65 @@ bool Backend::recover_rank_death() {
   return true;
 }
 
+void Backend::move_state(driver::RankMapping to, double gbps) {
+  to.set_data_path(data_path());
+  upmem::Rank& src = bound_rank();
+  // The host streams every bank out of the old binding and into the new
+  // rank.
+  vmm_.clock().advance(
+      CostModel::bytes_time(2ULL * src.nr_dpus() * upmem::kMramSize, gbps));
+  drv_.machine().rank(to.rank_index()).load_snapshot(src.save_snapshot());
+  unbind();
+  mapping_ = std::move(to);
+}
+
+template <typename Run>
+void Backend::serve(virtio::Virtqueue& queue, const virtio::DescChain& chain,
+                    Run run) {
+  obs::ScopedSpan span(tracer(), vmm_.clock(), obs::SpanKind::kBackendRequest);
+  try {
+    const WireRequest req = read_request(chain);
+    span.set_request(req.request_id);
+    run(req, span);
+  } catch (const VpimStatusError& e) {
+    complete_with_status(queue, chain, e.status());
+  } catch (const FaultError& e) {
+    // Safety net for injected faults raised outside run_with_recovery
+    // (e.g. a dead rank hit by a path that does not retry, or
+    // kMigrateRank touching one): surface them typed, not as BAD_REQUEST.
+    drv_.log_fault(e.record());
+    ++stats_.fault_failures;
+    complete_with_status(
+        queue, chain,
+        static_cast<std::int32_t>(virtio::PimStatus::kDeviceFault));
+  } catch (const VpimError&) {
+    // A deeper layer rejected guest-controlled input (GPA outside RAM,
+    // MRAM bounds, unknown symbol, busy DPU, ...): per-request failure,
+    // never fatal to the device model.
+    complete_with_status(
+        queue, chain,
+        static_cast<std::int32_t>(virtio::PimStatus::kBadRequest));
+  }
+}
+
 void Backend::handle_transferq() {
   VPIM_CHECK(state_.driver_ok(),
              "queue notification before DRIVER_OK (virtio 1.x 3.1)");
   while (transferq_.pop_avail_into(chain_scratch_)) {
-    handle_one(chain_scratch_);
+    const virtio::DescChain& chain = chain_scratch_;
+    if (auto lost = lost_completion()) {
+      // Injected lost completion: the device wedges on this request. No
+      // response, no push_used — the chain's descriptors stay outstanding
+      // and the frontend's poll deadline is what recovers the guest.
+      drv_.log_fault(*lost);
+      ++stats_.dropped_completions;
+      continue;
+    }
+    serve(transferq_, chain,
+          [&](const WireRequest& req, obs::ScopedSpan& span) {
+            if (mapping_.has_value()) span.set_rank(mapping_->rank_index());
+            handle_request(chain, req);
+          });
   }
   // Replay the whole drain's deferred copies in one fan-out before the
   // completion interrupt: every response already pushed becomes physically
@@ -307,27 +310,9 @@ void Backend::handle_controlq() {
   backlog_.flush();
   while (controlq_.pop_avail_into(chain_scratch_)) {
     const virtio::DescChain& chain = chain_scratch_;
-    obs::ScopedSpan span(tracer(), vmm_.clock(),
-                         obs::SpanKind::kBackendRequest);
-    try {
-      const WireRequest req = read_request(chain);
-      span.set_request(req.request_id);
+    serve(controlq_, chain, [&](const WireRequest& req, obs::ScopedSpan&) {
       handle_control(chain, req);
-    } catch (const VpimStatusError& e) {
-      complete_with_status(controlq_, chain, e.status());
-    } catch (const FaultError& e) {
-      // Control-path faults (e.g. kMigrateRank touching a dead rank) have
-      // no retry wrapper; surface them typed instead of as BAD_REQUEST.
-      drv_.log_fault(e.record());
-      ++stats_.fault_failures;
-      complete_with_status(
-          controlq_, chain,
-          static_cast<std::int32_t>(virtio::PimStatus::kDeviceFault));
-    } catch (const VpimError&) {
-      complete_with_status(
-          controlq_, chain,
-          static_cast<std::int32_t>(virtio::PimStatus::kBadRequest));
-    }
+    });
   }
 }
 
@@ -357,65 +342,34 @@ void Backend::complete_with_status(virtio::Virtqueue& queue,
   ++stats_.request_errors;
 }
 
-void Backend::handle_one(const virtio::DescChain& chain) {
-  if (auto lost = lost_completion()) {
-    // Injected lost completion: the device wedges on this request. No
-    // response, no push_used — the chain's descriptors stay outstanding
-    // and the frontend's poll deadline is what recovers the guest.
-    drv_.log_fault(*lost);
-    ++stats_.dropped_completions;
-    return;
+void Backend::handle_request(const virtio::DescChain& chain,
+                             const WireRequest& req) {
+  if ((req.flags & kWireFlagCancelled) != 0) {
+    // The guest cancelled this request after staging it: complete the
+    // chain typed without executing any of the work.
+    ++stats_.cancelled;
+    throw VpimStatusError(virtio::PimStatus::kCancelled,
+                          "request cancelled by the guest");
   }
-  obs::ScopedSpan span(tracer(), vmm_.clock(),
-                       obs::SpanKind::kBackendRequest);
-  try {
-    const WireRequest req = read_request(chain);
-    span.set_request(req.request_id);
-    if (mapping_.has_value()) span.set_rank(mapping_->rank_index());
-    if ((req.flags & kWireFlagCancelled) != 0) {
-      // The guest cancelled this request after staging it: complete the
-      // chain typed without executing any of the work.
-      ++stats_.cancelled;
-      throw VpimStatusError(virtio::PimStatus::kCancelled,
-                            "request cancelled by the guest");
-    }
-    check_deadline(req);
-    switch (static_cast<virtio::PimRequestType>(req.type)) {
-      case virtio::PimRequestType::kWriteToRank:
-      case virtio::PimRequestType::kReadFromRank:
-        handle_rank_op(chain, req);
-        return;
-      case virtio::PimRequestType::kCiWrite:
-      case virtio::PimRequestType::kCiRead:
-        handle_ci(chain, req);
-        return;
-      case virtio::PimRequestType::kConfig:
-        handle_config(chain);
-        return;
-    }
-    // No default in the switch so -Wswitch keeps the known cases in sync;
-    // an unrecognized type must still complete, or the guest's poll_used
-    // spins forever while the descriptors leak.
-    throw VpimStatusError(virtio::PimStatus::kBadRequest,
-                          "unknown request type " + std::to_string(req.type));
-  } catch (const VpimStatusError& e) {
-    complete_with_status(transferq_, chain, e.status());
-  } catch (const FaultError& e) {
-    // Safety net for injected faults raised outside run_with_recovery
-    // (e.g. a dead rank hit by a path that does not retry).
-    drv_.log_fault(e.record());
-    ++stats_.fault_failures;
-    complete_with_status(
-        transferq_, chain,
-        static_cast<std::int32_t>(virtio::PimStatus::kDeviceFault));
-  } catch (const VpimError&) {
-    // A deeper layer rejected guest-controlled input (GPA outside RAM,
-    // MRAM bounds, unknown symbol, busy DPU, ...): per-request failure,
-    // never fatal to the device model.
-    complete_with_status(
-        transferq_, chain,
-        static_cast<std::int32_t>(virtio::PimStatus::kBadRequest));
+  check_deadline(req);
+  switch (static_cast<virtio::PimRequestType>(req.type)) {
+    case virtio::PimRequestType::kWriteToRank:
+    case virtio::PimRequestType::kReadFromRank:
+      handle_rank_op(chain, req);
+      return;
+    case virtio::PimRequestType::kCiWrite:
+    case virtio::PimRequestType::kCiRead:
+      handle_ci(chain, req);
+      return;
+    case virtio::PimRequestType::kConfig:
+      handle_config(chain);
+      return;
   }
+  // No default in the switch so -Wswitch keeps the known cases in sync;
+  // an unrecognized type must still complete, or the guest's poll_used
+  // spins forever while the descriptors leak.
+  throw VpimStatusError(virtio::PimStatus::kBadRequest,
+                        "unknown request type " + std::to_string(req.type));
 }
 
 void Backend::handle_rank_op(const virtio::DescChain& chain,
@@ -548,55 +502,50 @@ void Backend::apply_batched_writes(const DeserializeResult& matrix) {
       cost.native_xfer_fixed_ns +
       CostModel::bytes_time(matrix.total_bytes, batch_gbps()));
 
-  upmem::Rank& rank = bound_rank();
-  // One batch region per target DPU; group entries by DPU (replayed in
-  // order within a group) and fan the groups out over the pool with a
-  // group-local reassembly scratch.
-  std::array<int, upmem::kDpuSlotsPerRank> slot;
-  slot.fill(-1);
-  std::vector<std::vector<const DeserializedEntry*>> groups;
+  // Parse every DPU's batch region into its records before any bank
+  // changes, so a malformed batch is rejected whole; the records then
+  // replay through the one bank-copy fan-out, in order per DPU.
+  driver::TransferMatrix& records = xfer_scratch_;
+  records.direction = driver::XferDirection::kToRank;
+  records.entries.clear();
+  std::vector<std::vector<std::uint8_t>> joined;  // multi-segment regions
   for (const auto& e : matrix.entries) {
     VPIM_REQUEST_CHECK(e.dpu < upmem::kDpuSlotsPerRank,
                        virtio::PimStatus::kBadRequest,
                        "batch entry targets an invalid DPU slot");
-    int& g = slot[e.dpu];
-    if (g < 0) {
-      g = static_cast<int>(groups.size());
-      groups.emplace_back();
+    std::span<std::uint8_t> region;
+    if (e.segments.size() == 1) {
+      region = {e.segments[0].first, e.segments[0].second};
+    } else {
+      std::vector<std::uint8_t>& buf = joined.emplace_back();
+      buf.reserve(e.size);
+      for (const auto& [ptr, len] : e.segments) {
+        buf.insert(buf.end(), ptr, ptr + len);
+      }
+      region = buf;
     }
-    groups[g].push_back(&e);
+    std::uint64_t off = 0;
+    while (off < region.size()) {
+      VPIM_REQUEST_CHECK(off + sizeof(BatchRecordHeader) <= region.size(),
+                         virtio::PimStatus::kBadRequest,
+                         "truncated batch record header");
+      const auto hdr = read_pod<BatchRecordHeader>(region.data() + off);
+      off += sizeof(BatchRecordHeader);
+      // hdr.size is guest-controlled: the remaining-bytes bound must not
+      // wrap, and the record must land inside the MRAM bank.
+      VPIM_REQUEST_CHECK(hdr.size <= region.size() - off,
+                         virtio::PimStatus::kBadRequest,
+                         "truncated batch record payload");
+      VPIM_REQUEST_CHECK(hdr.mram_offset <= upmem::kMramSize &&
+                             hdr.size <= upmem::kMramSize - hdr.mram_offset,
+                         virtio::PimStatus::kBadRequest,
+                         "batch record falls outside the MRAM bank");
+      records.entries.push_back(
+          {e.dpu, hdr.mram_offset, region.data() + off, hdr.size});
+      off += hdr.size;
+    }
   }
-  vmm_.pool().parallel_for(groups.size(), [&](std::size_t gi) {
-    std::vector<std::uint8_t> scratch;
-    for (const DeserializedEntry* e : groups[gi]) {
-      // Reassemble this DPU's batch region, then replay its records.
-      scratch.clear();
-      scratch.reserve(e->size);
-      for (const auto& [ptr, len] : e->segments) {
-        scratch.insert(scratch.end(), ptr, ptr + len);
-      }
-      std::uint64_t off = 0;
-      while (off < scratch.size()) {
-        VPIM_REQUEST_CHECK(off + sizeof(BatchRecordHeader) <= scratch.size(),
-                           virtio::PimStatus::kBadRequest,
-                           "truncated batch record header");
-        const auto hdr = read_pod<BatchRecordHeader>(scratch.data() + off);
-        off += sizeof(BatchRecordHeader);
-        // hdr.size is guest-controlled: the remaining-bytes bound must not
-        // wrap, and the record must land inside the MRAM bank.
-        VPIM_REQUEST_CHECK(hdr.size <= scratch.size() - off,
-                           virtio::PimStatus::kBadRequest,
-                           "truncated batch record payload");
-        VPIM_REQUEST_CHECK(hdr.mram_offset <= upmem::kMramSize &&
-                               hdr.size <= upmem::kMramSize - hdr.mram_offset,
-                           virtio::PimStatus::kBadRequest,
-                           "batch record falls outside the MRAM bank");
-        rank.mram(e->dpu).write(hdr.mram_offset,
-                                {scratch.data() + off, hdr.size});
-        off += hdr.size;
-      }
-    }
-  });
+  driver::copy_banks(bound_rank(), records, driver::DataPath{});
 }
 
 void Backend::handle_ci(const virtio::DescChain& chain,
@@ -771,17 +720,8 @@ void Backend::handle_control(const virtio::DescChain& chain,
         resp.status = static_cast<std::int32_t>(PimStatus::kNoCapacity);
         break;
       }
-      upmem::Rank& src = bound_rank();
-      auto new_mapping = drv_.map_rank(*new_rank, tag_);
-      new_mapping.set_data_path(data_path());
-      // Host streams every bank out of the old rank and into the new one.
-      const std::uint64_t bytes =
-          2ULL * src.nr_dpus() * upmem::kMramSize;
-      vmm_.clock().advance(CostModel::bytes_time(
-          bytes, vmm_.cost().interleave_wide_gbps));
-      drv_.machine().rank(*new_rank).clone_state_from(src);
-      unbind();
-      mapping_ = std::move(new_mapping);
+      move_state(drv_.map_rank(*new_rank, tag_),
+                 vmm_.cost().interleave_wide_gbps);
       resp.rank_index = *new_rank;
       resp.config = config_space();
       break;
@@ -808,10 +748,10 @@ void Backend::handle_control(const virtio::DescChain& chain,
         resp.status = static_cast<std::int32_t>(PimStatus::kNoCapacity);
         break;
       }
-      bound_rank().load_snapshot(*suspended_);
-      vmm_.clock().advance(CostModel::bytes_time(
-          suspended_->resident_bytes(),
-          vmm_.cost().interleave_wide_gbps));
+      const std::uint64_t bytes = suspended_->resident_bytes();
+      bound_rank().load_snapshot(std::move(*suspended_));
+      vmm_.clock().advance(
+          CostModel::bytes_time(bytes, vmm_.cost().interleave_wide_gbps));
       suspended_.reset();
       resp.rank_index =
           mapping_.has_value() ? mapping_->rank_index() : 0xFFFFFFFFu;

@@ -82,7 +82,14 @@ class Backend {
   // raises about guest data) completes the offending chain with a
   // virtio::PimStatus instead of unwinding out of the device model — a
   // hostile tenant must never abort or wedge the host (§3, §7).
-  void handle_one(const virtio::DescChain& chain);
+  //
+  // serve() is the one per-chain completion ladder for both queues: it
+  // reads the request block under a backend span and runs
+  // `run(req, span)`, or completes the chain with a typed status.
+  template <typename Run>
+  void serve(virtio::Virtqueue& queue, const virtio::DescChain& chain, Run run);
+  // Transferq dispatch: cancellation, deadline shedding, request type.
+  void handle_request(const virtio::DescChain& chain, const WireRequest& req);
   void handle_rank_op(const virtio::DescChain& chain,
                       const WireRequest& req);
   void apply_batched_writes(const DeserializeResult& matrix);
@@ -142,6 +149,11 @@ class Backend {
   // Moves this device's wrank off its (dead) physical rank onto a freshly
   // allocated one, rescuing MRAM content. False when out of capacity.
   bool recover_rank_death();
+  // The one state move (rank-death rescue and kMigrateRank): charges the
+  // host streaming every bank out of the current binding and into `to`
+  // (2 x nr_dpus x MRAM at `gbps`), copies the rank state, and makes `to`
+  // the binding.
+  void move_state(driver::RankMapping to, double gbps);
   // Injected kLostCompletion check at the per-request dispatch point.
   std::optional<FaultRecord> lost_completion();
   // Deadline boundary check (ISSUE 8): throws a typed kTimeout when the

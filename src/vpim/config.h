@@ -33,11 +33,10 @@ struct VpimConfig {
 
   // ISSUE 7: submission/completion queue depth — how many WireRequests the
   // frontend keeps in flight before ringing the doorbell (each slot owns a
-  // full wire arena, so guest RAM pays ~8 MiB per extra slot). 0 means
-  // "auto": take VPIM_DEPTH from the environment, else 1. Depth 1 is the
-  // classic blocking path and is bit-identical to the pre-SQ/CQ device in
-  // every observable (stats, spans, metrics, virtual time, GPA layout).
-  std::uint32_t queue_depth = 0;
+  // full wire arena, so guest RAM pays ~8 MiB per extra slot). Depth 1 is
+  // the classic blocking path and is bit-identical to the pre-SQ/CQ device
+  // in every observable (stats, spans, metrics, virtual time, GPA layout).
+  std::uint32_t queue_depth = 1;
 
   // Sizing of the §4.1 frontend buffers (defaults from the prototype).
   std::uint32_t prefetch_cache_pages = 16;  // per DPU

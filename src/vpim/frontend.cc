@@ -1,7 +1,6 @@
 #include "vpim/frontend.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 
 #include "common/error.h"
@@ -25,6 +24,12 @@ void throw_if_rejected(const WireResponse& resp, const char* what) {
   throw VpimStatusError(resp.status,
                         std::string("device rejected ") + what + ": " +
                             virtio::status_name(resp.status));
+}
+
+[[noreturn]] void throw_poll_timeout() {
+  throw VpimStatusError(virtio::PimStatus::kTimeout,
+                        "device did not complete the request within the "
+                        "poll deadline");
 }
 }  // namespace
 
@@ -54,18 +59,9 @@ Frontend::Frontend(vmm::Vmm& vmm, Backend& backend,
     vhost_worker_.emplace(vmm_.clock(), vmm_.cost(),
                           /*parallel_handling=*/true);
   }
-  // SQ/CQ depth: explicit config wins, then VPIM_DEPTH, then the classic
-  // blocking depth of 1.
-  depth_ = config_.queue_depth;
-  if (depth_ == 0) {
-    if (const char* env = std::getenv("VPIM_DEPTH")) {
-      const long v = std::strtol(env, nullptr, 10);
-      if (v > 0) depth_ = static_cast<std::uint32_t>(v);
-    }
-    if (depth_ == 0) depth_ = 1;
-  }
-  depth_ = std::min(depth_, kMaxQueueDepth);
-  config_.queue_depth = depth_;  // expose the resolved depth via config()
+  VPIM_CHECK(config_.queue_depth >= 1, "queue depth must be at least 1");
+  depth_ = std::min(config_.queue_depth, kMaxQueueDepth);
+  config_.queue_depth = depth_;  // expose the clamped depth via config()
   inflight_hist_ =
       &obs_.metrics.histogram("vpim_inflight_depth", {{"device", tag_}});
   doorbells_metric_ =
@@ -128,27 +124,8 @@ bool Frontend::open() {
                         virtio::kStatusDriverOk);
   }
   ensure_arenas();
-
-  WireArena& arena = slots_[0].arena;
-  WireRequest req;
-  req.ci_op = static_cast<std::uint32_t>(CiOp::kBindRank);
-  req.request_id = wire_request_id();
-  std::memcpy(arena.request.data(), &req, sizeof(req));
-  const virtio::DescBuffer chain[] = {
-      {vmm_.memory().gpa_of(arena.request.data()), sizeof(WireRequest),
-       false},
-      {vmm_.memory().gpa_of(arena.response.data()), sizeof(WireResponse),
-       true},
-  };
-  control_roundtrip(chain);
-
-  WireResponse resp;
-  std::memcpy(&resp, arena.response.data(), sizeof(resp));
-  if (resp.status ==
-      static_cast<std::int32_t>(virtio::PimStatus::kNoCapacity)) {
-    return false;  // manager abandoned the allocation
-  }
-  throw_if_rejected(resp, "the bind request");
+  const WireResponse resp = control(CiOp::kBindRank, "the bind request");
+  if (resp.status != 0) return false;  // manager abandoned the allocation
   config_space_ = resp.config;
   open_ = true;
   return true;
@@ -165,32 +142,15 @@ void Frontend::close() {
   // slot 0's arena is free for the control request and async completions
   // land in the CQ before the device goes away.
   try {
-    flush_batch();
-    kick();
-    raise_flush_error();
+    drain();
   } catch (const VpimStatusError&) {
     for (auto& batch : batches_) batch.cursor = 0;
     batch_pending_ = 0;
     batch_locked_ = false;
   }
   invalidate_cache();
-
-  WireArena& arena = slots_[0].arena;
-  WireRequest req;
-  req.ci_op = static_cast<std::uint32_t>(CiOp::kReleaseRank);
-  req.request_id = wire_request_id();
-  std::memcpy(arena.request.data(), &req, sizeof(req));
-  const virtio::DescBuffer chain[] = {
-      {vmm_.memory().gpa_of(arena.request.data()), sizeof(WireRequest),
-       false},
-      {vmm_.memory().gpa_of(arena.response.data()), sizeof(WireResponse),
-       true},
-  };
   try {
-    control_roundtrip(chain);
-    WireResponse resp;
-    std::memcpy(&resp, arena.response.data(), sizeof(resp));
-    throw_if_rejected(resp, "the release request");
+    control(CiOp::kReleaseRank, "the release request");
   } catch (const VpimStatusError&) {
     // Releasing an already-unbound or wedged device: local teardown still
     // completes; the manager's observer reclaims the rank either way.
@@ -203,31 +163,11 @@ bool Frontend::migrate() {
   obs::RequestSpan span(tracer(), vmm_.clock(), obs::SpanKind::kControl,
                         tenant_id());
   vmm_.clock().advance(vmm_.cost().ioctl_ns);
-  flush_batch();
-  kick();  // drain in-flight work before the rank moves
-  raise_flush_error();
+  drain();  // in-flight work lands before the rank moves
   invalidate_cache();  // cached segments refer to the old rank
-
-  WireArena& arena = slots_[0].arena;
-  WireRequest req;
-  req.ci_op = static_cast<std::uint32_t>(CiOp::kMigrateRank);
-  req.request_id = wire_request_id();
-  std::memcpy(arena.request.data(), &req, sizeof(req));
-  const virtio::DescBuffer chain[] = {
-      {vmm_.memory().gpa_of(arena.request.data()), sizeof(WireRequest),
-       false},
-      {vmm_.memory().gpa_of(arena.response.data()), sizeof(WireResponse),
-       true},
-  };
-  control_roundtrip(chain);
-
-  WireResponse resp;
-  std::memcpy(&resp, arena.response.data(), sizeof(resp));
-  if (resp.status ==
-      static_cast<std::int32_t>(virtio::PimStatus::kNoCapacity)) {
-    return false;  // no free rank; still bound to the original one
-  }
-  throw_if_rejected(resp, "the migration request");
+  const WireResponse resp =
+      control(CiOp::kMigrateRank, "the migration request");
+  if (resp.status != 0) return false;  // no free rank; still bound
   config_space_ = resp.config;
   return true;
 }
@@ -237,25 +177,9 @@ void Frontend::suspend() {
   obs::RequestSpan span(tracer(), vmm_.clock(), obs::SpanKind::kControl,
                         tenant_id());
   vmm_.clock().advance(vmm_.cost().ioctl_ns);
-  flush_batch();
-  kick();  // everything in flight must land before the state is parked
-  raise_flush_error();
+  drain();  // everything in flight must land before the state is parked
   invalidate_cache();
-  WireArena& arena = slots_[0].arena;
-  WireRequest req;
-  req.ci_op = static_cast<std::uint32_t>(CiOp::kSuspendRank);
-  req.request_id = wire_request_id();
-  std::memcpy(arena.request.data(), &req, sizeof(req));
-  const virtio::DescBuffer chain[] = {
-      {vmm_.memory().gpa_of(arena.request.data()), sizeof(WireRequest),
-       false},
-      {vmm_.memory().gpa_of(arena.response.data()), sizeof(WireResponse),
-       true},
-  };
-  control_roundtrip(chain);
-  WireResponse resp;
-  std::memcpy(&resp, arena.response.data(), sizeof(resp));
-  throw_if_rejected(resp, "the suspend request");
+  control(CiOp::kSuspendRank, "the suspend request");
   open_ = false;
 }
 
@@ -264,25 +188,8 @@ bool Frontend::resume() {
   obs::RequestSpan span(tracer(), vmm_.clock(), obs::SpanKind::kControl,
                         tenant_id());
   vmm_.clock().advance(vmm_.cost().ioctl_ns);
-  WireArena& arena = slots_[0].arena;
-  WireRequest req;
-  req.ci_op = static_cast<std::uint32_t>(CiOp::kResumeRank);
-  req.request_id = wire_request_id();
-  std::memcpy(arena.request.data(), &req, sizeof(req));
-  const virtio::DescBuffer chain[] = {
-      {vmm_.memory().gpa_of(arena.request.data()), sizeof(WireRequest),
-       false},
-      {vmm_.memory().gpa_of(arena.response.data()), sizeof(WireResponse),
-       true},
-  };
-  control_roundtrip(chain);
-  WireResponse resp;
-  std::memcpy(&resp, arena.response.data(), sizeof(resp));
-  if (resp.status ==
-      static_cast<std::int32_t>(virtio::PimStatus::kNoCapacity)) {
-    return false;  // stays parked host-side until capacity frees up
-  }
-  throw_if_rejected(resp, "the resume request");
+  const WireResponse resp = control(CiOp::kResumeRank, "the resume request");
+  if (resp.status != 0) return false;  // stays parked until capacity frees
   config_space_ = resp.config;
   open_ = true;
   return true;
@@ -522,27 +429,44 @@ void Frontend::send_rank_op(const driver::TransferMatrix& matrix,
                             : "a read-from-rank operation");
 }
 
-void Frontend::reserve_slot() {
+std::uint32_t Frontend::reserve(std::size_t descs) {
   if (staged_.size() >= depth_) kick();
-}
-
-void Frontend::reserve_ring(std::size_t descs) {
   // The descriptor table recycles only on poll_used, so a deep queue of
   // wide matrices can exhaust it before the depth does; kick early rather
   // than let submit() throw.
   if (transferq_.free_descriptors() < descs) kick();
+  return static_cast<std::uint32_t>(staged_.size());
+}
+
+std::uint32_t Frontend::publish(std::span<const virtio::DescBuffer> chain,
+                                bool is_write, bool async, bool is_flush,
+                                Ticket ticket, SimNs deadline_ns) {
+  const auto idx = static_cast<std::uint32_t>(staged_.size());
+  SqSlot& slot = slots_[idx];
+  // Publish on the available ring; the doorbell waits for kick().
+  slot.head = transferq_.submit(chain);
+  slot.is_write = is_write;
+  slot.async = async;
+  slot.is_flush = is_flush;
+  slot.completed = false;
+  slot.timed_out = false;
+  slot.cancelled = false;
+  slot.admitted = false;
+  slot.ticket = ticket;
+  slot.deadline = deadline_ns;
+  slot.admit_t0 = 0;
+  requests_metric_->inc();
+  staged_.push_back(idx);
+  return idx;
 }
 
 std::uint32_t Frontend::stage_rank_op(const driver::TransferMatrix& matrix,
                                       bool is_write, std::uint32_t flags,
                                       bool async, Ticket ticket,
                                       bool is_flush, SimNs deadline_ns) {
-  reserve_slot();
-  reserve_ring(2 * matrix.entries.size() + 3);
+  SqSlot& slot = slots_[reserve(2 * matrix.entries.size() + 3)];
   SimClock& clock = vmm_.clock();
   const CostModel& cost = vmm_.cost();
-  const std::uint32_t idx = static_cast<std::uint32_t>(staged_.size());
-  SqSlot& slot = slots_[idx];
   slot.t0 = clock.now();
 
   // -- Page management: user pages -> kernel page lists (Fig 13 "Page").
@@ -592,46 +516,30 @@ std::uint32_t Frontend::stage_rank_op(const driver::TransferMatrix& matrix,
               matrix.total_bytes(),
               static_cast<std::uint32_t>(matrix.entries.size()));
   }
-
-  // Publish on the available ring; the doorbell waits for kick().
-  slot.head = transferq_.submit(slot.ser.chain);
-  slot.is_write = is_write;
-  slot.async = async;
-  slot.is_flush = is_flush;
-  slot.completed = false;
-  slot.timed_out = false;
-  slot.cancelled = false;
-  slot.admitted = false;
-  slot.ticket = ticket;
-  slot.deadline = deadline_ns;
-  slot.admit_t0 = 0;
-  requests_metric_->inc();
-  staged_.push_back(idx);
-  return idx;
+  return publish(slot.ser.chain, is_write, async, is_flush, ticket,
+                 deadline_ns);
 }
 
-void Frontend::kick() {
-  if (staged_.empty()) return;
+std::size_t Frontend::doorbell(virtio::Virtqueue& queue,
+                               void (Backend::*handler)(),
+                               std::size_t expected) {
   SimClock& clock = vmm_.clock();
   const CostModel& cost = vmm_.cost();
-  const std::size_t batch = staged_.size();
-
   ++stats_.doorbells;
-  stats_.coalesced_notifies += batch - 1;
+  stats_.coalesced_notifies += expected - 1;
   doorbells_metric_->inc();
-  inflight_hist_->observe(batch);
 
   // One span for the whole transport round trip: notify transition,
-  // backend batch drain (which nests its own spans), completion IRQ, and
-  // any completion polling.
+  // backend drain (which nests its own spans), completion IRQ, and any
+  // completion polling.
   obs::ScopedSpan span(tracer(), clock, obs::SpanKind::kVirtioRoundtrip);
-  if (depth_ > 1) span.set_entries(static_cast<std::uint32_t>(batch));
+  if (depth_ > 1) span.set_entries(static_cast<std::uint32_t>(staged_.size()));
 
   // Guest -> host transition, device handling, completion back into the
   // guest (Fig 13 "Int" is the transition cost). With vhost transitions
   // (§7 future work) the kick lands in a per-device kernel worker instead
-  // of trapping out to the userspace VMM. The whole batch shares one
-  // transition pair — that is the coalescing win.
+  // of trapping out to the userspace VMM. Everything the doorbell covers
+  // shares one transition pair — that is the coalescing win.
   const bool vhost = vhost_worker_.has_value();
   const SimNs notify_cost =
       vhost ? cost.vhost_notify_ns : cost.vmexit_notify_ns;
@@ -640,7 +548,8 @@ void Frontend::kick() {
   clock.advance(notify_cost);
   ++stats_.notifies;
   vmm::EventLoop& loop = vhost ? *vhost_worker_ : vmm_.loop();
-  loop.dispatch([&] { backend_.handle_transferq(); });
+  Backend& backend = backend_;
+  loop.dispatch([&] { (backend.*handler)(); });
   clock.advance(complete_cost);
   ++stats_.irqs;
   ++stats_.completion_irqs;
@@ -651,21 +560,20 @@ void Frontend::kick() {
   }
 
   // Bounded completion wait: the first polls are free (the dispatch above
-  // is synchronous, so a healthy device has already completed the whole
-  // batch). If a completion never arrives — injected lost completion,
-  // wedged device — the guest re-polls every poll_interval_ns of virtual
-  // time and abandons the stragglers with a typed TIMEOUT once
-  // poll_deadline_ns has elapsed.
+  // is synchronous, so a healthy device has already completed everything).
+  // If a completion never arrives — injected lost completion, wedged
+  // device — the guest re-polls every poll_interval_ns of virtual time and
+  // gives up on the stragglers once poll_deadline_ns has elapsed.
   std::size_t got = 0;
-  while (got < batch) {
-    auto used = transferq_.poll_used();
+  while (got < expected) {
+    auto used = queue.poll_used();
     if (!used.has_value()) {
       SimNs wait_until = clock.now() + config_.poll_deadline_ns;
-      // Completion-reap deadline boundary (ISSUE 8): when every
-      // outstanding request carries a wire deadline, there is no point
-      // polling past the latest of them — the device itself sheds expired
-      // work, so waiting longer can only ever reap kTimeout. Any slot
-      // without a deadline keeps the classic full poll budget.
+      // Completion-reap deadline boundary: when every outstanding staged
+      // request carries a wire deadline, there is no point polling past
+      // the latest of them — the device itself sheds expired work, so
+      // waiting longer can only ever reap kTimeout. Anything without a
+      // deadline keeps the classic full poll budget.
       bool all_deadlined = true;
       SimNs latest = 0;
       for (std::uint32_t idx : staged_) {
@@ -682,7 +590,7 @@ void Frontend::kick() {
       }
       while (!used.has_value() && clock.now() < wait_until) {
         clock.advance(config_.poll_interval_ns);
-        used = transferq_.poll_used();
+        used = queue.poll_used();
       }
     }
     if (!used.has_value()) break;
@@ -697,13 +605,19 @@ void Frontend::kick() {
     }
     ++got;
   }
-  span.close();
+  return got;
+}
+
+void Frontend::kick() {
+  if (staged_.empty()) return;
+  inflight_hist_->observe(staged_.size());
+  doorbell(transferq_, &Backend::handle_transferq, staged_.size());
 
   // Resolve every staged slot in submission order: timeouts get a typed
   // status, posted flushes retire the batch buffers, async requests land
   // in the CQ. kick() itself never throws — blocking callers surface
   // their slot's status via finish_sync.
-  const SimNs done = clock.now();
+  const SimNs done = vmm_.clock().now();
   obs::Tracer* t = tracer();
   AdmissionController* adm = backend_.admission();
   for (std::uint32_t idx : staged_) {
@@ -725,11 +639,11 @@ void Frontend::kick() {
         batch_pending_ = 0;
         ++stats_.batch_flushes;
       } else {
-        // The lossy-timeout edge (ISSUE 8): a failed posted flush loses
-        // every write the batch buffers absorbed. Surface a typed per-slot
-        // record for each before retiring the buffers, so the guest can
-        // enumerate exactly what was lost instead of silently re-flushing
-        // or dropping them.
+        // The lossy-timeout edge: a failed posted flush loses every write
+        // the batch buffers absorbed. Surface a typed per-slot record for
+        // each before retiring the buffers, so the guest can enumerate
+        // exactly what was lost instead of silently re-flushing or
+        // dropping them.
         record_lost_writes(slot.resp.status);
         if (pending_flush_status_ == 0) {
           pending_flush_status_ = slot.resp.status;
@@ -750,14 +664,18 @@ void Frontend::kick() {
   staged_.clear();
 }
 
+void Frontend::drain() {
+  flush_batch();
+  kick();
+  raise_flush_error();
+}
+
 void Frontend::raise_flush_error() {
   if (pending_flush_status_ == 0) return;
   const std::int32_t status = pending_flush_status_;
   pending_flush_status_ = 0;
   if (status == static_cast<std::int32_t>(virtio::PimStatus::kTimeout)) {
-    throw VpimStatusError(virtio::PimStatus::kTimeout,
-                          "device did not complete the request within the "
-                          "poll deadline");
+    throw_poll_timeout();
   }
   WireResponse resp;
   resp.status = status;
@@ -768,53 +686,40 @@ WireResponse Frontend::finish_sync(std::uint32_t idx, const char* what) {
   SqSlot& slot = slots_[idx];
   if (!slot.completed && !slot.timed_out) kick();
   raise_flush_error();
-  if (slot.timed_out) {
-    throw VpimStatusError(virtio::PimStatus::kTimeout,
-                          "device did not complete the request within the "
-                          "poll deadline");
-  }
+  if (slot.timed_out) throw_poll_timeout();
   throw_if_rejected(slot.resp, what);
   return slot.resp;
 }
 
-void Frontend::control_roundtrip(std::span<const virtio::DescBuffer> chain) {
-  SimClock& clock = vmm_.clock();
-  const CostModel& cost = vmm_.cost();
+WireResponse Frontend::control(CiOp op, const char* what) {
+  // Control requests borrow slot 0's arena, so the SQ must be drained.
+  VPIM_CHECK(staged_.empty(), "control request with transfers still staged");
+  WireArena& arena = slots_[0].arena;
+  WireRequest req;
+  req.ci_op = static_cast<std::uint32_t>(op);
+  req.request_id = wire_request_id();
+  std::memcpy(arena.request.data(), &req, sizeof(req));
+  const virtio::DescBuffer chain[] = {
+      {vmm_.memory().gpa_of(arena.request.data()), sizeof(WireRequest),
+       false},
+      {vmm_.memory().gpa_of(arena.response.data()), sizeof(WireResponse),
+       true},
+  };
   controlq_.submit(chain);
-
-  // Control requests stay strictly synchronous: one request, one
-  // doorbell, one completion interrupt.
-  ++stats_.doorbells;
-  ++stats_.completion_irqs;
-  doorbells_metric_->inc();
   requests_metric_->inc();
-  obs::ScopedSpan span(tracer(), clock, obs::SpanKind::kVirtioRoundtrip);
-  const bool vhost = vhost_worker_.has_value();
-  const SimNs notify_cost =
-      vhost ? cost.vhost_notify_ns : cost.vmexit_notify_ns;
-  const SimNs complete_cost =
-      vhost ? cost.vhost_complete_ns : cost.irq_inject_ns;
-  clock.advance(notify_cost);
-  ++stats_.notifies;
-  vmm::EventLoop& loop = vhost ? *vhost_worker_ : vmm_.loop();
-  loop.dispatch([&] { backend_.handle_controlq(); });
-  clock.advance(complete_cost);
-  ++stats_.irqs;
-
-  auto used = controlq_.poll_used();
-  if (!used.has_value()) {
-    const SimNs deadline = clock.now() + config_.poll_deadline_ns;
-    while (!used.has_value() && clock.now() < deadline) {
-      clock.advance(config_.poll_interval_ns);
-      used = controlq_.poll_used();
-    }
-  }
-  if (!used.has_value()) {
+  // Control requests stay strictly synchronous: one request, one doorbell,
+  // one completion interrupt.
+  if (doorbell(controlq_, &Backend::handle_controlq, 1) == 0) {
     ++stats_.poll_timeouts;
-    throw VpimStatusError(virtio::PimStatus::kTimeout,
-                          "device did not complete the request within the "
-                          "poll deadline");
+    throw_poll_timeout();
   }
+  WireResponse resp;
+  std::memcpy(&resp, arena.response.data(), sizeof(resp));
+  if (resp.status !=
+      static_cast<std::int32_t>(virtio::PimStatus::kNoCapacity)) {
+    throw_if_rejected(resp, what);
+  }
+  return resp;
 }
 
 // --------------------------------------------------------------- CI ops
@@ -822,18 +727,13 @@ void Frontend::control_roundtrip(std::span<const virtio::DescBuffer> chain) {
 std::span<std::uint8_t> Frontend::ci_payload() {
   // Reserve now so the slot index cannot move between a caller staging
   // payload bytes and stage_ci serializing into the same slot.
-  reserve_slot();
-  reserve_ring(3);
-  return slots_[staged_.size()].arena.payload;
+  return slots_[reserve(3)].arena.payload;
 }
 
 std::uint32_t Frontend::stage_ci(const WireRequest& req,
                                  std::span<std::uint8_t> payload,
                                  bool payload_writable) {
-  reserve_slot();
-  reserve_ring(3);
-  const std::uint32_t idx = static_cast<std::uint32_t>(staged_.size());
-  SqSlot& slot = slots_[idx];
+  SqSlot& slot = slots_[reserve(3)];
   slot.t0 = vmm_.clock().now();
   WireRequest stamped = req;
   stamped.request_id = wire_request_id();
@@ -851,20 +751,7 @@ std::uint32_t Frontend::stage_ci(const WireRequest& req,
   }
   chain[n++] = {vmm_.memory().gpa_of(slot.arena.response.data()),
                 sizeof(WireResponse), true};
-  slot.head = transferq_.submit(std::span(chain.data(), n));
-  slot.is_write = false;
-  slot.async = false;
-  slot.is_flush = false;
-  slot.completed = false;
-  slot.timed_out = false;
-  slot.cancelled = false;
-  slot.admitted = false;
-  slot.ticket = 0;
-  slot.deadline = 0;
-  slot.admit_t0 = 0;
-  requests_metric_->inc();
-  staged_.push_back(idx);
-  return idx;
+  return publish(std::span(chain.data(), n));
 }
 
 WireResponse Frontend::ci_roundtrip(const WireRequest& req,

@@ -203,8 +203,17 @@ class Frontend {
   void check_dpus(const driver::TransferMatrix& matrix) const;
   void send_rank_op(const driver::TransferMatrix& matrix, bool is_write,
                     std::uint32_t flags);
-  // Serializes into the next free slot and publishes the chain on the
-  // available ring (no doorbell); returns the slot index.
+  // Kicks early when the slot ring or the descriptor table cannot take
+  // one more request of `descs` descriptors; returns the slot index the
+  // next publish() fills.
+  std::uint32_t reserve(std::size_t descs);
+  // Publishes `chain` for that slot on the transferq's available ring (no
+  // doorbell) and resets the slot's completion state; returns its index.
+  std::uint32_t publish(std::span<const virtio::DescBuffer> chain,
+                        bool is_write = false, bool async = false,
+                        bool is_flush = false, Ticket ticket = 0,
+                        SimNs deadline_ns = 0);
+  // Serializes into the next free slot and publishes it.
   std::uint32_t stage_rank_op(const driver::TransferMatrix& matrix,
                               bool is_write, std::uint32_t flags, bool async,
                               Ticket ticket, bool is_flush,
@@ -221,21 +230,28 @@ class Frontend {
   std::uint32_t stage_ci(const WireRequest& req,
                          std::span<std::uint8_t> payload,
                          bool payload_writable);
-  // Rings the doorbell for everything staged: one notify, one backend
-  // drain, one completion interrupt for the whole batch. Never throws —
-  // failures land in the slots as typed statuses.
+  // The one transport round trip, for both virtqueues: the notify
+  // transition, `handler`'s drain of `queue`, the completion IRQ, the
+  // doorbell counters, then a bounded poll reaping up to `expected` used
+  // entries into the staged slots. Returns how many were reaped.
+  std::size_t doorbell(virtio::Virtqueue& queue, void (Backend::*handler)(),
+                       std::size_t expected);
+  // Rings the doorbell for everything staged and resolves every slot. Never
+  // throws — failures land in the slots as typed statuses.
   void kick();
-  // Kicks early when the slot ring or descriptor table cannot take one
-  // more staged request.
-  void reserve_slot();
-  void reserve_ring(std::size_t descs);
+  // Flushes the batch buffers and completes everything in flight,
+  // rethrowing a failed posted flush.
+  void drain();
   // Blocking-path completion: kicks if the slot is still in flight, then
   // surfaces any posted-flush failure and the slot's own status.
   WireResponse finish_sync(std::uint32_t idx, const char* what);
   void raise_flush_error();
+  // One synchronous control-queue request (bind, release, migrate,
+  // suspend, resume). Returns the response; kNoCapacity comes back as a
+  // status, any other failure is thrown typed.
+  WireResponse control(CiOp op, const char* what);
   // Payload staging buffer of the slot the next stage_ci will use.
   std::span<std::uint8_t> ci_payload();
-  void control_roundtrip(std::span<const virtio::DescBuffer> chain);
   WireResponse ci_roundtrip(const WireRequest& req,
                             std::span<std::uint8_t> payload,
                             bool payload_writable);

@@ -10,10 +10,12 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <cstring>
 #include <random>
 #include <span>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -21,6 +23,7 @@
 #include "common/thread_pool.h"
 #include "prim/app.h"
 #include "prim/micro.h"
+#include "tests/test_kernels.h"
 #include "tests/testutil.h"
 #include "upmem/interleave.h"
 #include "vpim/guest_platform.h"
@@ -268,6 +271,263 @@ TEST_P(PipelineDeterminism, AsyncPipelineIsThreadCountInvariant) {
 
 INSTANTIATE_TEST_SUITE_P(Depths, PipelineDeterminism,
                          ::testing::Values(1, 2, 8));
+
+// ---- golden device path -------------------------------------------------
+
+// FNV-1a, so a whole span stream or metrics snapshot pins to one constant.
+std::uint64_t fnv1a(std::string_view s) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const char c : s) {
+    h ^= static_cast<std::uint8_t>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+std::string stats_text(const core::DeviceStats& s) {
+  std::ostringstream out;
+  for (std::size_t i = 0; i < s.ops.op_time.size(); ++i) {
+    out << s.ops.op_time[i] << '/' << s.ops.op_count[i] << ' ';
+  }
+  for (const SimNs t : s.wsteps.step_time) out << t << ' ';
+  const std::uint64_t counters[] = {
+      s.notifies,
+      s.irqs,
+      s.cache_hits,
+      s.cache_misses,
+      s.cache_fills,
+      s.batched_writes,
+      s.batch_flushes,
+      s.emulated_binds,
+      s.request_errors,
+      s.doorbells,
+      s.completion_irqs,
+      s.coalesced_notifies,
+      s.fault_retries,
+      s.fault_migrations,
+      s.fault_failures,
+      s.dropped_completions,
+      s.poll_timeouts,
+      s.admission_rejects,
+      s.would_blocks,
+      s.cancelled,
+      s.deadline_shed,
+      s.lost_batched_writes,
+  };
+  for (const std::uint64_t v : counters) out << v << ' ';
+  out << '\n';
+  return out.str();
+}
+
+struct GoldenCapture {
+  bool correct = true;
+  std::uint64_t span_digest = 0;
+  std::uint64_t metrics = 0;
+  std::uint64_t stats = 0;
+  SimNs clock_end = 0;
+};
+
+// One scripted session over every hop of the guest-to-bank request path:
+// bind, batched and bulk writes, broadcasts, cached and uncached reads,
+// every CI op, async submits with a cancel, migrate, suspend/resume,
+// release, and an oversubscribed device on an emulated rank.
+GoldenCapture run_device_session(unsigned threads) {
+  ThreadPool::instance().resize(threads);
+  test::register_count_zeros();
+  core::Host host(test::small_machine(), CostModel{}, fast_manager());
+  core::VpimConfig config = core::VpimConfig::full();
+  config.queue_depth = 8;
+  config.oversubscribe = true;
+  core::VpimVm vm(host, {.name = "golden"}, 1, config);
+  obs::Tracer tracer;
+  host.attach_tracer(&tracer);
+  GoldenCapture cap;
+  auto check = [&cap](bool ok) { cap.correct = cap.correct && ok; };
+  guest::GuestMemory& mem = vm.vmm().memory();
+  auto pattern = [](std::span<std::uint8_t> buf, std::uint32_t seed) {
+    for (std::size_t i = 0; i < buf.size(); ++i) {
+      buf[i] = static_cast<std::uint8_t>(seed * 131 + i * 7 + (i >> 12));
+    }
+  };
+  auto read_back = [&](core::Frontend& fe, std::uint32_t dpu, std::uint64_t off,
+                       std::span<const std::uint8_t> want) {
+    auto out = vm.vmm().memory().alloc(want.size());
+    driver::TransferMatrix r;
+    r.direction = driver::XferDirection::kFromRank;
+    r.entries.push_back({dpu, off, out.data(), out.size()});
+    fe.read_from_rank(r);
+    return std::equal(out.begin(), out.end(), want.begin());
+  };
+  auto broadcast = [](core::Frontend& fe, std::uint32_t nr_dpus,
+                      std::uint64_t off, std::span<std::uint8_t> buf) {
+    driver::TransferMatrix w;
+    for (std::uint32_t d = 0; d < nr_dpus; ++d) {
+      w.entries.push_back({d, off, buf.data(), buf.size()});
+    }
+    fe.write_to_rank(w);
+  };
+  core::Frontend& fe = vm.device(0).frontend;
+  check(fe.open());
+  const std::uint32_t n = fe.nr_dpus();
+  // Small writes land in the batch buffers; the bulk one goes straight
+  // through the transferq.
+  auto small = mem.alloc(8 * 512);
+  pattern(small, 1);
+  for (std::uint32_t i = 0; i < 8; ++i) {
+    driver::TransferMatrix w;
+    const std::uint64_t off = 4096 + 512 * (i / n);
+    w.entries.push_back({i % n, off, small.data() + i * 512, 512});
+    fe.write_to_rank(w);
+  }
+  constexpr std::uint64_t kBulk = 96 * kKiB;
+  auto bulk = mem.alloc(4 * kBulk);
+  pattern(bulk, 2);
+  {
+    driver::TransferMatrix w;
+    for (std::uint32_t d = 0; d < 4; ++d) {
+      w.entries.push_back({d, 64 * kKiB, bulk.data() + d * kBulk, kBulk});
+    }
+    fe.write_to_rank(w);
+  }
+  // Aligned broadcast (shared pages plus a tail) and an unaligned one.
+  auto bcast = mem.alloc(2 * 4096 * 16 + 100);
+  pattern(bcast, 3);
+  broadcast(fe, n, 1 * kMiB, bcast);
+  broadcast(fe, n, 2 * kMiB + 8, bcast.first(70 * kKiB));
+  // Cached reads (a fill, then a hit) and an uncached bulk read.
+  check(read_back(fe, 1, 4096, small.subspan(512, 256)));
+  check(read_back(fe, 1, 4096 + 256, small.subspan(768, 256)));
+  check(read_back(fe, 2, 64 * kKiB, bulk.subspan(2 * kBulk, kBulk)));
+  check(read_back(fe, 5, 1 * kMiB, bcast));
+  // Every CI op: load, single and packed symbol writes, launch, status
+  // polls, packed and single symbol reads.
+  fe.ci_load("test_count_zeros");
+  std::uint32_t ps = 4096;
+  fe.ci_copy_to_symbol(0, "partition_size", 0, test::bytes_u32(ps));
+  auto packed = mem.alloc(std::uint64_t{n} * 4);
+  for (std::uint32_t d = 0; d < n; ++d) {
+    const std::uint32_t bytes = 1024 * (d + 1);
+    std::memcpy(packed.data() + std::uint64_t{d} * 4, &bytes, 4);
+  }
+  fe.ci_push_symbols(driver::XferDirection::kToRank, "partition_size", 0,
+                     packed.first(std::uint64_t{n} * 4), 4);
+  fe.ci_launch((std::uint64_t{1} << n) - 1, 11);
+  while (fe.ci_running_mask() != 0) host.clock.advance(20 * kUs);
+  fe.ci_push_symbols(driver::XferDirection::kFromRank, "zero_count", 0,
+                     packed.first(std::uint64_t{n} * 4), 4);
+  std::uint32_t zeros = 0;
+  fe.ci_copy_from_symbol(1, "zero_count", 0, test::bytes_u32(zeros));
+  std::uint32_t packed_zeros = 0;
+  std::memcpy(&packed_zeros, packed.data() + 4, 4);
+  check(zeros == packed_zeros);
+
+  // Async submits at depth 8; the third is cancelled before the doorbell.
+  auto abuf = mem.alloc(9 * 256);
+  pattern(abuf, 4);
+  std::vector<core::Frontend::Ticket> tickets;
+  for (std::uint32_t i = 0; i < 9; ++i) {
+    driver::TransferMatrix m;
+    m.direction = i < 6 ? driver::XferDirection::kToRank
+                        : driver::XferDirection::kFromRank;
+    const std::uint64_t off = 8 * kMiB + 256 * i;
+    m.entries.push_back({i % n, off, abuf.data() + 256 * i, 256});
+    tickets.push_back(i < 6 ? fe.submit_write(m) : fe.submit_read(m));
+    if (i == 3) check(fe.cancel(tickets[2]));
+  }
+  constexpr auto kCancelled =
+      static_cast<std::int32_t>(virtio::PimStatus::kCancelled);
+  std::size_t reaped = 0;
+  std::size_t cancelled = 0;
+  for (int round = 0; round < 4 && reaped < tickets.size(); ++round) {
+    for (const core::Frontend::Completion& c : fe.poll_completions()) {
+      ++reaped;
+      if (c.status == kCancelled) ++cancelled;
+    }
+  }
+  check(reaped == tickets.size() && cancelled == 1);
+
+  check(fe.migrate());
+  check(read_back(fe, 3, 64 * kKiB, bulk.subspan(3 * kBulk, kBulk)));
+  fe.suspend();
+  host.manager.observe();
+  host.manager.observe();
+  check(fe.resume());
+  check(read_back(fe, 0, 4096, small.first(512)));
+  fe.close();
+  host.manager.observe();
+  host.manager.observe();
+
+  // Oversubscription: two devices take both ranks, the third binds to an
+  // emulated rank and runs the same transfer, broadcast and CI traffic.
+  core::VpimVm hog(host, {.name = "golden-hog"}, 2, config);
+  check(hog.device(0).frontend.open() && hog.device(1).frontend.open());
+  core::VpimVm over(host, {.name = "golden-emu"}, 1, config);
+  core::Frontend& efe = over.device(0).frontend;
+  check(efe.open() && over.device(0).backend.emulated());
+  guest::GuestMemory& emem = over.vmm().memory();
+  auto ebulk = emem.alloc(2 * 80 * kKiB);
+  pattern(ebulk, 5);
+  {
+    driver::TransferMatrix w;
+    w.entries.push_back({1, 0, ebulk.data(), 80 * kKiB});
+    w.entries.push_back({1, 80 * kKiB, ebulk.data() + 80 * kKiB, 80 * kKiB});
+    w.entries.push_back({6, 4096, ebulk.data(), 80 * kKiB});
+    efe.write_to_rank(w);
+  }
+  auto ebcast = emem.alloc(3 * 4096 * 8 + 40);
+  pattern(ebcast, 6);
+  broadcast(efe, efe.nr_dpus(), 4 * kMiB, ebcast);
+  broadcast(efe, efe.nr_dpus(), 5 * kMiB + 4, ebcast.first(68 * kKiB));
+  auto eout = emem.alloc(ebcast.size());
+  {
+    driver::TransferMatrix r;
+    r.direction = driver::XferDirection::kFromRank;
+    r.entries.push_back({7, 4 * kMiB, eout.data(), eout.size()});
+    efe.read_from_rank(r);
+  }
+  check(std::equal(eout.begin(), eout.end(), ebcast.begin()));
+  auto eout2 = emem.alloc(80 * kKiB);
+  {
+    driver::TransferMatrix r;
+    r.direction = driver::XferDirection::kFromRank;
+    r.entries.push_back({1, 80 * kKiB, eout2.data(), eout2.size()});
+    efe.read_from_rank(r);
+  }
+  check(std::equal(eout2.begin(), eout2.end(), ebulk.begin() + 80 * kKiB));
+  efe.ci_load("test_count_zeros");
+  efe.ci_launch(0xFF, std::nullopt);
+  while (efe.ci_running_mask() != 0) host.clock.advance(20 * kUs);
+  efe.close();
+  hog.device(0).frontend.close();
+  hog.device(1).frontend.close();
+
+  std::string stats;
+  for (core::VpimVm* v : {&vm, &hog, &over}) {
+    for (std::uint32_t d = 0; d < v->nr_devices(); ++d) {
+      stats += stats_text(v->device(d).stats);
+    }
+  }
+  cap.span_digest = fnv1a(tracer.digest());
+  cap.metrics = fnv1a(host.obs.metrics.prometheus_text());
+  cap.stats = fnv1a(stats);
+  cap.clock_end = host.clock.now();
+  return cap;
+}
+
+// Pins the whole device path to absolute values: a change to any hop that
+// moves a span, metric, counter or virtual-time charge fails here, at
+// every pool size. The constants change only with a deliberate model
+// change.
+TEST_F(DeterminismTest, GoldenDevicePathCapture) {
+  for (unsigned t : thread_sweep()) {
+    const GoldenCapture got = run_device_session(t);
+    EXPECT_TRUE(got.correct) << "threads=" << t;
+    EXPECT_EQ(got.span_digest, 0x790fafd13bdde8a7ULL) << "threads=" << t;
+    EXPECT_EQ(got.metrics, 0xb97113e2f32d8b91ULL) << "threads=" << t;
+    EXPECT_EQ(got.stats, 0x9c44904d03843fc4ULL) << "threads=" << t;
+    EXPECT_EQ(got.clock_end, SimNs{2572780666}) << "threads=" << t;
+  }
+}
 
 // ---- interleave dispatch ------------------------------------------------
 

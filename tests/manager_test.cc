@@ -301,9 +301,12 @@ TEST(ManagerService, ConcurrentRequestsNeverDoubleAllocate) {
         std::lock_guard lock(driver_mu);
         auto mapping = rig.drv.map_rank(*rank, owner);
         std::this_thread::sleep_for(std::chrono::microseconds(200));
+        // Give the rank up before the mapping unmaps: once it is unmapped
+        // the observer may legally recycle it, and the next holder must
+        // not see this one as a fake overlap.
+        holders[*rank].fetch_sub(1);
         // mapping unmaps here (lock still held)
       }
-      holders[*rank].fetch_sub(1);
       ++successes;
       // Observer (running every 1 ms) will recycle the rank.
     }

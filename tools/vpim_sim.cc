@@ -36,7 +36,7 @@ struct Options {
   std::uint32_t tasklets = 16;
   double scale = 1.0;
   std::uint64_t mb = 20;  // checksum file size per DPU
-  std::uint32_t depth = 0;  // SQ depth; 0 = VPIM_DEPTH env, else 1
+  std::uint32_t depth = 1;  // SQ depth
   std::string config = "vPIM";
   std::string trace_path;   // --trace FILE: CSV of the vPIM run's spans
   std::string chrome_path;  // --chrome-trace FILE: chrome://tracing JSON
@@ -78,7 +78,7 @@ int usage() {
       "                [--metrics FILE] [--storm SEED]\n"
       "                [--native-only | --vpim-only] [--list]\n"
       "  NAME: a PrIM app (--list), 'checksum', or 'search'\n"
-      "  --depth:        submission-queue depth (default: VPIM_DEPTH or 1)\n"
+      "  --depth:        submission-queue depth, at least 1 (default: 1)\n"
       "  --storm:        seeded correlated fault storm under the vPIM run\n"
       "  --trace:        span stream as CSV\n"
       "  --chrome-trace: span stream as chrome://tracing JSON\n"
@@ -185,6 +185,7 @@ int main(int argc, char** argv) {
       opt.config = value();
     } else if (arg == "--depth") {
       opt.depth = static_cast<std::uint32_t>(std::atoi(value()));
+      if (opt.depth == 0) return usage();
     } else if (arg == "--trace") {
       opt.trace_path = value();
     } else if (arg == "--chrome-trace") {
@@ -210,7 +211,7 @@ int main(int argc, char** argv) {
   }
 
   core::VpimConfig config = config_by_label(opt.config);
-  config.queue_depth = opt.depth;  // 0 falls through to VPIM_DEPTH / 1
+  config.queue_depth = opt.depth;
   const std::uint32_t nr_devices = (opt.dpus + 59) / 60;
   std::printf("machine: 8 ranks x 60 DPUs @350 MHz | app %s, %u DPUs, "
               "%u tasklets, scale %.2f | config %s\n",
