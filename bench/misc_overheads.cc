@@ -43,8 +43,8 @@ void bench_manager_alloc(benchmark::State& state) {
   for (auto _ : state) {
     core::Host host;
     const SimNs t0 = host.clock.now();
-    auto rank = host.manager.request_rank("bench-vm");
-    VPIM_CHECK(rank.has_value(), "allocation failed");
+    auto mapping = host.manager.request_rank("bench-vm");
+    VPIM_CHECK(mapping.has_value(), "allocation failed");
     g_alloc = host.clock.now() - t0;
     state.SetIterationTime(ns_to_s(g_alloc));
   }
@@ -53,10 +53,9 @@ void bench_manager_alloc(benchmark::State& state) {
 void bench_rank_reset(benchmark::State& state) {
   for (auto _ : state) {
     core::Host host;
-    auto rank = host.manager.request_rank("bench-vm");
-    VPIM_CHECK(rank.has_value(), "allocation failed");
     {
-      auto mapping = host.drv.map_rank(*rank, "bench-vm");
+      auto mapping = host.manager.request_rank("bench-vm");
+      VPIM_CHECK(mapping.has_value(), "allocation failed");
       host.manager.observe();
     }
     host.manager.observe(/*do_resets=*/false);

@@ -69,9 +69,9 @@ int main() {
   std::printf("  VA correct: %s, RED correct: %s\n",
               res_a.correct ? "yes" : "NO", res_b.correct ? "yes" : "NO");
 
-  // DpuSet::free released the ranks; the observer reclaims them. The
-  // first pass flags the silent releases (-> NANA), the second erases.
-  host.manager.observe(/*do_resets=*/false);
+  // DpuSet::free released the ranks; one observer pass sees them free in
+  // sysfs and flags the silent releases (-> NANA), leaving the erase for
+  // later.
   host.manager.observe(/*do_resets=*/false);
   print_ranks(host, "observer saw the releases");
 
@@ -84,13 +84,11 @@ int main() {
   (void)again;
 
   // Everything released again; now let the observer erase.
-  host.manager.observe(/*do_resets=*/false);
   host.manager.observe(/*do_resets=*/true);
   print_ranks(host, "observer erased released ranks");
 
   // The native app exits too; its rank goes through the same recycling.
   native_mapping.unmap();
-  host.manager.observe(/*do_resets=*/false);
   host.manager.observe(/*do_resets=*/true);
   print_ranks(host, "native app exited");
 

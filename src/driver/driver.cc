@@ -270,8 +270,7 @@ void RankMapping::ci_copy_from_symbol(std::uint32_t dpu,
 UpmemDriver::UpmemDriver(upmem::PimMachine& machine)
     : machine_(machine),
       sysfs_(machine.nr_ranks()),
-      mapped_(machine.nr_ranks(), false),
-      map_gen_(machine.nr_ranks(), 0) {}
+      mapped_(machine.nr_ranks(), false) {}
 
 RankMapping UpmemDriver::map_rank(std::uint32_t rank,
                                   const std::string& owner) {
@@ -280,7 +279,6 @@ RankMapping UpmemDriver::map_rank(std::uint32_t rank,
     std::lock_guard lock(map_mu_);
     VPIM_CHECK(!mapped_[rank], "rank already mapped in performance mode");
     mapped_[rank] = 1;
-    ++map_gen_[rank];
   }
   sysfs_.set_in_use(rank, owner);
   return RankMapping(this, rank);
@@ -290,12 +288,6 @@ bool UpmemDriver::is_mapped(std::uint32_t rank) const {
   VPIM_CHECK(rank < machine_.nr_ranks(), "rank index out of range");
   std::lock_guard lock(map_mu_);
   return mapped_[rank] != 0;
-}
-
-std::uint64_t UpmemDriver::map_generation(std::uint32_t rank) const {
-  VPIM_CHECK(rank < machine_.nr_ranks(), "rank index out of range");
-  std::lock_guard lock(map_mu_);
-  return map_gen_[rank];
 }
 
 void UpmemDriver::unmap_rank(std::uint32_t rank) {

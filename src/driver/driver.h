@@ -161,11 +161,6 @@ class UpmemDriver {
   // Performance mode: exclusive mmap of one rank.
   RankMapping map_rank(std::uint32_t rank, const std::string& owner);
   bool is_mapped(std::uint32_t rank) const;
-  // Monotonic per-rank map counter, bumped on every successful map_rank.
-  // Lets a polling observer tell "mapped and released between two polls"
-  // (generation changed) apart from "never mapped at all" — the sysfs
-  // in_use bit alone cannot distinguish the two.
-  std::uint64_t map_generation(std::uint32_t rank) const;
 
   // Safe mode: each call pays the ioctl cost, then performs the operation
   // with the driver's own (wide) data path.
@@ -217,7 +212,6 @@ class UpmemDriver {
   // the data path itself is single-threaded (virtual time).
   mutable std::mutex map_mu_;
   std::vector<char> mapped_;
-  std::vector<std::uint64_t> map_gen_;
 
   // Error mailbox: serialized fault records awaiting the observer's drain.
   mutable std::mutex fault_mu_;

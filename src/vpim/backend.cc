@@ -78,17 +78,8 @@ driver::DataPath Backend::data_path() const {
 
 bool Backend::try_bind() {
   if (bound()) return true;
-  for (int attempt = 0; attempt < 2; ++attempt) {
-    const auto rank = manager_.request_rank(tag_);
-    if (!rank.has_value()) break;
-    try {
-      mapping_ = drv_.map_rank(*rank, tag_);
-    } catch (const VpimError&) {
-      // Lost the race: a native app seized the rank between allocation and
-      // mapping. Tell the manager and ask again.
-      manager_.note_seized(*rank);
-      continue;
-    }
+  mapping_ = manager_.request_rank(tag_);
+  if (mapping_.has_value()) {
     mapping_->set_data_path(data_path());
     return true;
   }
@@ -215,22 +206,15 @@ bool Backend::recover_rank_death() {
   }
   // Keep the dead mapping held while asking for a replacement so the
   // manager cannot hand the dead rank straight back.
-  const auto replacement = manager_.request_rank(tag_);
+  auto replacement = manager_.request_rank(tag_);
   if (!replacement.has_value()) return false;
-  std::optional<driver::RankMapping> next;
-  try {
-    next = drv_.map_rank(*replacement, tag_);
-  } catch (const VpimError&) {
-    manager_.note_seized(*replacement);
-    return false;
-  }
   // Rescue stream: every bank read off the dying rank at degraded
   // bandwidth. The dead rank is freed; its sysfs health stays failed.
-  move_state(std::move(*next), vmm_.cost().rank_rescue_gbps);
+  move_state(std::move(*replacement), vmm_.cost().rank_rescue_gbps);
   ++stats_.fault_migrations;
   manager_.note_wrank_migration();
   VPIM_WARN("backend", "%s: wrank migrated off dead rank %u onto rank %u",
-            tag_.c_str(), dead, *replacement);
+            tag_.c_str(), dead, mapping_->rank_index());
   return true;
 }
 
@@ -715,14 +699,13 @@ void Backend::handle_control(const virtio::DescChain& chain,
       // once capacity frees up.
       VPIM_REQUEST_CHECK(bound(), PimStatus::kUnbound,
                          "migration without a bound rank");
-      const auto new_rank = manager_.request_rank(tag_);
-      if (!new_rank.has_value()) {
+      auto target = manager_.request_rank(tag_);
+      if (!target.has_value()) {
         resp.status = static_cast<std::int32_t>(PimStatus::kNoCapacity);
         break;
       }
-      move_state(drv_.map_rank(*new_rank, tag_),
-                 vmm_.cost().interleave_wide_gbps);
-      resp.rank_index = *new_rank;
+      resp.rank_index = target->rank_index();
+      move_state(std::move(*target), vmm_.cost().interleave_wide_gbps);
       resp.config = config_space();
       break;
     }

@@ -44,92 +44,101 @@ void Manager::set_admission(AdmissionController* admission) {
   admission_ = admission;
 }
 
-std::optional<std::uint32_t> Manager::request_rank(const std::string& owner) {
-  VPIM_CHECK(!owner.empty(), "rank request without an owner tag");
-  if (config_.charge_time) {
-    // UNIX-socket round trip + table bookkeeping: ~36 ms in the paper.
-    drv_.machine().clock().advance(
-        drv_.machine().cost().manager_alloc_rt_ns);
-  }
-  for (std::uint32_t attempt = 0; attempt < config_.max_attempts; ++attempt) {
+template <typename Attempt>
+auto Manager::retry_grant(const std::string& tenant, SimNs& waited,
+                          Attempt attempt) -> decltype(attempt()) {
+  for (std::uint32_t i = 0; i < config_.max_attempts; ++i) {
     {
       std::lock_guard lock(mu_);
-      if (auto rank = try_allocate_locked(owner)) {
-        ++stats_.allocations;
-        return rank;
+      // Fairness gate (ISSUE 8): under contention the weighted round-robin
+      // policy may defer this attempt to a tenant holding a smaller share
+      // of rank grants. A deferral is indistinguishable from "nothing
+      // available" and takes the normal retry path — never blocking, never
+      // aborting.
+      if (admission_ == nullptr ||
+          admission_->allow_rank_grant(tenant,
+                                       drv_.machine().clock().now())) {
+        if (auto result = attempt()) return result;
       }
     }
     // Nothing available: wait for a rank to free up, then retry.
-    if (config_.charge_time) {
-      drv_.machine().clock().advance(config_.retry_wait_ns);
-    }
+    charge(config_.retry_wait_ns);
+    waited += config_.retry_wait_ns;
     observe(/*do_resets=*/true);
   }
   std::lock_guard lock(mu_);
   ++stats_.failed_requests;
-  VPIM_WARN("manager", "abandoning rank request from %s after %u attempts",
-            owner.c_str(), config_.max_attempts);
   return std::nullopt;
 }
 
-std::optional<std::uint32_t> Manager::try_allocate_locked(
+std::optional<driver::RankMapping> Manager::request_rank(
     const std::string& owner) {
-  // Fairness gate (ISSUE 8): under contention the weighted round-robin
-  // policy may defer this attempt to a tenant holding a smaller share of
-  // rank grants. A deferral is indistinguishable from "nothing available"
-  // to the caller, so it flows through the normal retry-with-timeout path
-  // — never blocking, never aborting.
-  if (admission_ != nullptr &&
-      !admission_->allow_rank_grant(owner,
-                                    drv_.machine().clock().now())) {
-    return std::nullopt;
+  VPIM_CHECK(!owner.empty(), "rank request without an owner tag");
+  // UNIX-socket round trip + table bookkeeping: ~36 ms in the paper.
+  charge(drv_.machine().cost().manager_alloc_rt_ns);
+  SimNs waited = 0;
+  auto mapping =
+      retry_grant(owner, waited, [&] { return try_grant_locked(owner); });
+  if (!mapping.has_value()) {
+    VPIM_WARN("manager", "abandoning rank request from %s after %u attempts",
+              owner.c_str(), config_.max_attempts);
   }
-  const auto granted = [&](std::uint32_t r) {
-    if (admission_ != nullptr) admission_->on_rank_granted(owner);
-    return r;
+  return mapping;
+}
+
+std::optional<driver::RankMapping> Manager::try_grant_locked(
+    const std::string& owner) {
+  const auto n = static_cast<std::uint32_t>(table_.size());
+  const auto unmapped = [&](std::uint32_t r, RankState state) {
+    return table_[r].state == state && !drv_.is_mapped(r);
   };
   // 1. A NANA rank previously used by this owner can be re-assigned
   //    without a reset: its residual content belongs to the requester.
-  for (std::uint32_t r = 0; r < table_.size(); ++r) {
-    if (table_[r].state == RankState::kNana &&
-        table_[r].last_owner == owner && !drv_.is_mapped(r)) {
-      table_[r].state = RankState::kAllo;
-      table_[r].owner = owner;
-      table_[r].activated = false;
-      table_[r].alloc_map_gen = drv_.map_generation(r);
-      table_[r].miss_pending = false;
-      ++stats_.reuse_hits;
-      return granted(r);
+  for (std::uint32_t r = 0; r < n; ++r) {
+    if (unmapped(r, RankState::kNana) && table_[r].last_owner == owner) {
+      if (auto mapping = grant_locked(r, owner)) {
+        ++stats_.reuse_hits;
+        return mapping;
+      }
     }
   }
   // 2. Round-robin over NAAV ranks.
-  for (std::uint32_t k = 0; k < table_.size(); ++k) {
-    const std::uint32_t r =
-        (rr_cursor_ + k) % static_cast<std::uint32_t>(table_.size());
-    if (table_[r].state == RankState::kNaav && !drv_.is_mapped(r)) {
-      rr_cursor_ = (r + 1) % static_cast<std::uint32_t>(table_.size());
-      table_[r].state = RankState::kAllo;
-      table_[r].owner = owner;
-      table_[r].activated = false;
-      table_[r].alloc_map_gen = drv_.map_generation(r);
-      table_[r].miss_pending = false;
-      return granted(r);
+  for (std::uint32_t k = 0; k < n; ++k) {
+    const std::uint32_t r = (rr_cursor_ + k) % n;
+    if (unmapped(r, RankState::kNaav)) {
+      if (auto mapping = grant_locked(r, owner)) {
+        rr_cursor_ = (r + 1) % n;
+        return mapping;
+      }
     }
   }
   // 3. Reset-and-take any NANA rank (the requester effectively waits for
   //    the erase to finish).
-  for (std::uint32_t r = 0; r < table_.size(); ++r) {
-    if (table_[r].state == RankState::kNana && !drv_.is_mapped(r)) {
+  for (std::uint32_t r = 0; r < n; ++r) {
+    if (unmapped(r, RankState::kNana)) {
       reset_rank_locked(r);
-      table_[r].state = RankState::kAllo;
-      table_[r].owner = owner;
-      table_[r].activated = false;
-      table_[r].alloc_map_gen = drv_.map_generation(r);
-      table_[r].miss_pending = false;
-      return granted(r);
+      if (auto mapping = grant_locked(r, owner)) return mapping;
     }
   }
   return std::nullopt;
+}
+
+std::optional<driver::RankMapping> Manager::grant_locked(
+    std::uint32_t rank, const std::string& owner) {
+  std::optional<driver::RankMapping> mapping;
+  try {
+    mapping = drv_.map_rank(rank, owner);
+  } catch (const VpimError&) {
+    // Someone mapped the rank first; the next observe pass classifies
+    // the squatter.
+    return std::nullopt;
+  }
+  Entry& e = table_[rank];
+  e.state = RankState::kAllo;
+  e.owner = owner;
+  ++stats_.allocations;
+  if (admission_ != nullptr) admission_->on_rank_granted(owner);
+  return mapping;
 }
 
 void Manager::reset_rank_locked(std::uint32_t rank) {
@@ -176,19 +185,11 @@ void Manager::observe(bool do_resets) {
           // be trusted, so it goes through reset-verify.
           ++stats_.seizures_observed;
           e.owner = status->owner;
-          e.activated = true;
-          e.miss_pending = false;
           e.quarantine_on_release = true;
-        } else if (in_use) {
-          e.activated = true;
-          e.miss_pending = false;
-        } else if (e.activated ||
-                   drv_.map_generation(r) != e.alloc_map_gen ||
-                   (e.miss_pending &&
-                    std::chrono::steady_clock::now() - e.unmapped_since >=
-                        config_.unactivated_release_grace)) {
+        } else if (!in_use) {
           // The holder released the rank without telling us (by design,
-          // §3.5): its mapping vanished from sysfs.
+          // §3.5): every grant is a mapping, so sysfs showing the rank
+          // free is exactly the release.
           ++stats_.releases_observed;
           if (e.quarantine_on_release) {
             quarantine_locked(r, now);
@@ -196,14 +197,7 @@ void Manager::observe(bool do_resets) {
             e.state = RankState::kNana;
             e.last_owner = e.owner;
             e.owner.clear();
-            e.activated = false;
-            e.miss_pending = false;
           }
-        } else if (!e.miss_pending) {
-          // First unmapped observation of a never-mapped allocation: arm
-          // the real-time grace instead of reclaiming outright.
-          e.miss_pending = true;
-          e.unmapped_since = std::chrono::steady_clock::now();
         }
         break;
       case RankState::kNaav:
@@ -212,7 +206,6 @@ void Manager::observe(bool do_resets) {
           // so it is not handed to a VM.
           e.state = RankState::kAllo;
           e.owner = status->owner;
-          e.activated = true;
         }
         break;
       case RankState::kNana:
@@ -223,8 +216,6 @@ void Manager::observe(bool do_resets) {
           e.state = RankState::kAllo;
           e.owner = status->owner;
           e.last_owner.clear();
-          e.activated = true;
-          e.miss_pending = false;
           e.quarantine_on_release = true;
         }
         break;
@@ -288,8 +279,6 @@ void Manager::quarantine_locked(std::uint32_t rank, SimNs now) {
   e.state = RankState::kFail;
   e.owner.clear();
   e.last_owner.clear();
-  e.activated = false;
-  e.miss_pending = false;
   e.quarantine_on_release = false;
   e.probe_backoff = config_.quarantine_backoff_ns;
   e.next_probe = now;  // first probe as soon as the rank is unmapped
@@ -297,31 +286,9 @@ void Manager::quarantine_locked(std::uint32_t rank, SimNs now) {
   VPIM_WARN("manager", "rank %u quarantined (FAIL)", rank);
 }
 
-void Manager::note_seized(std::uint32_t rank) {
-  std::lock_guard lock(mu_);
-  VPIM_CHECK(rank < table_.size(), "rank index out of range");
-  Entry& e = table_[rank];
-  ++stats_.seizures_observed;
-  e.state = RankState::kAllo;
-  e.owner = drv_.sysfs().read(rank).owner;
-  e.last_owner.clear();
-  e.activated = true;
-  e.miss_pending = false;
-  e.quarantine_on_release = true;
-}
-
 void Manager::note_wrank_migration() {
   std::lock_guard lock(mu_);
   ++stats_.wrank_migrations;
-}
-
-void Manager::note_external_use(std::uint32_t rank,
-                                const std::string& owner) {
-  std::lock_guard lock(mu_);
-  VPIM_CHECK(rank < table_.size(), "rank index out of range");
-  table_[rank].state = RankState::kAllo;
-  table_[rank].owner = owner;
-  table_[rank].last_owner = owner;
 }
 
 // --- wrank allocation service (ISSUE 9) ----------------------------------
@@ -387,9 +354,6 @@ SimNs Manager::host_bind_locked(std::uint32_t rank) {
   e.state = RankState::kAllo;
   e.owner = kHostingOwner;
   e.last_owner.clear();
-  e.activated = true;
-  e.miss_pending = false;
-  e.alloc_map_gen = drv_.map_generation(rank);
   e.wrank_used = 0;
   return modeled;
 }
@@ -402,8 +366,6 @@ void Manager::host_unbind_locked(std::uint32_t rank) {
   e.state = RankState::kNana;
   e.owner.clear();
   e.last_owner.clear();
-  e.activated = false;
-  e.miss_pending = false;
   e.wrank_used = 0;
 }
 
@@ -439,40 +401,25 @@ AllocResult Manager::allocate_wrank(const std::string& tenant,
       return {AllocStatus::kQuotaExceeded, 0, kNoRank};
     }
   }
-  for (std::uint32_t attempt = 0; attempt < config_.max_attempts; ++attempt) {
-    {
-      std::lock_guard lock(mu_);
-      // The WRR fairness gate composes with every placement policy: a
-      // deferred attempt is indistinguishable from "nothing placeable"
-      // and takes the same retry path (ISSUE 8 contract).
-      const bool deferred =
-          admission_ != nullptr &&
-          !admission_->allow_rank_grant(tenant,
-                                        drv_.machine().clock().now());
-      if (!deferred) {
-        const auto views = rank_views_locked();
-        if (const auto rank = policy_->place(views, slots)) {
-          modeled += host_bind_locked(*rank);
-          Wrank w{next_wrank_id_++, tenant, kNoRank, slots};
-          place_wrank_locked(w, *rank);
-          tenant_slots_[tenant] += slots;
-          wranks_.push_back(std::move(w));
-          ++stats_.wrank_allocs;
-          if (admission_ != nullptr) {
-            admission_->on_rank_granted(tenant, slots);
-          }
-          if (alloc_hist_ != nullptr) alloc_hist_->observe(modeled);
-          observe_frag_locked();
-          return {AllocStatus::kOk, wranks_.back().id, *rank};
-        }
-      }
-    }
-    charge(config_.retry_wait_ns);
-    modeled += config_.retry_wait_ns;
-    observe(/*do_resets=*/true);
-  }
+  // The WRR fairness gate composes with every placement policy: the retry
+  // loop applies it before each placement attempt (ISSUE 8 contract).
+  const auto placed = retry_grant(
+      tenant, modeled, [&]() -> std::optional<AllocResult> {
+        const auto rank = policy_->place(rank_views_locked(), slots);
+        if (!rank.has_value()) return std::nullopt;
+        modeled += host_bind_locked(*rank);
+        Wrank w{next_wrank_id_++, tenant, kNoRank, slots};
+        place_wrank_locked(w, *rank);
+        tenant_slots_[tenant] += slots;
+        wranks_.push_back(std::move(w));
+        ++stats_.wrank_allocs;
+        if (admission_ != nullptr) admission_->on_rank_granted(tenant, slots);
+        if (alloc_hist_ != nullptr) alloc_hist_->observe(modeled);
+        observe_frag_locked();
+        return AllocResult{AllocStatus::kOk, wranks_.back().id, *rank};
+      });
+  if (placed.has_value()) return *placed;
   std::lock_guard lock(mu_);
-  ++stats_.failed_requests;
   if (alloc_hist_ != nullptr) alloc_hist_->observe(modeled);
   VPIM_WARN("manager", "abandoning %u-slot wrank request from %s after %u "
             "attempts", slots, tenant.c_str(), config_.max_attempts);
@@ -510,6 +457,7 @@ AllocResult Manager::resize_wrank(std::uint64_t wrank_id,
     return {AllocStatus::kBadRequest, wrank_id, kNoRank};
   }
   charge(drv_.machine().cost().manager_alloc_rt_ns);
+  std::string tenant;
   {
     std::lock_guard lock(mu_);
     const auto it = std::find_if(
@@ -537,52 +485,39 @@ AllocResult Manager::resize_wrank(std::uint64_t wrank_id,
       ++stats_.quota_rejections;
       return {AllocStatus::kQuotaExceeded, w.id, w.rank};
     }
+    tenant = w.tenant;
   }
   // Growth may need capacity: same retry-with-timeout shape as allocate.
-  for (std::uint32_t attempt = 0; attempt < config_.max_attempts; ++attempt) {
-    {
-      std::lock_guard lock(mu_);
-      const auto it = std::find_if(
-          wranks_.begin(), wranks_.end(),
-          [wrank_id](const Wrank& w) { return w.id == wrank_id; });
-      if (it == wranks_.end()) {
-        // Racing release (service mode): nothing left to grow.
-        return {AllocStatus::kNotFound, wrank_id, kNoRank};
-      }
-      Wrank& w = *it;
-      const std::uint32_t delta = new_slots - w.slots;
-      const bool deferred =
-          admission_ != nullptr &&
-          !admission_->allow_rank_grant(w.tenant,
-                                        drv_.machine().clock().now());
-      if (!deferred) {
+  SimNs waited = 0;
+  const auto grown = retry_grant(
+      tenant, waited, [&]() -> std::optional<AllocResult> {
+        const auto it = std::find_if(
+            wranks_.begin(), wranks_.end(),
+            [wrank_id](const Wrank& w) { return w.id == wrank_id; });
+        if (it == wranks_.end()) {
+          // Racing release (service mode): nothing left to grow.
+          return AllocResult{AllocStatus::kNotFound, wrank_id, kNoRank};
+        }
+        Wrank& w = *it;
+        const std::uint32_t delta = new_slots - w.slots;
         if (w.rank != kNoRank &&
             table_[w.rank].wrank_used + delta <=
                 config_.wrank_slots_per_rank) {
-          // In-place growth.
-          table_[w.rank].wrank_used += delta;
-          tenant_slots_[w.tenant] += delta;
-          w.slots = new_slots;
-          ++stats_.wrank_resizes;
-          if (admission_ != nullptr) {
-            admission_->on_rank_granted(w.tenant, delta);
-          }
-          observe_frag_locked();
-          return {AllocStatus::kOk, w.id, w.rank};
-        }
-        // Live-migrate to a rank with room for the grown wrank. The
-        // current rank cannot fit it even net of the wrank's own slots,
-        // so mark it unusable for this placement.
-        auto views = rank_views_locked();
-        if (w.rank != kNoRank) views[w.rank].usable = false;
-        if (const auto target = policy_->place(views, new_slots)) {
+          table_[w.rank].wrank_used += delta;  // in-place growth
+        } else {
+          // Live-migrate to a rank with room for the grown wrank. The
+          // current rank cannot fit it even net of the wrank's own slots,
+          // so mark it unusable for this placement.
+          auto views = rank_views_locked();
+          if (w.rank != kNoRank) views[w.rank].usable = false;
+          const auto target = policy_->place(views, new_slots);
+          if (!target.has_value()) return std::nullopt;
           charge(host_bind_locked(*target));
           if (w.rank != kNoRank) {
             Entry& src = table_[w.rank];
             src.wrank_used -= std::min(src.wrank_used, w.slots);
-            charge(wrank_move_cost(w.slots,
-                                   drv_.machine().cost()
-                                       .interleave_wide_gbps));
+            charge(wrank_move_cost(
+                w.slots, drv_.machine().cost().interleave_wide_gbps));
             ++stats_.wrank_migrations;
             if (src.wrank_used == 0 && src.host_mapping.has_value()) {
               host_unbind_locked(w.rank);
@@ -591,22 +526,16 @@ AllocResult Manager::resize_wrank(std::uint64_t wrank_id,
           w.rank = kNoRank;
           w.slots = new_slots;
           place_wrank_locked(w, *target);
-          tenant_slots_[w.tenant] += delta;
-          ++stats_.wrank_resizes;
-          if (admission_ != nullptr) {
-            admission_->on_rank_granted(w.tenant, delta);
-          }
-          observe_frag_locked();
-          return {AllocStatus::kOk, w.id, *target};
         }
-      }
-    }
-    charge(config_.retry_wait_ns);
-    observe(/*do_resets=*/true);
-  }
-  std::lock_guard lock(mu_);
-  ++stats_.failed_requests;
-  return {AllocStatus::kNoCapacity, wrank_id, kNoRank};
+        w.slots = new_slots;
+        tenant_slots_[w.tenant] += delta;
+        ++stats_.wrank_resizes;
+        if (admission_ != nullptr) admission_->on_rank_granted(w.tenant, delta);
+        observe_frag_locked();
+        return AllocResult{AllocStatus::kOk, w.id, w.rank};
+      });
+  return grown.value_or(
+      AllocResult{AllocStatus::kNoCapacity, wrank_id, kNoRank});
 }
 
 std::uint32_t Manager::rescue_displaced_locked() {

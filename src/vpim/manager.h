@@ -12,7 +12,9 @@
 //
 // Releases are *not* announced by VMs: a dedicated observer watches the
 // driver's sysfs rank-status files and reacts, so native host applications
-// and unmodified guests coexist (requirement R3).
+// and unmodified guests coexist (requirement R3). A grant *is* a mapping:
+// the manager maps the rank in the requester's name before handing it
+// over, so an ALLO rank is released exactly when sysfs shows it free.
 //
 // The Manager core is synchronous and thread-safe; ManagerService (below)
 // adds the paper's 8-thread request pool and observer thread for real
@@ -20,7 +22,6 @@
 // charge virtual time.
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -49,8 +50,6 @@ enum class RankState : std::uint8_t {
 };
 
 struct ManagerConfig {
-  // Thread pool size for asynchronous request processing (§3.5).
-  std::uint32_t threads = 8;
   // Wait between allocation retries when no rank is available.
   SimNs retry_wait_ns = 50 * kMs;
   std::uint32_t max_attempts = 5;
@@ -62,13 +61,6 @@ struct ManagerConfig {
   // failed probe, doubling per failure up to the cap.
   SimNs quarantine_backoff_ns = 100 * kMs;
   SimNs quarantine_backoff_max_ns = 1600 * kMs;
-  // An ALLO rank whose mapping was never witnessed in sysfs is declared
-  // released only after staying unmapped for this long in *real* time.
-  // Pass counting alone is racy: concurrent requesters spin observe(), so
-  // two "unmapped" observations can land microseconds after allocation,
-  // recycling a rank whose holder is still on its way to map_rank.
-  std::chrono::nanoseconds unactivated_release_grace =
-      std::chrono::milliseconds(50);
   // Wrank hosting (ISSUE 9): how many wrank slots one physical rank holds
   // under oversubscription. The Manager maps a rank in its own name while
   // it hosts wranks; an emptied rank goes back through the NANA reset.
@@ -144,8 +136,9 @@ class Manager {
   // Handles one allocation request from `owner` (a VM device tag).
   // Implements the §3.5 policy: previous-owner NANA rank first, then
   // round-robin over NAAV ranks, then reset-and-take a NANA rank, then
-  // retry with timeout, finally abandon (nullopt).
-  std::optional<std::uint32_t> request_rank(const std::string& owner);
+  // retry with timeout, finally abandon (nullopt). The grant is the
+  // rank's mapping in `owner`'s name; dropping it is the release.
+  std::optional<driver::RankMapping> request_rank(const std::string& owner);
 
   // --- wrank allocation vocabulary (ISSUE 9) ---------------------------
   // Oversubscribed slot allocation: a wrank of `slots` co-located slots is
@@ -192,14 +185,6 @@ class Manager {
   ManagerStats stats() const;
   const ManagerConfig& config() const { return config_; }
 
-  // Marks a rank the manager should not hand out (e.g. a native app took
-  // it before the manager existed). Normally discovered via observe().
-  void note_external_use(std::uint32_t rank, const std::string& owner);
-
-  // The backend lost the race to map a just-allocated rank (a native app
-  // seized it): track the squatter and quarantine the rank on release.
-  void note_seized(std::uint32_t rank);
-
   // The backend migrated a wrank off a dead rank (stats only).
   void note_wrank_migration();
 
@@ -217,18 +202,6 @@ class Manager {
     RankState state = RankState::kNaav;
     std::string owner;       // current holder (ALLO)
     std::string last_owner;  // for NANA-affinity reuse
-    // Release detection: `activated` is set once the observer has seen the
-    // holder's mapping in sysfs; a release is then the mapping vanishing.
-    // If the mapping appeared and disappeared entirely between polls, the
-    // driver's map-generation counter (recorded at allocation) still
-    // advances, so the release is detected on the next pass. A rank that
-    // was *never* mapped since allocation is reclaimed only after staying
-    // unmapped past the real-time unactivated_release_grace — its holder
-    // may still be on its way to map_rank.
-    bool activated = false;
-    std::uint64_t alloc_map_gen = 0;
-    bool miss_pending = false;
-    std::chrono::steady_clock::time_point unmapped_since{};
     // Fault bookkeeping: a seized rank must be reset-verified (not merely
     // reset) once its squatter lets go; kFail ranks are probed with
     // exponential backoff.
@@ -249,7 +222,20 @@ class Manager {
     std::uint32_t slots = 0;
   };
 
-  std::optional<std::uint32_t> try_allocate_locked(const std::string& owner);
+  // The §3.5 retry-with-timeout shape every grant shares: up to
+  // max_attempts runs of `attempt` under mu_, each behind the admission
+  // WRR gate for `tenant`; between runs, wait retry_wait_ns (added to
+  // `waited`) and run an observer pass. Returns the first engaged result,
+  // or nullopt after counting one failed request.
+  template <typename Attempt>
+  auto retry_grant(const std::string& tenant, SimNs& waited,
+                   Attempt attempt) -> decltype(attempt());
+  std::optional<driver::RankMapping> try_grant_locked(
+      const std::string& owner);
+  // Maps `rank` in `owner`'s name and records it ALLO; nullopt (entry
+  // untouched) when someone else mapped it first.
+  std::optional<driver::RankMapping> grant_locked(std::uint32_t rank,
+                                                  const std::string& owner);
   void reset_rank_locked(std::uint32_t rank);
   void quarantine_locked(std::uint32_t rank, SimNs now);
 

@@ -15,11 +15,6 @@ ManagerService::ManagerService(Manager& manager, ManagerServiceConfig config)
   observer_ = std::thread([this] { observer_loop(); });
 }
 
-ManagerService::ManagerService(Manager& manager, std::uint32_t threads,
-                               std::chrono::milliseconds observe_period)
-    : ManagerService(manager, ManagerServiceConfig{threads, observe_period,
-                                                   /*start_paused=*/false}) {}
-
 ManagerService::~ManagerService() { stop(); }
 
 void ManagerService::start() {
@@ -163,10 +158,10 @@ std::future<ServiceResponse> ManagerService::resize(std::uint64_t wrank,
   return fut;
 }
 
-std::future<std::optional<std::uint32_t>> ManagerService::request_rank(
+std::future<std::optional<driver::RankMapping>> ManagerService::request_rank(
     std::string owner, std::int32_t priority) {
   auto promise =
-      std::make_shared<std::promise<std::optional<std::uint32_t>>>();
+      std::make_shared<std::promise<std::optional<driver::RankMapping>>>();
   auto fut = promise->get_future();
   enqueue(
       priority,

@@ -33,8 +33,7 @@
 
 namespace vpim::core {
 
-// Resolution of one typed service request. For the legacy whole-rank op,
-// `rank` doubles as the grant; for wrank ops see AllocResult semantics.
+// Resolution of one typed wrank request (see AllocResult semantics).
 struct ServiceResponse {
   AllocStatus status = AllocStatus::kShutdown;
   std::uint64_t wrank = 0;
@@ -52,9 +51,6 @@ struct ManagerServiceConfig {
 class ManagerService {
  public:
   ManagerService(Manager& manager, ManagerServiceConfig config);
-  // Legacy shape kept for existing tests/examples.
-  ManagerService(Manager& manager, std::uint32_t threads,
-                 std::chrono::milliseconds observe_period);
   ~ManagerService();
 
   ManagerService(const ManagerService&) = delete;
@@ -74,7 +70,9 @@ class ManagerService {
                                       std::int32_t priority = 0);
 
   // Legacy whole-rank allocation (PR-5 vocabulary), now priority-aware.
-  std::future<std::optional<std::uint32_t>> request_rank(
+  // The future carries the grant itself: the rank's mapping in `owner`'s
+  // name (see Manager::request_rank).
+  std::future<std::optional<driver::RankMapping>> request_rank(
       std::string owner, std::int32_t priority = 0);
 
   // Releases a start_paused service's workers. Idempotent.

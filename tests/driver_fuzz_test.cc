@@ -92,21 +92,20 @@ TEST(SysfsParseFuzz, HostileOwnerDegradesObserverGracefully) {
   cfg.retry_wait_ns = 1 * kMs;
   cfg.max_attempts = 2;
   core::Manager mgr(rig.drv, cfg);
-  auto r = mgr.request_rank("vm-a");
-  ASSERT_TRUE(r.has_value());
-  auto mapping = rig.drv.map_rank(*r, "evil name with spaces");
-  ASSERT_FALSE(Sysfs::parse(rig.drv.rank_status_line(*r)).has_value());
+  auto mapping = mgr.request_rank("evil name with spaces");
+  ASSERT_TRUE(mapping.has_value());
+  const std::uint32_t r = mapping->rank_index();
+  ASSERT_FALSE(Sysfs::parse(rig.drv.rank_status_line(r)).has_value());
 
   mgr.observe();
   EXPECT_EQ(mgr.stats().status_parse_errors, 1u);
-  EXPECT_EQ(mgr.state(*r), core::RankState::kAllo);  // state preserved
+  EXPECT_EQ(mgr.state(r), core::RankState::kAllo);  // state preserved
 
   // Once the hostile mapping goes away the rank is observable again and
   // recycles normally.
-  mapping.unmap();
+  mapping.reset();
   mgr.observe();
-  mgr.observe();
-  EXPECT_EQ(mgr.state(*r), core::RankState::kNaav);
+  EXPECT_EQ(mgr.state(r), core::RankState::kNaav);
 }
 
 // ---- fault-record mailbox ------------------------------------------------

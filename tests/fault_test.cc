@@ -227,38 +227,39 @@ TEST(FaultInjection, SeizedRankIsQuarantinedThenRecovered) {
   Host host(machine(2), CostModel{}, mgr);
 
   // Leave residual tenant data on rank 0 (NANA, reset pending).
-  auto r = host.manager.request_rank("vm-a");
-  ASSERT_TRUE(r.has_value());
+  std::uint32_t r = 0;
   {
-    auto mapping = host.drv.map_rank(*r, "vm-a");
+    auto mapping = host.manager.request_rank("vm-a");
+    ASSERT_TRUE(mapping.has_value());
+    r = mapping->rank_index();
     host.manager.observe();
     std::vector<std::uint8_t> secret(64, 0xAB);
-    host.machine.rank(*r).mram(0).write(0, secret);
+    host.machine.rank(r).mram(0).write(0, secret);
   }
   host.manager.observe(/*do_resets=*/false);
-  ASSERT_EQ(host.manager.state(*r), RankState::kNana);
+  ASSERT_EQ(host.manager.state(r), RankState::kNana);
 
   // A native app seizes the NANA rank and scribbles over it.
   const SimNs grab = host.clock.now() + 10 * kMs;
   host.install_fault_plan(
-      {{FaultKind::kRankSeizure, *r, 0, 0, grab, /*hold_ns=*/50 * kMs}});
+      {{FaultKind::kRankSeizure, r, 0, 0, grab, /*hold_ns=*/50 * kMs}});
   host.clock.advance(20 * kMs);
   host.manager.observe(/*do_resets=*/false);
-  EXPECT_EQ(host.manager.state(*r), RankState::kAllo);
+  EXPECT_EQ(host.manager.state(r), RankState::kAllo);
   EXPECT_GE(host.manager.stats().seizures_observed, 1u);
 
   // Squatter lets go -> the rank's content cannot be trusted: quarantine.
   host.clock.advance(60 * kMs);
   host.manager.observe(/*do_resets=*/false);
-  EXPECT_EQ(host.manager.state(*r), RankState::kFail);
+  EXPECT_EQ(host.manager.state(r), RankState::kFail);
 
   // Reset-verify probe passes (the rank hardware is fine) and the rank
   // returns to NAAV with zeroed memory.
   host.manager.observe(/*do_resets=*/false);
-  EXPECT_EQ(host.manager.state(*r), RankState::kNaav);
+  EXPECT_EQ(host.manager.state(r), RankState::kNaav);
   EXPECT_EQ(host.manager.stats().recoveries, 1u);
   std::vector<std::uint8_t> probe(64, 1);
-  host.machine.rank(*r).mram(0).read(0, probe);
+  host.machine.rank(r).mram(0).read(0, probe);
   for (auto b : probe) EXPECT_EQ(b, 0);
 }
 

@@ -24,9 +24,12 @@ TEST(Manager, AllocatesRoundRobin) {
   auto a = mgr.request_rank("vm-a");
   auto b = mgr.request_rank("vm-b");
   ASSERT_TRUE(a && b);
-  EXPECT_NE(*a, *b);
-  EXPECT_EQ(mgr.state(*a), RankState::kAllo);
-  EXPECT_EQ(mgr.state(*b), RankState::kAllo);
+  EXPECT_NE(a->rank_index(), b->rank_index());
+  EXPECT_EQ(mgr.state(a->rank_index()), RankState::kAllo);
+  EXPECT_EQ(mgr.state(b->rank_index()), RankState::kAllo);
+  // The grant is the mapping, held in the requester's name.
+  EXPECT_EQ(rig.drv.sysfs().read(a->rank_index()).owner, "vm-a");
+  EXPECT_EQ(rig.drv.sysfs().read(b->rank_index()).owner, "vm-b");
 }
 
 TEST(Manager, AllocationChargesPaperRoundTrip) {
@@ -40,8 +43,9 @@ TEST(Manager, AllocationChargesPaperRoundTrip) {
 TEST(Manager, ExhaustionRetriesThenAbandons) {
   test::TestRig rig(test::small_machine());
   Manager mgr(rig.drv, fast_config());
-  ASSERT_TRUE(mgr.request_rank("vm-a"));
-  ASSERT_TRUE(mgr.request_rank("vm-b"));
+  auto a = mgr.request_rank("vm-a");
+  auto b = mgr.request_rank("vm-b");
+  ASSERT_TRUE(a && b);
   const SimNs t0 = rig.clock.now();
   EXPECT_FALSE(mgr.request_rank("vm-c").has_value());
   EXPECT_EQ(mgr.stats().failed_requests, 1u);
@@ -53,59 +57,60 @@ TEST(Manager, ExhaustionRetriesThenAbandons) {
 TEST(Manager, ObserverDetectsReleaseAndResets) {
   test::TestRig rig(test::small_machine());
   Manager mgr(rig.drv, fast_config());
-  auto r = mgr.request_rank("vm-a");
-  ASSERT_TRUE(r);
+  auto mapping = mgr.request_rank("vm-a");
+  ASSERT_TRUE(mapping);
+  const std::uint32_t r = mapping->rank_index();
 
-  // Backend maps the rank; observer sees it in use.
-  auto mapping = rig.drv.map_rank(*r, "vm-a");
+  // The holder keeps its mapping; the observer sees the rank in use.
   mgr.observe();
-  EXPECT_EQ(mgr.state(*r), RankState::kAllo);
+  EXPECT_EQ(mgr.state(r), RankState::kAllo);
 
   // Put residual data in the rank, then release without telling anyone.
   std::vector<std::uint8_t> secret(64, 0xAA);
-  rig.machine.rank(*r).mram(0).write(0, secret);
-  mapping.unmap();
+  rig.machine.rank(r).mram(0).write(0, secret);
+  mapping.reset();
 
   mgr.observe(/*do_resets=*/false);
-  EXPECT_EQ(mgr.state(*r), RankState::kNana);
+  EXPECT_EQ(mgr.state(r), RankState::kNana);
   EXPECT_EQ(mgr.stats().releases_observed, 1u);
 
   const SimNs t0 = rig.clock.now();
   mgr.observe(/*do_resets=*/true);
-  EXPECT_EQ(mgr.state(*r), RankState::kNaav);
+  EXPECT_EQ(mgr.state(r), RankState::kNaav);
   EXPECT_EQ(mgr.stats().resets, 1u);
   // Reset takes the ~597 ms memset of the 4 GiB rank region.
   EXPECT_NEAR(ns_to_ms(rig.clock.now() - t0), 597.0, 60.0);
 
   // No residual data for the next tenant (isolation, R2).
   std::vector<std::uint8_t> probe(64, 1);
-  rig.machine.rank(*r).mram(0).read(0, probe);
+  rig.machine.rank(r).mram(0).read(0, probe);
   for (auto b : probe) EXPECT_EQ(b, 0);
 }
 
 TEST(Manager, NanaAffinityReusesWithoutReset) {
   test::TestRig rig(test::small_machine());
   Manager mgr(rig.drv, fast_config());
-  auto r = mgr.request_rank("vm-a");
-  ASSERT_TRUE(r);
+  std::uint32_t r = 0;
   {
-    auto mapping = rig.drv.map_rank(*r, "vm-a");
+    auto mapping = mgr.request_rank("vm-a");
+    ASSERT_TRUE(mapping);
+    r = mapping->rank_index();
     mgr.observe();
     std::vector<std::uint8_t> data(8, 0x5A);
-    rig.machine.rank(*r).mram(0).write(0, data);
+    rig.machine.rank(r).mram(0).write(0, data);
   }
   mgr.observe(/*do_resets=*/false);  // release seen, reset pending
-  ASSERT_EQ(mgr.state(*r), RankState::kNana);
+  ASSERT_EQ(mgr.state(r), RankState::kNana);
 
   // Same owner asks again before the observer erased the rank: it gets its
   // old rank back, content intact, no reset charged.
   auto again = mgr.request_rank("vm-a");
   ASSERT_TRUE(again);
-  EXPECT_EQ(*again, *r);
+  EXPECT_EQ(again->rank_index(), r);
   EXPECT_EQ(mgr.stats().reuse_hits, 1u);
   EXPECT_EQ(mgr.stats().resets, 0u);
   std::vector<std::uint8_t> probe(8);
-  rig.machine.rank(*r).mram(0).read(0, probe);
+  rig.machine.rank(r).mram(0).read(0, probe);
   EXPECT_EQ(probe[0], 0x5A);
 }
 
@@ -113,26 +118,24 @@ TEST(Manager, DifferentOwnerGetsResetNanaRank) {
   test::TestRig rig(test::small_machine());
   Manager mgr(rig.drv, fast_config());
   // Occupy both ranks, then release one as vm-a.
-  auto r0 = mgr.request_rank("vm-a");
-  auto r1 = mgr.request_rank("vm-b");
-  ASSERT_TRUE(r0 && r1);
-  auto keep = rig.drv.map_rank(*r1, "vm-b");
-  {
-    auto mapping = rig.drv.map_rank(*r0, "vm-a");
-    mgr.observe();
-    std::vector<std::uint8_t> data(8, 0x5A);
-    rig.machine.rank(*r0).mram(0).write(0, data);
-  }
+  auto m0 = mgr.request_rank("vm-a");
+  auto keep = mgr.request_rank("vm-b");
+  ASSERT_TRUE(m0 && keep);
+  const std::uint32_t r0 = m0->rank_index();
+  mgr.observe();
+  std::vector<std::uint8_t> data(8, 0x5A);
+  rig.machine.rank(r0).mram(0).write(0, data);
+  m0.reset();
   mgr.observe(/*do_resets=*/false);
-  ASSERT_EQ(mgr.state(*r0), RankState::kNana);
+  ASSERT_EQ(mgr.state(r0), RankState::kNana);
 
   // vm-c must only ever see zeroed memory.
   auto rc = mgr.request_rank("vm-c");
   ASSERT_TRUE(rc);
-  EXPECT_EQ(*rc, *r0);
+  EXPECT_EQ(rc->rank_index(), r0);
   EXPECT_EQ(mgr.stats().resets, 1u);
   std::vector<std::uint8_t> probe(8, 1);
-  rig.machine.rank(*rc).mram(0).read(0, probe);
+  rig.machine.rank(r0).mram(0).read(0, probe);
   EXPECT_EQ(probe[0], 0);
 }
 
@@ -147,7 +150,7 @@ TEST(Manager, NativeApplicationsCoexist) {
   // The manager only hands out rank 1.
   auto r = mgr.request_rank("vm-a");
   ASSERT_TRUE(r);
-  EXPECT_EQ(*r, 1u);
+  EXPECT_EQ(r->rank_index(), 1u);
   EXPECT_FALSE(mgr.request_rank("vm-b").has_value());
 
   // When the native app exits, its rank is recycled like any other.
@@ -183,7 +186,8 @@ TEST(Manager, DeadRankIsQuarantinedAndProbedWithBackoff) {
   EXPECT_EQ(mgr.stats().recoveries, 0u);
 
   // A quarantined rank is never handed out, even under pressure.
-  ASSERT_TRUE(mgr.request_rank("vm-a").has_value());
+  auto held = mgr.request_rank("vm-a");
+  ASSERT_TRUE(held.has_value());
   EXPECT_FALSE(mgr.request_rank("vm-b").has_value());
   EXPECT_EQ(mgr.state(0), RankState::kFail);
 }
@@ -217,13 +221,11 @@ TEST(Manager, RecoverableRankPassesResetVerifyAndRejoins) {
 TEST(Manager, FailedRequestsCountExactlyOnePerAbandonment) {
   test::TestRig rig(test::small_machine());
   Manager mgr(rig.drv, fast_config());
-  auto ra = mgr.request_rank("vm-a");
-  auto rb = mgr.request_rank("vm-b");
-  ASSERT_TRUE(ra && rb);
-  // Both holders actively map their ranks, so the observer passes inside
+  // Both holders keep their grants mapped, so the observer passes inside
   // the retry loop cannot reclaim them.
-  auto ma = rig.drv.map_rank(*ra, "vm-a");
-  auto mb = rig.drv.map_rank(*rb, "vm-b");
+  auto ma = mgr.request_rank("vm-a");
+  auto mb = mgr.request_rank("vm-b");
+  ASSERT_TRUE(ma && mb);
   // Each abandoned request counts once, regardless of its retry attempts.
   EXPECT_FALSE(mgr.request_rank("vm-c").has_value());
   EXPECT_EQ(mgr.stats().failed_requests, 1u);
@@ -236,19 +238,55 @@ TEST(Manager, RetriedRequestThatSucceedsIsNotCountedFailed) {
   ManagerConfig cfg = fast_config();
   cfg.max_attempts = 3;
   Manager mgr(rig.drv, cfg);
-  auto r0 = mgr.request_rank("vm-a");
-  auto r1 = mgr.request_rank("vm-b");
-  ASSERT_TRUE(r0 && r1);
-  // vm-a maps, works, and releases without telling anyone — entirely
-  // between observer passes, so the mapping is never witnessed. The
-  // driver's map-generation counter still exposes the release, and vm-c's
-  // request succeeds on a retry attempt. vm-b has not mapped yet, so its
-  // rank must NOT be reclaimed (it is inside the release grace).
-  { auto mapping = rig.drv.map_rank(*r0, "vm-a"); }
+  auto m0 = mgr.request_rank("vm-a");
+  auto m1 = mgr.request_rank("vm-b");
+  ASSERT_TRUE(m0 && m1);
+  const std::uint32_t r0 = m0->rank_index();
+  // vm-a works and releases without telling anyone — entirely between
+  // observer passes. The first attempt of vm-c's request finds nothing;
+  // the observer pass before its retry sees rank r0 free in sysfs and
+  // reclaims it. vm-b still holds its grant, so its rank is never taken.
+  m0.reset();
   auto rc = mgr.request_rank("vm-c");
   ASSERT_TRUE(rc.has_value());
-  EXPECT_EQ(*rc, *r0);
+  EXPECT_EQ(rc->rank_index(), r0);
+  EXPECT_EQ(mgr.state(m1->rank_index()), RankState::kAllo);
   EXPECT_EQ(mgr.stats().failed_requests, 0u);
+}
+
+// ---- a grant is a mapping: release detection needs no grace -------------
+
+TEST(Manager, HeldGrantSurvivesEveryObserverPass) {
+  // A holder that never touches its rank still holds it: the grant mapped
+  // it, so no amount of polling or virtual time reclaims it.
+  test::TestRig rig(test::small_machine());
+  Manager mgr(rig.drv, fast_config());
+  auto held = mgr.request_rank("vm-idle");
+  ASSERT_TRUE(held.has_value());
+  const std::uint32_t r = held->rank_index();
+  for (int pass = 0; pass < 20; ++pass) {
+    rig.clock.advance(3 * kSec);
+    mgr.observe();
+    ASSERT_EQ(mgr.state(r), RankState::kAllo) << "pass " << pass;
+  }
+  EXPECT_EQ(mgr.stats().releases_observed, 0u);
+  EXPECT_EQ(mgr.stats().resets, 0u);
+}
+
+TEST(Manager, DroppedGrantIsReclaimedByTheNextPass) {
+  test::TestRig rig(test::small_machine());
+  Manager mgr(rig.drv, fast_config());
+  auto held = mgr.request_rank("vm-a");
+  ASSERT_TRUE(held.has_value());
+  const std::uint32_t r = held->rank_index();
+  held.reset();
+  EXPECT_EQ(mgr.state(r), RankState::kAllo);  // nobody has polled yet
+  mgr.observe(/*do_resets=*/false);
+  EXPECT_EQ(mgr.state(r), RankState::kNana);
+  EXPECT_EQ(mgr.stats().releases_observed, 1u);
+  // Later passes see nothing new to release.
+  mgr.observe(/*do_resets=*/false);
+  EXPECT_EQ(mgr.stats().releases_observed, 1u);
 }
 
 TEST(Manager, MigrationAndSeizureCountersAccumulate) {
@@ -258,21 +296,25 @@ TEST(Manager, MigrationAndSeizureCountersAccumulate) {
   mgr.note_wrank_migration();
   EXPECT_EQ(mgr.stats().wrank_migrations, 2u);
 
-  // note_seized: the backend lost its mapping race; the squatter's rank is
-  // tracked ALLO and quarantined once released.
-  auto r = mgr.request_rank("vm-a");
-  ASSERT_TRUE(r.has_value());
-  auto squatter = rig.drv.map_rank(*r, "native-app");
-  mgr.note_seized(*r);
+  // Seizure through sysfs alone: the holder unmaps and a squatter maps
+  // the rank between two observer passes. The observer sees a different
+  // owner, tracks the squatter ALLO, and quarantines the rank once it lets
+  // go.
+  auto held = mgr.request_rank("vm-a");
+  ASSERT_TRUE(held.has_value());
+  const std::uint32_t r = held->rank_index();
+  held.reset();
+  auto squatter = rig.drv.map_rank(r, "native-app");
+  mgr.observe();
   EXPECT_EQ(mgr.stats().seizures_observed, 1u);
-  EXPECT_EQ(mgr.state(*r), RankState::kAllo);
+  EXPECT_EQ(mgr.state(r), RankState::kAllo);
   squatter.unmap();
   mgr.observe();
-  EXPECT_EQ(mgr.state(*r), RankState::kFail);
+  EXPECT_EQ(mgr.state(r), RankState::kFail);
   EXPECT_EQ(mgr.stats().quarantined, 1u);
   // Next pass: reset-verify passes (hardware is fine) -> back to NAAV.
   mgr.observe();
-  EXPECT_EQ(mgr.state(*r), RankState::kNaav);
+  EXPECT_EQ(mgr.state(r), RankState::kNaav);
   EXPECT_EQ(mgr.stats().recoveries, 1u);
 }
 
@@ -282,9 +324,9 @@ TEST(ManagerService, ConcurrentRequestsNeverDoubleAllocate) {
   cfg.charge_time = false;
   cfg.max_attempts = 50;
   Manager mgr(rig.drv, cfg);
-  ManagerService service(mgr, 8, std::chrono::milliseconds(1));
+  ManagerService service(
+      mgr, {.threads = 8, .observe_period = std::chrono::milliseconds(1)});
 
-  std::mutex driver_mu;  // the simulated driver itself is not thread-safe
   std::atomic<int> successes{0};
   std::atomic<bool> overlap{false};
   std::vector<std::atomic<int>> holders(rig.machine.nr_ranks());
@@ -293,20 +335,16 @@ TEST(ManagerService, ConcurrentRequestsNeverDoubleAllocate) {
   auto worker = [&](int id) {
     const std::string owner = "vm-" + std::to_string(id);
     for (int round = 0; round < 3; ++round) {
-      auto fut = service.request_rank(owner);
-      auto rank = fut.get();
-      if (!rank.has_value()) continue;
-      if (holders[*rank].fetch_add(1) != 0) overlap = true;
-      {
-        std::lock_guard lock(driver_mu);
-        auto mapping = rig.drv.map_rank(*rank, owner);
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-        // Give the rank up before the mapping unmaps: once it is unmapped
-        // the observer may legally recycle it, and the next holder must
-        // not see this one as a fake overlap.
-        holders[*rank].fetch_sub(1);
-        // mapping unmaps here (lock still held)
-      }
+      auto mapping = service.request_rank(owner).get();
+      if (!mapping.has_value()) continue;
+      const std::uint32_t rank = mapping->rank_index();
+      if (holders[rank].fetch_add(1) != 0) overlap = true;
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      // Give the rank up before the mapping unmaps: once it is unmapped
+      // the observer may legally recycle it, and the next holder must not
+      // see this one as a fake overlap.
+      holders[rank].fetch_sub(1);
+      mapping.reset();
       ++successes;
       // Observer (running every 1 ms) will recycle the rank.
     }
@@ -326,8 +364,8 @@ TEST(ManagerService, ConcurrentRequestsNeverDoubleAllocate) {
 TEST(ManagerService, TypedVocabularyRoundTrips) {
   test::TestRig rig(test::small_machine());
   Manager mgr(rig.drv, fast_config(/*charge=*/false));
-  ManagerService service(mgr, /*threads=*/2,
-                         std::chrono::milliseconds(1));
+  ManagerService service(
+      mgr, {.threads = 2, .observe_period = std::chrono::milliseconds(1)});
 
   const ServiceResponse a = service.allocate("vm-a", 2).get();
   ASSERT_EQ(a.status, AllocStatus::kOk);
@@ -350,8 +388,8 @@ TEST(ManagerService, PerTenantQuotaIsEnforced) {
   test::TestRig rig(test::small_machine());
   Manager mgr(rig.drv, fast_config(/*charge=*/false));
   mgr.set_tenant_quota("capped", 2);
-  ManagerService service(mgr, /*threads=*/2,
-                         std::chrono::milliseconds(1));
+  ManagerService service(
+      mgr, {.threads = 2, .observe_period = std::chrono::milliseconds(1)});
 
   EXPECT_EQ(service.allocate("capped", 4).get().status,
             AllocStatus::kQuotaExceeded);

@@ -294,10 +294,8 @@ TEST(VpimVm, RanksRecycleBetweenVms) {
     EXPECT_EQ(zeros, expected);
     // DpuSet::free() released both devices (ranks show free in sysfs).
   }
-  // The observer never witnessed vm1's mappings live, so release needs two
-  // consecutive polls (the manager's grace against reclaiming ranks that
-  // are allocated but not yet mapped).
-  host.manager.observe();
+  // Every grant is a mapping, so one poll sees both ranks free, releases
+  // them and erases them.
   host.manager.observe();
   EXPECT_EQ(host.manager.stats().resets, 2u);
 
