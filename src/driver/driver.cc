@@ -399,19 +399,18 @@ bool UpmemDriver::try_recover_rank(std::uint32_t rank, bool charge_time) {
     }
     r.reset_memory();
     // Verify: pattern write + readback in every functional bank, then
-    // scrub the probe back to zero so a recovered rank hands out zeroed
-    // memory like a fresh reset would.
+    // drop the probe page so a recovered rank holds nothing resident,
+    // exactly like a fresh reset.
     std::array<std::uint8_t, 64> pattern;
     for (std::size_t i = 0; i < pattern.size(); ++i) {
       pattern[i] = static_cast<std::uint8_t>(0xA5 ^ i);
     }
     std::array<std::uint8_t, 64> readback{};
-    const std::array<std::uint8_t, 64> zeros{};
     for (std::uint32_t d = 0; d < r.nr_dpus(); ++d) {
       r.mram(d).write(0, pattern);
       r.mram(d).read(0, readback);
       if (readback != pattern) return false;
-      r.mram(d).write(0, zeros);
+      r.mram(d).clear();
     }
   } catch (const FaultError&) {
     return false;

@@ -1,6 +1,7 @@
 #include "vpim/manager.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/error.h"
 #include "common/log.h"
@@ -34,10 +35,7 @@ const char* to_string(AllocStatus status) {
 }
 
 Manager::Manager(driver::UpmemDriver& drv, ManagerConfig config)
-    : drv_(drv),
-      config_(config),
-      table_(drv.machine().nr_ranks()),
-      policy_(make_placement_policy(config.placement)) {}
+    : drv_(drv), config_(config), table_(drv.machine().nr_ranks()) {}
 
 void Manager::set_admission(AdmissionController* admission) {
   std::lock_guard lock(mu_);
@@ -261,20 +259,17 @@ ManagerStats Manager::stats() const {
 
 void Manager::quarantine_locked(std::uint32_t rank, SimNs now) {
   Entry& e = table_[rank];
-  if (e.host_mapping.has_value()) {
-    // The dying rank hosted wranks: drop the manager's mapping so recovery
-    // probes can run, and displace every resident wrank. Displaced wranks
-    // (rank == kNoRank) are re-homed by rescue_displaced_locked() on the
-    // next observe/consolidation pass — never back onto a FAIL rank,
-    // because quarantined ranks are filtered out of every RankView.
-    e.host_mapping.reset();
-    for (Wrank& w : wranks_) {
-      if (w.rank == rank) {
-        w.rank = kNoRank;
-        ++stats_.wranks_displaced;
-      }
+  // If the dying rank hosted wranks, drop the manager's mapping so
+  // recovery probes can run, and displace every resident wrank. Displaced
+  // wranks (rank == kNoRank) are re-homed by rescue_displaced_locked() on
+  // the next observe/consolidation pass — never back onto a FAIL rank,
+  // because quarantined ranks are filtered out of every RankView.
+  e.host_mapping.reset();
+  for (Wrank& w : wranks_) {
+    if (w.rank == rank) {
+      w.rank = kNoRank;
+      ++stats_.wranks_displaced;
     }
-    e.wrank_used = 0;
   }
   e.state = RankState::kFail;
   e.owner.clear();
@@ -312,12 +307,41 @@ SimNs Manager::wrank_move_cost(std::uint32_t slots, double gbps) const {
       rank_bytes * slots / std::max(1u, config_.wrank_slots_per_rank), gbps);
 }
 
-std::uint32_t Manager::quota_for_locked(const std::string& tenant) const {
+std::vector<Manager::Wrank>::iterator Manager::find_wrank_locked(
+    std::uint64_t id) {
+  return std::ranges::find(wranks_, id, &Wrank::id);
+}
+
+std::vector<std::uint32_t> Manager::slots_used_locked() const {
+  std::vector<std::uint32_t> used(table_.size(), 0);
+  for (const Wrank& w : wranks_) {
+    if (w.rank != kNoRank) used[w.rank] += w.slots;
+  }
+  return used;
+}
+
+std::uint32_t Manager::tenant_slots_locked(const std::string& tenant) const {
+  std::uint32_t slots = 0;
+  for (const Wrank& w : wranks_) {
+    if (w.tenant == tenant) slots += w.slots;
+  }
+  return slots;
+}
+
+bool Manager::over_quota_locked(const std::string& tenant,
+                                std::uint32_t extra) {
   const auto it = tenant_quotas_.find(tenant);
-  return it != tenant_quotas_.end() ? it->second : config_.tenant_quota_slots;
+  const std::uint32_t quota =
+      it != tenant_quotas_.end() ? it->second : config_.tenant_quota_slots;
+  if (quota == 0 || tenant_slots_locked(tenant) + extra <= quota) {
+    return false;
+  }
+  ++stats_.quota_rejections;
+  return true;
 }
 
 std::vector<RankView> Manager::rank_views_locked() const {
+  const std::vector<std::uint32_t> used = slots_used_locked();
   std::vector<RankView> views;
   views.reserve(table_.size());
   for (std::uint32_t r = 0; r < table_.size(); ++r) {
@@ -327,7 +351,7 @@ std::vector<RankView> Manager::rank_views_locked() const {
     if (e.host_mapping.has_value()) {
       v.usable = e.state != RankState::kFail;
       v.hosting = true;
-      v.free_slots = config_.wrank_slots_per_rank - e.wrank_used;
+      v.free_slots = config_.wrank_slots_per_rank - used[r];
     } else if (e.state == RankState::kNaav && !drv_.is_mapped(r)) {
       v.usable = true;
       v.free_slots = config_.wrank_slots_per_rank;
@@ -354,11 +378,11 @@ SimNs Manager::host_bind_locked(std::uint32_t rank) {
   e.state = RankState::kAllo;
   e.owner = kHostingOwner;
   e.last_owner.clear();
-  e.wrank_used = 0;
   return modeled;
 }
 
-void Manager::host_unbind_locked(std::uint32_t rank) {
+void Manager::unbind_if_empty_locked(std::uint32_t rank) {
+  if (rank == kNoRank || slots_used_locked()[rank] != 0) return;
   Entry& e = table_[rank];
   e.host_mapping.reset();
   // Hosted several tenants' slots: residual content belongs to nobody in
@@ -366,14 +390,20 @@ void Manager::host_unbind_locked(std::uint32_t rank) {
   e.state = RankState::kNana;
   e.owner.clear();
   e.last_owner.clear();
-  e.wrank_used = 0;
 }
 
 void Manager::place_wrank_locked(Wrank& w, std::uint32_t rank) {
   w.rank = rank;
-  table_[rank].wrank_used += w.slots;
-  VPIM_CHECK(table_[rank].wrank_used <= config_.wrank_slots_per_rank,
+  VPIM_CHECK(slots_used_locked()[rank] <= config_.wrank_slots_per_rank,
              "wrank placement overflows the rank's slot capacity");
+}
+
+void Manager::move_wrank_locked(Wrank& w, std::uint32_t to, double gbps) {
+  charge(host_bind_locked(to));
+  unbind_if_empty_locked(std::exchange(w.rank, kNoRank));
+  charge(wrank_move_cost(w.slots, gbps));
+  ++stats_.wrank_migrations;
+  place_wrank_locked(w, to);
 }
 
 void Manager::observe_frag_locked() {
@@ -394,9 +424,7 @@ AllocResult Manager::allocate_wrank(const std::string& tenant,
   charge(modeled);
   {
     std::lock_guard lock(mu_);
-    const std::uint32_t quota = quota_for_locked(tenant);
-    if (quota != 0 && tenant_slots_[tenant] + slots > quota) {
-      ++stats_.quota_rejections;
+    if (over_quota_locked(tenant, slots)) {
       if (alloc_hist_ != nullptr) alloc_hist_->observe(modeled);
       return {AllocStatus::kQuotaExceeded, 0, kNoRank};
     }
@@ -405,13 +433,11 @@ AllocResult Manager::allocate_wrank(const std::string& tenant,
   // loop applies it before each placement attempt (ISSUE 8 contract).
   const auto placed = retry_grant(
       tenant, modeled, [&]() -> std::optional<AllocResult> {
-        const auto rank = policy_->place(rank_views_locked(), slots);
+        const auto rank = place(config_.placement, rank_views_locked(), slots);
         if (!rank.has_value()) return std::nullopt;
         modeled += host_bind_locked(*rank);
-        Wrank w{next_wrank_id_++, tenant, kNoRank, slots};
-        place_wrank_locked(w, *rank);
-        tenant_slots_[tenant] += slots;
-        wranks_.push_back(std::move(w));
+        wranks_.push_back({next_wrank_id_++, tenant, kNoRank, slots});
+        place_wrank_locked(wranks_.back(), *rank);
         ++stats_.wrank_allocs;
         if (admission_ != nullptr) admission_->on_rank_granted(tenant, slots);
         if (alloc_hist_ != nullptr) alloc_hist_->observe(modeled);
@@ -429,23 +455,11 @@ AllocResult Manager::allocate_wrank(const std::string& tenant,
 AllocStatus Manager::release_wrank(std::uint64_t wrank_id) {
   charge(drv_.machine().cost().manager_alloc_rt_ns);
   std::lock_guard lock(mu_);
-  const auto it = std::find_if(
-      wranks_.begin(), wranks_.end(),
-      [wrank_id](const Wrank& w) { return w.id == wrank_id; });
+  const auto it = find_wrank_locked(wrank_id);
   if (it == wranks_.end()) return AllocStatus::kNotFound;
-  const auto slot_it = tenant_slots_.find(it->tenant);
-  if (slot_it != tenant_slots_.end()) {
-    slot_it->second -= std::min(slot_it->second, it->slots);
-    if (slot_it->second == 0) tenant_slots_.erase(slot_it);
-  }
-  if (it->rank != kNoRank) {
-    Entry& e = table_[it->rank];
-    e.wrank_used -= std::min(e.wrank_used, it->slots);
-    if (e.wrank_used == 0 && e.host_mapping.has_value()) {
-      host_unbind_locked(it->rank);
-    }
-  }
+  const std::uint32_t rank = it->rank;
   wranks_.erase(it);
+  unbind_if_empty_locked(rank);
   ++stats_.wrank_releases;
   observe_frag_locked();
   return AllocStatus::kOk;
@@ -460,9 +474,7 @@ AllocResult Manager::resize_wrank(std::uint64_t wrank_id,
   std::string tenant;
   {
     std::lock_guard lock(mu_);
-    const auto it = std::find_if(
-        wranks_.begin(), wranks_.end(),
-        [wrank_id](const Wrank& w) { return w.id == wrank_id; });
+    const auto it = find_wrank_locked(wrank_id);
     if (it == wranks_.end()) {
       return {AllocStatus::kNotFound, wrank_id, kNoRank};
     }
@@ -471,18 +483,12 @@ AllocResult Manager::resize_wrank(std::uint64_t wrank_id,
       return {AllocStatus::kOk, w.id, w.rank};
     }
     if (new_slots < w.slots) {
-      const std::uint32_t delta = w.slots - new_slots;
-      if (w.rank != kNoRank) table_[w.rank].wrank_used -= delta;
-      tenant_slots_[w.tenant] -= std::min(tenant_slots_[w.tenant], delta);
       w.slots = new_slots;
       ++stats_.wrank_resizes;
       observe_frag_locked();
       return {AllocStatus::kOk, w.id, w.rank};
     }
-    const std::uint32_t delta = new_slots - w.slots;
-    const std::uint32_t quota = quota_for_locked(w.tenant);
-    if (quota != 0 && tenant_slots_[w.tenant] + delta > quota) {
-      ++stats_.quota_rejections;
+    if (over_quota_locked(w.tenant, new_slots - w.slots)) {
       return {AllocStatus::kQuotaExceeded, w.id, w.rank};
     }
     tenant = w.tenant;
@@ -491,44 +497,32 @@ AllocResult Manager::resize_wrank(std::uint64_t wrank_id,
   SimNs waited = 0;
   const auto grown = retry_grant(
       tenant, waited, [&]() -> std::optional<AllocResult> {
-        const auto it = std::find_if(
-            wranks_.begin(), wranks_.end(),
-            [wrank_id](const Wrank& w) { return w.id == wrank_id; });
+        const auto it = find_wrank_locked(wrank_id);
         if (it == wranks_.end()) {
           // Racing release (service mode): nothing left to grow.
           return AllocResult{AllocStatus::kNotFound, wrank_id, kNoRank};
         }
         Wrank& w = *it;
         const std::uint32_t delta = new_slots - w.slots;
-        if (w.rank != kNoRank &&
-            table_[w.rank].wrank_used + delta <=
+        if (w.rank == kNoRank ||
+            slots_used_locked()[w.rank] + delta >
                 config_.wrank_slots_per_rank) {
-          table_[w.rank].wrank_used += delta;  // in-place growth
-        } else {
           // Live-migrate to a rank with room for the grown wrank. The
           // current rank cannot fit it even net of the wrank's own slots,
-          // so mark it unusable for this placement.
+          // so mark it unusable for this placement. A displaced wrank is
+          // re-homed like a rescue: its image streams out of the dead
+          // rank at the degraded rescue bandwidth.
           auto views = rank_views_locked();
           if (w.rank != kNoRank) views[w.rank].usable = false;
-          const auto target = policy_->place(views, new_slots);
+          const auto target = place(config_.placement, views, new_slots);
           if (!target.has_value()) return std::nullopt;
-          charge(host_bind_locked(*target));
-          if (w.rank != kNoRank) {
-            Entry& src = table_[w.rank];
-            src.wrank_used -= std::min(src.wrank_used, w.slots);
-            charge(wrank_move_cost(
-                w.slots, drv_.machine().cost().interleave_wide_gbps));
-            ++stats_.wrank_migrations;
-            if (src.wrank_used == 0 && src.host_mapping.has_value()) {
-              host_unbind_locked(w.rank);
-            }
-          }
-          w.rank = kNoRank;
-          w.slots = new_slots;
-          place_wrank_locked(w, *target);
+          const CostModel& cost = drv_.machine().cost();
+          move_wrank_locked(w, *target,
+                            w.rank == kNoRank ? cost.rank_rescue_gbps
+                                              : cost.interleave_wide_gbps);
         }
         w.slots = new_slots;
-        tenant_slots_[w.tenant] += delta;
+        place_wrank_locked(w, w.rank);  // grow in place
         ++stats_.wrank_resizes;
         if (admission_ != nullptr) admission_->on_rank_granted(w.tenant, delta);
         observe_frag_locked();
@@ -542,15 +536,11 @@ std::uint32_t Manager::rescue_displaced_locked() {
   std::uint32_t moves = 0;
   for (Wrank& w : wranks_) {
     if (w.rank != kNoRank) continue;
-    const auto views = rank_views_locked();
-    const auto rank = policy_->place(views, w.slots);
+    const auto rank = place(config_.placement, rank_views_locked(), w.slots);
     if (!rank.has_value()) continue;  // retried on the next pass
-    charge(host_bind_locked(*rank));
-    place_wrank_locked(w, *rank);
     // The hosting rank died under this wrank: its image streams out of
     // the dying silicon at the degraded rescue bandwidth (PR 3).
-    charge(wrank_move_cost(w.slots, drv_.machine().cost().rank_rescue_gbps));
-    ++stats_.wrank_migrations;
+    move_wrank_locked(w, *rank, drv_.machine().cost().rank_rescue_gbps);
     ++moves;
     VPIM_WARN("manager", "wrank %llu (%s) rescued onto rank %u",
               static_cast<unsigned long long>(w.id), w.tenant.c_str(),
@@ -570,17 +560,14 @@ std::uint32_t Manager::consolidate() {
     // Candidate sources, least-occupied first (ties: higher index first,
     // so low-index ranks act as accumulation targets like the fitting
     // policies prefer them).
+    const std::vector<std::uint32_t> used = slots_used_locked();
     std::vector<std::uint32_t> sources;
     for (std::uint32_t r = 0; r < table_.size(); ++r) {
-      if (table_[r].host_mapping.has_value() && table_[r].wrank_used > 0) {
-        sources.push_back(r);
-      }
+      if (used[r] > 0) sources.push_back(r);
     }
     std::sort(sources.begin(), sources.end(),
-              [this](std::uint32_t a, std::uint32_t b) {
-                if (table_[a].wrank_used != table_[b].wrank_used) {
-                  return table_[a].wrank_used < table_[b].wrank_used;
-                }
+              [&used](std::uint32_t a, std::uint32_t b) {
+                if (used[a] != used[b]) return used[a] < used[b];
                 return a > b;
               });
     bool drained = false;
@@ -592,7 +579,7 @@ std::uint32_t Manager::consolidate() {
         const Entry& e = table_[r];
         if (r != src && e.host_mapping.has_value() &&
             e.state != RankState::kFail) {
-          free[r] = config_.wrank_slots_per_rank - e.wrank_used;
+          free[r] = config_.wrank_slots_per_rank - used[r];
         }
       }
       std::vector<std::pair<Wrank*, std::uint32_t>> plan;
@@ -612,18 +599,13 @@ std::uint32_t Manager::consolidate() {
         plan.emplace_back(&w, *best);
       }
       if (!feasible || plan.empty()) continue;
+      // The last move empties src, which releases its hosting mapping.
       for (auto& [w, target] : plan) {
-        table_[src].wrank_used -= std::min(table_[src].wrank_used,
-                                           w->slots);
-        w->rank = kNoRank;
-        place_wrank_locked(*w, target);
-        charge(wrank_move_cost(
-            w->slots, drv_.machine().cost().interleave_wide_gbps));
+        move_wrank_locked(*w, target,
+                          drv_.machine().cost().interleave_wide_gbps);
         ++stats_.consolidation_migrations;
-        ++stats_.wrank_migrations;
         ++moves;
       }
-      host_unbind_locked(src);
       drained = true;
       break;  // recompute sources against the new occupancy
     }
@@ -643,7 +625,6 @@ std::uint32_t Manager::fragmentation_permille() const {
 void Manager::set_placement_policy(PlacementPolicyKind kind) {
   std::lock_guard lock(mu_);
   config_.placement = kind;
-  policy_ = make_placement_policy(kind);
 }
 
 PlacementPolicyKind Manager::placement_policy() const {
@@ -653,7 +634,7 @@ PlacementPolicyKind Manager::placement_policy() const {
 
 bool Manager::policy_wants_consolidation() const {
   std::lock_guard lock(mu_);
-  return policy_->wants_consolidation();
+  return config_.placement == PlacementPolicyKind::kConsolidating;
 }
 
 void Manager::set_tenant_quota(const std::string& tenant,
@@ -664,8 +645,7 @@ void Manager::set_tenant_quota(const std::string& tenant,
 
 std::uint32_t Manager::tenant_slots(const std::string& tenant) const {
   std::lock_guard lock(mu_);
-  const auto it = tenant_slots_.find(tenant);
-  return it != tenant_slots_.end() ? it->second : 0;
+  return tenant_slots_locked(tenant);
 }
 
 std::vector<WrankInfo> Manager::wranks() const {

@@ -24,7 +24,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -210,11 +209,13 @@ class Manager {
     SimNs next_probe = 0;
     // Wrank hosting (ISSUE 9): while the manager hosts wranks on this
     // rank it holds the driver mapping itself, so sysfs keeps the rank
-    // busy and the observer treats it like any other active holder.
-    std::uint32_t wrank_used = 0;
+    // busy and the observer treats it like any other active holder. Set
+    // exactly while at least one wrank lives here.
     std::optional<driver::RankMapping> host_mapping;
   };
 
+  // One row of the wrank table, the only placement ledger: per-rank
+  // occupancy and per-tenant usage are derived from it, never mirrored.
   struct Wrank {
     std::uint64_t id = 0;
     std::string tenant;
@@ -240,16 +241,28 @@ class Manager {
   void quarantine_locked(std::uint32_t rank, SimNs now);
 
   // --- wrank internals (all require mu_) --------------------------------
+  std::vector<Wrank>::iterator find_wrank_locked(std::uint64_t id);
+  // Slots in use per rank, summed from the wrank table in one pass.
+  std::vector<std::uint32_t> slots_used_locked() const;
+  std::uint32_t tenant_slots_locked(const std::string& tenant) const;
+  // True (and counted) when `extra` more slots would put `tenant` over
+  // its quota.
+  bool over_quota_locked(const std::string& tenant, std::uint32_t extra);
   std::vector<RankView> rank_views_locked() const;
   // Binds `rank` for wrank hosting (reset if NANA, then map); returns the
   // modeled cost of doing so.
   SimNs host_bind_locked(std::uint32_t rank);
-  // Drops the hosting mapping of an emptied rank (-> NANA, reset later).
-  void host_unbind_locked(std::uint32_t rank);
+  // Drops the hosting mapping of `rank` once no wrank lives there (-> NANA,
+  // reset later).
+  void unbind_if_empty_locked(std::uint32_t rank);
+  // Puts `w` on `rank`; the rank's derived occupancy must still fit.
   void place_wrank_locked(Wrank& w, std::uint32_t rank);
+  // The one wrank move (resize-migrate, rescue, consolidation): binds
+  // `to`, unplaces `w` (releasing a hosting rank that empties), charges
+  // its image streamed at `gbps`, counts the migration and places `w`.
+  void move_wrank_locked(Wrank& w, std::uint32_t to, double gbps);
   // Re-places wranks whose hosting rank was quarantined under them.
   std::uint32_t rescue_displaced_locked();
-  std::uint32_t quota_for_locked(const std::string& tenant) const;
   SimNs wrank_move_cost(std::uint32_t slots, double gbps) const;
   SimNs reset_cost_ns() const;
   void charge(SimNs ns);
@@ -263,10 +276,8 @@ class Manager {
   std::uint32_t rr_cursor_ = 0;  // round-robin start position
   ManagerStats stats_;
   // Wrank allocation service state (ISSUE 9).
-  std::unique_ptr<PlacementPolicy> policy_;
   std::vector<Wrank> wranks_;  // ordered by id
   std::uint64_t next_wrank_id_ = 1;
-  std::map<std::string, std::uint32_t> tenant_slots_;
   std::map<std::string, std::uint32_t> tenant_quotas_;
   obs::Histogram* alloc_hist_ = nullptr;
   obs::Histogram* frag_hist_ = nullptr;

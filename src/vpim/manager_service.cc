@@ -108,70 +108,63 @@ void ManagerService::observer_loop() {
   }
 }
 
+template <typename Run, typename OnShutdown>
+auto ManagerService::submit(std::int32_t priority, Run run,
+                            OnShutdown on_shutdown)
+    -> std::future<decltype(run())> {
+  auto promise = std::make_shared<std::promise<decltype(run())>>();
+  auto fut = promise->get_future();
+  enqueue(
+      priority, [promise, run = std::move(run)] { promise->set_value(run()); },
+      [promise, on_shutdown = std::move(on_shutdown)] {
+        promise->set_value(on_shutdown());
+      });
+  return fut;
+}
+
 std::future<ServiceResponse> ManagerService::allocate(std::string tenant,
                                                       std::uint32_t slots,
                                                       std::int32_t priority) {
-  auto promise = std::make_shared<std::promise<ServiceResponse>>();
-  auto fut = promise->get_future();
-  enqueue(
+  return submit(
       priority,
-      [this, promise, tenant = std::move(tenant), slots] {
+      [this, tenant = std::move(tenant), slots] {
         const AllocResult r = manager_.allocate_wrank(tenant, slots);
-        promise->set_value({r.status, r.wrank, r.rank});
+        return ServiceResponse{r.status, r.wrank, r.rank};
       },
-      [promise] { promise->set_value({}); });
-  return fut;
+      [] { return ServiceResponse{}; });
 }
 
 std::future<ServiceResponse> ManagerService::release(std::uint64_t wrank,
                                                      std::int32_t priority) {
-  auto promise = std::make_shared<std::promise<ServiceResponse>>();
-  auto fut = promise->get_future();
-  enqueue(
+  return submit(
       priority,
-      [this, promise, wrank] {
-        const AllocStatus s = manager_.release_wrank(wrank);
-        promise->set_value({s, wrank, Manager::kNoRank});
+      [this, wrank] {
+        return ServiceResponse{manager_.release_wrank(wrank), wrank,
+                               Manager::kNoRank};
       },
-      [promise, wrank] {
-        promise->set_value({AllocStatus::kShutdown, wrank,
-                            Manager::kNoRank});
-      });
-  return fut;
+      [wrank] { return ServiceResponse{AllocStatus::kShutdown, wrank}; });
 }
 
 std::future<ServiceResponse> ManagerService::resize(std::uint64_t wrank,
                                                     std::uint32_t new_slots,
                                                     std::int32_t priority) {
-  auto promise = std::make_shared<std::promise<ServiceResponse>>();
-  auto fut = promise->get_future();
-  enqueue(
+  return submit(
       priority,
-      [this, promise, wrank, new_slots] {
+      [this, wrank, new_slots] {
         const AllocResult r = manager_.resize_wrank(wrank, new_slots);
-        promise->set_value({r.status, r.wrank, r.rank});
+        return ServiceResponse{r.status, r.wrank, r.rank};
       },
-      [promise, wrank] {
-        promise->set_value({AllocStatus::kShutdown, wrank,
-                            Manager::kNoRank});
-      });
-  return fut;
+      [wrank] { return ServiceResponse{AllocStatus::kShutdown, wrank}; });
 }
 
 std::future<std::optional<driver::RankMapping>> ManagerService::request_rank(
     std::string owner, std::int32_t priority) {
-  auto promise =
-      std::make_shared<std::promise<std::optional<driver::RankMapping>>>();
-  auto fut = promise->get_future();
-  enqueue(
+  // Typed rejection for the legacy shape is "no rank": the optional stays
+  // empty, but crucially the future resolves.
+  return submit(
       priority,
-      [this, promise, owner = std::move(owner)] {
-        promise->set_value(manager_.request_rank(owner));
-      },
-      // Typed rejection for the legacy shape is "no rank": the optional
-      // stays empty, but crucially the future resolves.
-      [promise] { promise->set_value(std::nullopt); });
-  return fut;
+      [this, owner = std::move(owner)] { return manager_.request_rank(owner); },
+      [] { return std::optional<driver::RankMapping>(); });
 }
 
 }  // namespace vpim::core

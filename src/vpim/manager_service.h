@@ -92,6 +92,12 @@ class ManagerService {
     std::function<void()> reject;  // resolves the promise with kShutdown
   };
 
+  // The one submit path: queues `run` at `priority` and returns a future
+  // resolved with run()'s result by a worker, or with on_shutdown()'s when
+  // stop() drains the entry or it arrives after stop().
+  template <typename Run, typename OnShutdown>
+  auto submit(std::int32_t priority, Run run, OnShutdown on_shutdown)
+      -> std::future<decltype(run())>;
   void enqueue(std::int32_t priority, std::function<void()> run,
                std::function<void()> reject);
   bool pop(Pending& out);

@@ -1,16 +1,10 @@
 #include "vpim/placement.h"
 
-#include <string>
-
 namespace vpim::core {
 namespace {
 
-bool fits(const RankView& v, std::uint32_t slots) {
-  return v.usable && v.free_slots >= slots;
-}
-
-// Preference order shared by both fitting policies when scores tie:
-// an already-hosting rank beats a fresh one (no bind), a fresh NAAV rank
+// Preference order of the best fit when leftover room ties: an
+// already-hosting rank beats a fresh one (no bind), a fresh NAAV rank
 // beats a NANA one (no ~597 ms erase), and the lowest index breaks the
 // final tie so decisions are total and deterministic.
 std::uint32_t tier(const RankView& v) {
@@ -18,42 +12,6 @@ std::uint32_t tier(const RankView& v) {
   if (!v.needs_reset) return 1;
   return 2;
 }
-
-class FirstFit final : public PlacementPolicy {
- public:
-  const char* name() const override { return "first_fit"; }
-  std::optional<std::uint32_t> place(std::span<const RankView> ranks,
-                                     std::uint32_t slots) const override {
-    for (const RankView& v : ranks) {
-      if (fits(v, slots)) return v.rank;
-    }
-    return std::nullopt;
-  }
-};
-
-class BestFit : public PlacementPolicy {
- public:
-  const char* name() const override { return "best_fit"; }
-  std::optional<std::uint32_t> place(std::span<const RankView> ranks,
-                                     std::uint32_t slots) const override {
-    const RankView* best = nullptr;
-    for (const RankView& v : ranks) {
-      if (!fits(v, slots)) continue;
-      if (best == nullptr || v.free_slots < best->free_slots ||
-          (v.free_slots == best->free_slots && tier(v) < tier(*best))) {
-        best = &v;
-      }
-    }
-    if (best == nullptr) return std::nullopt;
-    return best->rank;
-  }
-};
-
-class Consolidating final : public BestFit {
- public:
-  const char* name() const override { return "consolidating"; }
-  bool wants_consolidation() const override { return true; }
-};
 
 }  // namespace
 
@@ -69,25 +27,20 @@ const char* to_string(PlacementPolicyKind kind) {
   return "?";
 }
 
-std::optional<PlacementPolicyKind> parse_placement_policy(
-    std::string_view name) {
-  if (name == "first_fit") return PlacementPolicyKind::kFirstFit;
-  if (name == "best_fit") return PlacementPolicyKind::kBestFit;
-  if (name == "consolidating") return PlacementPolicyKind::kConsolidating;
-  return std::nullopt;
-}
-
-std::unique_ptr<PlacementPolicy> make_placement_policy(
-    PlacementPolicyKind kind) {
-  switch (kind) {
-    case PlacementPolicyKind::kFirstFit:
-      return std::make_unique<FirstFit>();
-    case PlacementPolicyKind::kBestFit:
-      return std::make_unique<BestFit>();
-    case PlacementPolicyKind::kConsolidating:
-      return std::make_unique<Consolidating>();
+std::optional<std::uint32_t> place(PlacementPolicyKind kind,
+                                   std::span<const RankView> ranks,
+                                   std::uint32_t slots) {
+  const RankView* best = nullptr;
+  for (const RankView& v : ranks) {
+    if (!v.usable || v.free_slots < slots) continue;
+    if (kind == PlacementPolicyKind::kFirstFit) return v.rank;
+    if (best == nullptr || v.free_slots < best->free_slots ||
+        (v.free_slots == best->free_slots && tier(v) < tier(*best))) {
+      best = &v;
+    }
   }
-  return std::make_unique<FirstFit>();
+  if (best == nullptr) return std::nullopt;
+  return best->rank;
 }
 
 std::uint32_t fragmentation_permille(std::span<const RankView> ranks,

@@ -1,4 +1,4 @@
-// Pluggable rank-placement policies for the Manager's wrank allocator
+// Rank-placement policies for the Manager's wrank allocator
 // (ISSUE 9). The paper's §3.5 Manager hands out whole ranks round-robin;
 // under oversubscription a rank hosts several wrank slots and *where* a
 // new wrank lands decides how fragmented the machine gets — and therefore
@@ -14,10 +14,8 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
-#include <string_view>
 
 namespace vpim::core {
 
@@ -28,8 +26,6 @@ enum class PlacementPolicyKind : std::uint8_t {
 };
 
 const char* to_string(PlacementPolicyKind kind);
-std::optional<PlacementPolicyKind> parse_placement_policy(
-    std::string_view name);
 
 // One rank as the policies see it: a point-in-time view the Manager builds
 // under its lock. Policies never see owner strings or driver handles.
@@ -48,21 +44,13 @@ struct RankView {
   std::uint32_t free_slots = 0;
 };
 
-class PlacementPolicy {
- public:
-  virtual ~PlacementPolicy() = default;
-  virtual const char* name() const = 0;
-  // Picks the rank to host `slots` co-located wrank slots, or nullopt when
-  // no usable rank has room. `ranks` is ordered by rank index.
-  virtual std::optional<std::uint32_t> place(
-      std::span<const RankView> ranks, std::uint32_t slots) const = 0;
-  // True when the background consolidation pass should run for this
-  // policy (placement alone is shared between best-fit and consolidating).
-  virtual bool wants_consolidation() const { return false; }
-};
-
-std::unique_ptr<PlacementPolicy> make_placement_policy(
-    PlacementPolicyKind kind);
+// Picks the rank to host `slots` co-located wrank slots under `kind`, or
+// nullopt when no usable rank has room. `ranks` is ordered by rank index.
+// kBestFit and kConsolidating place alike; they differ only in whether the
+// Manager runs background consolidation passes.
+std::optional<std::uint32_t> place(PlacementPolicyKind kind,
+                                   std::span<const RankView> ranks,
+                                   std::uint32_t slots);
 
 // Fragmentation in permille of the machine: how many ranks the current
 // wrank population occupies beyond the minimum it could be packed into,

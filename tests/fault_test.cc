@@ -263,6 +263,22 @@ TEST(FaultInjection, SeizedRankIsQuarantinedThenRecovered) {
   for (auto b : probe) EXPECT_EQ(b, 0);
 }
 
+TEST(FaultInjection, RecoveredRankHoldsNoResidentPages) {
+  // The reset-verify probe writes a pattern into every bank. A recovered
+  // rank must still look like a freshly reset one, with nothing resident,
+  // so a later suspend snapshots no probe pages.
+  test::TestRig rig(machine(1));
+  upmem::Rank& rank = rig.machine.rank(0);
+  const std::vector<std::uint8_t> data(64, 0xAB);
+  for (std::uint32_t d = 0; d < rank.nr_dpus(); ++d) {
+    rank.mram(d).write(0, data);
+  }
+  ASSERT_TRUE(rig.drv.try_recover_rank(0, /*charge_time=*/false));
+  for (std::uint32_t d = 0; d < rank.nr_dpus(); ++d) {
+    EXPECT_EQ(rank.mram(d).resident_pages(), 0u) << "bank " << d;
+  }
+}
+
 // ---- determinism under injected faults ----------------------------------
 
 struct FaultCapture {

@@ -11,6 +11,7 @@
 #include "common/fault.h"
 #include "tests/test_kernels.h"
 #include "tests/testutil.h"
+#include "upmem/layout.h"
 #include "vpim/guest_platform.h"
 #include "vpim/host.h"
 #include "vpim/vpim_vm.h"
@@ -310,6 +311,49 @@ TEST(WrankOversub, QuarantineDisplacesAndConsolidationAvoidsDeadRank) {
   }
   EXPECT_EQ(mgr.fragmentation_permille(), 0u);
   EXPECT_GE(mgr.stats().consolidation_migrations, moves);
+}
+
+TEST(WrankOversub, GrowingADisplacedWrankIsChargedAsARescue) {
+  test::TestRig rig(four_ranks());
+  const ManagerConfig cfg =
+      wrank_config(PlacementPolicyKind::kFirstFit, /*charge=*/true);
+  Manager mgr(rig.drv, cfg);
+  // Fill every slot: a 2-slot wrank opens rank 0, 1-slot wranks fill the
+  // rest of rank 0 and then ranks 1-3.
+  const AllocResult pair = mgr.allocate_wrank("a", 2);
+  ASSERT_EQ(pair.status, AllocStatus::kOk);
+  ASSERT_EQ(pair.rank, 0u);
+  for (int i = 0; i < 14; ++i) {
+    ASSERT_EQ(mgr.allocate_wrank("b", 1).status, AllocStatus::kOk);
+  }
+  ASSERT_EQ(mgr.allocate_wrank("b", 1).status, AllocStatus::kNoCapacity);
+
+  // Rank 3 dies; with no free slot anywhere its wranks stay displaced.
+  rig.machine.rank(3).fail();
+  rig.drv.log_fault({FaultKind::kRankDeath, 3, 0, rig.clock.now()});
+  mgr.observe();
+  ASSERT_EQ(mgr.state(3), RankState::kFail);
+  std::uint64_t displaced = 0;
+  for (const WrankInfo& w : mgr.wranks()) {
+    if (w.rank == Manager::kNoRank) displaced = w.id;
+  }
+  ASSERT_NE(displaced, 0u);
+
+  // Free two slots on rank 0, then grow a displaced 1-slot wrank to 2:
+  // it is re-homed there exactly like a rescue, streaming its pre-resize
+  // image at the rescue bandwidth, and counted as one migration.
+  ASSERT_EQ(mgr.release_wrank(pair.wrank), AllocStatus::kOk);
+  const std::uint64_t migrations = mgr.stats().wrank_migrations;
+  const SimNs before = rig.clock.now();
+  const AllocResult grown = mgr.resize_wrank(displaced, 2);
+  ASSERT_EQ(grown.status, AllocStatus::kOk);
+  EXPECT_EQ(grown.rank, 0u);
+  const std::uint64_t rank_bytes = 2ULL * 8 * upmem::kMramSize;
+  EXPECT_EQ(rig.clock.now() - before,
+            rig.cost.manager_alloc_rt_ns +
+                CostModel::bytes_time(rank_bytes / cfg.wrank_slots_per_rank,
+                                      rig.cost.rank_rescue_gbps));
+  EXPECT_EQ(mgr.stats().wrank_migrations, migrations + 1);
 }
 
 TEST(WrankOversub, PolicyDecisionsAndVirtualTimeAreDeterministic) {

@@ -9,7 +9,13 @@
 //    rejected typed (kQuotaExceeded) exactly when the oracle says the
 //    request would exceed the cap;
 //  - the reported fragmentation matches a recomputation from the wrank
-//    table (hosting ranks beyond the minimal packing, in permille).
+//    table (hosting ranks beyond the minimal packing, in permille);
+//  - the manager maps a rank in its own name exactly while it holds at
+//    least one wrank, so every move frees exactly its source.
+//
+// A sibling property runs the same churn under every placement policy
+// with random rank deaths mixed in: wranks may then be displaced, but
+// never sit on a quarantined (FAIL) rank.
 //
 // Failing cases shrink to fewer steps and print the VPIM_PROP_SEED line.
 #include <gtest/gtest.h>
@@ -19,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fault.h"
 #include "common/proptest/proptest.h"
 #include "tests/testutil.h"
 #include "vpim/manager.h"
@@ -31,7 +38,8 @@ constexpr std::uint32_t kSlotsPerRank = 4;
 constexpr int kTenants = 3;
 
 // One step packs (op, tenant, slots, victim) into a u64:
-//   op = s % 8: 0-3 alloc, 4-5 release, 6 resize, 7 consolidate+observe.
+//   op = s % 8: 0-3 alloc, 4-5 release, 6 resize, 7 consolidate+observe
+//   (with rank deaths on, half of the op-7 steps kill a hosting rank).
 struct WrankCase {
   std::uint64_t quota_mask = 0;  // tenant t capped at 5 slots iff bit t
   std::vector<std::uint64_t> steps;
@@ -82,8 +90,9 @@ struct OracleEntry {
   std::uint32_t slots = 0;
 };
 
-void check_invariants(const core::Manager& mgr,
-                      const std::map<std::uint64_t, OracleEntry>& oracle) {
+void check_invariants(const test::TestRig& rig, const core::Manager& mgr,
+                      const std::map<std::uint64_t, OracleEntry>& oracle,
+                      bool deaths) {
   const std::vector<core::WrankInfo> ws = mgr.wranks();
   require(ws.size() == oracle.size(),
           "manager holds " + std::to_string(ws.size()) + " wranks, oracle " +
@@ -97,19 +106,33 @@ void check_invariants(const core::Manager& mgr,
     require(it != oracle.end(), "wrank id unknown to the oracle");
     require(w.tenant == it->second.tenant, "wrank changed tenant");
     require(w.slots == it->second.slots, "wrank changed slot count");
-    require(w.rank != core::Manager::kNoRank,
-            "wrank displaced without any fault");
-    used[w.rank] += w.slots;
     per_tenant[w.tenant] += w.slots;
+    if (w.rank == core::Manager::kNoRank) {
+      require(deaths, "wrank displaced without any fault");
+      continue;
+    }
+    require(mgr.state(w.rank) != core::RankState::kFail,
+            "wrank sits on a FAIL rank");
+    used[w.rank] += w.slots;
   }
   std::uint32_t total = 0;
   for (const auto& [rank, slots] : used) {
     require(slots <= kSlotsPerRank, "rank overpacked");
     total += slots;
   }
-  for (const auto& [tenant, slots] : per_tenant) {
-    require(mgr.tenant_slots(tenant) == slots,
+  for (int t = 0; t < kTenants; ++t) {
+    const std::string tenant = "t" + std::to_string(t);
+    require(mgr.tenant_slots(tenant) == per_tenant[tenant],
             "tenant slot accounting drifted for " + tenant);
+  }
+  for (std::uint32_t r = 0; r < kRanks; ++r) {
+    const auto status = driver::Sysfs::parse(rig.drv.rank_status_line(r));
+    require(status.has_value(), "unparseable sysfs status");
+    const bool hosting = status->in_use && status->owner == "vpim-manager";
+    require(hosting == used.contains(r),
+            "rank " + std::to_string(r) +
+                (hosting ? " mapped by the manager without a wrank"
+                         : " holds wranks but is not mapped by the manager"));
   }
   // Fragmentation must agree with a recomputation from the table.
   const std::uint32_t hosting = static_cast<std::uint32_t>(used.size());
@@ -124,13 +147,31 @@ void check_invariants(const core::Manager& mgr,
           "fragmentation_permille disagrees with the wrank table");
 }
 
-void run_case(const WrankCase& c) {
+// Kills the `pick`-th rank (mod count) that hosts wranks and lets the
+// observer quarantine it and rescue what fits. False when nothing hosts.
+bool kill_hosting_rank(test::TestRig& rig, core::Manager& mgr,
+                       std::uint64_t pick) {
+  std::set<std::uint32_t> hosting;
+  for (const core::WrankInfo& w : mgr.wranks()) {
+    if (w.rank != core::Manager::kNoRank) hosting.insert(w.rank);
+  }
+  if (hosting.empty()) return false;
+  auto it = hosting.begin();
+  std::advance(it, static_cast<long>(pick % hosting.size()));
+  rig.machine.rank(*it).fail();
+  rig.drv.log_fault({FaultKind::kRankDeath, *it, 0, rig.clock.now()});
+  mgr.observe(/*do_resets=*/true);
+  return true;
+}
+
+void run_case(const WrankCase& c, core::PlacementPolicyKind policy,
+              bool deaths) {
   test::TestRig rig({.nr_ranks = kRanks, .functional_dpus_per_rank = 8});
   core::ManagerConfig cfg;
   cfg.retry_wait_ns = 1 * kMs;
   cfg.max_attempts = 2;
   cfg.charge_time = false;
-  cfg.placement = core::PlacementPolicyKind::kConsolidating;
+  cfg.placement = policy;
   core::Manager mgr(rig.drv, cfg);
   constexpr std::uint32_t kQuota = 5;
   for (int t = 0; t < kTenants; ++t) {
@@ -195,20 +236,42 @@ void run_case(const WrankCase& c) {
         tenant_total[cur.tenant] += new_slots - cur.slots;
         oracle[id].slots = new_slots;
       }
-    } else {
+    } else if (!deaths || (s / 64) % 2 == 0 ||
+               !kill_hosting_rank(rig, mgr, s / 128)) {
       mgr.observe(/*do_resets=*/true);
-      mgr.consolidate();
+      if (mgr.policy_wants_consolidation()) mgr.consolidate();
     }
-    check_invariants(mgr, oracle);
+    check_invariants(rig, mgr, oracle, deaths);
   }
 }
 
 TEST(PropWrank, RandomChurnMatchesOccupancyOracle) {
   const Params params = Params::from_env(0x33A9, 60);
   const auto out = run_property<WrankCase>(
-      "wrank.occupancy_oracle", params, wrank_case_gen(), run_case,
+      "wrank.occupancy_oracle", params, wrank_case_gen(),
+      [](const WrankCase& c) {
+        run_case(c, core::PlacementPolicyKind::kConsolidating,
+                 /*deaths=*/false);
+      },
       show_case);
   ASSERT_TRUE(out.ok) << out.reproducer;
+}
+
+TEST(PropWrank, RankDeathsUnderEveryPolicyKeepOneLedger) {
+  for (const core::PlacementPolicyKind policy :
+       {core::PlacementPolicyKind::kFirstFit,
+        core::PlacementPolicyKind::kBestFit,
+        core::PlacementPolicyKind::kConsolidating}) {
+    const Params params = Params::from_env(0x33AA, 60);
+    const auto out = run_property<WrankCase>(
+        std::string("wrank.rank_deaths.") + core::to_string(policy), params,
+        wrank_case_gen(),
+        [policy](const WrankCase& c) {
+          run_case(c, policy, /*deaths=*/true);
+        },
+        show_case);
+    ASSERT_TRUE(out.ok) << core::to_string(policy) << ": " << out.reproducer;
+  }
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Compare BENCH_*.json results against committed baselines.
 
-Two gates, one file:
+Four gates, one file:
 
 * simulated_ns — virtual time is a pure function of the cost model and the
   workload, independent of host speed, thread count, and load. Any drift
@@ -19,6 +19,12 @@ p99_admitted_ns (overload) or p50_alloc_ns/p99_alloc_ns (manager_policies)
 at --p99-tol (default 0.10). Like simulated_ns they are deterministic, but
 they sit on percentiles so a deliberate cost-model retune may move them
 slightly; hence a tolerance rather than an exact match.
+
+Every other column except wall_ms — frag_permille, failed_allocs,
+cache_hit_ratio, goodput_ops, shed_ratio, vmexits_per_op, ... — is a
+virtual-time value or a counter, identical across runs and thread counts,
+and is gated exactly: a changed decision that happens to keep
+simulated_ns still fails.
 
 Usage:
   tools/bench_diff.py --baseline bench/baselines/BENCH_fig12.json \
@@ -40,20 +46,28 @@ import sys
 
 # Percentile-in-virtual-time columns: p50_alloc_ns, p99_admitted_ns, ...
 PERCENTILE_RE = re.compile(r"^p\d+_\w+_ns$")
+# Columns with a gate of their own (or, for name, none).
+OWN_GATE = {"name", "simulated_ns", "wall_ms"}
 
 
 def load_points(path):
+    """name -> (simulated_ns, wall_ms, percentile columns, exact columns)."""
     with open(path, encoding="utf-8") as f:
         doc = json.load(f)
-    return {p["name"]: (int(p["simulated_ns"]), float(p.get("wall_ms", 0.0)),
-                        {k: int(v) for k, v in p.items()
-                         if PERCENTILE_RE.match(k)})
-            for p in doc["points"]}
+    points = {}
+    for p in doc["points"]:
+        percentiles = {k: int(v) for k, v in p.items()
+                       if PERCENTILE_RE.match(k)}
+        exact = {k: v for k, v in p.items()
+                 if k not in OWN_GATE and k not in percentiles}
+        points[p["name"]] = (int(p["simulated_ns"]),
+                             float(p.get("wall_ms", 0.0)), percentiles, exact)
+    return points
 
 
 def diff_simulated(baseline_path, base, current_path, cur, rel_tol):
     ok = True
-    for name, (expect, _, _) in sorted(base.items()):
+    for name, (expect, _, _, _) in sorted(base.items()):
         if name not in cur:
             print(f"FAIL {name}: missing from {current_path}")
             ok = False
@@ -79,7 +93,7 @@ def diff_simulated(baseline_path, base, current_path, cur, rel_tol):
 
 def diff_percentiles(baseline_path, base, current_path, cur, p99_tol):
     ok = True
-    for name, (_, _, expected_cols) in sorted(base.items()):
+    for name, (_, _, expected_cols, _) in sorted(base.items()):
         for col, expect in sorted(expected_cols.items()):
             if name not in cur or col not in cur[name][2]:
                 print(f"FAIL {name}: {col} in baseline but missing "
@@ -97,9 +111,28 @@ def diff_percentiles(baseline_path, base, current_path, cur, p99_tol):
     return ok
 
 
+def diff_exact(base, current_path, cur):
+    ok = True
+    for name, (_, _, _, expected_cols) in sorted(base.items()):
+        for col, expect in sorted(expected_cols.items()):
+            if name not in cur or col not in cur[name][3]:
+                print(f"FAIL {name}: {col} in baseline but missing "
+                      f"from {current_path}")
+                ok = False
+                continue
+            got = cur[name][3][col]
+            if got != expect:
+                print(f"FAIL {name}: {col} {got} vs baseline {expect} "
+                      f"(gated exactly)")
+                ok = False
+            else:
+                print(f"ok   {name}: {col} {got}")
+    return ok
+
+
 def diff_wall(base, runs, wall_tol):
     ok = True
-    for name, (_, expect, _) in sorted(base.items()):
+    for name, (_, expect, _, _) in sorted(base.items()):
         walls = [run[name][1] for run in runs if name in run]
         if not walls or expect <= 0.0:
             continue
@@ -142,6 +175,8 @@ def diff_one(baseline_path, current_paths, rel_tol, wall_tol, p99_tol):
         # Tail latency is virtual time too, so every run must hold it.
         ok &= diff_percentiles(baseline_path, base, current_path, cur,
                                p99_tol)
+        # So are counters and ratios of virtual-time results.
+        ok &= diff_exact(base, current_path, cur)
     if not runs:
         return False
     if wall_tol is not None:
