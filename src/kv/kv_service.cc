@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 
 #include "common/error.h"
 #include "driver/xfer.h"
@@ -48,6 +49,8 @@ KvService::KvService(Frontend& fe, guest::GuestMemory& mem, SimClock& clock,
   VPIM_CHECK(config_.max_batch_ops >= 1, "KV needs a batch budget");
   VPIM_CHECK(config_.scan_limit >= 1 && config_.scan_limit <= kKvScanLimit,
              "scan_limit out of range");
+  VPIM_CHECK(!config_.hot_key_cache || config_.hot_cache_entries >= 1,
+             "hot-key cache needs at least one entry");
   batch_hist_ = &obs_.metrics.histogram("vpim_kv_batch_ns", {});
   collector_ = obs_.metrics.add_collector([this](obs::Collection& out) {
     out.counter("vpim_kv_ops_total", {{"op", "get"}}, stats_.gets);
@@ -88,7 +91,7 @@ bool KvService::open() {
   window_load_.assign(config_.partitions, 0);
   window_batches_ = 0;
   cache_.clear();
-  cache_tick_ = 0;
+  lru_.clear();
   pending_.assign(config_.nr_dpus, {});
   stats_ = {};
 
@@ -202,7 +205,7 @@ void KvService::route(std::span<const KvOp> ops,
           auto it = cache_.find(op.key);
           if (it != cache_.end()) {
             clock_.advance(cost_.kv_cache_hit_ns);
-            it->second.tick = ++cache_tick_;
+            cache_touch(it->second);
             results[i].status = KvStatus::kOk;
             results[i].value = it->second.value;
             results[i].nresults = 1;
@@ -222,7 +225,7 @@ void KvService::route(std::span<const KvOp> ops,
           auto it = cache_.find(op.key);
           if (it != cache_.end()) {
             it->second.value = op.value;
-            it->second.tick = ++cache_tick_;
+            cache_touch(it->second);
           }
         }
         mutated_.insert(op.key);
@@ -233,7 +236,7 @@ void KvService::route(std::span<const KvOp> ops,
       }
       case KvOpKind::kDelete: {
         ++stats_.deletes;
-        cache_.erase(op.key);
+        cache_erase(op.key);
         mutated_.insert(op.key);
         const std::uint32_t p = partition_of(op.key, config_.partitions);
         ++window_load_[p];
@@ -416,7 +419,7 @@ void KvService::fail_unit(const KvOp& op, KvResult& out, KvStatus status) {
   // The write may or may not have landed: drop any cached copy so the
   // cache never serves a value the device did not acknowledge.
   if (op.kind == KvOpKind::kPut || op.kind == KvOpKind::kDelete) {
-    cache_.erase(op.key);
+    cache_erase(op.key);
   }
 }
 
@@ -467,19 +470,30 @@ void KvService::finish_scans(std::span<const KvOp> ops,
 void KvService::cache_insert(std::uint64_t key, std::uint64_t value) {
   auto it = cache_.find(key);
   if (it != cache_.end()) {
-    it->second = {value, ++cache_tick_};
+    it->second.value = value;
+    cache_touch(it->second);
     return;
   }
   if (cache_.size() >= config_.hot_cache_entries) {
-    // Deterministic LRU: ticks are unique, so the minimum is unique and
-    // the evicted entry does not depend on hash-map iteration order.
-    auto victim = cache_.begin();
-    for (auto jt = cache_.begin(); jt != cache_.end(); ++jt) {
-      if (jt->second.tick < victim->second.tick) victim = jt;
-    }
-    cache_.erase(victim);
+    // Evict the least recently touched key and reuse its list node.
+    cache_.erase(lru_.front());
+    lru_.front() = key;
+    lru_.splice(lru_.end(), lru_, lru_.begin());
+  } else {
+    lru_.push_back(key);
   }
-  cache_.emplace(key, CacheEntry{value, ++cache_tick_});
+  cache_.emplace(key, CacheEntry{value, std::prev(lru_.end())});
+}
+
+void KvService::cache_touch(CacheEntry& entry) {
+  lru_.splice(lru_.end(), lru_, entry.lru_pos);
+}
+
+void KvService::cache_erase(std::uint64_t key) {
+  auto it = cache_.find(key);
+  if (it == cache_.end()) return;
+  lru_.erase(it->second.lru_pos);
+  cache_.erase(it);
 }
 
 void KvService::maybe_rebalance() {

@@ -21,6 +21,7 @@
 #pragma once
 
 #include <cstdint>
+#include <list>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -85,7 +86,7 @@ class KvService {
   };
   struct CacheEntry {
     std::uint64_t value = 0;
-    std::uint64_t tick = 0;
+    std::list<std::uint64_t>::iterator lru_pos;  // this key's node in lru_
   };
   // One routed unit of work: op `index` against `partition` (scans fan
   // out to every partition, point ops produce exactly one unit).
@@ -109,6 +110,8 @@ class KvService {
   void maybe_rebalance();
   bool migrate_partition(std::uint32_t partition, std::uint32_t to_dpu);
   void cache_insert(std::uint64_t key, std::uint64_t value);
+  void cache_touch(CacheEntry& entry);  // moves the entry to most recent
+  void cache_erase(std::uint64_t key);
   // Reaps completions for `tickets`; returns true when every ticket
   // completed with status 0.
   bool drain_tickets(const std::vector<core::Frontend::Ticket>& tickets);
@@ -127,9 +130,11 @@ class KvService {
   std::vector<std::uint64_t> window_load_;  // per partition, this window
   std::uint32_t window_batches_ = 0;
 
-  // Hot-key cache (deterministic LRU by insertion tick).
+  // Hot-key cache: a deterministic LRU. Every hit or refresh splices the
+  // key to the back of lru_, so the front is the least recently touched
+  // key and eviction never depends on hash-map iteration order.
   std::unordered_map<std::uint64_t, CacheEntry> cache_;
-  std::uint64_t cache_tick_ = 0;
+  std::list<std::uint64_t> lru_;
   // Keys mutated in the batch being executed: GET results that raced a
   // same-batch mutation must not refill the cache.
   std::unordered_set<std::uint64_t> mutated_;

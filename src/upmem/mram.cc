@@ -22,8 +22,8 @@ void MramBank::read(std::uint64_t offset, std::span<std::uint8_t> out) const {
     const std::uint64_t page = src / kMramPageSize;
     const std::uint64_t in_page = src % kMramPageSize;
     const std::uint64_t n = std::min(remaining, kMramPageSize - in_page);
-    if (page < pages_.size() && pages_[page]) {
-      std::memcpy(dst, pages_[page]->bytes.data() + in_page, n);
+    if (const MramPage* p = find(page)) {
+      std::memcpy(dst, p->bytes.data() + in_page, n);
     } else {
       std::memset(dst, 0, n);
     }
@@ -56,9 +56,11 @@ void MramBank::adopt_pages(std::uint64_t offset,
   const std::uint64_t first = offset / kMramPageSize;
   VPIM_CHECK(first + pages.size() <= kMramPages,
              "shared-page adoption out of bounds");
-  ensure_table();
   for (std::size_t i = 0; i < pages.size(); ++i) {
-    pages_[first + i] = pages[i];
+    VPIM_CHECK(pages[i] != nullptr, "shared-page adoption of a null page");
+    MramPageRef& ref = slot(first + i);
+    if (!ref) touched_.push_back(static_cast<std::uint16_t>(first + i));
+    ref = pages[i];
   }
 }
 
@@ -80,27 +82,30 @@ std::vector<MramPageRef> MramBank::build_pages(
 }
 
 void MramBank::clear() {
-  for (auto& page : pages_) page.reset();
-}
-
-std::size_t MramBank::resident_pages() const {
-  std::size_t n = 0;
-  for (const auto& page : pages_) {
-    if (page) ++n;
+  for (const std::uint16_t page : touched_) {
+    leaves_[page / kLeafPages][page % kLeafPages].reset();
   }
-  return n;
+  touched_.clear();
 }
 
-void MramBank::ensure_table() {
-  if (pages_.empty()) pages_.resize(kMramPages);
+const MramPage* MramBank::find(std::uint64_t page_index) const {
+  if (leaves_.empty()) return nullptr;
+  const Leaf& leaf = leaves_[page_index / kLeafPages];
+  return leaf.empty() ? nullptr : leaf[page_index % kLeafPages].get();
+}
+
+MramPageRef& MramBank::slot(std::uint64_t page_index) {
+  if (leaves_.empty()) leaves_.resize(kLeaves);
+  Leaf& leaf = leaves_[page_index / kLeafPages];
+  if (leaf.empty()) leaf.resize(kLeafPages);
+  return leaf[page_index % kLeafPages];
 }
 
 MramPage& MramBank::page_for_write(std::uint64_t page_index) {
-  ensure_table();
-  MramPageRef& ref = pages_[page_index];
+  MramPageRef& ref = slot(page_index);
   if (!ref) {
-    ref = std::make_shared<MramPage>();
-    std::memset(ref->bytes.data(), 0, kMramPageSize);
+    ref = std::make_shared<MramPage>();  // value-initialized: all zero
+    touched_.push_back(static_cast<std::uint16_t>(page_index));
   } else if (ref.use_count() > 1) {
     // Copy-on-write: this page is shared with another bank (broadcast).
     ref = std::make_shared<MramPage>(*ref);

@@ -4,6 +4,20 @@
 // backing store if MRAM were allocated eagerly; instead pages materialize on
 // first write and broadcast transfers (same host buffer pushed to every DPU,
 // e.g. the UPMEM checksum demo) share immutable pages across banks.
+//
+// The bookkeeping is as sparse as the data. A bank's 16384 page refs sit in
+// a two-level directory of 128 leaves x 128 refs: the directory is an empty
+// vector until the bank's first write or adopt, and each leaf is allocated
+// on the first write or adopt inside its 512 KiB span. A bank that was
+// never written is two empty vectors, so the 512 banks a machine builds up
+// front cost a few words each. Next to the directory, a touched-page index
+// lists every page materialized since the last clear(), so the costs that
+// used to walk a dense 16384-slot table are O(touched pages):
+//   - clear() resets exactly the indexed pages;
+//   - resident_pages() is the index's size;
+//   - copying a bank (every Rank snapshot) and destroying one (every
+//     machine teardown) touch only the allocated leaves.
+// Reads and writes take one extra hop through the directory.
 #pragma once
 
 #include <array>
@@ -21,13 +35,10 @@ struct MramPage {
 };
 using MramPageRef = std::shared_ptr<MramPage>;
 
+// Copyable: a copy (a Rank snapshot) shares every page with its source,
+// copy-on-write on either side; only the allocated leaves are duplicated.
 class MramBank {
  public:
-  // The page table itself is lazy too: a fresh bank holds an empty vector
-  // and grows it to kMramPages on the first write/adopt/import. Machines
-  // construct 8 ranks x 64 banks up front, and a 16384-slot table per bank
-  // is real memory and construction time for banks most workloads never
-  // touch.
   MramBank() = default;
 
   // Reads `out.size()` bytes starting at `offset`; absent pages read as 0.
@@ -47,14 +58,24 @@ class MramBank {
   // Drops every page (rank reset; content reads back as zero).
   void clear();
 
-  // Number of materialized (non-shared-null) pages, for memory accounting.
-  std::size_t resident_pages() const;
+  // Number of materialized pages, for memory accounting.
+  std::size_t resident_pages() const { return touched_.size(); }
 
  private:
-  MramPage& page_for_write(std::uint64_t page_index);
-  void ensure_table();
+  static constexpr std::uint64_t kLeafPages = 128;
+  static constexpr std::uint64_t kLeaves = kMramPages / kLeafPages;
+  static_assert(kLeaves * kLeafPages == kMramPages);
+  static_assert(kMramPages <= 0x10000, "touched index holds u16 pages");
+  using Leaf = std::vector<MramPageRef>;  // empty, or kLeafPages refs
 
-  std::vector<MramPageRef> pages_;  // empty until the first write
+  // The page at `page_index`, or null when it reads as zero.
+  const MramPage* find(std::uint64_t page_index) const;
+  // The ref slot for `page_index`, allocating the directory and leaf.
+  MramPageRef& slot(std::uint64_t page_index);
+  MramPage& page_for_write(std::uint64_t page_index);
+
+  std::vector<Leaf> leaves_;  // empty, or kLeaves leaves
+  std::vector<std::uint16_t> touched_;  // pages materialized since clear()
 };
 
 }  // namespace vpim::upmem

@@ -1,0 +1,238 @@
+// MramBank model-based property: random op sequences over three banks —
+// unaligned writes and reads that straddle a leaf boundary (pages
+// 127/128) and the end of the bank, adoption of one shared build_pages
+// set into several banks, clear, copy-construction (what Rank snapshots
+// do), copy-assignment and move-assignment (what load_snapshot does) —
+// driven against a dense per-bank byte oracle. After every step:
+//
+//  - every bank, and a parked snapshot copy, reads back exactly its
+//    oracle bytes;
+//  - resident_pages() equals the oracle's count of pages materialized
+//    since the bank's last clear;
+//  - no write shows through a shared page or into a copy: the shared
+//    page set still holds its original bytes, and the snapshot its own.
+//
+// Failing cases shrink to fewer steps and print the VPIM_PROP_SEED line.
+#include <gtest/gtest.h>
+
+#include <array>
+#include <cstring>
+#include <memory>
+#include <optional>
+#include <set>
+#include <string>
+#include <vector>
+
+#include "common/proptest/proptest.h"
+#include "upmem/mram.h"
+
+namespace vpim::prop {
+namespace {
+
+using upmem::kMramPages;
+using upmem::kMramPageSize;
+using upmem::MramBank;
+using upmem::MramPageRef;
+
+constexpr int kBanks = 3;
+constexpr std::uint64_t kSharedMaxPages = 3;
+
+// Accesses stay inside two windows so the oracle can be dense: one
+// straddling the boundary between the first two directory leaves (pages
+// 127/128) and one at the very end of the bank.
+struct Window {
+  std::uint64_t first_page;
+  std::uint64_t pages;
+  std::uint64_t bytes() const { return pages * kMramPageSize; }
+  std::uint64_t base() const { return first_page * kMramPageSize; }
+};
+constexpr Window kLeafEdge{125, 6};
+constexpr Window kBankEnd{kMramPages - 4, 4};
+constexpr std::array<Window, 2> kWindows = {kLeafEdge, kBankEnd};
+
+struct OracleBank {
+  std::array<std::vector<std::uint8_t>, kWindows.size()> bytes;
+  std::set<std::uint64_t> materialized;  // pages since the last clear
+
+  OracleBank() { clear(); }
+  void clear() {
+    for (std::size_t w = 0; w < kWindows.size(); ++w) {
+      bytes[w].assign(kWindows[w].bytes(), 0);
+    }
+    materialized.clear();
+  }
+};
+
+struct Tracked {
+  MramBank bank;
+  OracleBank oracle;
+};
+
+// Each step is one u64 that seeds the step's own parameter draws, so
+// dropping steps while shrinking leaves the others' meaning unchanged.
+struct MramCase {
+  std::uint64_t shared_seed = 0;
+  std::vector<std::uint64_t> steps;
+};
+
+std::string show_case(const MramCase& c) {
+  std::string s = "shared_seed=" + std::to_string(c.shared_seed) + " steps=";
+  for (std::uint64_t v : c.steps) s += std::to_string(v) + ",";
+  return s;
+}
+
+Gen<MramCase> mram_case_gen() {
+  Gen<MramCase> gen;
+  gen.sample = [](Rng& rng) {
+    MramCase c;
+    c.shared_seed = rng.next_u64();
+    const int nr_steps = static_cast<int>(rng.uniform(5, 60));
+    for (int i = 0; i < nr_steps; ++i) c.steps.push_back(rng.next_u64());
+    return c;
+  };
+  gen.shrink = [](const MramCase& c) {
+    std::vector<MramCase> out;
+    if (c.steps.size() > 1) {
+      MramCase front = c;
+      front.steps.resize(c.steps.size() / 2);
+      out.push_back(std::move(front));
+      for (std::size_t i = 0; i < c.steps.size(); ++i) {
+        MramCase fewer = c;
+        fewer.steps.erase(fewer.steps.begin() +
+                          static_cast<std::ptrdiff_t>(i));
+        out.push_back(std::move(fewer));
+      }
+    }
+    return out;
+  };
+  return gen;
+}
+
+void check_tracked(const Tracked& t, const std::string& who) {
+  for (std::size_t w = 0; w < kWindows.size(); ++w) {
+    std::vector<std::uint8_t> got(kWindows[w].bytes(), 0xEE);
+    t.bank.read(kWindows[w].base(), got);
+    if (got == t.oracle.bytes[w]) continue;
+    std::size_t i = 0;
+    while (got[i] == t.oracle.bytes[w][i]) ++i;
+    require(false, who + " window " + std::to_string(w) + " byte " +
+                       std::to_string(i) + " reads " +
+                       std::to_string(got[i]) + ", oracle " +
+                       std::to_string(t.oracle.bytes[w][i]));
+  }
+  require(t.bank.resident_pages() == t.oracle.materialized.size(),
+          who + " resident_pages " +
+              std::to_string(t.bank.resident_pages()) + ", oracle " +
+              std::to_string(t.oracle.materialized.size()));
+}
+
+void mark_pages(OracleBank& o, std::uint64_t offset, std::uint64_t len) {
+  for (std::uint64_t p = offset / kMramPageSize;
+       p <= (offset + len - 1) / kMramPageSize; ++p) {
+    o.materialized.insert(p);
+  }
+}
+
+void run_case(const MramCase& c) {
+  // One shared page set with a zero-padded tail, adopted by many banks.
+  Rng shared_rng(c.shared_seed);
+  std::vector<std::uint8_t> shared_data(static_cast<std::size_t>(
+      shared_rng.uniform(1, kSharedMaxPages * kMramPageSize)));
+  shared_rng.fill_bytes(shared_data.data(), shared_data.size());
+  const std::vector<MramPageRef> shared = MramBank::build_pages(shared_data);
+  std::vector<std::uint8_t> shared_image(shared.size() * kMramPageSize, 0);
+  std::memcpy(shared_image.data(), shared_data.data(), shared_data.size());
+
+  std::vector<Tracked> banks(kBanks);
+  std::optional<Tracked> snapshot;
+
+  for (const std::uint64_t s : c.steps) {
+    Rng r(s);
+    const int op = static_cast<int>(r.uniform(0, 7));
+    const auto b = static_cast<std::size_t>(r.uniform(0, kBanks - 1));
+    const auto w = static_cast<std::size_t>(r.uniform(0, kWindows.size() - 1));
+    const Window& win = kWindows[w];
+    Tracked& t = banks[b];
+    switch (op) {
+      case 0:
+      case 1: {  // unaligned write, possibly across pages and leaves
+        const auto off = static_cast<std::uint64_t>(
+            r.uniform(0, static_cast<std::int64_t>(win.bytes()) - 1));
+        const auto len = static_cast<std::uint64_t>(r.uniform(
+            1, static_cast<std::int64_t>(
+                   std::min(win.bytes() - off, 2 * kMramPageSize + 7))));
+        std::vector<std::uint8_t> data(len);
+        r.fill_bytes(data.data(), data.size());
+        t.bank.write(win.base() + off, data);
+        std::memcpy(t.oracle.bytes[w].data() + off, data.data(), len);
+        mark_pages(t.oracle, win.base() + off, len);
+        break;
+      }
+      case 2: {  // unaligned read of an arbitrary sub-range
+        const auto off = static_cast<std::uint64_t>(
+            r.uniform(0, static_cast<std::int64_t>(win.bytes()) - 1));
+        const auto len = static_cast<std::uint64_t>(
+            r.uniform(1, static_cast<std::int64_t>(win.bytes() - off)));
+        std::vector<std::uint8_t> got(len, 0xEE);
+        t.bank.read(win.base() + off, got);
+        require(std::memcmp(got.data(), t.oracle.bytes[w].data() + off,
+                            len) == 0,
+                "sub-range read of bank " + std::to_string(b) +
+                    " disagrees with the oracle");
+        break;
+      }
+      case 3: {  // adopt the shared set at a page-aligned window offset
+        if (shared.size() > win.pages) break;
+        const auto page = static_cast<std::uint64_t>(r.uniform(
+            0, static_cast<std::int64_t>(win.pages - shared.size())));
+        t.bank.adopt_pages(win.base() + page * kMramPageSize, shared);
+        std::memcpy(t.oracle.bytes[w].data() + page * kMramPageSize,
+                    shared_image.data(), shared_image.size());
+        mark_pages(t.oracle, win.base() + page * kMramPageSize,
+                   shared_image.size());
+        break;
+      }
+      case 4:  // rank reset
+        t.bank.clear();
+        t.oracle.clear();
+        break;
+      case 5:  // save: copy-construct, as Rank::save_snapshot does
+        snapshot.emplace(Tracked{MramBank(t.bank), t.oracle});
+        break;
+      case 6:  // load: move-assign, as Rank::load_snapshot does
+        if (!snapshot) break;
+        t.bank = std::move(snapshot->bank);
+        t.oracle = snapshot->oracle;
+        snapshot.reset();
+        break;
+      case 7: {  // copy-assign from another bank
+        const auto src = static_cast<std::size_t>(r.uniform(0, kBanks - 1));
+        t.bank = banks[src].bank;
+        t.oracle = banks[src].oracle;
+        break;
+      }
+    }
+
+    for (std::size_t i = 0; i < banks.size(); ++i) {
+      check_tracked(banks[i], "bank " + std::to_string(i));
+    }
+    if (snapshot) check_tracked(*snapshot, "snapshot");
+    for (std::size_t p = 0; p < shared.size(); ++p) {
+      require(std::memcmp(shared[p]->bytes.data(),
+                          shared_image.data() + p * kMramPageSize,
+                          kMramPageSize) == 0,
+              "a write showed through shared page " + std::to_string(p));
+    }
+  }
+}
+
+TEST(PropMram, RandomOpsMatchDenseOracle) {
+  const Params params = Params::from_env(0x4D52, 200);
+  const auto out = run_property<MramCase>("mram.dense_oracle", params,
+                                          mram_case_gen(), run_case,
+                                          show_case);
+  ASSERT_TRUE(out.ok) << out.reproducer;
+}
+
+}  // namespace
+}  // namespace vpim::prop
