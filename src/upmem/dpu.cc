@@ -6,15 +6,15 @@ namespace vpim::upmem {
 
 void Dpu::load(const DpuKernel& kernel) {
   VPIM_CHECK(kernel.iram_bytes <= kIramSize, "binary does not fit in IRAM");
-  kernel_ = &kernel;
-  symbols_.clear();
-  std::uint32_t symbol_bytes = 0;
+  const std::uint32_t symbol_bytes = kernel.wram_symbol_bytes();
+  std::size_t block_bytes = 0;
   for (const SymbolDecl& decl : kernel.symbols) {
-    VPIM_CHECK(decl.size > 0, "zero-sized symbol: " + decl.name);
-    symbols_.emplace(decl.name, std::vector<std::uint8_t>(decl.size, 0));
-    symbol_bytes += decl.size;
+    block_bytes += wram_slot_bytes(decl.size);
   }
-  VPIM_CHECK(symbol_bytes <= kWramSize, "symbols exceed WRAM");
+  WramBlock block(block_bytes);
+  for (const SymbolDecl& decl : kernel.symbols) block.carve(decl.size);
+  kernel_ = &kernel;
+  symbols_ = std::move(block);
   wram_heap_size_ = kWramSize - symbol_bytes;
 }
 
@@ -38,15 +38,19 @@ SimNs Dpu::run(std::uint32_t nr_tasklets, const CostModel& cost) {
 }
 
 std::span<std::uint8_t> Dpu::symbol_bytes(std::string_view name) {
-  auto it = symbols_.find(name);
-  VPIM_CHECK(it != symbols_.end(), "unknown symbol: " + std::string(name));
-  return {it->second.data(), it->second.size()};
+  VPIM_CHECK(kernel_ != nullptr, "unknown symbol: " + std::string(name));
+  std::size_t offset = 0;
+  for (const SymbolDecl& decl : kernel_->symbols) {
+    if (decl.name == name) return symbols_.at(offset, decl.size);
+    offset += wram_slot_bytes(decl.size);
+  }
+  fail("unknown symbol: " + std::string(name));
 }
 
 void Dpu::reset() {
   mram_.clear();
   kernel_ = nullptr;
-  symbols_.clear();
+  symbols_ = {};
   wram_heap_size_ = kWramSize;
 }
 

@@ -3,17 +3,15 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <span>
-#include <string>
 #include <string_view>
-#include <vector>
 
 #include "common/cost_model.h"
 #include "common/units.h"
 #include "upmem/kernel.h"
 #include "upmem/layout.h"
 #include "upmem/mram.h"
+#include "upmem/wram_block.h"
 
 namespace vpim::upmem {
 
@@ -23,7 +21,8 @@ class Dpu {
   const MramBank& mram() const { return mram_; }
 
   // Loads a registered kernel ("binary") into IRAM and lays out its
-  // host-visible WRAM symbols.
+  // host-visible WRAM symbols. Validates first: a kernel that is rejected
+  // leaves the previous binary and its symbol values untouched.
   void load(const DpuKernel& kernel);
   bool loaded() const { return kernel_ != nullptr; }
   std::string_view loaded_kernel_name() const;
@@ -33,7 +32,9 @@ class Dpu {
   // model asynchrony by deferring visibility until the finish time.
   SimNs run(std::uint32_t nr_tasklets, const CostModel& cost);
 
-  // Host access to a WRAM symbol (control-interface path).
+  // Host access to a WRAM symbol (control-interface path). Symbols sit in
+  // one block in the loaded kernel's declaration order, so a lookup scans
+  // its 1-3 declarations instead of a per-DPU name map.
   std::span<std::uint8_t> symbol_bytes(std::string_view name);
 
   // WRAM left for the tasklet heap after symbol storage.
@@ -45,7 +46,7 @@ class Dpu {
  private:
   MramBank mram_;
   const DpuKernel* kernel_ = nullptr;
-  std::map<std::string, std::vector<std::uint8_t>, std::less<>> symbols_;
+  WramBlock symbols_;  // kernel_->symbols, carved in declaration order
   std::uint32_t wram_heap_size_ = kWramSize;
 };
 

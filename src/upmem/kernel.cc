@@ -11,42 +11,48 @@ namespace {
 // pays a roughly constant engine-programming cost per transfer on top of
 // the streaming time.
 constexpr std::uint64_t kDmaFixedCycles = 64;
+
+// The WRAM heap of every launch on this host thread. A stage carves at
+// most wram_heap_size() <= kWramSize raw bytes, and a non-empty slice
+// occupies at most (8 + kWramRedzone) times its size.
+thread_local WramBlock t_heap((8 + kWramRedzone) * kWramSize);
 }  // namespace
 
 DpuCtx::DpuCtx(Dpu& dpu, std::uint32_t nr_tasklets, const CostModel& cost)
-    : dpu_(dpu), nr_tasklets_(nr_tasklets), cost_(cost), instr_(nr_tasklets) {
+    : dpu_(dpu),
+      nr_tasklets_(nr_tasklets),
+      dma_cycles_per_byte_(cost.dpu_hz / (cost.mram_dma_gbps * 1e9)),
+      heap_(t_heap),
+      instr_(nr_tasklets) {
   VPIM_CHECK(nr_tasklets >= 1 && nr_tasklets <= kMaxTasklets,
              "tasklet count out of range");
 }
 
 std::span<std::uint8_t> DpuCtx::mem_alloc(std::uint32_t bytes) {
-  VPIM_CHECK(heap_used_ + bytes <= dpu_.wram_heap_size(),
+  VPIM_CHECK(bytes <= dpu_.wram_heap_size() - heap_used_,
              "WRAM heap exhausted");
   heap_used_ += bytes;
-  allocations_.emplace_back(bytes, 0);
-  return {allocations_.back().data(), allocations_.back().size()};
+  return heap_.carve(bytes);
 }
 
 void DpuCtx::mram_read(std::uint64_t mram_addr,
                        std::span<std::uint8_t> wram_buf) {
   VPIM_CHECK(wram_buf.size() <= kWramSize, "DMA larger than WRAM");
   dpu_.mram().read(mram_addr, wram_buf);
-  const double cycles_per_byte = cost_.dpu_hz / (cost_.mram_dma_gbps * 1e9);
-  instr_[tasklet_] +=
-      kDmaFixedCycles +
-      static_cast<std::uint64_t>(cycles_per_byte *
-                                 static_cast<double>(wram_buf.size()));
+  charge_dma(wram_buf.size());
 }
 
 void DpuCtx::mram_write(std::span<const std::uint8_t> wram_buf,
                         std::uint64_t mram_addr) {
   VPIM_CHECK(wram_buf.size() <= kWramSize, "DMA larger than WRAM");
   dpu_.mram().write(mram_addr, wram_buf);
-  const double cycles_per_byte = cost_.dpu_hz / (cost_.mram_dma_gbps * 1e9);
+  charge_dma(wram_buf.size());
+}
+
+void DpuCtx::charge_dma(std::size_t bytes) {
   instr_[tasklet_] +=
-      kDmaFixedCycles +
-      static_cast<std::uint64_t>(cycles_per_byte *
-                                 static_cast<double>(wram_buf.size()));
+      kDmaFixedCycles + static_cast<std::uint64_t>(
+                            dma_cycles_per_byte_ * static_cast<double>(bytes));
 }
 
 std::span<std::uint8_t> DpuCtx::symbol_bytes(std::string_view name) {
@@ -59,7 +65,7 @@ void DpuCtx::begin_stage() {
   // them as per-stage statics on real hardware. Cross-stage communication
   // goes through symbols or MRAM.
   heap_used_ = 0;
-  allocations_.clear();
+  heap_.reset();
 }
 
 std::uint64_t DpuCtx::stage_cycles() const {
@@ -81,10 +87,25 @@ KernelRegistry& KernelRegistry::instance() {
   return registry;
 }
 
+std::uint32_t DpuKernel::wram_symbol_bytes() const {
+  std::uint64_t total = 0;
+  for (std::size_t i = 0; i < symbols.size(); ++i) {
+    VPIM_CHECK(symbols[i].size > 0, "zero-sized symbol: " + symbols[i].name);
+    for (std::size_t j = 0; j < i; ++j) {
+      VPIM_CHECK(symbols[j].name != symbols[i].name,
+                 "duplicate symbol: " + symbols[i].name);
+    }
+    total += symbols[i].size;
+  }
+  VPIM_CHECK(total <= kWramSize, "symbols exceed WRAM");
+  return static_cast<std::uint32_t>(total);
+}
+
 void KernelRegistry::add(DpuKernel kernel) {
   VPIM_CHECK(!kernel.name.empty(), "kernel needs a name");
   VPIM_CHECK(kernel.iram_bytes <= kIramSize, "kernel does not fit in IRAM");
   VPIM_CHECK(!kernel.stages.empty(), "kernel needs at least one stage");
+  (void)kernel.wram_symbol_bytes();  // throws on a bad symbol table
   kernels_.insert_or_assign(kernel.name, std::move(kernel));
 }
 

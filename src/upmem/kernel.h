@@ -24,6 +24,7 @@
 #include "common/cost_model.h"
 #include "common/error.h"
 #include "upmem/layout.h"
+#include "upmem/wram_block.h"
 
 namespace vpim::upmem {
 
@@ -52,7 +53,10 @@ class DpuCtx {
   std::uint32_t nr_tasklets() const { return nr_tasklets_; }
 
   // Bump allocation from the shared 64 KiB WRAM heap (mem_alloc in the
-  // SDK). Reset between launches. Throws if WRAM is exhausted.
+  // SDK): zero-filled, 8-byte aligned, released at every stage barrier.
+  // Throws once the stage's raw bytes exceed Dpu::wram_heap_size(). Slices
+  // are carved from one host buffer per host thread, reused across
+  // launches (see wram_block.h for the layout and ASan redzones).
   std::span<std::uint8_t> mem_alloc(std::uint32_t bytes);
 
   // MRAM <-> WRAM DMA; charges DMA cycles to the calling tasklet.
@@ -84,13 +88,15 @@ class DpuCtx {
   std::uint64_t stage_cycles() const;
 
  private:
+  void charge_dma(std::size_t bytes);
+
   Dpu& dpu_;
   std::uint32_t nr_tasklets_;
-  const CostModel& cost_;
+  const double dma_cycles_per_byte_;
   std::uint32_t tasklet_ = 0;
-  std::uint32_t heap_used_ = 0;
+  std::uint32_t heap_used_ = 0;  // raw bytes mem_alloc'd this stage
+  WramBlock& heap_;              // this host thread's heap buffer
   std::vector<std::uint64_t> instr_;  // per-tasklet issued instructions
-  std::vector<std::vector<std::uint8_t>> allocations_;
 };
 
 using StageFn = std::function<void(DpuCtx&)>;
@@ -100,6 +106,10 @@ struct DpuKernel {
   std::vector<SymbolDecl> symbols;   // WRAM symbols
   std::vector<StageFn> stages;       // implicit barrier between stages
   std::uint32_t iram_bytes = 4096;   // modeled binary size (must fit IRAM)
+
+  // Total WRAM the symbols declare. Throws on a zero-sized or duplicate
+  // symbol, or a total beyond kWramSize.
+  std::uint32_t wram_symbol_bytes() const;
 };
 
 // Global registry standing in for on-disk DPU binaries: dpu_load() resolves

@@ -72,13 +72,27 @@ Frontend::Frontend(vmm::Vmm& vmm, Backend& backend,
 
 void Frontend::alloc_arena(WireArena& arena, guest::GuestMemory& mem) {
   constexpr std::uint32_t kDpus = upmem::kDpuSlotsPerRank;
-  arena.request = mem.alloc(sizeof(WireRequest));
-  arena.matrix_meta = mem.alloc(sizeof(WireMatrixMeta));
-  arena.entry_meta = mem.alloc(kDpus * sizeof(WireEntryMeta));
-  arena.page_lists = mem.alloc(static_cast<std::uint64_t>(kDpus) *
-                               upmem::kMramPages * 8);
+  constexpr std::uint64_t kPageListBytes =
+      static_cast<std::uint64_t>(kDpus) * upmem::kMramPages * 8;
+  // The control blocks every request writes (64-byte aligned, about
+  // 2.9 KiB) share the first guest page with the start of the page-list
+  // area right behind them, so a small request first-touches one page.
+  const std::span<std::uint8_t> block =
+      mem.alloc(guest::kGuestPageSize + kPageListBytes);
+  std::uint64_t off = 0;
+  auto carve = [&](std::uint64_t bytes) {
+    const std::span<std::uint8_t> out = block.subspan(off, bytes);
+    off = (off + bytes + 63) / 64 * 64;
+    return out;
+  };
+  arena.request = carve(sizeof(WireRequest));
+  arena.matrix_meta = carve(sizeof(WireMatrixMeta));
+  arena.response = carve(sizeof(WireResponse));
+  arena.entry_meta = carve(kDpus * sizeof(WireEntryMeta));
+  VPIM_CHECK(off <= guest::kGuestPageSize, "control blocks exceed a page");
+  arena.page_lists = carve(kPageListBytes);
+  // Only CI ops touch the payload, so it keeps its own pages.
   arena.payload = mem.alloc(kCiPayloadBytes);
-  arena.response = mem.alloc(sizeof(WireResponse));
 }
 
 void Frontend::ensure_arenas() {
@@ -87,7 +101,7 @@ void Frontend::ensure_arenas() {
   constexpr std::uint32_t kDpus = upmem::kDpuSlotsPerRank;
 
   slots_.resize(depth_);
-  alloc_arena(slots_[0].arena, mem);
+  for (SqSlot& slot : slots_) alloc_arena(slot.arena, mem);
 
   caches_.resize(kDpus);
   batches_.resize(kDpus);
@@ -95,12 +109,6 @@ void Frontend::ensure_arenas() {
   for (std::uint32_t d = 0; d < kDpus; ++d) {
     if (config_.prefetch_cache) caches_[d].buf = mem.alloc(cache_bytes());
     if (config_.request_batching) batches_[d].buf = mem.alloc(batch_bytes());
-  }
-  // Extra submission slots allocate after the classic regions, so the
-  // depth-1 guest GPA layout — and with it every serialized page list —
-  // stays byte-identical to the pre-SQ/CQ device.
-  for (std::uint32_t i = 1; i < depth_; ++i) {
-    alloc_arena(slots_[i].arena, mem);
   }
   arenas_ready_ = true;
 }

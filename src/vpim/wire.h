@@ -105,7 +105,8 @@ struct WireEntryMeta {
 
 // Guest-kernel staging areas the frontend serializes into. Allocated once
 // per device at initialization; their size is the frontend's per-DPU
-// memory overhead (§4.1).
+// memory overhead (§4.1). The four control blocks share one guest page,
+// with the page lists behind it (Frontend::alloc_arena).
 struct WireArena {
   std::span<std::uint8_t> request;      // sizeof(WireRequest)
   std::span<std::uint8_t> matrix_meta;  // sizeof(WireMatrixMeta)

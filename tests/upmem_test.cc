@@ -4,6 +4,7 @@
 
 #include "common/rng.h"
 #include "tests/testutil.h"
+#include "upmem/dpu.h"
 #include "upmem/interleave.h"
 #include "upmem/kernel.h"
 #include "upmem/mram.h"
@@ -249,6 +250,157 @@ TEST(DpuKernel, WramHeapExhaustionThrows) {
   rank.ci_load("test_hog");
   EXPECT_THROW(rank.ci_launch(0b1, 1), VpimError);
 }
+
+TEST(DpuKernel, RegistryRejectsBadSymbols) {
+  DpuKernel zero = make_sum_kernel();
+  zero.name = "zero_symbol";
+  zero.symbols.push_back({"empty", 0});
+  EXPECT_THROW(KernelRegistry::instance().add(zero), VpimError);
+
+  DpuKernel dup = make_sum_kernel();
+  dup.name = "dup_symbol";
+  dup.symbols.push_back({"result", 8});
+  EXPECT_THROW(KernelRegistry::instance().add(dup), VpimError);
+
+  DpuKernel fat = make_sum_kernel();
+  fat.name = "fat_symbols";
+  fat.symbols.push_back({"table", static_cast<std::uint32_t>(kWramSize)});
+  EXPECT_THROW(KernelRegistry::instance().add(fat), VpimError);
+  EXPECT_FALSE(KernelRegistry::instance().contains("fat_symbols"));
+}
+
+TEST(DpuKernel, FailedLoadKeepsThePreviousBinary) {
+  const DpuKernel sum = make_sum_kernel();
+  Dpu dpu;
+  dpu.load(sum);
+  dpu.symbol_bytes("n_words")[0] = 42;
+  const std::uint32_t heap = dpu.wram_heap_size();
+
+  DpuKernel fat = make_sum_kernel();
+  fat.name = "fat_symbols";
+  fat.symbols.push_back({"table", static_cast<std::uint32_t>(kWramSize)});
+  EXPECT_THROW(dpu.load(fat), VpimError);
+  EXPECT_EQ(dpu.loaded_kernel_name(), "test_sum");
+  EXPECT_EQ(dpu.symbol_bytes("n_words")[0], 42);
+  EXPECT_EQ(dpu.wram_heap_size(), heap);
+  EXPECT_THROW(dpu.symbol_bytes("table"), VpimError);
+}
+
+// Runs a kernel with test_sum's symbols and the given stages on a lone
+// DPU, on the calling thread, so consecutive launches share one WRAM heap
+// buffer.
+SimNs run_on(Dpu& dpu, std::vector<StageFn> stages,
+             std::uint32_t tasklets = 1) {
+  static DpuKernel kernel;
+  kernel = make_sum_kernel();
+  kernel.name = "test_wram";
+  kernel.stages = std::move(stages);
+  dpu.load(kernel);
+  return dpu.run(tasklets, CostModel{});
+}
+
+TEST(DpuKernel, MemAllocSlicesAreZeroedAlignedDisjointPerStage) {
+  Dpu dpu;
+  std::vector<std::span<std::uint8_t>> seen;
+  auto dirty = [&](DpuCtx& ctx) {
+    for (std::uint32_t n : {1u, 3u, 8u, 13u, 64u}) {
+      auto s = ctx.mem_alloc(n);
+      std::fill(s.begin(), s.end(), 0xFF);
+      seen.push_back(s);
+    }
+  };
+  std::vector<std::span<std::uint8_t>> first_stage;
+  run_on(dpu, {dirty, [&](DpuCtx& ctx) {
+                 first_stage = seen;
+                 seen.clear();
+                 dirty(ctx);
+               }});
+  // The barrier released the first stage's slices: the second stage got
+  // the same addresses back.
+  ASSERT_EQ(first_stage.size(), seen.size());
+  for (std::size_t i = 0; i < seen.size(); ++i) {
+    EXPECT_EQ(first_stage[i].data(), seen[i].data()) << i;
+  }
+  for (std::size_t i = 0; i < seen.size(); ++i) {
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(seen[i].data()) % 8, 0u) << i;
+    for (std::size_t j = 0; j < i; ++j) {
+      EXPECT_TRUE(seen[j].data() + seen[j].size() <= seen[i].data() ||
+                  seen[i].data() + seen[i].size() <= seen[j].data())
+          << i << " overlaps " << j;
+    }
+  }
+
+  // A later launch reuses the dirtied buffer and still sees zeros.
+  bool zeroed = true;
+  run_on(dpu, {[&](DpuCtx& ctx) {
+    for (std::uint32_t n : {1u, 3u, 8u, 13u, 64u}) {
+      for (std::uint8_t b : ctx.mem_alloc(n)) zeroed &= b == 0;
+    }
+  }});
+  EXPECT_TRUE(zeroed);
+}
+
+TEST(DpuKernel, WramHeapExhaustsAtExactlyOnePastItsSize) {
+  Dpu dpu;
+  bool last_fit = false;
+  bool overflow_threw = false;
+  run_on(dpu, {[&](DpuCtx& ctx) {
+    const std::uint32_t heap = dpu.wram_heap_size();
+    EXPECT_EQ(heap, kWramSize - 12);  // test_sum declares 8 + 4 bytes
+    ctx.mem_alloc(heap - 1);
+    last_fit = ctx.mem_alloc(1).size() == 1;
+    try {
+      ctx.mem_alloc(1);
+    } catch (const VpimError&) {
+      overflow_threw = true;
+    }
+  }});
+  EXPECT_TRUE(last_fit);
+  EXPECT_TRUE(overflow_threw);
+}
+
+TEST(DpuKernel, SymbolsHaveTheirDeclaredSizes) {
+  Dpu dpu;
+  const DpuKernel kernel = make_sum_kernel();
+  dpu.load(kernel);
+  for (const SymbolDecl& decl : kernel.symbols) {
+    auto bytes = dpu.symbol_bytes(decl.name);
+    EXPECT_EQ(bytes.size(), decl.size) << decl.name;
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(bytes.data()) % 8, 0u);
+    for (std::uint8_t b : bytes) EXPECT_EQ(b, 0);
+  }
+  EXPECT_THROW(dpu.symbol_bytes("no_such_symbol"), VpimError);
+  dpu.reset();
+  EXPECT_THROW(dpu.symbol_bytes("result"), VpimError);
+}
+
+#if defined(__SANITIZE_ADDRESS__)
+// Slices and symbols share host blocks, so these pin that ASan still sees
+// an overrun of each one, as it did when every object had its own heap
+// allocation.
+TEST(DpuKernelDeathTest, AsanReportsMemAllocOverrun) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Dpu dpu;
+  EXPECT_DEATH(run_on(dpu, {[](DpuCtx& ctx) {
+                 volatile std::uint8_t* p = ctx.mem_alloc(12).data();
+                 p[12] = 1;
+               }}),
+               "AddressSanitizer");
+}
+
+TEST(DpuKernelDeathTest, AsanReportsSymbolOverrun) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  Dpu dpu;
+  const DpuKernel kernel = make_sum_kernel();
+  dpu.load(kernel);
+  EXPECT_DEATH(
+      {
+        volatile std::uint8_t* p = dpu.symbol_bytes("result").data();
+        p[8] = 1;
+      },
+      "AddressSanitizer");
+}
+#endif
 
 // ------------------------------------------------------------------ rank
 

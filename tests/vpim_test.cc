@@ -338,6 +338,23 @@ TEST(VpimVm, MemoryOverheadIsBounded) {
   EXPECT_LT(per_dpu, 1.37 * 1024 * 1024);
 }
 
+// Each submission slot is one control page (request, matrix meta, response
+// and entry meta) with its page-list area behind it, plus the CI payload.
+TEST(VpimVm, EachSqSlotAddsOneControlPagePageListsAndPayload) {
+  auto guest_bytes_after_open = [](std::uint32_t depth) {
+    VpimConfig cfg = VpimConfig::full();
+    cfg.queue_depth = depth;
+    VmRig rig(1, cfg);
+    const std::uint64_t before = rig.vm.vmm().memory().allocated_bytes();
+    EXPECT_TRUE(rig.vm.device(0).frontend.open());
+    return rig.vm.vmm().memory().allocated_bytes() - before;
+  };
+  const std::uint64_t page_lists =
+      std::uint64_t{upmem::kDpuSlotsPerRank} * upmem::kMramPages * 8;
+  EXPECT_EQ(guest_bytes_after_open(2) - guest_bytes_after_open(1),
+            guest::kGuestPageSize + page_lists + 8 * kKiB);
+}
+
 TEST(VpimVm, RustConfigSlowerThanC) {
   auto run = [&](VpimConfig cfg) {
     VmRig rig(1, cfg);
