@@ -44,16 +44,25 @@ void real_transform_roundtrip(std::span<const std::uint8_t> data, bool naive,
 
 // ---------------------------------------------------------------- backlog
 
-void CopyBacklog::add(upmem::Rank& rank, const XferEntry& entry,
-                      XferDirection dir, const DataPath& path) {
-  std::int32_t& g = slot_[entry.dpu];
-  if (g < 0) {
-    g = static_cast<std::int32_t>(groups_.size());
-    groups_.emplace_back();
+void CopyBacklog::add(upmem::Rank& rank, const TransferMatrix& matrix,
+                      const DataPath& path) {
+  for (const XferEntry& e : matrix.entries) {
+    if (e.size == 0) continue;
+    VPIM_CHECK(e.host != nullptr, "transfer entry without a host buffer");
+    rank.mram(e.dpu);  // throws for a dead rank, bad index or running DPU
   }
-  groups_[static_cast<std::size_t>(g)].push_back(
-      {&rank, entry.dpu, entry.mram_offset, entry.host, entry.size,
-       dir == XferDirection::kToRank, path.real_transform, path.naive});
+  const bool to_rank = matrix.direction == XferDirection::kToRank;
+  for (const XferEntry& e : matrix.entries) {
+    if (e.size == 0) continue;
+    std::int32_t& g = slot_[e.dpu];
+    if (g < 0) {
+      g = static_cast<std::int32_t>(groups_.size());
+      groups_.emplace_back();
+    }
+    groups_[static_cast<std::size_t>(g)].push_back(
+        {&rank.mram(e.dpu), e.mram_offset, e.host, e.size, to_rank,
+         path.real_transform, path.naive});
+  }
 }
 
 void CopyBacklog::flush() {
@@ -69,9 +78,9 @@ void CopyBacklog::flush() {
         if (t.real_transform) {
           real_transform_roundtrip({t.host, t.size}, t.naive, scratch);
         }
-        t.rank->mram(t.dpu).write(t.mram_offset, {t.host, t.size});
+        t.bank->write(t.mram_offset, {t.host, t.size});
       } else {
-        t.rank->mram(t.dpu).read(t.mram_offset, {t.host, t.size});
+        t.bank->read(t.mram_offset, {t.host, t.size});
         if (t.real_transform) {
           real_transform_roundtrip({t.host, t.size}, t.naive, scratch);
         }
@@ -85,14 +94,7 @@ void CopyBacklog::flush() {
 void copy_banks(upmem::Rank& rank, const TransferMatrix& matrix,
                 const DataPath& path, CopyBacklog* defer) {
   CopyBacklog now;
-  CopyBacklog& sink = defer != nullptr ? *defer : now;
-  for (const XferEntry& e : matrix.entries) {
-    if (e.size == 0) continue;
-    VPIM_CHECK(e.host != nullptr, "transfer entry without a host buffer");
-    VPIM_CHECK(e.dpu < upmem::kDpuSlotsPerRank,
-               "transfer entry targets an invalid DPU slot");
-    sink.add(rank, e, matrix.direction, path);
-  }
+  (defer != nullptr ? *defer : now).add(rank, matrix, path);
   now.flush();
 }
 

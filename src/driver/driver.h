@@ -46,13 +46,16 @@ struct DataPath {
 
 class UpmemDriver;
 
-// Deferred copy sink for the pipelined request path (ISSUE 7). A mapping
-// normally executes a transfer's host<->MRAM copies inside the call; when
-// the backend drains a whole submission batch it instead parks each
-// request's copies here and replays them all in ONE parallel_for, so the
-// wall-clock cost of thread fan-out is paid once per batch rather than
-// once per request. Virtual time is unaffected: transfer() charges its
-// streaming cost before deferring, and the replay is cost-free.
+// Deferred copy sink for the pipelined request path. A backend drain parks
+// every request's host<->MRAM copies here and replays them all in ONE
+// parallel_for, so thread fan-out is paid once per drain, not per request.
+// Virtual time is unaffected: callers charge their cost before adding.
+//
+// add() checks every target bank through Rank::mram (rank alive, DPU
+// index, DPU not running) before it parks any copy, so the issuing request
+// sees the error, a rejected matrix parks nothing, and the replay only
+// moves bytes. A parked bank pointer lives until its rank's binding
+// changes; the owner flushes before that.
 //
 // Tasks are stored by value (never as XferEntry pointers — the backend
 // reuses its deserialization scratch across requests in a batch), grouped
@@ -64,7 +67,7 @@ class CopyBacklog {
  public:
   CopyBacklog() { slot_.fill(-1); }
 
-  void add(upmem::Rank& rank, const XferEntry& entry, XferDirection dir,
+  void add(upmem::Rank& rank, const TransferMatrix& matrix,
            const DataPath& path);
   bool empty() const { return groups_.empty(); }
   // Replays every parked copy (one parallel_for over DPU groups, per-group
@@ -73,8 +76,7 @@ class CopyBacklog {
 
  private:
   struct Task {
-    upmem::Rank* rank;
-    std::uint32_t dpu;
+    upmem::MramBank* bank;
     std::uint64_t mram_offset;
     std::uint8_t* host;
     std::uint64_t size;

@@ -102,15 +102,19 @@ double Backend::batch_gbps() const {
                                : vmm_.cost().interleave_naive_gbps;
 }
 
-driver::CopyBacklog* Backend::defer_sink() {
-  if (!mapping_.has_value()) return nullptr;
-  if (drv_.machine().fault_plan() != nullptr) return nullptr;
-  return &backlog_;
+void Backend::unbind() {
+  backlog_.flush();
+  mapping_.reset();
+  emulated_.reset();
+}
+
+std::uint32_t Backend::response_rank() const {
+  return mapping_.has_value() ? mapping_->rank_index() : 0xFFFFFFFFu;
 }
 
 void Backend::data_transfer(const driver::TransferMatrix& matrix) {
   if (mapping_.has_value()) {
-    mapping_->transfer(matrix, defer_sink());
+    mapping_->transfer(matrix, &backlog_);
     return;
   }
   // Emulated rank: plain host-memory copies, no interleave transform.
@@ -121,7 +125,8 @@ void Backend::data_transfer(const driver::TransferMatrix& matrix) {
   vmm_.clock().advance(cost.native_xfer_fixed_ns +
                        CostModel::bytes_time(bytes,
                                              cost.emulated_copy_gbps));
-  driver::copy_banks(emulated_->rank, matrix, driver::DataPath{});
+  driver::copy_banks(emulated_->rank, matrix, driver::DataPath{},
+                     &backlog_);
 }
 
 void Backend::data_broadcast(std::uint64_t mram_offset,
@@ -219,6 +224,7 @@ bool Backend::recover_rank_death() {
 }
 
 void Backend::move_state(driver::RankMapping to, double gbps) {
+  backlog_.flush();  // the moved state holds every acknowledged copy
   to.set_data_path(data_path());
   upmem::Rank& src = bound_rank();
   // The host streams every bank out of the old binding and into the new
@@ -469,8 +475,7 @@ void Backend::handle_rank_op(const virtio::DescChain& chain,
   data_span.close();
 
   WireResponse resp;
-  resp.rank_index =
-      mapping_.has_value() ? mapping_->rank_index() : 0xFFFFFFFFu;
+  resp.rank_index = response_rank();
   resp.value = matrix.total_bytes;
   write_response(chain, resp);
   transferq_.push_used(chain.head, sizeof(WireResponse));
@@ -652,8 +657,7 @@ void Backend::handle_ci(const virtio::DescChain& chain,
     }
   });
   // After recovery: a migrated device reports its replacement rank.
-  resp.rank_index =
-      mapping_.has_value() ? mapping_->rank_index() : 0xFFFFFFFFu;
+  resp.rank_index = response_rank();
   write_response(chain, resp);
   transferq_.push_used(chain.head, sizeof(WireResponse));
 }
@@ -661,8 +665,7 @@ void Backend::handle_ci(const virtio::DescChain& chain,
 void Backend::handle_config(const virtio::DescChain& chain) {
   WireResponse resp;
   if (bound()) {
-    resp.rank_index =
-        mapping_.has_value() ? mapping_->rank_index() : 0xFFFFFFFFu;
+    resp.rank_index = response_rank();
     resp.config = config_space();
   } else {
     resp.status = static_cast<std::int32_t>(virtio::PimStatus::kUnbound);
@@ -681,8 +684,7 @@ void Backend::handle_control(const virtio::DescChain& chain,
         resp.status = static_cast<std::int32_t>(PimStatus::kNoCapacity);
         break;
       }
-      resp.rank_index =
-          mapping_.has_value() ? mapping_->rank_index() : 0xFFFFFFFFu;
+      resp.rank_index = response_rank();
       resp.value = emulated() ? 1 : 0;
       resp.config = config_space();
       break;
@@ -736,8 +738,7 @@ void Backend::handle_control(const virtio::DescChain& chain,
       vmm_.clock().advance(
           CostModel::bytes_time(bytes, vmm_.cost().interleave_wide_gbps));
       suspended_.reset();
-      resp.rank_index =
-          mapping_.has_value() ? mapping_->rank_index() : 0xFFFFFFFFu;
+      resp.rank_index = response_rank();
       resp.value = emulated() ? 1 : 0;
       resp.config = config_space();
       break;

@@ -124,21 +124,16 @@ class Backend {
   // Binds via the manager; falls back to emulation when allowed. Returns
   // false if neither succeeded.
   bool try_bind();
-  void unbind() {
-    mapping_.reset();
-    emulated_.reset();
-  }
+  // Drops the binding after landing the parked copies, which point into
+  // its banks.
+  void unbind();
+  // Rank index for a response: the physical rank, else ~0.
+  std::uint32_t response_rank() const;
   // Data movement over the active binding (cost + storage).
   void data_transfer(const driver::TransferMatrix& matrix);
   void data_broadcast(std::uint64_t mram_offset,
                       std::span<const std::uint8_t> data);
   double batch_gbps() const;
-  // Deferred-copy sink for the pipelined transferq drain (ISSUE 7):
-  // non-null only on the physical-mapping path with no fault plan
-  // installed (fault injection needs copies to fire inside the faulting
-  // request so retries see an unchanged bank). The backlog is replayed
-  // before any non-deferred bank access and at the end of every drain.
-  driver::CopyBacklog* defer_sink();
 
   // --- fault recovery (ISSUE 3) -----------------------------------------
   // Runs `op`, absorbing injected faults: transient faults retry with
@@ -183,6 +178,8 @@ class Backend {
   DeserializeScratch deser_scratch_;
   driver::TransferMatrix xfer_scratch_;
   virtio::DescChain chain_scratch_;
+  // Every transfer's copies, on either binding. Replayed at the end of a
+  // drain and before any bank access or binding change that bypasses it.
   driver::CopyBacklog backlog_;
   // Parked state between kSuspendRank and kResumeRank (§7 pause/resume).
   std::optional<upmem::Rank::Snapshot> suspended_;

@@ -34,8 +34,8 @@ struct VpimConfig {
   // ISSUE 7: submission/completion queue depth — how many WireRequests the
   // frontend keeps in flight before ringing the doorbell (each slot owns a
   // full wire arena, so guest RAM pays ~8 MiB per extra slot). Depth 1 is
-  // the classic blocking path and is bit-identical to the pre-SQ/CQ device
-  // in every observable (stats, spans, metrics, virtual time, GPA layout).
+  // the classic blocking path: its stats, spans, metrics and virtual time
+  // are bit-identical to the pre-SQ/CQ device. Its guest GPA layout is not.
   std::uint32_t queue_depth = 1;
 
   // Sizing of the §4.1 frontend buffers (defaults from the prototype).

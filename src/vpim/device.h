@@ -42,10 +42,7 @@ struct VupmemDevice {
   void collect(obs::Collection& out, const std::string& tag) const {
     const obs::Labels dev = {{"device", tag}};
     out.counter("vpim_device_notifies_total", dev, stats.notifies);
-    out.counter("vpim_device_irqs_total", dev, stats.irqs);
     out.counter("vpim_device_doorbells_total", dev, stats.doorbells);
-    out.counter("vpim_device_completion_irqs_total", dev,
-                stats.completion_irqs);
     out.counter("vpim_device_coalesced_notifies_total", dev,
                 stats.coalesced_notifies);
     out.counter("vpim_device_cache_hits_total", dev, stats.cache_hits);

@@ -14,7 +14,6 @@ struct DeviceStats {
   StepBreakdown wsteps;  // write-to-rank step breakdown (Fig 13)
 
   std::uint64_t notifies = 0;       // guest->VMM transitions (VMEXITs)
-  std::uint64_t irqs = 0;           // VMM->guest completions
   std::uint64_t cache_hits = 0;     // prefetch cache
   std::uint64_t cache_misses = 0;
   std::uint64_t cache_fills = 0;    // backend fill messages
@@ -23,12 +22,11 @@ struct DeviceStats {
   std::uint64_t emulated_binds = 0; // oversubscribed (emulated) bindings
   std::uint64_t request_errors = 0; // requests completed with a non-OK status
 
-  // SQ/CQ pipelining (ISSUE 7). A doorbell is one guest->device kick
-  // covering every request staged since the last one; coalesced_notifies
-  // counts the notifies that staging saved (batch size - 1 per kick), so
-  // notifies == doorbells always and doorbells == requests only at depth 1.
-  std::uint64_t doorbells = 0;          // kicks actually rung
-  std::uint64_t completion_irqs = 0;    // one per drained batch
+  // SQ/CQ pipelining. A doorbell is one guest->device kick covering every
+  // request staged since the last one, answered by one completion IRQ;
+  // coalesced_notifies counts the notifies that staging saved (batch size
+  // - 1 per kick). notifies == doorbells; doorbells == requests at depth 1.
+  std::uint64_t doorbells = 0;          // kicks rung == completion IRQs
   std::uint64_t coalesced_notifies = 0; // notifies avoided by batching
 
   // Fault handling (ISSUE 3).

@@ -64,8 +64,6 @@ Frontend::Frontend(vmm::Vmm& vmm, Backend& backend,
   config_.queue_depth = depth_;  // expose the clamped depth via config()
   inflight_hist_ =
       &obs_.metrics.histogram("vpim_inflight_depth", {{"device", tag_}});
-  doorbells_metric_ =
-      &obs_.metrics.counter("vpim_doorbells_total", {{"device", tag_}});
   requests_metric_ =
       &obs_.metrics.counter("vpim_requests_total", {{"device", tag_}});
 }
@@ -535,7 +533,6 @@ std::size_t Frontend::doorbell(virtio::Virtqueue& queue,
   const CostModel& cost = vmm_.cost();
   ++stats_.doorbells;
   stats_.coalesced_notifies += expected - 1;
-  doorbells_metric_->inc();
 
   // One span for the whole transport round trip: notify transition,
   // backend drain (which nests its own spans), completion IRQ, and any
@@ -559,8 +556,6 @@ std::size_t Frontend::doorbell(virtio::Virtqueue& queue,
   Backend& backend = backend_;
   loop.dispatch([&] { (backend.*handler)(); });
   clock.advance(complete_cost);
-  ++stats_.irqs;
-  ++stats_.completion_irqs;
   bool any_write = false;
   for (std::uint32_t idx : staged_) any_write |= slots_[idx].is_write;
   if (any_write) {

@@ -20,8 +20,9 @@
 // drains the whole batch behind a single completion interrupt. The
 // blocking device-file API is submit()+wait() at any depth; the async API
 // (submit_write/submit_read/poll_completions) exposes the pipeline. At
-// depth 1 every observable — stats, spans, metrics, virtual time, guest
-// GPA layout — is bit-identical to the classic synchronous device.
+// depth 1 the stats, spans, metrics and virtual time are bit-identical to
+// the classic synchronous device; the guest GPA layout is not, because the
+// wire arenas pack their control blocks into shared guest pages.
 //
 // Error semantics: every request completes with a WireResponse status
 // (virtio::PimStatus). Capacity failures (bind/migrate/resume) surface as
@@ -336,7 +337,6 @@ class Frontend {
   std::vector<Completion> cq_out_;  // last poll_completions result
   std::vector<LostWrite> lost_writes_;  // ISSUE 8: failed-flush records
   obs::Histogram* inflight_hist_ = nullptr;
-  obs::Counter* doorbells_metric_ = nullptr;
   obs::Counter* requests_metric_ = nullptr;
 };
 

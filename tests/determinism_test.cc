@@ -292,7 +292,6 @@ std::string stats_text(const core::DeviceStats& s) {
   for (const SimNs t : s.wsteps.step_time) out << t << ' ';
   const std::uint64_t counters[] = {
       s.notifies,
-      s.irqs,
       s.cache_hits,
       s.cache_misses,
       s.cache_fills,
@@ -301,7 +300,6 @@ std::string stats_text(const core::DeviceStats& s) {
       s.emulated_binds,
       s.request_errors,
       s.doorbells,
-      s.completion_irqs,
       s.coalesced_notifies,
       s.fault_retries,
       s.fault_migrations,
@@ -523,8 +521,8 @@ TEST_F(DeterminismTest, GoldenDevicePathCapture) {
     const GoldenCapture got = run_device_session(t);
     EXPECT_TRUE(got.correct) << "threads=" << t;
     EXPECT_EQ(got.span_digest, 0x790fafd13bdde8a7ULL) << "threads=" << t;
-    EXPECT_EQ(got.metrics, 0xb97113e2f32d8b91ULL) << "threads=" << t;
-    EXPECT_EQ(got.stats, 0x9c44904d03843fc4ULL) << "threads=" << t;
+    EXPECT_EQ(got.metrics, 0x82d3fca84d8cf848ULL) << "threads=" << t;
+    EXPECT_EQ(got.stats, 0xf631b6c3fa8dc3ceULL) << "threads=" << t;
     EXPECT_EQ(got.clock_end, SimNs{2572780666}) << "threads=" << t;
   }
 }

@@ -5,7 +5,8 @@
 // the full stats/virtual-time fingerprint are bit-identical — at every
 // queue depth and VPIM_THREADS setting. Under a seeded FaultPlan every
 // submitted ticket is still reaped exactly once with a typed PimStatus;
-// the pipeline may degrade but never loses or duplicates a completion.
+// the pipeline may degrade but never loses or duplicates a completion,
+// and a depth-8 queue reads and keeps exactly the bytes a depth-1 one does.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -13,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "common/error.h"
 #include "common/fault.h"
 #include "common/proptest/proptest.h"
 #include "common/rng.h"
@@ -149,7 +151,6 @@ struct RunResult {
   std::uint64_t notifies = 0;
   std::uint64_t doorbells = 0;
   std::uint64_t coalesced_notifies = 0;
-  std::uint64_t completion_irqs = 0;
 };
 
 struct Rig {
@@ -190,7 +191,6 @@ struct Rig {
     out.notifies = stats.notifies;
     out.doorbells = stats.doorbells;
     out.coalesced_notifies = stats.coalesced_notifies;
-    out.completion_irqs = stats.completion_irqs;
   }
 
   core::Host host;
@@ -311,10 +311,8 @@ TEST(PropPipeline, AsyncPathMatchesBlockingPathAtEveryDepth) {
                     "virtual time diverged at depth 1");
             require(sync.notifies == async.notifies &&
                         sync.doorbells == async.doorbells &&
-                        sync.coalesced_notifies ==
-                            async.coalesced_notifies &&
-                        sync.completion_irqs == async.completion_irqs,
-                    "doorbell/IRQ stats diverged at depth 1");
+                        sync.coalesced_notifies == async.coalesced_notifies,
+                    "doorbell/notify stats diverged at depth 1");
           } else {
             // Deeper queues must save messages, never add them.
             require(async.doorbells <= sync.doorbells,
@@ -352,9 +350,8 @@ TEST_F(PropPipelineThreads, DeepQueueIsThreadCountInvariant) {
                 "virtual time depends on VPIM_THREADS");
         require(base.notifies == wide.notifies &&
                     base.doorbells == wide.doorbells &&
-                    base.coalesced_notifies == wide.coalesced_notifies &&
-                    base.completion_irqs == wide.completion_irqs,
-                "doorbell/IRQ stats depend on VPIM_THREADS");
+                    base.coalesced_notifies == wide.coalesced_notifies,
+                "doorbell/notify stats depend on VPIM_THREADS");
       },
       show_case);
   EXPECT_TRUE(out.ok) << out.reproducer;
@@ -409,10 +406,20 @@ bool typed_status(std::int32_t status) {
   }
 }
 
-// One async execution under the generated fault schedule; returns the
-// per-ticket statuses (submission order) plus the virtual end time.
-std::pair<std::vector<std::int32_t>, SimNs> run_async_with_faults(
-    const FaultSeqCase& c, std::uint32_t depth = 8) {
+// Everything observable about one async execution under a fault schedule.
+struct FaultRunResult {
+  std::vector<std::int32_t> statuses;            // per ticket, in order
+  std::vector<std::vector<std::uint8_t>> reads;  // per read op, in order
+  // Blocking read-back of every written region after the run, per write op
+  // in order: the status, and the bytes when it succeeded.
+  std::vector<std::int32_t> readback_statuses;
+  std::vector<std::vector<std::uint8_t>> readback;
+  SimNs clock_end = 0;
+};
+
+// One async execution under the generated fault schedule.
+FaultRunResult run_async_with_faults(const FaultSeqCase& c,
+                                     std::uint32_t depth = 8) {
   core::Host host(test::small_machine(), CostModel{}, fast_manager());
   FaultPlanConfig cfg;
   cfg.seed = c.fault_seed;
@@ -440,6 +447,8 @@ std::pair<std::vector<std::int32_t>, SimNs> run_async_with_faults(
     if (op.is_write) {
       Rng data(op.data_seed);
       data.fill_bytes(buf.data(), buf.size());
+    } else {
+      std::memset(buf.data(), 0, buf.size());
     }
     const driver::TransferMatrix m = matrix_for(
         op, buf,
@@ -472,18 +481,47 @@ std::pair<std::vector<std::int32_t>, SimNs> run_async_with_faults(
     }
   }
 
-  std::vector<std::int32_t> statuses;
-  for (Frontend::Ticket t : order) {
-    const Slot& slot = pending.at(t);
+  FaultRunResult out;
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    const Slot& slot = pending.at(order[i]);
     require(slot.completions == 1,
             "ticket reaped " + std::to_string(slot.completions) +
                 " times under faults");
     require(typed_status(slot.status),
             "untyped completion status " + std::to_string(slot.status));
-    statuses.push_back(slot.status);
+    out.statuses.push_back(slot.status);
+    if (!c.seq.ops[i].is_write) {
+      out.reads.emplace_back(slot.buf.begin(), slot.buf.end());
+    }
+  }
+  // What the device holds at the end: an acknowledged write must be in it.
+  for (const OpShape& op : c.seq.ops) {
+    if (!op.is_write) continue;
+    std::span<std::uint8_t> buf = mem.alloc(op_bytes(op));
+    std::int32_t status = 0;
+    try {
+      fe.read_from_rank(
+          matrix_for(op, buf, driver::XferDirection::kFromRank));
+      out.readback.emplace_back(buf.begin(), buf.end());
+    } catch (const VpimStatusError& e) {
+      status = e.status();
+      out.readback.emplace_back();
+    }
+    out.readback_statuses.push_back(status);
   }
   fe.close();
-  return {std::move(statuses), host.clock.now()};
+  out.clock_end = host.clock.now();
+  return out;
+}
+
+void require_same_fault_run(const FaultRunResult& a, const FaultRunResult& b,
+                            const std::string& what) {
+  require(a.statuses == b.statuses, "fault statuses " + what);
+  require(a.reads == b.reads, "read bytes under faults " + what);
+  require(a.readback_statuses == b.readback_statuses,
+          "read-back statuses under faults " + what);
+  require(a.readback == b.readback,
+          "written regions under faults " + what);
 }
 
 TEST(PropPipeline, EveryTicketReapsExactlyOnceUnderFaults) {
@@ -491,11 +529,11 @@ TEST(PropPipeline, EveryTicketReapsExactlyOnceUnderFaults) {
   const auto out = run_property<FaultSeqCase>(
       "pipeline.fault_ticket_accounting", params, fault_seq_gen(),
       [&](const FaultSeqCase& c) {
-        const auto first = run_async_with_faults(c);
-        const auto second = run_async_with_faults(c);
-        require(first.first == second.first,
-                "fault statuses are not reproducible for a fixed seed");
-        require(first.second == second.second,
+        const FaultRunResult first = run_async_with_faults(c);
+        const FaultRunResult second = run_async_with_faults(c);
+        require_same_fault_run(first, second,
+                               "are not reproducible for a fixed seed");
+        require(first.clock_end == second.clock_end,
                 "virtual time under faults is not reproducible");
       },
       show_fault_case);
@@ -639,22 +677,23 @@ TEST(PropPipeline, DeadlinesRacingCompletionsAlwaysReapTyped) {
 
 // ---- property 5: fault semantics do not depend on the queue depth -------
 //
-// PR 7 disables the backend's deferred-copy backlog whenever a FaultPlan
-// is installed, precisely so that injected faults fire inside the faulting
-// request at any pipeline depth. This property pins that contract: for
-// any op sequence and fault seed, the per-ticket status vector is
-// identical whether the guest runs the classic depth-1 queue or a deep
-// depth-8 pipeline.
+// The backend parks every bank copy in one backlog and replays it at the
+// end of each drain, with or without a FaultPlan. Injected faults fire at
+// serial entry points before any copy is parked, and the backlog is
+// replayed before any binding change (a rank-death rescue included), so a
+// deep depth-8 pipeline must observe exactly what the classic depth-1
+// queue does: the same per-ticket statuses, the same bytes in every read,
+// and the same final contents in every written region.
 
 TEST(PropPipeline, FaultSemanticsAreIdenticalAtDepth1And8) {
   const Params params = Params::from_env(0xA51E0, 25);
   const auto out = run_property<FaultSeqCase>(
       "pipeline.fault_depth_equivalence", params, fault_seq_gen(),
       [&](const FaultSeqCase& c) {
-        const auto shallow = run_async_with_faults(c, /*depth=*/1);
-        const auto deep = run_async_with_faults(c, /*depth=*/8);
-        require(shallow.first == deep.first,
-                "fault statuses diverge between depth 1 and depth 8");
+        const FaultRunResult shallow = run_async_with_faults(c, /*depth=*/1);
+        const FaultRunResult deep = run_async_with_faults(c, /*depth=*/8);
+        require_same_fault_run(shallow, deep,
+                               "diverge between depth 1 and depth 8");
       },
       show_fault_case);
   EXPECT_TRUE(out.ok) << out.reproducer;

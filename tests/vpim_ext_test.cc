@@ -2,10 +2,15 @@
 // transitions (§7 future work), and dynamic rank migration (§3.3).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <memory>
+#include <string>
+#include <tuple>
 
 #include "tests/test_kernels.h"
 #include "tests/testutil.h"
+#include "upmem/kernel.h"
 #include "virtio/device_state.h"
 #include "vpim/guest_platform.h"
 #include "vpim/host.h"
@@ -293,6 +298,104 @@ TEST(ControlStatus, FrontendSurfacesTypedErrors) {
               static_cast<std::int32_t>(virtio::PimStatus::kBadRequest));
   }
 }
+
+// ------------------------------------------------ host access to a busy DPU
+//
+// A write or read aimed at a DPU whose kernel is still running is a guest
+// error: it must complete typed kBadRequest, move no byte, count one
+// request error, and leave the device usable once the kernel finishes — on
+// either binding, with or without a FaultPlan, at any queue depth.
+
+void register_busy_kernel() {
+  auto& registry = upmem::KernelRegistry::instance();
+  if (registry.contains("test_busy")) return;
+  upmem::DpuKernel k;
+  k.name = "test_busy";
+  k.stages.push_back([](upmem::DpuCtx& ctx) { ctx.exec(1'000'000); });
+  registry.add(std::move(k));
+}
+
+// (emulated binding, empty FaultPlan installed, queue depth, write)
+using BusyDpuCase = std::tuple<bool, bool, std::uint32_t, bool>;
+
+class BusyDpu : public ::testing::TestWithParam<BusyDpuCase> {};
+
+TEST_P(BusyDpu, AccessCompletesBadRequestAndTheDeviceRecovers) {
+  const auto [emulated, plan, depth, is_write] = GetParam();
+  register_busy_kernel();
+  Host host(test::small_machine(), CostModel{}, fast_manager());
+  if (plan) host.install_fault_plan({});
+  std::unique_ptr<VpimVm> hog;
+  if (emulated) {
+    hog = std::make_unique<VpimVm>(host, vmm::VmmParams{.name = "hog"}, 2);
+    ASSERT_TRUE(hog->device(0).frontend.open());
+    ASSERT_TRUE(hog->device(1).frontend.open());
+  }
+  VpimConfig cfg = VpimConfig::full();
+  cfg.prefetch_cache = false;  // every read reaches the backend
+  cfg.request_batching = false;
+  cfg.oversubscribe = true;
+  cfg.queue_depth = depth;
+  VpimVm vm(host, {.name = "busy"}, 1, cfg);
+  VupmemDevice& dev = vm.device(0);
+  Frontend& fe = dev.frontend;
+  guest::GuestMemory& mem = vm.vmm().memory();
+  ASSERT_TRUE(fe.open());
+  ASSERT_EQ(dev.backend.emulated(), emulated);
+
+  const auto write = [&](std::span<std::uint8_t> buf) {
+    fe.write_to_rank({driver::XferDirection::kToRank,
+                      {{0, 0, buf.data(), buf.size()}}});
+  };
+  const auto read = [&](std::span<std::uint8_t> buf) {
+    fe.read_from_rank({driver::XferDirection::kFromRank,
+                       {{0, 0, buf.data(), buf.size()}}});
+  };
+  const auto filled = [&](std::uint8_t byte) {
+    std::span<std::uint8_t> buf = mem.alloc(4096);
+    std::memset(buf.data(), byte, buf.size());
+    return buf;
+  };
+  const std::span<std::uint8_t> before = filled(0x5A);
+  write(before);
+  fe.ci_load("test_busy");
+  fe.ci_launch(0x1, std::nullopt);
+  ASSERT_EQ(fe.ci_running_mask(), 0x1u);
+
+  // The rejected request moves no byte in either direction.
+  const std::span<std::uint8_t> busy = filled(0xC3);
+  const std::uint64_t errors = dev.stats.request_errors;
+  try {
+    is_write ? write(busy) : read(busy);
+    ADD_FAILURE() << "host access to a running DPU completed OK";
+  } catch (const VpimStatusError& e) {
+    EXPECT_EQ(e.status(),
+              static_cast<std::int32_t>(virtio::PimStatus::kBadRequest));
+  }
+  EXPECT_EQ(dev.stats.request_errors, errors + 1);
+  EXPECT_TRUE(std::all_of(busy.begin(), busy.end(),
+                          [](std::uint8_t b) { return b == 0xC3; }));
+
+  while (fe.ci_running_mask() != 0) host.clock.advance(1 * kMs);
+  const std::span<std::uint8_t> after = filled(0);
+  read(after);
+  EXPECT_TRUE(std::equal(after.begin(), after.end(), before.begin()));
+  write(busy);
+  read(after);
+  EXPECT_TRUE(std::equal(after.begin(), after.end(), busy.begin()));
+  fe.close();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BindingsPlansDepths, BusyDpu,
+    ::testing::Combine(::testing::Bool(), ::testing::Bool(),
+                       ::testing::Values(1u, 8u), ::testing::Bool()),
+    [](const ::testing::TestParamInfo<BusyDpuCase>& info) {
+      return std::string(std::get<0>(info.param) ? "Emulated" : "Physical") +
+             (std::get<1>(info.param) ? "EmptyPlan" : "NoPlan") + "Depth" +
+             std::to_string(std::get<2>(info.param)) +
+             (std::get<3>(info.param) ? "Write" : "Read");
+    });
 
 }  // namespace
 }  // namespace vpim::core
