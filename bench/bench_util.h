@@ -143,6 +143,15 @@ inline void print_header(const char* figure, const char* claim) {
               "==================\n");
 }
 
+// Asserts one paper claim: prints "claim <name>: ok|FAIL (<detail>)" and
+// returns `ok`, so a bench can AND its claims and exit 1 on any failure.
+inline bool claim(const std::string& name, bool ok,
+                  const std::string& detail) {
+  std::printf("claim %s: %s (%s)\n", name.c_str(), ok ? "ok" : "FAIL",
+              detail.c_str());
+  return ok;
+}
+
 inline double ratio(SimNs a, SimNs b) {
   return b == 0 ? 0.0 : static_cast<double>(a) / static_cast<double>(b);
 }

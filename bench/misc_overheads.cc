@@ -2,7 +2,10 @@
 //  - §3.2: a vUPMEM device adds up to 2 ms to VM boot time;
 //  - §4.1: frontend memory overhead <= 1.37 MB per DPU;
 //  - §4.2: manager allocation round trip ~36 ms; rank reset ~597 ms.
+// Each anchor is asserted with claim(); the bench exits 1 when one fails.
 #include <benchmark/benchmark.h>
+
+#include <cmath>
 
 #include "bench/bench_util.h"
 
@@ -81,6 +84,29 @@ void print_summary() {
               ns_to_ms(g_reset));
 }
 
+// "within 10% of the paper's value" for a modeled duration.
+bool near_paper(SimNs got, double paper_ms) {
+  return std::abs(ns_to_ms(got) - paper_ms) <= 0.10 * paper_ms;
+}
+
+std::string ms_vs(SimNs got, const char* paper) {
+  return std::to_string(ns_to_ms(got)) + " ms vs paper " + paper;
+}
+
+bool check_claims() {
+  bool ok = true;
+  ok &= claim("vupmem_boot_le_2ms", g_boot_device - g_boot_plain <= 2 * kMs,
+              ms_vs(g_boot_device - g_boot_plain, "<= 2 ms"));
+  ok &= claim("frontend_le_1.37MB_per_dpu", g_frontend_mb_per_dpu <= 1.37,
+              std::to_string(g_frontend_mb_per_dpu) +
+                  " MB/DPU vs paper <= 1.37 MB/DPU");
+  ok &= claim("manager_alloc_36ms_pm10pct", near_paper(g_alloc, 36.0),
+              ms_vs(g_alloc, "~36 ms"));
+  ok &= claim("rank_reset_597ms_pm10pct", near_paper(g_reset, 597.0),
+              ms_vs(g_reset, "~597 ms"));
+  return ok;
+}
+
 }  // namespace
 }  // namespace vpim::bench
 
@@ -105,6 +131,7 @@ int main(int argc, char** argv) {
       ->Unit(benchmark::kMillisecond);
   benchmark::RunSpecifiedBenchmarks();
   print_summary();
+  const bool ok = check_claims();
   benchmark::Shutdown();
-  return 0;
+  return ok ? 0 : 1;
 }

@@ -102,47 +102,6 @@ void run_cell(benchmark::State& state, std::uint32_t tenants,
   }
 }
 
-// Manager-level slot oversubscription (ISSUE 9): the third arm beyond
-// strict/emulated. Tenants share ranks at wrank-slot granularity; churn
-// scatters the slots and a consolidation pass packs them back, so the
-// counters show how much capacity fragmentation was holding hostage.
-struct SlotCell {
-  std::uint32_t frag_before = 0;
-  std::uint32_t frag_after = 0;
-  std::uint32_t migrations = 0;
-};
-SlotCell g_slot_cell;
-
-void run_slot_cell(benchmark::State& state) {
-  for (auto _ : state) {
-    core::ManagerConfig mcfg = bench_manager();
-    mcfg.wrank_slots_per_rank = 4;
-    mcfg.placement = core::PlacementPolicyKind::kConsolidating;
-    core::Host host(upmem::MachineConfig{}, CostModel{}, mcfg);
-    const SimNs t0 = host.clock.now();
-    std::vector<std::uint64_t> ids;
-    for (std::uint32_t t = 0; t < 16; ++t) {
-      const auto r = host.manager.allocate_wrank(
-          "slot-tenant" + std::to_string(t % 4), 2);
-      if (r.status == core::AllocStatus::kOk) ids.push_back(r.wrank);
-    }
-    // Release every other tenant: occupancy halves but the survivors sit
-    // one per rank, pinning every rank in hosting state.
-    for (std::size_t i = 0; i < ids.size(); i += 2) {
-      host.manager.release_wrank(ids[i]);
-    }
-    SlotCell cell;
-    cell.frag_before = host.manager.fragmentation_permille();
-    cell.migrations = host.manager.consolidate();
-    cell.frag_after = host.manager.fragmentation_permille();
-    g_slot_cell = cell;
-    state.SetIterationTime(ns_to_s(host.clock.now() - t0));
-    state.counters["frag_before"] = cell.frag_before;
-    state.counters["frag_after"] = cell.frag_after;
-    state.counters["migrations"] = cell.migrations;
-  }
-}
-
 void print_summary() {
   print_header("Oversubscription consolidation (§7 future work)",
                "beyond 8 physical ranks, tenants either fail (strict) or "
@@ -156,11 +115,6 @@ void print_summary() {
                 cell.failed, cell.emulated, ns_to_ms(cell.physical_time),
                 ns_to_ms(cell.emulated_time));
   }
-  std::printf(
-      "slot-granular arm: fragmentation %u -> %u permille after %u live "
-      "migrations (see fig_manager_policies for the policy ablation)\n",
-      g_slot_cell.frag_before, g_slot_cell.frag_after,
-      g_slot_cell.migrations);
 }
 
 }  // namespace
@@ -184,10 +138,6 @@ int main(int argc, char** argv) {
           ->Unit(benchmark::kMillisecond);
     }
   }
-  benchmark::RegisterBenchmark("oversub/slots+consolidation", run_slot_cell)
-      ->UseManualTime()
-      ->Iterations(1)
-      ->Unit(benchmark::kMillisecond);
   benchmark::RunSpecifiedBenchmarks();
   print_summary();
   benchmark::Shutdown();

@@ -96,34 +96,6 @@ int main() {
   std::printf("batch resumed; pattern %s\n",
               check_pattern(fe_a, batch.vmm(), 0xA1) ? "intact" : "LOST");
 
-  // --- Manager-level slot consolidation (§3.5, ISSUE 9) -----------------
-  // Below whole-rank suspend/resume, the manager oversubscribes ranks at
-  // wrank-slot granularity. Churn leaves slots scattered; a consolidation
-  // pass live-migrates them onto fewer ranks so whole ranks free up.
-  {
-    core::Host packed(upmem::MachineConfig{.nr_ranks = 4,
-                                           .functional_dpus_per_rank = 60});
-    packed.manager.set_placement_policy(
-        core::PlacementPolicyKind::kConsolidating);
-    std::uint64_t ids[8];
-    for (int i = 0; i < 8; ++i) {
-      ids[i] = packed.manager
-                   .allocate_wrank("spread-" + std::to_string(i % 4), 2)
-                   .wrank;
-    }
-    // Release every other wrank: four ranks now each host a single
-    // 2-slot tenant — half the machine is held by fragmentation.
-    for (int i = 0; i < 8; i += 2) packed.manager.release_wrank(ids[i]);
-    const std::uint32_t before = packed.manager.fragmentation_permille();
-    const std::uint32_t moves = packed.manager.consolidate();
-    std::printf(
-        "slot consolidation: fragmentation %u -> %u permille after %u "
-        "live migrations (%lu consolidation passes)\n",
-        before, packed.manager.fragmentation_permille(), moves,
-        static_cast<unsigned long>(
-            packed.manager.stats().consolidation_passes));
-  }
-
   std::printf("simulated time: %.1f ms\n", ns_to_ms(host.clock.now()));
   return 0;
 }

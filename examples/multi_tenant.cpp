@@ -7,6 +7,8 @@
 // Build & run:  ./build/examples/multi_tenant
 #include <chrono>
 #include <cstdio>
+#include <optional>
+#include <vector>
 
 #include "prim/app.h"
 #include "sdk/native.h"
@@ -92,41 +94,35 @@ int main() {
   host.manager.observe(/*do_resets=*/true);
   print_ranks(host, "native app exited");
 
-  // --- The manager as a concurrent allocation service (§3.5, ISSUE 9) ---
-  // Typed request vocabulary over sub-rank "wrank slots": priorities pick
-  // the drain order, per-tenant quotas bound footprint, and stop() resolves
-  // anything still queued with a typed kShutdown instead of dropping it.
-  host.manager.set_tenant_quota("tenant-d", 2);
+  // --- The manager as a concurrent allocation service (§3.5) ---
+  // Whole-rank requests queue by priority: while the workers are paused a
+  // low- and a high-priority tenant each ask for a rank, and with only one
+  // rank left free the high-priority request is served first. stop()
+  // resolves anything still queued with "no rank" instead of dropping it.
+  std::vector<std::optional<driver::RankMapping>> fillers;
+  while (fillers.size() + 1 < host.machine.nr_ranks()) {
+    fillers.push_back(host.manager.request_rank("filler"));
+  }
   core::ManagerService service(
       host.manager,
       {.threads = 1, .observe_period = std::chrono::milliseconds(1),
        .start_paused = true});
-  // Queued while paused: the priority-5 request is served first even
-  // though it was submitted last (lower wrank id = served earlier).
-  auto low = service.allocate("tenant-c", 1, /*priority=*/0);
-  auto high = service.allocate("tenant-c", 2, /*priority=*/5);
-  auto d_ok = service.allocate("tenant-d", 2);
-  auto d_over = service.allocate("tenant-d", 1);  // quota is 2: rejected
+  auto low = service.request_rank("tenant-c", /*priority=*/0);
+  auto high = service.request_rank("tenant-d", /*priority=*/5);
   service.start();
-  const auto r_low = low.get();
   const auto r_high = high.get();
-  std::printf(
-      "\nservice: prio5 -> wrank %lu (%s), prio0 -> wrank %lu (%s)\n",
-      static_cast<unsigned long>(r_high.wrank), core::to_string(r_high.status),
-      static_cast<unsigned long>(r_low.wrank), core::to_string(r_low.status));
-  std::printf("  tenant-d: first alloc %s, over-quota alloc %s\n",
-              core::to_string(d_ok.get().status),
-              core::to_string(d_over.get().status));
-  std::printf("  resize prio5 wrank to 3 slots: %s\n",
-              core::to_string(service.resize(r_high.wrank, 3).get().status));
-  std::printf("  occupancy: tenant-c %u slots, tenant-d %u slots, "
-              "fragmentation %u permille\n",
-              host.manager.tenant_slots("tenant-c"),
-              host.manager.tenant_slots("tenant-d"),
-              host.manager.fragmentation_permille());
-  service.stop();  // queued work would resolve kShutdown here, never hang
-  std::printf("  post-stop allocate: %s\n",
-              core::to_string(service.allocate("tenant-c", 1).get().status));
+  const auto r_low = low.get();
+  if (r_high.has_value()) {
+    std::printf("\nservice: prio5 tenant-d -> rank %u\n",
+                r_high->rank_index());
+  }
+  std::printf("  prio0 tenant-c -> %s\n",
+              r_low.has_value() ? "a rank" : "no rank (machine full)");
+  service.stop();  // queued work would resolve "no rank" here, never hang
+  const bool late = service.request_rank("tenant-c").get().has_value();
+  std::printf("  post-stop request: %s (%lu shutdown rejections)\n",
+              late ? "granted" : "no rank",
+              static_cast<unsigned long>(service.shutdown_rejections()));
 
   const auto stats = host.manager.stats();
   std::printf(

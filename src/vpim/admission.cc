@@ -95,14 +95,9 @@ bool AdmissionController::allow_rank_grant(const std::string& tenant,
 }
 
 void AdmissionController::on_rank_granted(const std::string& tenant) {
-  on_rank_granted(tenant, 1);
-}
-
-void AdmissionController::on_rank_granted(const std::string& tenant,
-                                          std::uint32_t slots) {
   std::lock_guard lock(mu_);
   Session& s = session_locked(tenant);
-  s.rank_vtime += std::max<std::uint32_t>(1, slots) * (kVtScale / s.weight);
+  s.rank_vtime += kVtScale / s.weight;
 }
 
 void AdmissionController::note_shed_lateness(SimNs lateness_ns) {

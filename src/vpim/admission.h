@@ -81,12 +81,8 @@ class AdmissionController {
   // attempt to a needier tenant. Callers treat false like "no rank
   // available right now" and go through their normal retry path.
   bool allow_rank_grant(const std::string& tenant, SimNs now);
-  // Charges a granted rank to the tenant's WRR share. The slot-counted
-  // overload is for the oversubscribed wrank path (ISSUE 9): a 4-slot
-  // co-located grant consumes 4x the share of a 1-slot one, so quota-rich
-  // tenants cannot dodge fairness by asking for fat wranks.
+  // Charges a granted rank to the tenant's WRR share.
   void on_rank_granted(const std::string& tenant);
-  void on_rank_granted(const std::string& tenant, std::uint32_t slots);
 
   // Deadline-shed accounting (backend boundary checks): how far past its
   // deadline a request was when the device shed it.

@@ -217,7 +217,6 @@ bool Backend::recover_rank_death() {
   // bandwidth. The dead rank is freed; its sysfs health stays failed.
   move_state(std::move(*replacement), vmm_.cost().rank_rescue_gbps);
   ++stats_.fault_migrations;
-  manager_.note_wrank_migration();
   VPIM_WARN("backend", "%s: wrank migrated off dead rank %u onto rank %u",
             tag_.c_str(), dead, mapping_->rank_index());
   return true;

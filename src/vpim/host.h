@@ -26,9 +26,6 @@ struct Host {
         drv(machine),
         manager(drv, manager_config) {
     machine.set_obs(&obs);
-    manager.attach_histograms(
-        &obs.metrics.histogram("vpim_manager_alloc_ns", {}),
-        &obs.metrics.histogram("vpim_manager_frag_permille", {}));
     manager_collector = obs.metrics.add_collector(
         [this](obs::Collection& out) { collect_manager_metrics(out); });
   }
@@ -102,26 +99,10 @@ struct Host {
     out.counter("vpim_manager_recoveries_total", {}, ms.recoveries);
     out.counter("vpim_manager_seizures_observed_total", {},
                 ms.seizures_observed);
-    out.counter("vpim_manager_wrank_migrations_total", {},
-                ms.wrank_migrations);
     out.counter("vpim_manager_fault_records_drained_total", {},
                 ms.fault_records_drained);
     out.counter("vpim_manager_status_parse_errors_total", {},
                 ms.status_parse_errors);
-    out.counter("vpim_manager_wrank_allocs_total", {}, ms.wrank_allocs);
-    out.counter("vpim_manager_wrank_releases_total", {},
-                ms.wrank_releases);
-    out.counter("vpim_manager_wrank_resizes_total", {}, ms.wrank_resizes);
-    out.counter("vpim_manager_quota_rejections_total", {},
-                ms.quota_rejections);
-    out.counter("vpim_manager_consolidation_passes_total", {},
-                ms.consolidation_passes);
-    out.counter("vpim_manager_consolidation_migrations_total", {},
-                ms.consolidation_migrations);
-    out.counter("vpim_manager_wranks_displaced_total", {},
-                ms.wranks_displaced);
-    out.gauge("vpim_manager_frag_permille", {},
-              static_cast<std::int64_t>(manager.fragmentation_permille()));
   }
 };
 

@@ -4,14 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <map>
-#include <tuple>
 #include <vector>
 
-#include "common/fault.h"
 #include "tests/test_kernels.h"
 #include "tests/testutil.h"
-#include "upmem/layout.h"
 #include "vpim/guest_platform.h"
 #include "vpim/host.h"
 #include "vpim/vpim_vm.h"
@@ -195,223 +191,6 @@ TEST(Oversubscription, MigrationUpgradesToPhysical) {
   r.entries.push_back({3, 0, out.data(), out.size()});
   fe.read_from_rank(r);
   EXPECT_TRUE(std::memcmp(out.data(), buf.data(), buf.size()) == 0);
-}
-
-// ------------------------------------------- wrank oversubscription (ISSUE 9)
-
-ManagerConfig wrank_config(PlacementPolicyKind placement,
-                           bool charge = false) {
-  ManagerConfig cfg = fast_manager();
-  cfg.charge_time = charge;
-  cfg.placement = placement;
-  return cfg;
-}
-
-upmem::MachineConfig four_ranks() {
-  return {.nr_ranks = 4, .functional_dpus_per_rank = 8};
-}
-
-TEST(WrankOversub, ChurnNeverLosesWranksAndNeverOverpacks) {
-  test::TestRig rig(four_ranks());
-  const ManagerConfig cfg =
-      wrank_config(PlacementPolicyKind::kConsolidating);
-  Manager mgr(rig.drv, cfg);
-  // Oracle: id -> (tenant, slots). The manager must agree with it after
-  // every step, including across live-migrating consolidation passes.
-  std::map<std::uint64_t, std::pair<std::string, std::uint32_t>> oracle;
-  std::uint64_t s = 0x5EED;
-  auto rnd = [&s] {
-    s ^= s << 13;
-    s ^= s >> 7;
-    s ^= s << 17;
-    return s;
-  };
-  for (int i = 0; i < 300; ++i) {
-    const std::string tenant = "t" + std::to_string(rnd() % 3);
-    if (oracle.size() < 10 && (rnd() & 3) != 0) {
-      const std::uint32_t slots = 1 + static_cast<std::uint32_t>(rnd() % 2);
-      const AllocResult r = mgr.allocate_wrank(tenant, slots);
-      if (r.status == AllocStatus::kOk) oracle[r.wrank] = {tenant, slots};
-    } else if (!oracle.empty()) {
-      auto it = oracle.begin();
-      std::advance(it, static_cast<long>(rnd() % oracle.size()));
-      ASSERT_EQ(mgr.release_wrank(it->first), AllocStatus::kOk);
-      oracle.erase(it);
-    }
-    if (i % 7 == 3) mgr.observe(/*do_resets=*/true);
-    if (i % 5 == 4) mgr.consolidate();
-
-    const std::vector<WrankInfo> ws = mgr.wranks();
-    ASSERT_EQ(ws.size(), oracle.size());
-    std::map<std::uint32_t, std::uint32_t> used;
-    std::map<std::string, std::uint32_t> per_tenant;
-    for (const WrankInfo& w : ws) {
-      const auto it = oracle.find(w.id);
-      ASSERT_NE(it, oracle.end()) << "unknown wrank id " << w.id;
-      EXPECT_EQ(w.tenant, it->second.first);
-      EXPECT_EQ(w.slots, it->second.second);
-      // No faults in this trace, so nothing may stay displaced.
-      ASSERT_NE(w.rank, Manager::kNoRank);
-      used[w.rank] += w.slots;
-      per_tenant[w.tenant] += w.slots;
-    }
-    for (const auto& [rank, slots] : used) {
-      EXPECT_LE(slots, cfg.wrank_slots_per_rank) << "rank " << rank;
-    }
-    for (const auto& [tenant, slots] : per_tenant) {
-      EXPECT_EQ(mgr.tenant_slots(tenant), slots);
-    }
-  }
-}
-
-TEST(WrankOversub, QuarantineDisplacesAndConsolidationAvoidsDeadRank) {
-  test::TestRig rig(four_ranks());
-  Manager mgr(rig.drv, wrank_config(PlacementPolicyKind::kConsolidating));
-  // Fill rank 0 with tenant a (4x1), then rank 1 with tenant b (2x1):
-  // best-fit packs the fullest rank first, lowest index on ties.
-  std::vector<std::uint64_t> a_ids;
-  for (int i = 0; i < 4; ++i) {
-    const AllocResult r = mgr.allocate_wrank("a", 1);
-    ASSERT_EQ(r.status, AllocStatus::kOk);
-    EXPECT_EQ(r.rank, 0u);
-    a_ids.push_back(r.wrank);
-  }
-  for (int i = 0; i < 2; ++i) {
-    const AllocResult r = mgr.allocate_wrank("b", 1);
-    ASSERT_EQ(r.status, AllocStatus::kOk);
-    EXPECT_EQ(r.rank, 1u);
-  }
-
-  // Rank 1 dies under tenant b's wranks.
-  rig.machine.rank(1).fail();
-  rig.drv.log_fault({FaultKind::kRankDeath, 1, 0, rig.clock.now()});
-  mgr.observe();
-  EXPECT_EQ(mgr.state(1), RankState::kFail);
-  EXPECT_EQ(mgr.stats().wranks_displaced, 2u);
-  // Rescued within the same observe pass — onto a healthy rank, never
-  // back onto the quarantined one, and nothing lost.
-  ASSERT_EQ(mgr.wranks().size(), 6u);
-  for (const WrankInfo& w : mgr.wranks()) {
-    ASSERT_NE(w.rank, Manager::kNoRank) << "wrank " << w.id << " stranded";
-    EXPECT_NE(w.rank, 1u) << "wrank " << w.id << " on the dead rank";
-  }
-  EXPECT_EQ(mgr.tenant_slots("b"), 2u);
-  EXPECT_GE(mgr.stats().wrank_migrations, 2u);
-
-  // Open a hole on rank 0 and consolidate: the pass must pack the rescued
-  // wranks into the hole, and must never pick the quarantined rank as a
-  // target even though it reads as 4 slots free.
-  ASSERT_EQ(mgr.release_wrank(a_ids[0]), AllocStatus::kOk);
-  ASSERT_EQ(mgr.release_wrank(a_ids[1]), AllocStatus::kOk);
-  const std::uint32_t moves = mgr.consolidate();
-  EXPECT_GT(moves, 0u);
-  for (const WrankInfo& w : mgr.wranks()) {
-    EXPECT_NE(w.rank, 1u) << "consolidation moved wrank " << w.id
-                          << " onto the quarantined rank";
-  }
-  EXPECT_EQ(mgr.fragmentation_permille(), 0u);
-  EXPECT_GE(mgr.stats().consolidation_migrations, moves);
-}
-
-TEST(WrankOversub, GrowingADisplacedWrankIsChargedAsARescue) {
-  test::TestRig rig(four_ranks());
-  const ManagerConfig cfg =
-      wrank_config(PlacementPolicyKind::kFirstFit, /*charge=*/true);
-  Manager mgr(rig.drv, cfg);
-  // Fill every slot: a 2-slot wrank opens rank 0, 1-slot wranks fill the
-  // rest of rank 0 and then ranks 1-3.
-  const AllocResult pair = mgr.allocate_wrank("a", 2);
-  ASSERT_EQ(pair.status, AllocStatus::kOk);
-  ASSERT_EQ(pair.rank, 0u);
-  for (int i = 0; i < 14; ++i) {
-    ASSERT_EQ(mgr.allocate_wrank("b", 1).status, AllocStatus::kOk);
-  }
-  ASSERT_EQ(mgr.allocate_wrank("b", 1).status, AllocStatus::kNoCapacity);
-
-  // Rank 3 dies; with no free slot anywhere its wranks stay displaced.
-  rig.machine.rank(3).fail();
-  rig.drv.log_fault({FaultKind::kRankDeath, 3, 0, rig.clock.now()});
-  mgr.observe();
-  ASSERT_EQ(mgr.state(3), RankState::kFail);
-  std::uint64_t displaced = 0;
-  for (const WrankInfo& w : mgr.wranks()) {
-    if (w.rank == Manager::kNoRank) displaced = w.id;
-  }
-  ASSERT_NE(displaced, 0u);
-
-  // Free two slots on rank 0, then grow a displaced 1-slot wrank to 2:
-  // it is re-homed there exactly like a rescue, streaming its pre-resize
-  // image at the rescue bandwidth, and counted as one migration.
-  ASSERT_EQ(mgr.release_wrank(pair.wrank), AllocStatus::kOk);
-  const std::uint64_t migrations = mgr.stats().wrank_migrations;
-  const SimNs before = rig.clock.now();
-  const AllocResult grown = mgr.resize_wrank(displaced, 2);
-  ASSERT_EQ(grown.status, AllocStatus::kOk);
-  EXPECT_EQ(grown.rank, 0u);
-  const std::uint64_t rank_bytes = 2ULL * 8 * upmem::kMramSize;
-  EXPECT_EQ(rig.clock.now() - before,
-            rig.cost.manager_alloc_rt_ns +
-                CostModel::bytes_time(rank_bytes / cfg.wrank_slots_per_rank,
-                                      rig.cost.rank_rescue_gbps));
-  EXPECT_EQ(mgr.stats().wrank_migrations, migrations + 1);
-}
-
-TEST(WrankOversub, PolicyDecisionsAndVirtualTimeAreDeterministic) {
-  // Placement policies are pure functions over table snapshots and every
-  // latency charge is virtual, so an identical trace must produce
-  // bit-identical decisions and clocks on every run (and, because nothing
-  // reads thread state, at every VPIM_THREADS setting — CI replays this
-  // whole binary at 1 and 4 host threads).
-  for (const PlacementPolicyKind kind :
-       {PlacementPolicyKind::kFirstFit, PlacementPolicyKind::kBestFit,
-        PlacementPolicyKind::kConsolidating}) {
-    auto run = [kind] {
-      test::TestRig rig(four_ranks());
-      Manager mgr(rig.drv, wrank_config(kind, /*charge=*/true));
-      std::vector<std::tuple<AllocStatus, std::uint64_t, std::uint32_t>>
-          decisions;
-      std::vector<std::uint64_t> live;
-      std::uint64_t s = 0xD15EA5E;
-      auto rnd = [&s] {
-        s ^= s << 13;
-        s ^= s >> 7;
-        s ^= s << 17;
-        return s;
-      };
-      for (int i = 0; i < 80; ++i) {
-        const std::uint32_t op = static_cast<std::uint32_t>(rnd() % 4);
-        if (op < 2 || live.empty()) {
-          const AllocResult r = mgr.allocate_wrank(
-              "t" + std::to_string(rnd() % 3),
-              1 + static_cast<std::uint32_t>(rnd() % 4));
-          decisions.emplace_back(r.status, r.wrank, r.rank);
-          if (r.status == AllocStatus::kOk) live.push_back(r.wrank);
-        } else if (op == 2) {
-          const std::size_t v =
-              static_cast<std::size_t>(rnd() % live.size());
-          const AllocResult r = mgr.resize_wrank(
-              live[v], 1 + static_cast<std::uint32_t>(rnd() % 4));
-          decisions.emplace_back(r.status, r.wrank, r.rank);
-        } else {
-          const std::size_t v =
-              static_cast<std::size_t>(rnd() % live.size());
-          decisions.emplace_back(mgr.release_wrank(live[v]), live[v], 0u);
-          live.erase(live.begin() + static_cast<std::ptrdiff_t>(v));
-        }
-        if (i % 6 == 5) mgr.observe(/*do_resets=*/true);
-        if (mgr.policy_wants_consolidation() && i % 4 == 3) {
-          mgr.consolidate();
-        }
-      }
-      return std::make_pair(decisions, rig.clock.now());
-    };
-    const auto first = run();
-    const auto second = run();
-    EXPECT_EQ(first.first, second.first)
-        << "policy " << to_string(kind) << " made different decisions";
-    EXPECT_EQ(first.second, second.second)
-        << "policy " << to_string(kind) << " charged different time";
-  }
 }
 
 }  // namespace

@@ -5,6 +5,9 @@
 //    a typed PimStatus error from the documented fault set — anything
 //    else (untyped exception, abort, foreign data) fails the property;
 //  - tenants never observe another tenant's bytes;
+//  - after every step the Manager's grant ledger (wranks()) lists each
+//    open, physically bound device on the rank its backend uses, and any
+//    other row is a native seizure or a release sysfs already shows;
 //  - after wind-down every rank converges to NAAV-and-unmapped, or to
 //    FAIL when the underlying hardware is permanently dead;
 //  - manager counters stay mutually consistent.
@@ -13,6 +16,7 @@
 // faults) and print the one-line VPIM_PROP_SEED reproducer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -188,9 +192,36 @@ void run_churn(const ManagerCase& c) {
     }
   };
 
-  for (std::uint64_t step : c.steps) {
-    const int t = static_cast<int>(step % kTenants);
-    const int action = static_cast<int>((step / kTenants) % 6);
+  // The grant ledger against the tenants' own view, read-only so the
+  // churn keeps meeting a stale table at step boundaries. Every open
+  // device on a physical rank has its {tag, rank} row. Any other row is
+  // an injected native seizure, or a release that sysfs already shows
+  // and the next observe() will absorb.
+  auto check_ledger = [&] {
+    std::vector<core::WrankInfo> bound;
+    for (int t = 0; t < kTenants; ++t) {
+      const core::Backend& be = tenants[t].vm->device(0).backend;
+      if (tenants[t].open && be.bound() && !be.emulated()) {
+        bound.push_back({be.tag(), be.rank_index()});
+      }
+    }
+    const std::vector<core::WrankInfo> rows = host.manager.wranks();
+    for (const core::WrankInfo& b : bound) {
+      require(std::find(rows.begin(), rows.end(), b) != rows.end(),
+              "bound device " + b.owner + "@" + std::to_string(b.rank) +
+                  " has no ledger row");
+    }
+    for (const core::WrankInfo& w : rows) {
+      if (w.owner == "native-seizure") continue;
+      if (std::find(bound.begin(), bound.end(), w) != bound.end()) continue;
+      const driver::RankSysfsEntry sys = host.drv.sysfs().read(w.rank);
+      require(!sys.in_use || sys.owner != w.owner,
+              "ledger row " + w.owner + "@" + std::to_string(w.rank) +
+                  " is held by no open device but still mapped");
+    }
+  };
+
+  auto apply_step = [&](int t, int action) {
     Tenant& tenant = tenants[t];
     if (!tenant.open && !tenant.suspended) {
       bool opened = false;
@@ -198,7 +229,7 @@ void run_churn(const ManagerCase& c) {
         tenant.open = true;
         write_pattern(t);
       }
-      continue;
+      return;
     }
     if (tenant.suspended) {
       bool resumed = false;
@@ -207,7 +238,7 @@ void run_churn(const ManagerCase& c) {
         tenant.open = true;
         verify_pattern(t);
       }
-      continue;
+      return;
     }
     switch (action) {
       case 0:
@@ -239,6 +270,12 @@ void run_churn(const ManagerCase& c) {
         host.manager.observe();
         break;
     }
+  };
+
+  for (std::uint64_t step : c.steps) {
+    apply_step(static_cast<int>(step % kTenants),
+               static_cast<int>((step / kTenants) % 6));
+    check_ledger();
   }
 
   // Wind down and let quarantine backoff (capped at 1600 ms) expire.

@@ -14,13 +14,13 @@ Four gates, one file:
   reminder to refresh the baselines.
 
 Points that carry percentile columns — any key matching pNN_*_ns, e.g.
-p99_admitted_ns (overload) or p50_alloc_ns/p99_alloc_ns (manager_policies)
-— get a third gate: latency percentiles in *virtual* time, checked per run
+p99_admitted_ns (overload) or p50_op_ns/p99_op_ns (kv_skew) — get a third
+gate: latency percentiles in *virtual* time, checked per run
 at --p99-tol (default 0.10). Like simulated_ns they are deterministic, but
 they sit on percentiles so a deliberate cost-model retune may move them
 slightly; hence a tolerance rather than an exact match.
 
-Every other column except wall_ms — frag_permille, failed_allocs,
+Every other column except wall_ms — rebalances, cycles,
 cache_hit_ratio, goodput_ops, shed_ratio, vmexits_per_op, ... — is a
 virtual-time value or a counter, identical across runs and thread counts,
 and is gated exactly: a changed decision that happens to keep
