@@ -107,8 +107,6 @@ struct CostModel {
   // Round trip VM->manager over the UNIX socket plus bookkeeping; the paper
   // reports ~36 ms average for an allocation hitting a NAAV rank.
   SimNs manager_alloc_rt_ns = 36 * kMs;
-  // Observer-thread polling period for sysfs rank status.
-  SimNs manager_observe_period_ns = 10 * kMs;
   // Admission decision on the submit path (ISSUE 8): token-bucket refill,
   // budget check and the bookkeeping around a typed reject. A few cache
   // lines and a branch — far below one ioctl.
@@ -121,7 +119,7 @@ struct CostModel {
 
   // ---- Faults & recovery --------------------------------------------------
   // Base backoff before the backend retries a transiently faulted rank
-  // operation; doubles per attempt up to VpimConfig::fault_max_retries.
+  // operation; doubles per attempt up to core::kFaultMaxRetries.
   SimNs fault_retry_backoff_ns = 200 * kUs;
   // Reset-verify probe of a quarantined rank (per-DPU pattern write/read
   // through safe mode), charged on top of the erase itself.

@@ -1,7 +1,6 @@
 #include "driver/driver.h"
 
 #include <array>
-#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -9,7 +8,6 @@
 #include "common/log.h"
 #include "common/obs/obs.h"
 #include "common/thread_pool.h"
-#include "upmem/interleave.h"
 #include "upmem/layout.h"
 
 namespace vpim::driver {
@@ -21,31 +19,11 @@ vpim::obs::Tracer* trace_of(upmem::PimMachine& machine) {
   return hub != nullptr ? hub->tracer : nullptr;
 }
 
-// Runs the physical interleave/deinterleave pair for one entry, exercising
-// the exact DDR wire format (only when DataPath::real_transform is set).
-void real_transform_roundtrip(std::span<const std::uint8_t> data, bool naive,
-                              std::vector<std::uint8_t>& scratch) {
-  // Sizes must be 8-byte aligned for the wire format; pad into the scratch.
-  const std::size_t padded = (data.size() + 7) / 8 * 8;
-  scratch.resize(padded * 2);
-  std::memcpy(scratch.data(), data.data(), data.size());
-  std::memset(scratch.data() + data.size(), 0, padded - data.size());
-  std::span<const std::uint8_t> linear(scratch.data(), padded);
-  std::span<std::uint8_t> wire(scratch.data() + padded, padded);
-  if (naive) {
-    upmem::interleave_naive(linear, wire);
-  } else {
-    upmem::interleave_wide(linear, wire);
-  }
-  // The bank-side view comes back linear; nothing further to keep.
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------- backlog
 
-void CopyBacklog::add(upmem::Rank& rank, const TransferMatrix& matrix,
-                      const DataPath& path) {
+void CopyBacklog::add(upmem::Rank& rank, const TransferMatrix& matrix) {
   for (const XferEntry& e : matrix.entries) {
     if (e.size == 0) continue;
     VPIM_CHECK(e.host != nullptr, "transfer entry without a host buffer");
@@ -60,8 +38,7 @@ void CopyBacklog::add(upmem::Rank& rank, const TransferMatrix& matrix,
       groups_.emplace_back();
     }
     groups_[static_cast<std::size_t>(g)].push_back(
-        {&rank.mram(e.dpu), e.mram_offset, e.host, e.size, to_rank,
-         path.real_transform, path.naive});
+        {&rank.mram(e.dpu), e.mram_offset, e.host, e.size, to_rank});
   }
 }
 
@@ -72,18 +49,11 @@ void CopyBacklog::flush() {
   // DPU banks never share a group, so any thread count yields identical
   // bank contents.
   ThreadPool::instance().parallel_for(groups_.size(), [&](std::size_t gi) {
-    std::vector<std::uint8_t> scratch;
     for (const Task& t : groups_[gi]) {
       if (t.to_rank) {
-        if (t.real_transform) {
-          real_transform_roundtrip({t.host, t.size}, t.naive, scratch);
-        }
         t.bank->write(t.mram_offset, {t.host, t.size});
       } else {
         t.bank->read(t.mram_offset, {t.host, t.size});
-        if (t.real_transform) {
-          real_transform_roundtrip({t.host, t.size}, t.naive, scratch);
-        }
       }
     }
   });
@@ -92,9 +62,9 @@ void CopyBacklog::flush() {
 }
 
 void copy_banks(upmem::Rank& rank, const TransferMatrix& matrix,
-                const DataPath& path, CopyBacklog* defer) {
+                CopyBacklog* defer) {
   CopyBacklog now;
-  (defer != nullptr ? *defer : now).add(rank, matrix, path);
+  (defer != nullptr ? *defer : now).add(rank, matrix);
   now.flush();
 }
 
@@ -187,7 +157,7 @@ void RankMapping::transfer(const TransferMatrix& matrix,
                           CostModel::bytes_time(bytes, copy_gbps()));
   // A pipelined drain parks the copies for one batched replay at the end
   // of the drain; every cost and fault above fired normally either way.
-  copy_banks(rank, matrix, data_path_, defer);
+  copy_banks(rank, matrix, defer);
 }
 
 void RankMapping::broadcast(std::uint64_t mram_offset,
@@ -303,17 +273,15 @@ void UpmemDriver::unmap_rank(std::uint32_t rank) {
 void UpmemDriver::safe_transfer(std::uint32_t rank,
                                 const TransferMatrix& matrix) {
   machine_.clock().advance(machine_.cost().ioctl_ns);
-  do_transfer(rank, matrix, DataPath{});
+  do_transfer(rank, matrix);
 }
 
 void UpmemDriver::do_transfer(std::uint32_t rank,
-                              const TransferMatrix& matrix,
-                              const DataPath& path) {
+                              const TransferMatrix& matrix) {
   // Reuse the mapping logic without toggling sysfs: build a transient
   // mapping view. Safe mode is driver-internal, so exclusivity with perf
   // mode is the caller's concern (as on real hardware).
   RankMapping view(this, rank);
-  view.set_data_path(path);
   view.transfer(matrix);
   view.drv_ = nullptr;  // do not run unmap side effects
 }

@@ -30,15 +30,12 @@
 
 namespace vpim::driver {
 
-// How a mapping moves bytes between host memory and rank MRAM.
+// Selects the host copy bandwidth a mapping's transfers are charged at.
+// The bytes move the same way on every path; only virtual time differs.
 struct DataPath {
-  // Per-byte interleave loop (the paper's Rust/AVX2 baseline) instead of
-  // the wide-word path (the C/AVX512 rewrite).
+  // Charge the per-byte interleave loop (the paper's Rust baseline)
+  // instead of the wide-word path (the C/AVX512 rewrite).
   bool naive = false;
-  // Physically run the (de)interleave kernels through a scratch buffer.
-  // Bit-for-bit faithful to the DDR wire format; used by fidelity tests.
-  // Benches leave it off: virtual time is charged either way.
-  bool real_transform = false;
   // Overrides the cost-model bandwidth, e.g. for backend copies gathering
   // from scattered guest pages. 0 = use the cost model.
   double gbps_override = 0.0;
@@ -67,11 +64,10 @@ class CopyBacklog {
  public:
   CopyBacklog() { slot_.fill(-1); }
 
-  void add(upmem::Rank& rank, const TransferMatrix& matrix,
-           const DataPath& path);
+  void add(upmem::Rank& rank, const TransferMatrix& matrix);
   bool empty() const { return groups_.empty(); }
-  // Replays every parked copy (one parallel_for over DPU groups, per-group
-  // transform scratch), then resets for the next batch.
+  // Replays every parked copy (one parallel_for over DPU groups), then
+  // resets for the next batch.
   void flush();
 
  private:
@@ -81,8 +77,6 @@ class CopyBacklog {
     std::uint8_t* host;
     std::uint64_t size;
     bool to_rank;
-    bool real_transform;
-    bool naive;
   };
   std::array<std::int32_t, upmem::kDpuSlotsPerRank> slot_{};
   std::vector<std::vector<Task>> groups_;
@@ -92,9 +86,10 @@ class CopyBacklog {
 // between its host buffer and `rank`'s MRAM banks: entries for one DPU
 // replay in request order, distinct banks fan out over the host pool. With
 // `defer`, the copies are parked there for a batched replay instead.
-// Charges no virtual time; every caller charges its own.
+// Banks hold DPU-linear bytes, so no (de)interleave runs here. Charges no
+// virtual time; every caller charges its own.
 void copy_banks(upmem::Rank& rank, const TransferMatrix& matrix,
-                const DataPath& path, CopyBacklog* defer = nullptr);
+                CopyBacklog* defer = nullptr);
 
 // The one broadcast: writes `data` at `mram_offset` of every bank of
 // `rank`. Whole pages are built once and shared copy-on-write, so a 60 MB
@@ -204,8 +199,7 @@ class UpmemDriver {
 
  private:
   friend class RankMapping;
-  void do_transfer(std::uint32_t rank, const TransferMatrix& matrix,
-                   const DataPath& path);
+  void do_transfer(std::uint32_t rank, const TransferMatrix& matrix);
   void unmap_rank(std::uint32_t rank);
 
   upmem::PimMachine& machine_;

@@ -1,15 +1,8 @@
 #include "upmem/interleave.h"
 
-#include <cstdlib>
 #include <cstring>
 
 #include "common/error.h"
-
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
-#define VPIM_INTERLEAVE_AVX2 1
-#define VPIM_INTERLEAVE_AVX512 1
-#include <immintrin.h>
-#endif
 
 namespace vpim::upmem {
 
@@ -57,10 +50,11 @@ inline void store_u64(std::uint8_t* p, std::uint64_t v) {
   std::memcpy(p, &v, 8);
 }
 
-// Shared scalar tail for the last (< main-loop granule) words.
-inline void interleave_tail(std::span<const std::uint8_t> src,
-                            std::span<std::uint8_t> dst,
-                            std::size_t per_chip, std::size_t first_word) {
+// Byte-at-a-time (de)interleave of words [first_word, per_chip): the whole
+// naive kernel, and the ragged tail of the wide one.
+inline void interleave_words(std::span<const std::uint8_t> src,
+                             std::span<std::uint8_t> dst,
+                             std::size_t per_chip, std::size_t first_word) {
   for (std::size_t w = first_word; w < per_chip; ++w) {
     for (std::size_t c = 0; c < kChips; ++c) {
       dst[c * per_chip + w] = src[w * kChips + c];
@@ -68,248 +62,14 @@ inline void interleave_tail(std::span<const std::uint8_t> src,
   }
 }
 
-inline void deinterleave_tail(std::span<const std::uint8_t> src,
-                              std::span<std::uint8_t> dst,
-                              std::size_t per_chip,
-                              std::size_t first_word) {
+inline void deinterleave_words(std::span<const std::uint8_t> src,
+                               std::span<std::uint8_t> dst,
+                               std::size_t per_chip, std::size_t first_word) {
   for (std::size_t w = first_word; w < per_chip; ++w) {
     for (std::size_t c = 0; c < kChips; ++c) {
       dst[w * kChips + c] = src[c * per_chip + w];
     }
   }
-}
-
-#ifdef VPIM_INTERLEAVE_AVX2
-
-// AVX2 path: four independent 8x8 blocks per iteration, one block per
-// 64-bit lane, so the delta swaps of transpose8x8 run 4-wide unchanged.
-// Per-chip outputs of four consecutive blocks are contiguous, which makes
-// the store (interleave) / load (deinterleave) side a single 32-byte op.
-
-__attribute__((target("avx2"))) inline __m256i gather4_u64(
-    const std::uint8_t* base, std::size_t stride) {
-  return _mm256_set_epi64x(
-      static_cast<long long>(load_u64(base + 3 * stride)),
-      static_cast<long long>(load_u64(base + 2 * stride)),
-      static_cast<long long>(load_u64(base + stride)),
-      static_cast<long long>(load_u64(base)));
-}
-
-__attribute__((target("avx2"))) inline void scatter4_u64(
-    std::uint8_t* base, std::size_t stride, __m256i v) {
-  alignas(32) std::uint64_t lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), v);
-  store_u64(base, lanes[0]);
-  store_u64(base + stride, lanes[1]);
-  store_u64(base + 2 * stride, lanes[2]);
-  store_u64(base + 3 * stride, lanes[3]);
-}
-
-__attribute__((target("avx2"))) inline void transpose8x8x4(__m256i x[8]) {
-  const __m256i m8 = _mm256_set1_epi64x(0x00FF00FF00FF00FFLL);
-  const __m256i m16 = _mm256_set1_epi64x(0x0000FFFF0000FFFFLL);
-  const __m256i m32 = _mm256_set1_epi64x(0x00000000FFFFFFFFLL);
-  __m256i t;
-  for (int i = 0; i < 8; i += 2) {
-    t = _mm256_and_si256(
-        _mm256_xor_si256(_mm256_srli_epi64(x[i], 8), x[i + 1]), m8);
-    x[i + 1] = _mm256_xor_si256(x[i + 1], t);
-    x[i] = _mm256_xor_si256(x[i], _mm256_slli_epi64(t, 8));
-  }
-  for (int i = 0; i < 8; i += 4) {
-    for (int j = 0; j < 2; ++j) {
-      t = _mm256_and_si256(
-          _mm256_xor_si256(_mm256_srli_epi64(x[i + j], 16), x[i + j + 2]),
-          m16);
-      x[i + j + 2] = _mm256_xor_si256(x[i + j + 2], t);
-      x[i + j] = _mm256_xor_si256(x[i + j], _mm256_slli_epi64(t, 16));
-    }
-  }
-  for (int j = 0; j < 4; ++j) {
-    t = _mm256_and_si256(
-        _mm256_xor_si256(_mm256_srli_epi64(x[j], 32), x[j + 4]), m32);
-    x[j + 4] = _mm256_xor_si256(x[j + 4], t);
-    x[j] = _mm256_xor_si256(x[j], _mm256_slli_epi64(t, 32));
-  }
-}
-
-__attribute__((target("avx2"))) void interleave_wide_avx2(
-    std::span<const std::uint8_t> src, std::span<std::uint8_t> dst) {
-  check_args(src, dst);
-  const std::size_t per_chip = src.size() / kChips;
-  const std::size_t groups = per_chip / 32;  // 4 blocks = 256 bytes each
-  for (std::size_t g = 0; g < groups; ++g) {
-    const std::uint8_t* base = src.data() + g * 256;
-    __m256i x[8];
-    for (std::size_t i = 0; i < 8; ++i) {
-      x[i] = gather4_u64(base + i * 8, 64);
-    }
-    transpose8x8x4(x);
-    for (std::size_t c = 0; c < kChips; ++c) {
-      _mm256_storeu_si256(
-          reinterpret_cast<__m256i*>(dst.data() + c * per_chip + g * 32),
-          x[c]);
-    }
-  }
-  interleave_tail(src, dst, per_chip, groups * 32);
-}
-
-__attribute__((target("avx2"))) void deinterleave_wide_avx2(
-    std::span<const std::uint8_t> src, std::span<std::uint8_t> dst) {
-  check_args(src, dst);
-  const std::size_t per_chip = src.size() / kChips;
-  const std::size_t groups = per_chip / 32;
-  for (std::size_t g = 0; g < groups; ++g) {
-    __m256i x[8];
-    for (std::size_t c = 0; c < kChips; ++c) {
-      x[c] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(
-          src.data() + c * per_chip + g * 32));
-    }
-    transpose8x8x4(x);
-    std::uint8_t* base = dst.data() + g * 256;
-    for (std::size_t i = 0; i < 8; ++i) {
-      scatter4_u64(base + i * 8, 64, x[i]);
-    }
-  }
-  deinterleave_tail(src, dst, per_chip, groups * 32);
-}
-
-#endif  // VPIM_INTERLEAVE_AVX2
-
-#ifdef VPIM_INTERLEAVE_AVX512
-
-// AVX-512 path: eight independent 8x8 blocks per iteration, one block per
-// 64-bit lane, the same delta-swap transpose running 8-wide. Per-chip
-// outputs of eight consecutive blocks are contiguous, so each chip's
-// store (interleave) / load (deinterleave) is one full 64-byte zmm op —
-// exactly one cache line per chip per group.
-
-__attribute__((target("avx512f"))) inline __m512i gather8_u64(
-    const std::uint8_t* base, std::size_t stride) {
-  return _mm512_set_epi64(
-      static_cast<long long>(load_u64(base + 7 * stride)),
-      static_cast<long long>(load_u64(base + 6 * stride)),
-      static_cast<long long>(load_u64(base + 5 * stride)),
-      static_cast<long long>(load_u64(base + 4 * stride)),
-      static_cast<long long>(load_u64(base + 3 * stride)),
-      static_cast<long long>(load_u64(base + 2 * stride)),
-      static_cast<long long>(load_u64(base + stride)),
-      static_cast<long long>(load_u64(base)));
-}
-
-__attribute__((target("avx512f"))) inline void scatter8_u64(
-    std::uint8_t* base, std::size_t stride, __m512i v) {
-  alignas(64) std::uint64_t lanes[8];
-  _mm512_store_si512(lanes, v);
-  for (std::size_t i = 0; i < 8; ++i) {
-    store_u64(base + i * stride, lanes[i]);
-  }
-}
-
-__attribute__((target("avx512f"))) inline void transpose8x8x8(__m512i x[8]) {
-  const __m512i m8 = _mm512_set1_epi64(0x00FF00FF00FF00FFLL);
-  const __m512i m16 = _mm512_set1_epi64(0x0000FFFF0000FFFFLL);
-  const __m512i m32 = _mm512_set1_epi64(0x00000000FFFFFFFFLL);
-  __m512i t;
-  for (int i = 0; i < 8; i += 2) {
-    t = _mm512_and_si512(
-        _mm512_xor_si512(_mm512_srli_epi64(x[i], 8), x[i + 1]), m8);
-    x[i + 1] = _mm512_xor_si512(x[i + 1], t);
-    x[i] = _mm512_xor_si512(x[i], _mm512_slli_epi64(t, 8));
-  }
-  for (int i = 0; i < 8; i += 4) {
-    for (int j = 0; j < 2; ++j) {
-      t = _mm512_and_si512(
-          _mm512_xor_si512(_mm512_srli_epi64(x[i + j], 16), x[i + j + 2]),
-          m16);
-      x[i + j + 2] = _mm512_xor_si512(x[i + j + 2], t);
-      x[i + j] = _mm512_xor_si512(x[i + j], _mm512_slli_epi64(t, 16));
-    }
-  }
-  for (int j = 0; j < 4; ++j) {
-    t = _mm512_and_si512(
-        _mm512_xor_si512(_mm512_srli_epi64(x[j], 32), x[j + 4]), m32);
-    x[j + 4] = _mm512_xor_si512(x[j + 4], t);
-    x[j] = _mm512_xor_si512(x[j], _mm512_slli_epi64(t, 32));
-  }
-}
-
-__attribute__((target("avx512f"))) void interleave_wide_avx512(
-    std::span<const std::uint8_t> src, std::span<std::uint8_t> dst) {
-  check_args(src, dst);
-  const std::size_t per_chip = src.size() / kChips;
-  const std::size_t groups = per_chip / 64;  // 8 blocks = 512 bytes each
-  for (std::size_t g = 0; g < groups; ++g) {
-    const std::uint8_t* base = src.data() + g * 512;
-    __m512i x[8];
-    for (std::size_t i = 0; i < 8; ++i) {
-      x[i] = gather8_u64(base + i * 8, 64);
-    }
-    transpose8x8x8(x);
-    for (std::size_t c = 0; c < kChips; ++c) {
-      _mm512_storeu_si512(dst.data() + c * per_chip + g * 64, x[c]);
-    }
-  }
-  interleave_tail(src, dst, per_chip, groups * 64);
-}
-
-__attribute__((target("avx512f"))) void deinterleave_wide_avx512(
-    std::span<const std::uint8_t> src, std::span<std::uint8_t> dst) {
-  check_args(src, dst);
-  const std::size_t per_chip = src.size() / kChips;
-  const std::size_t groups = per_chip / 64;
-  for (std::size_t g = 0; g < groups; ++g) {
-    __m512i x[8];
-    for (std::size_t c = 0; c < kChips; ++c) {
-      x[c] = _mm512_loadu_si512(src.data() + c * per_chip + g * 64);
-    }
-    transpose8x8x8(x);
-    std::uint8_t* base = dst.data() + g * 512;
-    for (std::size_t i = 0; i < 8; ++i) {
-      scatter8_u64(base + i * 8, 64, x[i]);
-    }
-  }
-  deinterleave_tail(src, dst, per_chip, groups * 64);
-}
-
-#endif  // VPIM_INTERLEAVE_AVX512
-
-struct WideDispatch {
-  InterleaveKernel inter;
-  InterleaveKernel deinter;
-  std::string_view name;
-};
-
-bool env_set(const char* name) {
-  const char* v = std::getenv(name);
-  return v != nullptr && v[0] != '\0' && v[0] != '0';
-}
-
-const WideDispatch& wide_dispatch() {
-  // Tier priority: AVX-512 > AVX2 > portable scalar. VPIM_NO_AVX512=1
-  // drops only the 512-bit tier (A/B testing the paper's C/AVX512 claim);
-  // VPIM_NO_AVX2=1 forces the scalar path outright.
-  static const WideDispatch d = [] {
-#if defined(VPIM_INTERLEAVE_AVX2) || defined(VPIM_INTERLEAVE_AVX512)
-    const bool no_vector = env_set("VPIM_NO_AVX2");
-#endif
-#ifdef VPIM_INTERLEAVE_AVX512
-    if (!no_vector && !env_set("VPIM_NO_AVX512") &&
-        __builtin_cpu_supports("avx512f")) {
-      return WideDispatch{interleave_wide_avx512, deinterleave_wide_avx512,
-                          "avx512"};
-    }
-#endif
-#ifdef VPIM_INTERLEAVE_AVX2
-    if (!no_vector && __builtin_cpu_supports("avx2")) {
-      return WideDispatch{interleave_wide_avx2, deinterleave_wide_avx2,
-                          "avx2"};
-    }
-#endif
-    return WideDispatch{interleave_wide_scalar, deinterleave_wide_scalar,
-                        "scalar"};
-  }();
-  return d;
 }
 
 }  // namespace
@@ -317,27 +77,17 @@ const WideDispatch& wide_dispatch() {
 void interleave_naive(std::span<const std::uint8_t> src,
                       std::span<std::uint8_t> dst) {
   check_args(src, dst);
-  const std::size_t per_chip = src.size() / kChips;
-  for (std::size_t w = 0; w < per_chip; ++w) {
-    for (std::size_t c = 0; c < kChips; ++c) {
-      dst[c * per_chip + w] = src[w * kChips + c];
-    }
-  }
+  interleave_words(src, dst, src.size() / kChips, 0);
 }
 
 void deinterleave_naive(std::span<const std::uint8_t> src,
                         std::span<std::uint8_t> dst) {
   check_args(src, dst);
-  const std::size_t per_chip = src.size() / kChips;
-  for (std::size_t w = 0; w < per_chip; ++w) {
-    for (std::size_t c = 0; c < kChips; ++c) {
-      dst[w * kChips + c] = src[c * per_chip + w];
-    }
-  }
+  deinterleave_words(src, dst, src.size() / kChips, 0);
 }
 
-void interleave_wide_scalar(std::span<const std::uint8_t> src,
-                            std::span<std::uint8_t> dst) {
+void interleave_wide(std::span<const std::uint8_t> src,
+                     std::span<std::uint8_t> dst) {
   check_args(src, dst);
   const std::size_t per_chip = src.size() / kChips;
   const std::size_t blocks = per_chip / 8;  // 64-byte main-loop blocks
@@ -351,11 +101,11 @@ void interleave_wide_scalar(std::span<const std::uint8_t> src,
       store_u64(dst.data() + c * per_chip + b * 8, x[c]);
     }
   }
-  interleave_tail(src, dst, per_chip, blocks * 8);
+  interleave_words(src, dst, per_chip, blocks * 8);
 }
 
-void deinterleave_wide_scalar(std::span<const std::uint8_t> src,
-                              std::span<std::uint8_t> dst) {
+void deinterleave_wide(std::span<const std::uint8_t> src,
+                       std::span<std::uint8_t> dst) {
   check_args(src, dst);
   const std::size_t per_chip = src.size() / kChips;
   const std::size_t blocks = per_chip / 8;
@@ -369,47 +119,7 @@ void deinterleave_wide_scalar(std::span<const std::uint8_t> src,
       store_u64(dst.data() + (b * 8 + i) * 8, x[i]);
     }
   }
-  deinterleave_tail(src, dst, per_chip, blocks * 8);
-}
-
-void interleave_wide(std::span<const std::uint8_t> src,
-                     std::span<std::uint8_t> dst) {
-  wide_dispatch().inter(src, dst);
-}
-
-void deinterleave_wide(std::span<const std::uint8_t> src,
-                       std::span<std::uint8_t> dst) {
-  wide_dispatch().deinter(src, dst);
-}
-
-std::string_view wide_kernel_name() { return wide_dispatch().name; }
-
-InterleaveKernel interleave_avx512_kernel() {
-#ifdef VPIM_INTERLEAVE_AVX512
-  if (__builtin_cpu_supports("avx512f")) return interleave_wide_avx512;
-#endif
-  return nullptr;
-}
-
-InterleaveKernel deinterleave_avx512_kernel() {
-#ifdef VPIM_INTERLEAVE_AVX512
-  if (__builtin_cpu_supports("avx512f")) return deinterleave_wide_avx512;
-#endif
-  return nullptr;
-}
-
-InterleaveKernel interleave_avx2_kernel() {
-#ifdef VPIM_INTERLEAVE_AVX2
-  if (__builtin_cpu_supports("avx2")) return interleave_wide_avx2;
-#endif
-  return nullptr;
-}
-
-InterleaveKernel deinterleave_avx2_kernel() {
-#ifdef VPIM_INTERLEAVE_AVX2
-  if (__builtin_cpu_supports("avx2")) return deinterleave_wide_avx2;
-#endif
-  return nullptr;
+  deinterleave_words(src, dst, per_chip, blocks * 8);
 }
 
 }  // namespace vpim::upmem

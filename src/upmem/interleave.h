@@ -1,66 +1,38 @@
-// Byte-interleave kernels for the rank DDR data path.
+// Byte-interleave kernels modelling the rank DDR stripe format.
 //
 // On real UPMEM hardware each 8-byte word of DPU-linear data is striped one
 // byte per chip across the 8 chips of a rank, so host-side transfers must
 // (de)interleave every buffer. The paper found the implementation of this
-// transform to be performance-critical and rewrote it from Rust/AVX2 to
-// C/AVX512 (§4.2, up to 343% faster). We keep both shapes:
+// transform to be performance-critical and rewrote it from Rust to C/AVX512
+// (§4.2, up to 343% faster). We keep one portable kernel pair per shape:
 //
-//   - *_naive: byte-at-a-time loop (the slow-path stand-in, kept intact
-//     for the Fig 11/12 ablations);
-//   - *_wide : the fast path, dispatched at runtime across three tiers:
-//     AVX-512 (eight 8x8 blocks per iteration, delta swaps on zmm
-//     registers, one full 64-byte cache line per chip per group), then
-//     AVX2 (four 8x8 blocks on ymm registers), then the portable
-//     transpose8x8 64-bit-word path. VPIM_NO_AVX512=1 drops only the
-//     512-bit tier; VPIM_NO_AVX2=1 forces the portable path. Both are
-//     read once at first dispatch, for A/B testing.
+//   - *_naive: byte-at-a-time loop (the "Rust" stand-in of Fig 11/12);
+//   - *_wide : 64-bit-word path, one 8x8 byte transpose per 64-byte block
+//     (the shape of the C rewrite).
 //
-// All variants are bit-exact inverses of each other and are property-tested
-// against each other; the cost model charges their calibrated bandwidths.
+// The simulated data path does not run these kernels: banks store
+// DPU-linear bytes, and the cost model charges each shape's calibrated
+// bandwidth (interleave_naive_gbps, interleave_wide_gbps). Both variants
+// are bit-exact inverses of each other and are property-tested against the
+// independent flat-byte oracle.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <string_view>
 
 namespace vpim::upmem {
 
-// dst[chip * (n/8) + word] = src[word * 8 + chip]; n must be a multiple of
-// 64 for the wide kernel's main loop, arbitrary sizes fall back to the tail
-// loop. dst and src must not alias and must both hold n bytes.
+// dst[chip * (n/8) + word] = src[word * 8 + chip]. n must be a multiple of
+// 8; the wide kernel transposes whole 64-byte blocks and finishes any
+// ragged tail word by word. dst and src must not alias and must both hold
+// n bytes.
 void interleave_naive(std::span<const std::uint8_t> src,
                       std::span<std::uint8_t> dst);
 void deinterleave_naive(std::span<const std::uint8_t> src,
                         std::span<std::uint8_t> dst);
-
-// Runtime-dispatched fast path (AVX-512 > AVX2 > scalar).
 void interleave_wide(std::span<const std::uint8_t> src,
                      std::span<std::uint8_t> dst);
 void deinterleave_wide(std::span<const std::uint8_t> src,
                        std::span<std::uint8_t> dst);
-
-// Signature shared by every (de)interleave kernel.
-using InterleaveKernel = void (*)(std::span<const std::uint8_t>,
-                                  std::span<std::uint8_t>);
-
-// Direct handles to the vector tiers, bypassing the env-var dispatch, so
-// property tests can pin a specific implementation against the oracle.
-// Return nullptr when the binary or the CPU lacks the instruction set
-// (callers GTEST_SKIP cleanly on such hosts).
-InterleaveKernel interleave_avx512_kernel();
-InterleaveKernel deinterleave_avx512_kernel();
-InterleaveKernel interleave_avx2_kernel();
-InterleaveKernel deinterleave_avx2_kernel();
-
-// The portable transpose8x8 implementation, callable directly so tests can
-// compare it against whatever interleave_wide dispatched to.
-void interleave_wide_scalar(std::span<const std::uint8_t> src,
-                            std::span<std::uint8_t> dst);
-void deinterleave_wide_scalar(std::span<const std::uint8_t> src,
-                              std::span<std::uint8_t> dst);
-
-// "avx512", "avx2", or "scalar": which tier interleave_wide dispatches to.
-std::string_view wide_kernel_name();
 
 }  // namespace vpim::upmem

@@ -125,8 +125,7 @@ void Backend::data_transfer(const driver::TransferMatrix& matrix) {
   vmm_.clock().advance(cost.native_xfer_fixed_ns +
                        CostModel::bytes_time(bytes,
                                              cost.emulated_copy_gbps));
-  driver::copy_banks(emulated_->rank, matrix, driver::DataPath{},
-                     &backlog_);
+  driver::copy_banks(emulated_->rank, matrix, &backlog_);
 }
 
 void Backend::data_broadcast(std::uint64_t mram_offset,
@@ -172,7 +171,7 @@ void Backend::run_with_recovery(OpRef op) {
     } catch (const FaultError& e) {
       drv_.log_fault(e.record());
       if (e.transient()) {
-        if (attempt < config_.fault_max_retries) {
+        if (attempt < kFaultMaxRetries) {
           // Exponential backoff before touching the rank again.
           vmm_.clock().advance(vmm_.cost().fault_retry_backoff_ns
                                << attempt);
@@ -533,7 +532,7 @@ void Backend::apply_batched_writes(const DeserializeResult& matrix) {
       off += hdr.size;
     }
   }
-  driver::copy_banks(bound_rank(), records, driver::DataPath{});
+  driver::copy_banks(bound_rank(), records);
 }
 
 void Backend::handle_ci(const virtio::DescChain& chain,

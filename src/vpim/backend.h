@@ -137,8 +137,8 @@ class Backend {
 
   // --- fault recovery (ISSUE 3) -----------------------------------------
   // Runs `op`, absorbing injected faults: transient faults retry with
-  // exponential backoff up to VpimConfig::fault_max_retries; permanent
-  // rank death triggers a transparent wrank migration and a fresh retry.
+  // exponential backoff up to kFaultMaxRetries; permanent rank death
+  // triggers a transparent wrank migration and a fresh retry.
   // Exhausted/unrecoverable faults rethrow as a DEVICE_FAULT status.
   void run_with_recovery(OpRef op);
   // Moves this device's wrank off its (dead) physical rank onto a freshly

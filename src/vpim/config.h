@@ -3,11 +3,26 @@
 // optimization (§5.4).
 #pragma once
 
+#include <cstdint>
 #include <string>
 
 #include "common/units.h"
 
 namespace vpim::core {
+
+// Only writes up to this many guest pages are absorbed by the §4.1 batch
+// buffer; larger transfers go straight to the backend (batching bulk data
+// would just add a copy).
+inline constexpr std::uint32_t kBatchEntryMaxPages = 16;  // 64 KiB
+
+// Fault handling. The frontend abandons a request whose completion never
+// arrives after kPollDeadlineNs of virtual time (typed TIMEOUT error),
+// re-polling every kPollIntervalNs; the backend retries a transiently
+// faulted rank operation up to kFaultMaxRetries times with exponential
+// backoff (CostModel::fault_retry_backoff_ns).
+inline constexpr SimNs kPollDeadlineNs = 100 * kMs;
+inline constexpr SimNs kPollIntervalNs = 100 * kUs;
+inline constexpr std::uint32_t kFaultMaxRetries = 4;
 
 struct VpimConfig {
   // §4.2 "AVX512 and C enhancements": wide-word interleave/matrix code
@@ -41,19 +56,6 @@ struct VpimConfig {
   // Sizing of the §4.1 frontend buffers (defaults from the prototype).
   std::uint32_t prefetch_cache_pages = 16;  // per DPU
   std::uint32_t batch_buffer_pages = 64;    // per DPU
-  // Only writes up to this size are absorbed by the batch buffer; larger
-  // transfers go straight to the backend (batching bulk data would just
-  // add a copy).
-  std::uint32_t batch_entry_max_pages = 16;  // 64 KiB
-
-  // Fault handling (robustness, ISSUE 3). The frontend abandons a request
-  // whose completion never arrives after poll_deadline_ns of virtual time
-  // (typed TIMEOUT error), re-polling every poll_interval_ns; the backend
-  // retries a transiently faulted rank operation up to fault_max_retries
-  // times with exponential backoff (CostModel::fault_retry_backoff_ns).
-  SimNs poll_deadline_ns = 100 * kMs;
-  SimNs poll_interval_ns = 100 * kUs;
-  std::uint32_t fault_max_retries = 4;
 
   // Overload protection (ISSUE 8). default_deadline_ns, when non-zero, is
   // a *relative* deadline the frontend stamps on every staged rank op

@@ -344,7 +344,7 @@ bool Frontend::try_batch(const driver::TransferMatrix& matrix) {
   if (batch_locked_) return false;
   // Batch only small writes that fit their DPU buffer's remaining space.
   const std::uint64_t small_max =
-      std::uint64_t{config_.batch_entry_max_pages} * guest::kGuestPageSize;
+      std::uint64_t{kBatchEntryMaxPages} * guest::kGuestPageSize;
   for (const driver::XferEntry& e : matrix.entries) {
     VPIM_CHECK(e.dpu < batches_.size(), "DPU index out of range");
     const DpuBatch& b = batches_[e.dpu];
@@ -565,13 +565,13 @@ std::size_t Frontend::doorbell(virtio::Virtqueue& queue,
   // Bounded completion wait: the first polls are free (the dispatch above
   // is synchronous, so a healthy device has already completed everything).
   // If a completion never arrives — injected lost completion, wedged
-  // device — the guest re-polls every poll_interval_ns of virtual time and
-  // gives up on the stragglers once poll_deadline_ns has elapsed.
+  // device — the guest re-polls every kPollIntervalNs of virtual time and
+  // gives up on the stragglers once kPollDeadlineNs has elapsed.
   std::size_t got = 0;
   while (got < expected) {
     auto used = queue.poll_used();
     if (!used.has_value()) {
-      SimNs wait_until = clock.now() + config_.poll_deadline_ns;
+      SimNs wait_until = clock.now() + kPollDeadlineNs;
       // Completion-reap deadline boundary: when every outstanding staged
       // request carries a wire deadline, there is no point polling past
       // the latest of them — the device itself sheds expired work, so
@@ -592,7 +592,7 @@ std::size_t Frontend::doorbell(virtio::Virtqueue& queue,
         wait_until = std::min(wait_until, latest);
       }
       while (!used.has_value() && clock.now() < wait_until) {
-        clock.advance(config_.poll_interval_ns);
+        clock.advance(kPollIntervalNs);
         used = queue.poll_used();
       }
     }

@@ -4,14 +4,12 @@
 // the full vPIM path (guest SDK -> frontend -> virtio -> backend -> rank)
 // at pool sizes 1 / 4 / hardware_concurrency and require byte-identical
 // results, identical virtual-time breakdowns, and identical trace logs.
-// Also pins the interleave dispatch (AVX2 vs portable) to bit-exactness.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
 #include <cstring>
-#include <random>
 #include <span>
 #include <sstream>
 #include <string>
@@ -25,7 +23,6 @@
 #include "prim/micro.h"
 #include "tests/test_kernels.h"
 #include "tests/testutil.h"
-#include "upmem/interleave.h"
 #include "vpim/guest_platform.h"
 #include "vpim/host.h"
 #include "vpim/vpim_vm.h"
@@ -525,44 +522,6 @@ TEST_F(DeterminismTest, GoldenDevicePathCapture) {
     EXPECT_EQ(got.stats, 0xf631b6c3fa8dc3ceULL) << "threads=" << t;
     EXPECT_EQ(got.clock_end, SimNs{2572780666}) << "threads=" << t;
   }
-}
-
-// ---- interleave dispatch ------------------------------------------------
-
-std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint64_t seed) {
-  std::mt19937_64 rng(seed);
-  std::vector<std::uint8_t> out(n);
-  for (auto& b : out) b = static_cast<std::uint8_t>(rng());
-  return out;
-}
-
-TEST(InterleaveDispatch, WideMatchesScalarAndNaive) {
-  // Whatever interleave_wide dispatched to (AVX2 on capable hosts, the
-  // portable transpose otherwise) must be bit-exact against both the
-  // scalar wide path and the naive reference, including ragged tails.
-  for (std::size_t n : {8u, 64u, 256u, 2048u, 2048u + 64u, 2048u + 8u,
-                        64u * 1024u}) {
-    const auto src = random_bytes(n, 0xC0FFEE ^ n);
-    std::vector<std::uint8_t> naive(n), scalar(n), wide(n);
-    upmem::interleave_naive(src, naive);
-    upmem::interleave_wide_scalar(src, scalar);
-    upmem::interleave_wide(src, wide);
-    EXPECT_EQ(naive, scalar) << "n=" << n;
-    EXPECT_EQ(naive, wide) << "n=" << n << " kernel="
-                           << upmem::wide_kernel_name();
-
-    std::vector<std::uint8_t> back(n);
-    upmem::deinterleave_wide(wide, back);
-    EXPECT_EQ(back, src) << "n=" << n;
-    upmem::deinterleave_wide_scalar(scalar, back);
-    EXPECT_EQ(back, src) << "n=" << n;
-  }
-}
-
-TEST(InterleaveDispatch, ReportsAKnownKernel) {
-  const auto name = upmem::wide_kernel_name();
-  EXPECT_TRUE(name == "avx512" || name == "avx2" || name == "scalar")
-      << name;
 }
 
 }  // namespace

@@ -67,26 +67,6 @@ TEST(Driver, TransferRoundTripAndCost) {
   EXPECT_EQ(in, out);
 }
 
-TEST(Driver, RealTransformPathPreservesData) {
-  test::TestRig rig(test::small_machine());
-  auto m = rig.drv.map_rank(0, "xform");
-  m.set_data_path({.naive = false, .real_transform = true});
-
-  Rng rng(6);
-  std::vector<std::uint8_t> in(12345), out(12345);
-  rng.fill_bytes(in.data(), in.size());
-  TransferMatrix to;
-  to.entries.push_back({0, 0, in.data(), in.size()});
-  m.transfer(to);
-
-  m.set_data_path({.naive = true, .real_transform = true});
-  TransferMatrix from;
-  from.direction = XferDirection::kFromRank;
-  from.entries.push_back({0, 0, out.data(), out.size()});
-  m.transfer(from);
-  EXPECT_EQ(in, out);
-}
-
 TEST(Driver, NaivePathIsSlower) {
   test::TestRig rig(test::small_machine());
   auto m = rig.drv.map_rank(0, "naive");

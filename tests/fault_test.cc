@@ -1,8 +1,9 @@
 // Seeded fault-injection matrix (ISSUE 3): transient faults retry and
-// succeed, permanent rank death migrates the wrank with data intact,
-// exhausted capacity surfaces a typed DEVICE_FAULT, lost completions hit
-// the frontend's poll deadline, and the whole fault pipeline stays
-// bit-identical across VPIM_THREADS settings.
+// succeed, or fail typed once the retry budget is spent, permanent rank
+// death migrates the wrank with data intact, exhausted capacity surfaces a
+// typed DEVICE_FAULT, lost completions hit the frontend's poll deadline,
+// and the whole fault pipeline stays bit-identical across VPIM_THREADS
+// settings.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -93,6 +94,69 @@ TEST(FaultInjection, MramEccFaultRetriesWithDataIntact) {
   EXPECT_EQ(vm.device(0).stats.fault_failures, 0u);
 }
 
+// MRAM ECC events on rank 0's DMA windows 1..n.
+std::vector<FaultEvent> ecc_on_first_transfers(std::uint64_t n) {
+  std::vector<FaultEvent> events;
+  for (std::uint64_t op = 1; op <= n; ++op) {
+    events.push_back({FaultKind::kMramEcc, 0, 0, /*at_op=*/op});
+  }
+  return events;
+}
+
+TEST(FaultInjection, PersistentTransientFaultExhaustsTheRetryBudget) {
+  Host host(machine(1), CostModel{}, fast_manager());
+  // The first attempt and all four retries of the first write fault.
+  host.install_fault_plan(ecc_on_first_transfers(5));
+  VpimVm vm(host, {.name = "flt-budget"}, 1, plain_config());
+  Frontend& fe = vm.device(0).frontend;
+  ASSERT_TRUE(fe.open());
+
+  auto buf = vm.vmm().memory().alloc(4 * kKiB);
+  std::memset(buf.data(), 0x3D, buf.size());
+  try {
+    fe.write_to_rank(one_entry(driver::XferDirection::kToRank, buf));
+    FAIL() << "a fault outlasting the retry budget must surface";
+  } catch (const VpimStatusError& e) {
+    EXPECT_EQ(e.status(),
+              static_cast<std::int32_t>(virtio::PimStatus::kDeviceFault));
+  }
+  EXPECT_EQ(vm.device(0).stats.fault_retries, 4u);
+  EXPECT_EQ(vm.device(0).stats.fault_failures, 1u);
+
+  // The budget is per request: the sixth DMA window is clean.
+  fe.write_to_rank(one_entry(driver::XferDirection::kToRank, buf));
+  auto out = vm.vmm().memory().alloc(4 * kKiB);
+  fe.read_from_rank(one_entry(driver::XferDirection::kFromRank, out));
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    ASSERT_EQ(out[i], 0x3D) << "byte " << i;
+  }
+
+  // Twin hosts: one fault-free, one whose four ECC events use up the
+  // budget so the last retry lands. A faulted attempt throws before it
+  // charges any transfer time, so only the backoffs separate the writes.
+  const auto first_write = [](std::uint64_t faults,
+                              std::uint64_t& retries) -> SimNs {
+    Host twin(machine(1), CostModel{}, fast_manager());
+    if (faults > 0) twin.install_fault_plan(ecc_on_first_transfers(faults));
+    VpimVm twin_vm(twin, {.name = "flt-twin"}, 1, plain_config());
+    Frontend& twin_fe = twin_vm.device(0).frontend;
+    EXPECT_TRUE(twin_fe.open());
+    auto data = twin_vm.vmm().memory().alloc(4 * kKiB);
+    const SimNs t0 = twin.clock.now();
+    twin_fe.write_to_rank(one_entry(driver::XferDirection::kToRank, data));
+    retries = twin_vm.device(0).stats.fault_retries;
+    return twin.clock.now() - t0;
+  };
+  std::uint64_t clean_retries = 0;
+  std::uint64_t faulted_retries = 0;
+  const SimNs clean = first_write(0, clean_retries);
+  const SimNs faulted = first_write(4, faulted_retries);
+  EXPECT_EQ(clean_retries, 0u);
+  EXPECT_EQ(faulted_retries, 4u);
+  EXPECT_EQ(faulted,
+            clean + CostModel{}.fault_retry_backoff_ns * (1 + 2 + 4 + 8));
+}
+
 TEST(FaultInjection, RankDeathMigratesWrankWithDataIntact) {
   Host host(machine(2), CostModel{}, fast_manager());
   // Rank 0 dies on its second device op: the write survives, the read
@@ -180,7 +244,7 @@ TEST(FaultInjection, LostCompletionHitsThePollDeadline) {
               static_cast<std::int32_t>(virtio::PimStatus::kTimeout));
   }
   // The guest re-polled for the full deadline before abandoning.
-  EXPECT_GE(host.clock.now() - t0, plain_config().poll_deadline_ns);
+  EXPECT_GE(host.clock.now() - t0, kPollDeadlineNs);
   EXPECT_EQ(vm.device(0).stats.poll_timeouts, 1u);
   EXPECT_EQ(vm.device(0).stats.dropped_completions, 1u);
 }

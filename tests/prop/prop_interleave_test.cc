@@ -1,7 +1,7 @@
-// Differential properties for the MRAM byte-interleave kernels: the naive,
-// wide (runtime AVX2 or portable), and wide-scalar production variants must
-// be bit-exact against the independent flat-byte oracle over random sizes
-// and buffer alignments, and every variant must invert cleanly.
+// Differential properties for the MRAM byte-interleave kernels: the naive
+// and wide (64-bit transpose) variants must be bit-exact against the
+// independent flat-byte oracle over random sizes and buffer alignments,
+// and every variant must invert cleanly.
 //
 // Includes a deliberate-mutation teeth test: a kernel with a one-byte chip
 // swap must be caught and must print a VPIM_PROP_SEED reproducer.
@@ -106,14 +106,8 @@ TEST(PropInterleave, AllVariantsMatchOracle) {
         const auto oracle = run_kernel(c, oracle_interleave);
         const auto naive = run_kernel(c, upmem::interleave_naive);
         const auto wide = run_kernel(c, upmem::interleave_wide);
-        const auto scalar = run_kernel(c, upmem::interleave_wide_scalar);
         require(naive == oracle, "interleave_naive disagrees with oracle");
-        require(wide == oracle,
-                std::string("interleave_wide (") +
-                    std::string(upmem::wide_kernel_name()) +
-                    ") disagrees with oracle");
-        require(scalar == oracle,
-                "interleave_wide_scalar disagrees with oracle");
+        require(wide == oracle, "interleave_wide disagrees with oracle");
       },
       show_case);
   EXPECT_TRUE(out.ok) << out.reproducer;
@@ -129,8 +123,6 @@ TEST(PropInterleave, DeinterleaveMatchesOracle) {
                 "deinterleave_naive disagrees with oracle");
         require(run_kernel(c, upmem::deinterleave_wide) == oracle,
                 "deinterleave_wide disagrees with oracle");
-        require(run_kernel(c, upmem::deinterleave_wide_scalar) == oracle,
-                "deinterleave_wide_scalar disagrees with oracle");
       },
       show_case);
   EXPECT_TRUE(out.ok) << out.reproducer;
@@ -158,64 +150,6 @@ TEST(PropInterleave, EveryVariantRoundTrips) {
         upmem::interleave_naive(src, mid);
         oracle_deinterleave(mid, back);
         require(back == src, "naive -> oracle roundtrip broken");
-      },
-      show_case);
-  EXPECT_TRUE(out.ok) << out.reproducer;
-}
-
-// The AVX-512 tier pinned directly against the oracle, independent of what
-// interleave_wide dispatches to on this host (so VPIM_NO_AVX512 in the
-// environment cannot silently skip the 512-bit code). Sizes straddle the
-// 512-byte group boundary and both buffers take arbitrary misalignments,
-// exercising the unaligned zmm loads/stores and the scalar tail.
-TEST(PropInterleave, Avx512MatchesOracle) {
-  const auto inter = upmem::interleave_avx512_kernel();
-  const auto deinter = upmem::deinterleave_avx512_kernel();
-  if (inter == nullptr || deinter == nullptr) {
-    GTEST_SKIP() << "host CPU lacks AVX-512F";
-  }
-  const Params params = Params::from_env(0xA512F00Du, 150);
-  const auto out = run_property<InterleaveCase>(
-      "interleave.avx512_vs_oracle", params, interleave_case_gen(),
-      [&](const InterleaveCase& c) {
-        require(run_kernel(c, inter) == run_kernel(c, oracle_interleave),
-                "interleave_wide_avx512 disagrees with oracle");
-        require(run_kernel(c, deinter) == run_kernel(c, oracle_deinterleave),
-                "deinterleave_wide_avx512 disagrees with oracle");
-
-        // The 512-bit tier must also invert itself and cross-invert with
-        // the oracle (chip layout identical, not merely self-consistent).
-        std::vector<std::uint8_t> src(c.size);
-        Rng data(c.data_seed);
-        data.fill_bytes(src.data(), src.size());
-        std::vector<std::uint8_t> mid(c.size), back(c.size);
-        inter(src, mid);
-        deinter(mid, back);
-        require(back == src, "avx512 roundtrip broken");
-        inter(src, mid);
-        oracle_deinterleave(mid, back);
-        require(back == src, "avx512 -> oracle roundtrip broken");
-      },
-      show_case);
-  EXPECT_TRUE(out.ok) << out.reproducer;
-}
-
-// Same pinning for the AVX2 tier, which interleave_wide no longer selects
-// on AVX-512 hosts and would otherwise lose direct coverage there.
-TEST(PropInterleave, Avx2MatchesOracle) {
-  const auto inter = upmem::interleave_avx2_kernel();
-  const auto deinter = upmem::deinterleave_avx2_kernel();
-  if (inter == nullptr || deinter == nullptr) {
-    GTEST_SKIP() << "host CPU lacks AVX2";
-  }
-  const Params params = Params::from_env(0xA2F00Du, 150);
-  const auto out = run_property<InterleaveCase>(
-      "interleave.avx2_vs_oracle", params, interleave_case_gen(),
-      [&](const InterleaveCase& c) {
-        require(run_kernel(c, inter) == run_kernel(c, oracle_interleave),
-                "interleave_wide_avx2 disagrees with oracle");
-        require(run_kernel(c, deinter) == run_kernel(c, oracle_deinterleave),
-                "deinterleave_wide_avx2 disagrees with oracle");
       },
       show_case);
   EXPECT_TRUE(out.ok) << out.reproducer;
