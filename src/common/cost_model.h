@@ -40,7 +40,8 @@ struct CostModel {
   // Host memset bandwidth; a 4 GiB rank reset at 6.7 GB/s gives the
   // paper's ~597 ms average reset time (§4.2).
   double memset_gbps = 7.2;
-  // Fixed cost of one safe-mode ioctl into the (simulated) kernel driver.
+  // Fixed cost of one safe-mode ioctl: every call on the guest's vPIM
+  // device file (the frontend) pays it.
   SimNs ioctl_ns = 1500;
   // Fixed per-transfer-call software cost on the native SDK path (perf
   // mode): matrix walk, WC-buffer flush, etc. This is the denominator of
@@ -121,8 +122,8 @@ struct CostModel {
   // Base backoff before the backend retries a transiently faulted rank
   // operation; doubles per attempt up to core::kFaultMaxRetries.
   SimNs fault_retry_backoff_ns = 200 * kUs;
-  // Reset-verify probe of a quarantined rank (per-DPU pattern write/read
-  // through safe mode), charged on top of the erase itself.
+  // Reset-verify probe of a quarantined rank (the driver's per-DPU pattern
+  // write/read), charged on top of the erase itself.
   SimNs rank_probe_ns = 2 * kMs;
   // Host streaming bandwidth while rescuing MRAM off a dying rank during a
   // wrank migration (degraded vs the healthy interleave path).

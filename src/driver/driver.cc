@@ -23,13 +23,18 @@ vpim::obs::Tracer* trace_of(upmem::PimMachine& machine) {
 
 // ---------------------------------------------------------------- backlog
 
-void CopyBacklog::add(upmem::Rank& rank, const TransferMatrix& matrix) {
+void CopyBacklog::add(upmem::Rank& rank, const TransferMatrix& matrix,
+                      std::span<upmem::MramBank::Pin> pins) {
+  const bool to_rank = matrix.direction == XferDirection::kToRank;
+  VPIM_CHECK(pins.empty() || !to_rank, "only a read can pin");
   for (const XferEntry& e : matrix.entries) {
     if (e.size == 0) continue;
     VPIM_CHECK(e.host != nullptr, "transfer entry without a host buffer");
+    VPIM_CHECK(pins.empty() || e.dpu < pins.size(), "no pin slot for a DPU");
     rank.mram(e.dpu);  // throws for a dead rank, bad index or running DPU
   }
-  const bool to_rank = matrix.direction == XferDirection::kToRank;
+  const Kind kind =
+      to_rank ? Kind::kWrite : (pins.empty() ? Kind::kRead : Kind::kPin);
   for (const XferEntry& e : matrix.entries) {
     if (e.size == 0) continue;
     std::int32_t& g = slot_[e.dpu];
@@ -38,7 +43,8 @@ void CopyBacklog::add(upmem::Rank& rank, const TransferMatrix& matrix) {
       groups_.emplace_back();
     }
     groups_[static_cast<std::size_t>(g)].push_back(
-        {&rank.mram(e.dpu), e.mram_offset, e.host, e.size, to_rank});
+        {&rank.mram(e.dpu), e.mram_offset, e.host,
+         kind == Kind::kPin ? &pins[e.dpu] : nullptr, e.size, kind});
   }
 }
 
@@ -50,10 +56,16 @@ void CopyBacklog::flush() {
   // bank contents.
   ThreadPool::instance().parallel_for(groups_.size(), [&](std::size_t gi) {
     for (const Task& t : groups_[gi]) {
-      if (t.to_rank) {
-        t.bank->write(t.mram_offset, {t.host, t.size});
-      } else {
-        t.bank->read(t.mram_offset, {t.host, t.size});
+      switch (t.kind) {
+        case Kind::kWrite:
+          t.bank->write(t.mram_offset, {t.host, t.size});
+          break;
+        case Kind::kRead:
+          t.bank->read(t.mram_offset, {t.host, t.size});
+          break;
+        case Kind::kPin:
+          *t.pin = t.bank->pin(t.mram_offset, t.size);
+          break;
       }
     }
   });
@@ -62,9 +74,9 @@ void CopyBacklog::flush() {
 }
 
 void copy_banks(upmem::Rank& rank, const TransferMatrix& matrix,
-                CopyBacklog* defer) {
+                CopyBacklog* defer, std::span<upmem::MramBank::Pin> pins) {
   CopyBacklog now;
-  (defer != nullptr ? *defer : now).add(rank, matrix);
+  (defer != nullptr ? *defer : now).add(rank, matrix, pins);
   now.flush();
 }
 
@@ -91,8 +103,8 @@ void broadcast_banks(upmem::Rank& rank, std::uint64_t mram_offset,
 
 // ---------------------------------------------------------------- mapping
 
-RankMapping::RankMapping(UpmemDriver* drv, std::uint32_t rank_index)
-    : drv_(drv), rank_index_(rank_index) {}
+RankMapping::RankMapping(UpmemDriver& drv, std::uint32_t rank_index)
+    : drv_(&drv), rank_index_(rank_index) {}
 
 RankMapping::RankMapping(RankMapping&& other) noexcept
     : drv_(std::exchange(other.drv_, nullptr)),
@@ -130,8 +142,8 @@ double RankMapping::copy_gbps() const {
                           : cost.interleave_wide_gbps;
 }
 
-void RankMapping::transfer(const TransferMatrix& matrix,
-                           CopyBacklog* defer) {
+void RankMapping::transfer(const TransferMatrix& matrix, CopyBacklog* defer,
+                           std::span<upmem::MramBank::Pin> pins) {
   VPIM_CHECK(drv_ != nullptr, "use of unmapped rank");
   upmem::PimMachine& machine = drv_->machine();
   const CostModel& cost = machine.cost();
@@ -157,7 +169,7 @@ void RankMapping::transfer(const TransferMatrix& matrix,
                           CostModel::bytes_time(bytes, copy_gbps()));
   // A pipelined drain parks the copies for one batched replay at the end
   // of the drain; every cost and fault above fired normally either way.
-  copy_banks(rank, matrix, defer);
+  copy_banks(rank, matrix, defer, pins);
 }
 
 void RankMapping::broadcast(std::uint64_t mram_offset,
@@ -253,7 +265,7 @@ RankMapping UpmemDriver::map_rank(std::uint32_t rank,
     mapped_[rank] = 1;
   }
   sysfs_.set_in_use(rank, owner);
-  return RankMapping(this, rank);
+  return RankMapping(*this, rank);
 }
 
 bool UpmemDriver::is_mapped(std::uint32_t rank) const {
@@ -268,39 +280,6 @@ void UpmemDriver::unmap_rank(std::uint32_t rank) {
     mapped_[rank] = 0;
   }
   sysfs_.set_free(rank);
-}
-
-void UpmemDriver::safe_transfer(std::uint32_t rank,
-                                const TransferMatrix& matrix) {
-  machine_.clock().advance(machine_.cost().ioctl_ns);
-  do_transfer(rank, matrix);
-}
-
-void UpmemDriver::do_transfer(std::uint32_t rank,
-                              const TransferMatrix& matrix) {
-  // Reuse the mapping logic without toggling sysfs: build a transient
-  // mapping view. Safe mode is driver-internal, so exclusivity with perf
-  // mode is the caller's concern (as on real hardware).
-  RankMapping view(this, rank);
-  view.transfer(matrix);
-  view.drv_ = nullptr;  // do not run unmap side effects
-}
-
-void UpmemDriver::safe_ci_load(std::uint32_t rank,
-                               std::string_view kernel_name) {
-  machine_.clock().advance(machine_.cost().ioctl_ns);
-  machine_.rank(rank).ci_load(kernel_name);
-}
-
-void UpmemDriver::safe_ci_launch(std::uint32_t rank, std::uint64_t dpu_mask,
-                                 std::optional<std::uint32_t> nr_tasklets) {
-  machine_.clock().advance(machine_.cost().ioctl_ns);
-  machine_.rank(rank).ci_launch(dpu_mask, nr_tasklets);
-}
-
-std::uint64_t UpmemDriver::safe_ci_running_mask(std::uint32_t rank) {
-  machine_.clock().advance(machine_.cost().ioctl_ns);
-  return machine_.rank(rank).ci_running_mask();
 }
 
 void UpmemDriver::reset_rank(std::uint32_t rank) {

@@ -1,15 +1,13 @@
 // Simulated UPMEM kernel driver (paper §2, Fig 3).
 //
-// Two access modes, with distinct cost profiles:
-//  - *safe mode*: operations go through ioctl calls into the driver, which
-//    provides isolation between host applications (each call pays the
-//    kernel-entry cost);
-//  - *performance mode*: a process mmaps the rank's MRAM and control
-//    interfaces and bypasses the driver entirely (RankMapping below).
+// A process reaches a rank in *performance mode*: it mmaps the rank's MRAM
+// and control interfaces and bypasses the driver (RankMapping below). The
+// driver itself keeps the mapping table, sysfs, the fault mailbox and rank
+// resets.
 //
-// vPIM uses both: the guest SDK runs in safe mode against the frontend
-// device file, while the Firecracker backend maps ranks in performance
-// mode (§3.4).
+// In vPIM the Firecracker backend maps ranks this way (§3.4). The guest
+// side of the paper's safe mode, where every call pays the kernel-entry
+// cost, is the frontend's device file (src/vpim/frontend.h).
 #pragma once
 
 #include <array>
@@ -54,6 +52,11 @@ class UpmemDriver;
 // moves bytes. A parked bank pointer lives until its rank's binding
 // changes; the owner flushes before that.
 //
+// A read parked with `pins` (one slot per DPU) replays as a pin instead of
+// a copy: MramBank::pin stores the bank range's page refs, as they stand at
+// that point of the replay, into pins[dpu]. Prefetch fills use this, so a
+// later write to the bank in the same drain lands before the pin.
+//
 // Tasks are stored by value (never as XferEntry pointers — the backend
 // reuses its deserialization scratch across requests in a batch), grouped
 // per DPU in first-use order. Within a group, append order is replay
@@ -64,19 +67,22 @@ class CopyBacklog {
  public:
   CopyBacklog() { slot_.fill(-1); }
 
-  void add(upmem::Rank& rank, const TransferMatrix& matrix);
+  void add(upmem::Rank& rank, const TransferMatrix& matrix,
+           std::span<upmem::MramBank::Pin> pins = {});
   bool empty() const { return groups_.empty(); }
   // Replays every parked copy (one parallel_for over DPU groups), then
   // resets for the next batch.
   void flush();
 
  private:
+  enum class Kind : std::uint8_t { kWrite, kRead, kPin };
   struct Task {
     upmem::MramBank* bank;
     std::uint64_t mram_offset;
     std::uint8_t* host;
+    upmem::MramBank::Pin* pin;  // kPin only
     std::uint64_t size;
-    bool to_rank;
+    Kind kind;
   };
   std::array<std::int32_t, upmem::kDpuSlotsPerRank> slot_{};
   std::vector<std::vector<Task>> groups_;
@@ -85,11 +91,13 @@ class CopyBacklog {
 // The one bank-copy fan-out. Copies every non-empty entry of `matrix`
 // between its host buffer and `rank`'s MRAM banks: entries for one DPU
 // replay in request order, distinct banks fan out over the host pool. With
-// `defer`, the copies are parked there for a batched replay instead.
-// Banks hold DPU-linear bytes, so no (de)interleave runs here. Charges no
-// virtual time; every caller charges its own.
+// `defer`, the copies are parked there for a batched replay instead; with
+// `pins`, a read pins its bank ranges instead of copying them (see
+// CopyBacklog). Banks hold DPU-linear bytes, so no (de)interleave runs
+// here. Charges no virtual time; every caller charges its own.
 void copy_banks(upmem::Rank& rank, const TransferMatrix& matrix,
-                CopyBacklog* defer = nullptr);
+                CopyBacklog* defer = nullptr,
+                std::span<upmem::MramBank::Pin> pins = {});
 
 // The one broadcast: writes `data` at `mram_offset` of every bank of
 // `rank`. Whole pages are built once and shared copy-on-write, so a 60 MB
@@ -116,8 +124,10 @@ class RankMapping {
   // Scatter/gather data transfer for the whole matrix (one fixed software
   // cost per call, plus streaming time). With `defer`, all virtual-time
   // costs and fault hooks fire as usual but the physical copies are parked
-  // in the backlog for a batched replay (pipelined backend drain).
-  void transfer(const TransferMatrix& matrix, CopyBacklog* defer = nullptr);
+  // in the backlog for a batched replay (pipelined backend drain). `pins`
+  // turns a read's copies into pins (copy_banks).
+  void transfer(const TransferMatrix& matrix, CopyBacklog* defer = nullptr,
+                std::span<upmem::MramBank::Pin> pins = {});
 
   // Same payload to every DPU (UPMEM broadcast transfers). Physically the
   // host still writes each bank, so virtual time scales with nr_dpus.
@@ -139,7 +149,9 @@ class RankMapping {
 
  private:
   friend class UpmemDriver;
-  RankMapping(UpmemDriver* drv, std::uint32_t rank_index);
+  // Only UpmemDriver::map_rank builds a mapping, so every mapping owns the
+  // rank it names and unmaps it exactly once.
+  RankMapping(UpmemDriver& drv, std::uint32_t rank_index);
 
   double copy_gbps() const;
 
@@ -158,14 +170,6 @@ class UpmemDriver {
   // Performance mode: exclusive mmap of one rank.
   RankMapping map_rank(std::uint32_t rank, const std::string& owner);
   bool is_mapped(std::uint32_t rank) const;
-
-  // Safe mode: each call pays the ioctl cost, then performs the operation
-  // with the driver's own (wide) data path.
-  void safe_transfer(std::uint32_t rank, const TransferMatrix& matrix);
-  void safe_ci_load(std::uint32_t rank, std::string_view kernel_name);
-  void safe_ci_launch(std::uint32_t rank, std::uint64_t dpu_mask,
-                      std::optional<std::uint32_t> nr_tasklets = std::nullopt);
-  std::uint64_t safe_ci_running_mask(std::uint32_t rank);
 
   // Clears a rank's memory, charging host memset time over the full 4 GiB
   // rank-mapped region (manager reset path, ~597 ms in the paper).
@@ -199,7 +203,6 @@ class UpmemDriver {
 
  private:
   friend class RankMapping;
-  void do_transfer(std::uint32_t rank, const TransferMatrix& matrix);
   void unmap_rank(std::uint32_t rank);
 
   upmem::PimMachine& machine_;

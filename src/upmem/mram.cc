@@ -11,10 +11,12 @@ void check_range(std::uint64_t offset, std::uint64_t size) {
   VPIM_CHECK(offset <= kMramSize && size <= kMramSize - offset,
              "MRAM access out of bounds");
 }
-}  // namespace
 
-void MramBank::read(std::uint64_t offset, std::span<std::uint8_t> out) const {
-  check_range(offset, out.size());
+// Copies `out.size()` bytes at `offset` out of `page(i)`, the page at page
+// index i or null for a zero page.
+template <typename PageAt>
+void read_pages(std::uint64_t offset, std::span<std::uint8_t> out,
+                PageAt page_at) {
   std::uint64_t remaining = out.size();
   std::uint64_t src = offset;
   std::uint8_t* dst = out.data();
@@ -22,7 +24,7 @@ void MramBank::read(std::uint64_t offset, std::span<std::uint8_t> out) const {
     const std::uint64_t page = src / kMramPageSize;
     const std::uint64_t in_page = src % kMramPageSize;
     const std::uint64_t n = std::min(remaining, kMramPageSize - in_page);
-    if (const MramPage* p = find(page)) {
+    if (const MramPage* p = page_at(page)) {
       std::memcpy(dst, p->bytes.data() + in_page, n);
     } else {
       std::memset(dst, 0, n);
@@ -31,6 +33,40 @@ void MramBank::read(std::uint64_t offset, std::span<std::uint8_t> out) const {
     dst += n;
     remaining -= n;
   }
+}
+}  // namespace
+
+void MramBank::read(std::uint64_t offset, std::span<std::uint8_t> out) const {
+  check_range(offset, out.size());
+  read_pages(offset, out, [&](std::uint64_t page) { return find(page); });
+}
+
+MramBank::Pin MramBank::pin(std::uint64_t offset, std::uint64_t size) const {
+  check_range(offset, size);
+  Pin pin;
+  pin.offset_ = offset;
+  pin.size_ = size;
+  if (size == 0) return pin;
+  const std::uint64_t first = offset / kMramPageSize;
+  const std::uint64_t last = (offset + size - 1) / kMramPageSize;
+  pin.pages_.resize(last - first + 1);
+  if (leaves_.empty()) return pin;
+  for (std::uint64_t page = first; page <= last; ++page) {
+    const Leaf& leaf = leaves_[page / kLeafPages];
+    if (!leaf.empty()) pin.pages_[page - first] = leaf[page % kLeafPages];
+  }
+  return pin;
+}
+
+void MramBank::Pin::read(std::uint64_t offset,
+                         std::span<std::uint8_t> out) const {
+  VPIM_CHECK(offset >= offset_ && out.size() <= size_ &&
+                 offset - offset_ <= size_ - out.size(),
+             "read outside the pinned range");
+  const std::uint64_t first = offset_ / kMramPageSize;
+  read_pages(offset, out, [&](std::uint64_t page) {
+    return pages_[page - first].get();
+  });
 }
 
 void MramBank::write(std::uint64_t offset, std::span<const std::uint8_t> in) {

@@ -18,6 +18,12 @@
 //   - copying a bank (every Rank snapshot) and destroying one (every
 //     machine teardown) touch only the allocated leaves.
 // Reads and writes take one extra hop through the directory.
+//
+// pin() freezes a range without copying it: it takes the range's page refs
+// as they stand (null for a page that reads as zero). Every later write to
+// a pinned page sees a second owner and copies it first, and clear() only
+// drops the bank's own refs, so the pin reads the bytes of the moment it
+// was taken whatever happens to the bank afterwards.
 #pragma once
 
 #include <array>
@@ -39,10 +45,28 @@ using MramPageRef = std::shared_ptr<MramPage>;
 // copy-on-write on either side; only the allocated leaves are duplicated.
 class MramBank {
  public:
+  // A frozen view of one bank range (see pin()). Empty by default.
+  class Pin {
+   public:
+    bool empty() const { return size_ == 0; }
+    // Reads `out.size()` bytes at bank offset `offset`, which must lie
+    // inside the pinned range; null pages read as 0.
+    void read(std::uint64_t offset, std::span<std::uint8_t> out) const;
+
+   private:
+    friend class MramBank;
+    std::uint64_t offset_ = 0;  // bank offset of the pinned range
+    std::uint64_t size_ = 0;
+    std::vector<MramPageRef> pages_;  // from page offset_ / kMramPageSize
+  };
+
   MramBank() = default;
 
   // Reads `out.size()` bytes starting at `offset`; absent pages read as 0.
   void read(std::uint64_t offset, std::span<std::uint8_t> out) const;
+
+  // Pins `size` bytes starting at `offset`: shares the pages, copies none.
+  Pin pin(std::uint64_t offset, std::uint64_t size) const;
 
   // Writes `in.size()` bytes starting at `offset` (copy-on-write).
   void write(std::uint64_t offset, std::span<const std::uint8_t> in);

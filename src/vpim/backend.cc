@@ -112,9 +112,10 @@ std::uint32_t Backend::response_rank() const {
   return mapping_.has_value() ? mapping_->rank_index() : 0xFFFFFFFFu;
 }
 
-void Backend::data_transfer(const driver::TransferMatrix& matrix) {
+void Backend::data_transfer(const driver::TransferMatrix& matrix,
+                            std::span<upmem::MramBank::Pin> pins) {
   if (mapping_.has_value()) {
-    mapping_->transfer(matrix, &backlog_);
+    mapping_->transfer(matrix, &backlog_, pins);
     return;
   }
   // Emulated rank: plain host-memory copies, no interleave transform.
@@ -125,7 +126,21 @@ void Backend::data_transfer(const driver::TransferMatrix& matrix) {
   vmm_.clock().advance(cost.native_xfer_fixed_ns +
                        CostModel::bytes_time(bytes,
                                              cost.emulated_copy_gbps));
-  driver::copy_banks(emulated_->rank, matrix, &backlog_);
+  driver::copy_banks(emulated_->rank, matrix, &backlog_, pins);
+}
+
+void Backend::settle_prefetch(std::uint32_t dpu, std::uint64_t mram_offset,
+                              std::span<std::uint8_t> out) const {
+  VPIM_CHECK(dpu < prefetch_.size(), "DPU index out of range");
+  const upmem::MramBank::Pin& pin = prefetch_[dpu];
+  if (pin.empty() || out.empty()) return;
+  pin.read(mram_offset, out);
+}
+
+void Backend::drop_prefetch() {
+  if (!prefetch_live_) return;  // every write and launch lands here
+  for (upmem::MramBank::Pin& pin : prefetch_) pin = {};
+  prefetch_live_ = false;
 }
 
 void Backend::data_broadcast(std::uint64_t mram_offset,
@@ -457,14 +472,28 @@ void Backend::handle_rank_op(const virtio::DescChain& chain,
       driver::TransferMatrix& xfer = xfer_scratch_;
       xfer.entries.clear();
       xfer.direction = matrix.direction;
+      bool one_segment_each = true;
       for (const auto& e : matrix.entries) {
+        one_segment_each &= e.segments.size() == 1;
         std::uint64_t mram = e.mram_offset;
         for (const auto& [ptr, len] : e.segments) {
           xfer.entries.push_back({e.dpu, mram, ptr, len});
           mram += len;
         }
       }
+      const bool fill = !is_write && (req.flags & kWireFlagPrefetch) != 0;
+      if (fill && one_segment_each) {
+        prefetch_live_ = true;
+        data_transfer(xfer, prefetch_);
+        return;
+      }
       data_transfer(xfer);
+      if (fill) {
+        // The fill copied eagerly: its DPUs' cache segments must settle
+        // nothing, so their pins go once every parked pin has landed.
+        backlog_.flush();
+        for (const auto& e : matrix.entries) prefetch_[e.dpu] = {};
+      }
     }
   });
   if (is_write) {

@@ -76,6 +76,20 @@ class Backend {
   // the frontend consults it on the try_submit path.
   AdmissionController* admission() const { return manager_.admission(); }
 
+  // Prefetch pins (kWireFlagPrefetch). A fill read whose entries each
+  // reach one guest segment pins each entry's MRAM range into its DPU's
+  // slot instead of copying it; the frontend's cache segment then holds
+  // only what settle_prefetch has copied into it. Copy-on-write keeps a
+  // pin at the bytes of its fill, whatever the rank or binding does later.
+  //
+  // Copies `out.size()` bytes at `mram_offset` from DPU `dpu`'s pin into
+  // `out`, the cache buffer's bytes for that range; a no-op when the DPU
+  // holds no pin (the fill copied eagerly).
+  void settle_prefetch(std::uint32_t dpu, std::uint64_t mram_offset,
+                       std::span<std::uint8_t> out) const;
+  // Drops every pin; the frontend calls it when its cache segments go.
+  void drop_prefetch();
+
  private:
   // Per-request dispatch. Guest-controlled input is validated with
   // VPIM_REQUEST_CHECK; a violation (or any VpimError a deeper layer
@@ -129,8 +143,10 @@ class Backend {
   void unbind();
   // Rank index for a response: the physical rank, else ~0.
   std::uint32_t response_rank() const;
-  // Data movement over the active binding (cost + storage).
-  void data_transfer(const driver::TransferMatrix& matrix);
+  // Data movement over the active binding (cost + storage); `pins` turns
+  // a read into prefetch pins (driver::copy_banks).
+  void data_transfer(const driver::TransferMatrix& matrix,
+                     std::span<upmem::MramBank::Pin> pins = {});
   void data_broadcast(std::uint64_t mram_offset,
                       std::span<const std::uint8_t> data);
   double batch_gbps() const;
@@ -181,6 +197,10 @@ class Backend {
   // Every transfer's copies, on either binding. Replayed at the end of a
   // drain and before any bank access or binding change that bypasses it.
   driver::CopyBacklog backlog_;
+  // One prefetch pin slot per DPU slot, written when the backlog replays.
+  std::vector<upmem::MramBank::Pin> prefetch_ =
+      std::vector<upmem::MramBank::Pin>(upmem::kDpuSlotsPerRank);
+  bool prefetch_live_ = false;  // a fill may have pinned since the last drop
   // Parked state between kSuspendRank and kResumeRank (§7 pause/resume).
   std::optional<upmem::Rank::Snapshot> suspended_;
 };

@@ -293,7 +293,7 @@ void Frontend::read_from_rank(const driver::TransferMatrix& matrix) {
     obs::ScopedSpan fill_span(tracer(), clock, obs::SpanKind::kReadFill);
     fill_span.set_bytes(fill.total_bytes());
     fill_span.set_entries(static_cast<std::uint32_t>(fill.entries.size()));
-    send_rank_op(fill, /*is_write=*/false, /*flags=*/0);
+    send_rank_op(fill, /*is_write=*/false, kWireFlagPrefetch);
     ++stats_.cache_fills;
     for (const driver::XferEntry& f : fill.entries) {
       caches_[f.dpu].valid = true;
@@ -313,8 +313,13 @@ void Frontend::read_from_rank(const driver::TransferMatrix& matrix) {
       direct.entries.push_back(e);
       continue;
     }
+    // The fill pinned the segment's pages; only the bytes read here are
+    // copied into the cache buffer.
     const DpuCache& c = caches_[e.dpu];
-    std::memcpy(e.host, c.buf.data() + (e.mram_offset - c.base), e.size);
+    const std::span<std::uint8_t> cached =
+        c.buf.subspan(e.mram_offset - c.base, e.size);
+    backend_.settle_prefetch(e.dpu, e.mram_offset, cached);
+    std::memcpy(e.host, cached.data(), e.size);
     clock.advance(cost.cache_hit_fixed_ns +
                   CostModel::bytes_time(e.size, cost.guest_memcpy_gbps));
   }
@@ -403,6 +408,7 @@ void Frontend::flush_batch() {
 
 void Frontend::invalidate_cache() {
   for (auto& c : caches_) c.valid = false;
+  backend_.drop_prefetch();  // a pin lives exactly as long as its segment
 }
 
 void Frontend::record_lost_writes(std::int32_t status) {

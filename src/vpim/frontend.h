@@ -6,6 +6,9 @@
 //  - Prefetch cache: 16 pages per DPU. Small reads are served from the
 //    cache; a miss fetches a cache-sized segment from the backend in one
 //    message. Invalidated by write-to-rank, DPU launches, and rank release.
+//    The fill message carries kWireFlagPrefetch, so the device pins the
+//    segment's MRAM pages rather than copying them, and a hit settles just
+//    its own bytes (Backend::settle_prefetch).
 //  - Request batching: a 64-page-per-DPU buffer absorbs small writes as
 //    {offset,size,data} records; the batch is flushed as a single message
 //    when a buffer fills or any non-write request arrives.

@@ -133,22 +133,26 @@ TEST(Driver, OversizedTransferRejected) {
   EXPECT_THROW(m.transfer(matrix), VpimError);
 }
 
-TEST(Driver, SafeModeChargesIoctl) {
+TEST(Driver, FailedTransferKeepsTheRankMapped) {
+  // A mapping owns its rank until it is dropped: a transfer that throws
+  // (here over the 4 GiB cap) must neither unmap the rank nor free it in
+  // sysfs, so a second map_rank of it is still refused.
   test::TestRig rig(test::small_machine());
-  std::vector<std::uint8_t> buf(4096, 1);
+  auto m = rig.drv.map_rank(0, "holder");
   TransferMatrix matrix;
-  matrix.entries.push_back({0, 0, buf.data(), buf.size()});
+  static std::uint8_t dummy;
+  for (int i = 0; i < 65; ++i) {
+    matrix.entries.push_back({0, 0, &dummy, 64 * kMiB});
+  }
+  EXPECT_THROW(m.transfer(matrix), VpimError);
+  EXPECT_TRUE(rig.drv.is_mapped(0));
+  EXPECT_TRUE(rig.drv.sysfs().read(0).in_use);
+  EXPECT_EQ(rig.drv.sysfs().read(0).owner, "holder");
+  EXPECT_THROW(rig.drv.map_rank(0, "intruder"), VpimError);
 
-  const SimNs t0 = rig.clock.now();
-  rig.drv.safe_transfer(0, matrix);
-  const SimNs safe = rig.clock.now() - t0;
-
-  auto m = rig.drv.map_rank(0, "perf");
-  const SimNs t1 = rig.clock.now();
-  m.transfer(matrix);
-  const SimNs perf = rig.clock.now() - t1;
-
-  EXPECT_EQ(safe, perf + rig.cost.ioctl_ns);
+  m.unmap();
+  EXPECT_FALSE(rig.drv.is_mapped(0));
+  EXPECT_NO_THROW(rig.drv.map_rank(0, "next"));
 }
 
 TEST(Driver, RankResetTakesPaperTime) {

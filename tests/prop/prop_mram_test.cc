@@ -10,7 +10,10 @@
 //  - resident_pages() equals the oracle's count of pages materialized
 //    since the bank's last clear;
 //  - no write shows through a shared page or into a copy: the shared
-//    page set still holds its original bytes, and the snapshot its own.
+//    page set still holds its original bytes, and the snapshot its own;
+//  - every live pin (MramBank::pin of a random window range) reads exactly
+//    the oracle bytes of the moment it was taken, whatever writes, adopts,
+//    clears and bank copies followed.
 //
 // Failing cases shrink to fewer steps and print the VPIM_PROP_SEED line.
 #include <gtest/gtest.h>
@@ -67,6 +70,14 @@ struct Tracked {
   MramBank bank;
   OracleBank oracle;
 };
+
+// A pin and the oracle's bytes of its range at pin time.
+struct TrackedPin {
+  MramBank::Pin pin;
+  std::uint64_t offset = 0;
+  std::vector<std::uint8_t> frozen;
+};
+constexpr std::size_t kMaxPins = 4;
 
 // Each step is one u64 that seeds the step's own parameter draws, so
 // dropping steps while shrinking leaves the others' meaning unchanged.
@@ -145,10 +156,11 @@ void run_case(const MramCase& c) {
 
   std::vector<Tracked> banks(kBanks);
   std::optional<Tracked> snapshot;
+  std::vector<TrackedPin> pins;
 
   for (const std::uint64_t s : c.steps) {
     Rng r(s);
-    const int op = static_cast<int>(r.uniform(0, 7));
+    const int op = static_cast<int>(r.uniform(0, 8));
     const auto b = static_cast<std::size_t>(r.uniform(0, kBanks - 1));
     const auto w = static_cast<std::size_t>(r.uniform(0, kWindows.size() - 1));
     const Window& win = kWindows[w];
@@ -211,6 +223,25 @@ void run_case(const MramCase& c) {
         t.oracle = banks[src].oracle;
         break;
       }
+      case 8: {  // pin an unaligned range, replacing a random older pin
+        const auto off = static_cast<std::uint64_t>(
+            r.uniform(0, static_cast<std::int64_t>(win.bytes()) - 1));
+        const auto len = static_cast<std::uint64_t>(
+            r.uniform(1, static_cast<std::int64_t>(win.bytes() - off)));
+        TrackedPin p{t.bank.pin(win.base() + off, len), win.base() + off,
+                     std::vector<std::uint8_t>(
+                         t.oracle.bytes[w].begin() +
+                             static_cast<std::ptrdiff_t>(off),
+                         t.oracle.bytes[w].begin() +
+                             static_cast<std::ptrdiff_t>(off + len))};
+        if (pins.size() < kMaxPins) {
+          pins.push_back(std::move(p));
+        } else {
+          pins[static_cast<std::size_t>(
+              r.uniform(0, kMaxPins - 1))] = std::move(p);
+        }
+        break;
+      }
     }
 
     for (std::size_t i = 0; i < banks.size(); ++i) {
@@ -222,6 +253,21 @@ void run_case(const MramCase& c) {
                           shared_image.data() + p * kMramPageSize,
                           kMramPageSize) == 0,
               "a write showed through shared page " + std::to_string(p));
+    }
+    for (std::size_t i = 0; i < pins.size(); ++i) {
+      const TrackedPin& p = pins[i];
+      // Whole range, then an arbitrary sub-range of it.
+      std::vector<std::uint8_t> got(p.frozen.size(), 0xEE);
+      p.pin.read(p.offset, got);
+      require(got == p.frozen, "pin " + std::to_string(i) +
+                                   " changed after it was taken");
+      const auto sub = static_cast<std::uint64_t>(
+          r.uniform(0, static_cast<std::int64_t>(p.frozen.size()) - 1));
+      std::vector<std::uint8_t> part(p.frozen.size() - sub, 0xEE);
+      p.pin.read(p.offset + sub, part);
+      require(std::memcmp(part.data(), p.frozen.data() + sub,
+                          part.size()) == 0,
+              "pin " + std::to_string(i) + " sub-range read disagrees");
     }
   }
 }

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <utility>
+#include <vector>
 
+#include "common/fault.h"
 #include "tests/test_kernels.h"
 #include "tests/testutil.h"
 #include "vpim/guest_platform.h"
@@ -371,6 +374,374 @@ TEST(VpimVm, RustConfigSlowerThanC) {
   const SimNs c = run(VpimConfig::c_only());
   // 1.4 vs 5 GB/s data path: C is several times faster on bulk writes.
   EXPECT_GT(static_cast<double>(rust) / static_cast<double>(c), 2.0);
+}
+
+// ------------------------------------------------- pinned prefetch fills
+//
+// A prefetch fill pins its MRAM pages instead of copying them, and each
+// cache hit settles only its own bytes. A hit must still return exactly
+// the bytes the fill saw, whatever the rank or the binding did since.
+
+// Prefetch cache on, batching off: every write and every miss is exactly
+// one backend transfer, so FaultEvent::at_op counts are predictable.
+VpimConfig prefetch_only() {
+  VpimConfig cfg = VpimConfig::full();
+  cfg.request_batching = false;
+  return cfg;
+}
+
+std::span<std::uint8_t> pattern(guest::GuestMemory& mem, std::uint64_t bytes,
+                                std::uint8_t salt) {
+  auto buf = mem.alloc(bytes);
+  for (std::size_t i = 0; i < buf.size(); ++i) {
+    buf[i] = static_cast<std::uint8_t>(i * 13 + salt);
+  }
+  return buf;
+}
+
+void write_at(Frontend& fe, std::uint32_t dpu, std::uint64_t offset,
+              std::span<std::uint8_t> buf) {
+  driver::TransferMatrix m;
+  m.entries.push_back({dpu, offset, buf.data(), buf.size()});
+  fe.write_to_rank(m);
+}
+
+void read_at(Frontend& fe, std::uint32_t dpu, std::uint64_t offset,
+             std::span<std::uint8_t> out) {
+  driver::TransferMatrix m;
+  m.direction = driver::XferDirection::kFromRank;
+  m.entries.push_back({dpu, offset, out.data(), out.size()});
+  fe.read_from_rank(m);
+}
+
+// Four small reads inside DPU 0's cached segment [0, 64 KiB): each must be
+// a hit, ring no doorbell, and return `expect`'s bytes at its offset.
+void expect_hits(VupmemDevice& dev, guest::GuestMemory& mem,
+                 std::span<const std::uint8_t> expect) {
+  auto out = mem.alloc(512);
+  const std::uint64_t hits = dev.stats.cache_hits;
+  const std::uint64_t doorbells = dev.stats.doorbells;
+  for (const std::uint64_t off :
+       {std::uint64_t{0}, std::uint64_t{4093}, 30 * kKiB, 64 * kKiB - 512}) {
+    std::memset(out.data(), 0xEE, out.size());
+    read_at(dev.frontend, 0, off, out);
+    EXPECT_EQ(std::memcmp(out.data(), expect.data() + off, out.size()), 0)
+        << "hit at offset " << off;
+  }
+  EXPECT_EQ(dev.stats.cache_hits, hits + 4);
+  EXPECT_EQ(dev.stats.doorbells, doorbells);
+}
+
+// Drops the device's binding with a raw controlq kReleaseRank. Unlike
+// Frontend::close(), this leaves the frontend's cache segments valid.
+void release_behind_frontend(VupmemDevice& dev, guest::GuestMemory& mem) {
+  auto blocks = mem.alloc(sizeof(WireRequest) + sizeof(WireResponse));
+  WireRequest req;
+  req.ci_op = static_cast<std::uint32_t>(CiOp::kReleaseRank);
+  std::memcpy(blocks.data(), &req, sizeof(req));
+  const virtio::DescBuffer chain[] = {
+      {mem.gpa_of(blocks.data()), sizeof(WireRequest), false},
+      {mem.gpa_of(blocks.data() + sizeof(WireRequest)), sizeof(WireResponse),
+       true}};
+  dev.controlq.submit(chain);
+  dev.backend.handle_controlq();
+  ASSERT_TRUE(dev.controlq.poll_used().has_value());
+  WireResponse resp;
+  std::memcpy(&resp, blocks.data() + sizeof(WireRequest), sizeof(resp));
+  ASSERT_EQ(resp.status, 0);
+  ASSERT_FALSE(dev.backend.bound());
+}
+
+// Seeds DPU 0 with 128 KiB of pattern and fills the cache segment
+// [0, 64 KiB) with one small read. Returns the seed.
+std::span<std::uint8_t> seed_and_fill(VupmemDevice& dev,
+                                      guest::GuestMemory& mem) {
+  auto seed = pattern(mem, 128 * kKiB, 1);
+  write_at(dev.frontend, 0, 0, seed);
+  auto small = mem.alloc(512);
+  const std::uint64_t fills = dev.stats.cache_fills;
+  read_at(dev.frontend, 0, 0, small);
+  EXPECT_EQ(dev.stats.cache_fills, fills + 1);
+  EXPECT_EQ(std::memcmp(small.data(), seed.data(), small.size()), 0);
+  return seed;
+}
+
+TEST(PinnedPrefetch, HitAfterRankDeathAndRescueReturnsTheFillBytes) {
+  Host host({.nr_ranks = 2, .functional_dpus_per_rank = 8}, CostModel{},
+            fast_manager());
+  // Rank 0's third transfer kills it: 1 = the seed write, 2 = the fill,
+  // 3 = a read too large for the cache, which goes direct.
+  host.install_fault_plan({{FaultKind::kRankDeath, 0, 0, /*at_op=*/3}});
+  VpimVm vm(host, {.name = "pin-rescue"}, 1, prefetch_only());
+  VupmemDevice& dev = vm.device(0);
+  guest::GuestMemory& mem = vm.vmm().memory();
+  ASSERT_TRUE(dev.frontend.open());
+  ASSERT_EQ(dev.backend.rank_index(), 0u);
+  const auto seed = seed_and_fill(dev, mem);
+
+  auto big = mem.alloc(128 * kKiB);
+  read_at(dev.frontend, 0, 0, big);
+  ASSERT_EQ(dev.stats.fault_migrations, 1u);
+  ASSERT_EQ(dev.backend.rank_index(), 1u);
+  EXPECT_EQ(std::memcmp(big.data(), seed.data(), big.size()), 0);
+  expect_hits(dev, mem, seed);
+}
+
+TEST(PinnedPrefetch, HitAfterRankDeathWithoutRescueReturnsTheFillBytes) {
+  Host host({.nr_ranks = 1, .functional_dpus_per_rank = 8}, CostModel{},
+            fast_manager());
+  host.install_fault_plan({{FaultKind::kRankDeath, 0, 0, /*at_op=*/3}});
+  VpimVm vm(host, {.name = "pin-dead"}, 1, prefetch_only());
+  VupmemDevice& dev = vm.device(0);
+  guest::GuestMemory& mem = vm.vmm().memory();
+  ASSERT_TRUE(dev.frontend.open());
+  const auto seed = seed_and_fill(dev, mem);
+
+  // No spare rank: the read fails typed and the backend drops the dead
+  // binding. The manager's pass then takes the released rank to its
+  // reset-verify probe, which a dead rank fails, so it stays quarantined.
+  auto big = mem.alloc(128 * kKiB);
+  try {
+    read_at(dev.frontend, 0, 0, big);
+    FAIL() << "a read off a dead rank with no spare capacity must fail";
+  } catch (const VpimStatusError& e) {
+    EXPECT_EQ(e.status(),
+              static_cast<std::int32_t>(virtio::PimStatus::kDeviceFault));
+  }
+  ASSERT_FALSE(dev.backend.bound());
+  host.manager.observe();
+  EXPECT_EQ(host.manager.state(0), RankState::kFail);
+  EXPECT_EQ(host.manager.stats().quarantine_probes, 1u);
+  expect_hits(dev, mem, seed);
+}
+
+TEST(PinnedPrefetch, HitAfterTheRankIsResetAndReusedReturnsTheFillBytes) {
+  Host host({.nr_ranks = 1, .functional_dpus_per_rank = 8}, CostModel{},
+            fast_manager());
+  VpimVm vm(host, {.name = "pin-reset"}, 1, prefetch_only());
+  VupmemDevice& dev = vm.device(0);
+  guest::GuestMemory& mem = vm.vmm().memory();
+  ASSERT_TRUE(dev.frontend.open());
+  const auto seed = seed_and_fill(dev, mem);
+
+  // The rank goes back to the manager with the cache still valid; the
+  // manager resets it and another tenant overwrites DPU 0.
+  release_behind_frontend(dev, mem);
+  host.manager.observe();
+  EXPECT_EQ(host.manager.stats().resets, 1u);
+  VpimVm other(host, {.name = "pin-other"}, 1, prefetch_only());
+  ASSERT_TRUE(other.device(0).frontend.open());
+  write_at(other.device(0).frontend, 0, 0,
+           pattern(other.vmm().memory(), 64 * kKiB, 99));
+  expect_hits(dev, mem, seed);
+}
+
+TEST(PinnedPrefetch, HitOnAnEmulatedBindingOutlivesTheBinding) {
+  Host host({.nr_ranks = 1, .functional_dpus_per_rank = 8}, CostModel{},
+            fast_manager());
+  VpimVm holder(host, {.name = "pin-holder"}, 1, prefetch_only());
+  ASSERT_TRUE(holder.device(0).frontend.open());  // takes the only rank
+  VpimConfig cfg = prefetch_only();
+  cfg.oversubscribe = true;
+  VpimVm vm(host, {.name = "pin-emulated"}, 1, cfg);
+  VupmemDevice& dev = vm.device(0);
+  guest::GuestMemory& mem = vm.vmm().memory();
+  ASSERT_TRUE(dev.frontend.open());
+  ASSERT_TRUE(dev.backend.emulated());
+  const auto seed = seed_and_fill(dev, mem);
+  expect_hits(dev, mem, seed);
+
+  // Releasing the binding destroys the emulated rank and its banks.
+  release_behind_frontend(dev, mem);
+  expect_hits(dev, mem, seed);
+}
+
+TEST(PinnedPrefetch, FillSeesAWriteStagedBeforeItInTheSameDoorbell) {
+  VpimConfig cfg = prefetch_only();
+  cfg.queue_depth = 4;
+  VmRig rig(1, cfg);
+  VupmemDevice& dev = rig.vm.device(0);
+  guest::GuestMemory& mem = rig.vm.vmm().memory();
+  ASSERT_TRUE(dev.frontend.open());
+  auto seed = pattern(mem, 64 * kKiB, 1);
+  write_at(dev.frontend, 0, 0, seed);
+
+  // An async write to DPU 0 waits in the SQ; the miss stages the fill
+  // behind it, and one doorbell carries both. The fill must see the write.
+  auto update = pattern(mem, 4 * kKiB, 7);
+  driver::TransferMatrix w;
+  w.entries.push_back({0, 4 * kKiB, update.data(), update.size()});
+  dev.frontend.submit_write(w);
+  const std::uint64_t doorbells = dev.stats.doorbells;
+  auto small = mem.alloc(512);
+  read_at(dev.frontend, 0, 0, small);
+  EXPECT_EQ(dev.stats.doorbells, doorbells + 1);
+  EXPECT_EQ(dev.stats.cache_fills, 1u);
+  EXPECT_EQ(std::memcmp(small.data(), seed.data(), small.size()), 0);
+
+  std::vector<std::uint8_t> expect(seed.begin(), seed.end());
+  std::memcpy(expect.data() + 4 * kKiB, update.data(), update.size());
+  expect_hits(dev, mem, expect);
+  const auto done = dev.frontend.poll_completions();
+  ASSERT_EQ(done.size(), 1u);
+  EXPECT_EQ(done[0].status, 0);
+}
+
+// Raw rank-operation chains serialized into a private arena, for request
+// shapes the frontend never sends. Rigs built the same way allocate the
+// same guest addresses, so two runs compare byte for byte.
+struct RawRig {
+  RawRig() : rig(1, prefetch_only()) {
+    EXPECT_TRUE(dev().frontend.open());
+    arena.request = mem().alloc(sizeof(WireRequest));
+    arena.matrix_meta = mem().alloc(sizeof(WireMatrixMeta));
+    arena.entry_meta =
+        mem().alloc(upmem::kDpuSlotsPerRank * sizeof(WireEntryMeta));
+    arena.page_lists = mem().alloc(16 * kKiB);
+    arena.response = mem().alloc(sizeof(WireResponse));
+  }
+
+  VupmemDevice& dev() { return rig.vm.device(0); }
+  guest::GuestMemory& mem() { return rig.vm.vmm().memory(); }
+
+  SerializeResult stage(const driver::TransferMatrix& m,
+                        std::uint32_t flags) {
+    const bool write = m.direction == driver::XferDirection::kToRank;
+    SerializeResult ser = serialize_matrix(
+        m, mem(), arena,
+        static_cast<std::uint32_t>(
+            write ? virtio::PimRequestType::kWriteToRank
+                  : virtio::PimRequestType::kReadFromRank));
+    WireRequest req;
+    std::memcpy(&req, arena.request.data(), sizeof(req));
+    req.flags = flags;
+    std::memcpy(arena.request.data(), &req, sizeof(req));
+    return ser;
+  }
+
+  // Points entry 0's page `index` at `page`, so the entry reaches more
+  // than one guest segment.
+  void repoint_page(std::uint64_t index, const std::uint8_t* page) {
+    const std::uint64_t gpa = mem().gpa_of(page);
+    std::memcpy(arena.page_lists.data() + index * 8, &gpa, 8);
+  }
+
+  WireResponse run(const SerializeResult& ser) {
+    dev().transferq.submit(ser.chain);
+    dev().backend.handle_transferq();
+    EXPECT_TRUE(dev().transferq.poll_used().has_value());
+    WireResponse resp;
+    std::memcpy(&resp, arena.response.data(), sizeof(resp));
+    return resp;
+  }
+
+  // The first 64 KiB of every bank of the bound rank.
+  std::vector<std::uint8_t> banks() {
+    upmem::Rank& rank = rig.host.machine.rank(dev().backend.rank_index());
+    std::vector<std::uint8_t> out(rank.nr_dpus() * 64 * kKiB);
+    for (std::uint32_t d = 0; d < rank.nr_dpus(); ++d) {
+      rank.mram(d).read(0, std::span(out).subspan(d * 64 * kKiB, 64 * kKiB));
+    }
+    return out;
+  }
+
+  VmRig rig;
+  WireArena arena;
+};
+
+// Runs `run_case(rig, extra_flags)` on two fresh rigs, with extra_flags 0
+// and kWireFlagPrefetch. The case returns its completion and the guest
+// buffer the request read or wrote; completions, clocks, error counts,
+// banks and guest bytes must all be identical.
+template <typename Case>
+void expect_prefetch_flag_ignored(Case run_case) {
+  RawRig plain;
+  RawRig flagged;
+  const auto [plain_resp, plain_buf] = run_case(plain, 0u);
+  const auto [flagged_resp, flagged_buf] =
+      run_case(flagged, kWireFlagPrefetch);
+  EXPECT_EQ(plain_resp.status, 0);
+  EXPECT_EQ(std::memcmp(&plain_resp, &flagged_resp, sizeof(WireResponse)),
+            0);
+  EXPECT_EQ(plain.rig.host.clock.now(), flagged.rig.host.clock.now());
+  EXPECT_EQ(plain.dev().stats.request_errors,
+            flagged.dev().stats.request_errors);
+  EXPECT_TRUE(plain.banks() == flagged.banks());
+  ASSERT_EQ(plain_buf.size(), flagged_buf.size());
+  EXPECT_EQ(
+      std::memcmp(plain_buf.data(), flagged_buf.data(), plain_buf.size()), 0);
+}
+
+TEST(PinnedPrefetch, FlagOnAWriteIsIgnored) {
+  expect_prefetch_flag_ignored([](RawRig& r, std::uint32_t flag) {
+    auto buf = pattern(r.mem(), 8 * kKiB, 3);
+    driver::TransferMatrix m;
+    m.entries.push_back({0, 100, buf.data(), 4 * kKiB});
+    m.entries.push_back({1, 0, buf.data() + 4 * kKiB, 4 * kKiB});
+    return std::pair{r.run(r.stage(m, flag)), buf};
+  });
+}
+
+TEST(PinnedPrefetch, FlagOnABatchedFlushIsIgnored) {
+  expect_prefetch_flag_ignored([](RawRig& r, std::uint32_t flag) {
+    // Two {offset, size, data} records for DPU 0.
+    auto region = pattern(r.mem(), 2 * sizeof(BatchRecordHeader) + 316, 5);
+    const BatchRecordHeader first{100, 300};
+    const BatchRecordHeader second{5000, 16};
+    std::memcpy(region.data(), &first, sizeof(first));
+    std::memcpy(region.data() + sizeof(first) + 300, &second,
+                sizeof(second));
+    driver::TransferMatrix m;
+    m.entries.push_back({0, 0, region.data(), region.size()});
+    return std::pair{r.run(r.stage(m, kWireFlagBatched | flag)), region};
+  });
+}
+
+TEST(PinnedPrefetch, FlagOnAMultiSegmentReadIsIgnored) {
+  expect_prefetch_flag_ignored([](RawRig& r, std::uint32_t flag) {
+    write_at(r.dev().frontend, 0, 0, pattern(r.mem(), 8 * kKiB, 9));
+    auto dest = r.mem().alloc(3 * guest::kGuestPageSize);
+    std::memset(dest.data(), 0xEE, dest.size());
+    driver::TransferMatrix m;
+    m.direction = driver::XferDirection::kFromRank;
+    m.entries.push_back({0, 0, dest.data(), 2 * guest::kGuestPageSize});
+    const SerializeResult ser = r.stage(m, flag);
+    r.repoint_page(1, dest.data() + 2 * guest::kGuestPageSize);
+    return std::pair{r.run(ser), dest};
+  });
+}
+
+TEST(PinnedPrefetch, FlaggedReadPinsAndAnEagerFillDropsThePin) {
+  RawRig r;
+  auto seed = pattern(r.mem(), 8 * kKiB, 11);
+  write_at(r.dev().frontend, 0, 0, seed);
+  auto dest = r.mem().alloc(3 * guest::kGuestPageSize);
+  std::memset(dest.data(), 0xEE, dest.size());
+  driver::TransferMatrix m;
+  m.direction = driver::XferDirection::kFromRank;
+  m.entries.push_back({0, 0, dest.data(), 8 * kKiB});
+
+  // One segment: the device pins instead of writing the guest buffer, and
+  // settling copies the pinned bytes.
+  EXPECT_EQ(r.run(r.stage(m, kWireFlagPrefetch)).status, 0);
+  EXPECT_EQ(dest[0], 0xEE);
+  std::vector<std::uint8_t> settled(8 * kKiB, 0xEE);
+  r.dev().backend.settle_prefetch(0, 0, settled);
+  EXPECT_EQ(std::memcmp(settled.data(), seed.data(), settled.size()), 0);
+
+  // The same fill over two segments copies eagerly and drops DPU 0's pin,
+  // so settling leaves the buffer alone.
+  const SerializeResult split = r.stage(m, kWireFlagPrefetch);
+  r.repoint_page(1, dest.data() + 2 * guest::kGuestPageSize);
+  EXPECT_EQ(r.run(split).status, 0);
+  EXPECT_EQ(std::memcmp(dest.data(), seed.data(), 4 * kKiB), 0);
+  EXPECT_EQ(std::memcmp(dest.data() + 8 * kKiB, seed.data() + 4 * kKiB,
+                        4 * kKiB),
+            0);
+  std::vector<std::uint8_t> untouched(8 * kKiB, 0xEE);
+  r.dev().backend.settle_prefetch(0, 0, untouched);
+  EXPECT_TRUE(std::all_of(untouched.begin(), untouched.end(),
+                          [](std::uint8_t b) { return b == 0xEE; }));
 }
 
 }  // namespace
