@@ -4,6 +4,7 @@
 // as extra per-element work). Both write the per-DPU histogram to MRAM,
 // where the host collects it with one small read per DPU — the pattern
 // whose prefetch behaviour §5.2 calls out for HST-S/HST-L.
+#include <algorithm>
 #include <cstring>
 
 #include "common/rng.h"
@@ -51,9 +52,9 @@ void hst_s_stage1(DpuCtx& ctx) {
     }
   }
   // Publish the private histogram for the merge stage.
-  for (std::uint32_t b = 0; b < kSmallBins; ++b) {
-    ctx.var<std::uint32_t>("t_hist", ctx.me() * kSmallBins + b) = priv[b];
-  }
+  auto published =
+      ctx.vars<std::uint32_t>("t_hist", ctx.me() * kSmallBins, kSmallBins);
+  std::copy(priv.begin(), priv.end(), published.begin());
   ctx.exec(kSmallBins);
 }
 
@@ -61,9 +62,11 @@ void hst_s_stage2(DpuCtx& ctx) {
   if (ctx.me() != 0) return;
   const auto args = ctx.var<HstArgs>("hst_args");
   auto merged = as<std::uint32_t>(ctx.mem_alloc(kSmallBins * 4));
+  const auto published =
+      ctx.vars<std::uint32_t>("t_hist", 0, ctx.nr_tasklets() * kSmallBins);
   for (std::uint32_t t = 0; t < ctx.nr_tasklets(); ++t) {
     for (std::uint32_t b = 0; b < kSmallBins; ++b) {
-      merged[b] += ctx.var<std::uint32_t>("t_hist", t * kSmallBins + b);
+      merged[b] += published[t * kSmallBins + b];
     }
   }
   ctx.exec(ctx.nr_tasklets() * kSmallBins);

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "upmem/dpu.h"
+#include "upmem/mram_copy.h"
 
 namespace vpim::upmem {
 
@@ -35,17 +36,49 @@ std::span<std::uint8_t> DpuCtx::mem_alloc(std::uint32_t bytes) {
   return heap_.carve(bytes);
 }
 
+namespace {
+// Whether a DMA of `size` bytes at `mram_addr` touches exactly one page.
+// Empty DMAs take the bank path, which accepts one at the end of the bank.
+bool in_one_page(std::uint64_t mram_addr, std::size_t size) {
+  return size > 0 && mram_addr % kMramPageSize + size <= kMramPageSize;
+}
+}  // namespace
+
 void DpuCtx::mram_read(std::uint64_t mram_addr,
                        std::span<std::uint8_t> wram_buf) {
   VPIM_CHECK(wram_buf.size() <= kWramSize, "DMA larger than WRAM");
-  dpu_.mram().read(mram_addr, wram_buf);
+  if (in_one_page(mram_addr, wram_buf.size())) {
+    const std::uint64_t page = mram_addr / kMramPageSize;
+    if (page != window_page_) {
+      window_ = dpu_.mram().page_bytes(page).data();
+      window_writable_ = nullptr;
+      window_page_ = page;
+    }
+    mram_copy(wram_buf.data(), window_ + mram_addr % kMramPageSize,
+              wram_buf.size());
+  } else {
+    dpu_.mram().read(mram_addr, wram_buf);
+  }
   charge_dma(wram_buf.size());
 }
 
 void DpuCtx::mram_write(std::span<const std::uint8_t> wram_buf,
                         std::uint64_t mram_addr) {
   VPIM_CHECK(wram_buf.size() <= kWramSize, "DMA larger than WRAM");
-  dpu_.mram().write(mram_addr, wram_buf);
+  if (in_one_page(mram_addr, wram_buf.size())) {
+    const std::uint64_t page = mram_addr / kMramPageSize;
+    if (page != window_page_ || window_writable_ == nullptr) {
+      window_writable_ = dpu_.mram().writable_page_bytes(page).data();
+      window_ = window_writable_;
+      window_page_ = page;
+    }
+    mram_copy(window_writable_ + mram_addr % kMramPageSize, wram_buf.data(),
+              wram_buf.size());
+  } else {
+    // The write may copy-on-write or materialize the window's page.
+    window_page_ = kNoPage;
+    dpu_.mram().write(mram_addr, wram_buf);
+  }
   charge_dma(wram_buf.size());
 }
 

@@ -59,7 +59,9 @@ class DpuCtx {
   // launches (see wram_block.h for the layout and ASan redzones).
   std::span<std::uint8_t> mem_alloc(std::uint32_t bytes);
 
-  // MRAM <-> WRAM DMA; charges DMA cycles to the calling tasklet.
+  // MRAM <-> WRAM DMA; charges DMA cycles to the calling tasklet. A DMA
+  // inside one page goes through the DMA window: the bytes of the page the
+  // launch touched last, kept for the whole Dpu::run (DESIGN.md).
   void mram_read(std::uint64_t mram_addr, std::span<std::uint8_t> wram_buf);
   void mram_write(std::span<const std::uint8_t> wram_buf,
                   std::uint64_t mram_addr);
@@ -68,10 +70,18 @@ class DpuCtx {
   // symbol storage, like UPMEM __host variables.
   template <typename T>
   T& var(std::string_view name, std::uint32_t index = 0) {
+    return vars<T>(name, index, 1)[0];
+  }
+
+  // Elements [first, first + count) of a WRAM symbol array: one symbol
+  // lookup for a loop that would otherwise call var() per element.
+  template <typename T>
+  std::span<T> vars(std::string_view name, std::uint32_t first,
+                    std::uint32_t count) {
     auto bytes = symbol_bytes(name);
-    VPIM_CHECK((index + 1) * sizeof(T) <= bytes.size(),
+    VPIM_CHECK((std::uint64_t{first} + count) * sizeof(T) <= bytes.size(),
                "symbol access out of bounds");
-    return *reinterpret_cast<T*>(bytes.data() + index * sizeof(T));
+    return {reinterpret_cast<T*>(bytes.data()) + first, count};
   }
 
   std::span<std::uint8_t> symbol_bytes(std::string_view name);
@@ -97,6 +107,14 @@ class DpuCtx {
   std::uint32_t heap_used_ = 0;  // raw bytes mem_alloc'd this stage
   WramBlock& heap_;              // this host thread's heap buffer
   std::vector<std::uint64_t> instr_;  // per-tasklet issued instructions
+
+  // The DMA window. Nothing but this launch touches the bank while it runs,
+  // so the page's bytes stay the bank's until the launch itself writes
+  // around the window; a writable page stays this bank's alone.
+  static constexpr std::uint64_t kNoPage = ~0ULL;
+  std::uint64_t window_page_ = kNoPage;
+  const std::uint8_t* window_ = nullptr;
+  std::uint8_t* window_writable_ = nullptr;  // null while read-only
 };
 
 using StageFn = std::function<void(DpuCtx&)>;

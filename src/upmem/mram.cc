@@ -3,8 +3,14 @@
 #include <cstring>
 
 #include "common/error.h"
+#include "upmem/mram_copy.h"
 
 namespace vpim::upmem {
+
+void mram_copy_large(std::uint8_t* dst, const std::uint8_t* src,
+                     std::size_t n) {
+  std::memcpy(dst, src, n);
+}
 
 namespace {
 void check_range(std::uint64_t offset, std::uint64_t size) {
@@ -12,8 +18,19 @@ void check_range(std::uint64_t offset, std::uint64_t size) {
              "MRAM access out of bounds");
 }
 
-// Copies `out.size()` bytes at `offset` out of `page(i)`, the page at page
-// index i or null for a zero page.
+// What every absent page reads as.
+constexpr MramPage kZeroPage{};
+
+const MramPage& or_zero(const MramPage* page) {
+  return page != nullptr ? *page : kZeroPage;
+}
+
+void check_page(std::uint64_t page_index) {
+  VPIM_CHECK(page_index < kMramPages, "MRAM access out of bounds");
+}
+
+// Copies `out.size()` bytes at `offset` out of `page_at(i)`, the page at
+// page index i or null for a zero page.
 template <typename PageAt>
 void read_pages(std::uint64_t offset, std::span<std::uint8_t> out,
                 PageAt page_at) {
@@ -24,11 +41,7 @@ void read_pages(std::uint64_t offset, std::span<std::uint8_t> out,
     const std::uint64_t page = src / kMramPageSize;
     const std::uint64_t in_page = src % kMramPageSize;
     const std::uint64_t n = std::min(remaining, kMramPageSize - in_page);
-    if (const MramPage* p = page_at(page)) {
-      std::memcpy(dst, p->bytes.data() + in_page, n);
-    } else {
-      std::memset(dst, 0, n);
-    }
+    mram_copy(dst, or_zero(page_at(page)).bytes.data() + in_page, n);
     src += n;
     dst += n;
     remaining -= n;
@@ -39,6 +52,18 @@ void read_pages(std::uint64_t offset, std::span<std::uint8_t> out,
 void MramBank::read(std::uint64_t offset, std::span<std::uint8_t> out) const {
   check_range(offset, out.size());
   read_pages(offset, out, [&](std::uint64_t page) { return find(page); });
+}
+
+std::span<const std::uint8_t, kMramPageSize> MramBank::page_bytes(
+    std::uint64_t page_index) const {
+  check_page(page_index);
+  return or_zero(find(page_index)).bytes;
+}
+
+std::span<std::uint8_t, kMramPageSize> MramBank::writable_page_bytes(
+    std::uint64_t page_index) {
+  check_page(page_index);
+  return page_for_write(page_index).bytes;
 }
 
 MramBank::Pin MramBank::pin(std::uint64_t offset, std::uint64_t size) const {
@@ -78,7 +103,7 @@ void MramBank::write(std::uint64_t offset, std::span<const std::uint8_t> in) {
     const std::uint64_t page = dst / kMramPageSize;
     const std::uint64_t in_page = dst % kMramPageSize;
     const std::uint64_t n = std::min(remaining, kMramPageSize - in_page);
-    std::memcpy(page_for_write(page).bytes.data() + in_page, src, n);
+    mram_copy(page_for_write(page).bytes.data() + in_page, src, n);
     dst += n;
     src += n;
     remaining -= n;

@@ -17,7 +17,9 @@
 //   - resident_pages() is the index's size;
 //   - copying a bank (every Rank snapshot) and destroying one (every
 //     machine teardown) touch only the allocated leaves.
-// Reads and writes take one extra hop through the directory.
+// Reads and writes take one extra hop through the directory; a DPU launch
+// skips it for DMAs that stay on the page it touched last (page_bytes(),
+// writable_page_bytes() and the DpuCtx DMA window, DESIGN.md).
 //
 // pin() freezes a range without copying it: it takes the range's page refs
 // as they stand (null for a page that reads as zero). Every later write to
@@ -64,6 +66,19 @@ class MramBank {
 
   // Reads `out.size()` bytes starting at `offset`; absent pages read as 0.
   void read(std::uint64_t offset, std::span<std::uint8_t> out) const;
+
+  // The bytes of page `page_index`; a page that reads as zero returns one
+  // static zero page. Valid until the next write, adopt, clear or
+  // assignment of this bank.
+  std::span<const std::uint8_t, kMramPageSize> page_bytes(
+      std::uint64_t page_index) const;
+
+  // The bytes of page `page_index` for writing: materializes the page and
+  // copies it first when another bank, pin or snapshot shares it, exactly
+  // like write(). Valid, and the page exclusively this bank's, until the
+  // next adopt, clear, assignment, pin or copy of this bank.
+  std::span<std::uint8_t, kMramPageSize> writable_page_bytes(
+      std::uint64_t page_index);
 
   // Pins `size` bytes starting at `offset`: shares the pages, copies none.
   Pin pin(std::uint64_t offset, std::uint64_t size) const;
