@@ -3,7 +3,9 @@
 // backend retries in place and (b) a permanent rank death that forces a
 // transparent wrank migration (full-rank MRAM rescue at rank_rescue_gbps).
 // Reported numbers are simulated ns; the "overhead" points are the delta
-// each fault scenario adds over the clean run of the same workload.
+// each fault scenario adds over the clean run of the same workload. Each
+// overhead is asserted exactly with claim(); the bench exits 1 when one
+// fails.
 #include <benchmark/benchmark.h>
 
 #include <map>
@@ -77,6 +79,38 @@ void print_summary() {
   }
 }
 
+// Exact at any VPIM_BENCH_SCALE: a rank death costs one manager grant plus
+// one two-leg state move (every bank of the 60-DPU rank out and in at
+// rank_rescue_gbps); the transient faults cost one backoff each.
+bool check_claims() {
+  const CostModel cost;
+  const auto overhead = [](const std::string& label) {
+    return g_results[label].total - g_results["clean"].total;
+  };
+  const ScenarioResult& death = g_results["rank_death"];
+  const ScenarioResult& transient = g_results["transient"];
+  const SimNs rescue =
+      CostModel::bytes_time(2ULL * 60 * upmem::kMramSize,
+                            cost.rank_rescue_gbps) +
+      cost.manager_alloc_rt_ns;
+  bool ok = true;
+  ok &= claim("rank_death_one_migration", death.migrations == 1,
+              std::to_string(death.migrations) + " migrations");
+  ok &= claim("rank_death_overhead_is_two_leg_rescue",
+              overhead("rank_death") == rescue,
+              std::to_string(overhead("rank_death")) + " ns vs " +
+                  std::to_string(rescue) + " ns");
+  ok &= claim("transient_two_retries_no_migration",
+              transient.retries == 2 && transient.migrations == 0,
+              std::to_string(transient.retries) + " retries, " +
+                  std::to_string(transient.migrations) + " migrations");
+  ok &= claim("transient_overhead_is_two_backoffs",
+              overhead("transient") == 2 * cost.fault_retry_backoff_ns,
+              std::to_string(overhead("transient")) + " ns vs " +
+                  std::to_string(2 * cost.fault_retry_backoff_ns) + " ns");
+  return ok;
+}
+
 }  // namespace
 }  // namespace vpim::bench
 
@@ -128,6 +162,7 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   print_summary();
   write_bench_json("fault_recovery", g_points);
+  const bool ok = check_claims();
   benchmark::Shutdown();
-  return 0;
+  return ok ? 0 : 1;
 }

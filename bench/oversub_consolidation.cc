@@ -3,6 +3,8 @@
 // performance." Quantifies that trade-off: N tenants each want one rank
 // of a machine that has 8. Without oversubscription, tenants beyond
 // capacity fail; with it, they run on emulated ranks and finish slower.
+// Both outcomes are asserted with claim(); the bench exits 1 when one
+// fails.
 #include <benchmark/benchmark.h>
 
 #include <cstring>
@@ -117,6 +119,35 @@ void print_summary() {
   }
 }
 
+bool check_claims() {
+  const std::uint32_t ranks = upmem::MachineConfig{}.nr_ranks;
+  bool ok = true;
+  for (const auto& [key, cell] : g_cells) {
+    const auto [tenants, oversub] = key;
+    const std::uint32_t beyond = tenants > ranks ? tenants - ranks : 0;
+    const std::string name = "tenants_" + std::to_string(tenants);
+    if (!oversub) {
+      ok &= claim(name + "_strict_fails_beyond_capacity",
+                  cell.failed == beyond && cell.completed == tenants - beyond,
+                  std::to_string(cell.failed) + " failed, " +
+                      std::to_string(beyond) + " beyond " +
+                      std::to_string(ranks) + " ranks");
+      continue;
+    }
+    ok &= claim(name + "_oversub_completes_all",
+                cell.failed == 0 && cell.completed == tenants &&
+                    cell.emulated == beyond,
+                std::to_string(cell.completed) + " completed, " +
+                    std::to_string(cell.emulated) + " emulated");
+    if (cell.emulated > 0) {
+      const double slowdown = ratio(cell.emulated_time, cell.physical_time);
+      ok &= claim(name + "_emulated_at_least_2x_slower", slowdown >= 2.0,
+                  std::to_string(slowdown) + "x");
+    }
+  }
+  return ok;
+}
+
 }  // namespace
 }  // namespace vpim::bench
 
@@ -140,6 +171,7 @@ int main(int argc, char** argv) {
   }
   benchmark::RunSpecifiedBenchmarks();
   print_summary();
+  const bool ok = check_claims();
   benchmark::Shutdown();
-  return 0;
+  return ok ? 0 : 1;
 }

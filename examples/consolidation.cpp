@@ -5,6 +5,7 @@
 // emulated rank until capacity frees up and it migrates onto silicon.
 //
 // Build & run:  ./build/examples/consolidation
+// Exits 1 if a pattern is LOST or a step fails; ctest runs it.
 #include <cstdio>
 #include <cstring>
 
@@ -80,12 +81,14 @@ int main() {
 
   // The newcomer upgrades from emulation onto the freed silicon, keeping
   // its data.
-  if (fe_c.migrate()) {
-    std::printf("newcomer migrated to physical rank %u; pattern %s\n",
-                newcomer.device(0).backend.rank_index(),
-                check_pattern(fe_c, newcomer.vmm(), 0xC3) ? "intact"
-                                                          : "LOST");
+  if (!fe_c.migrate()) {
+    std::printf("newcomer migration FAILED\n");
+    return 1;
   }
+  const bool c_intact = check_pattern(fe_c, newcomer.vmm(), 0xC3);
+  std::printf("newcomer migrated to physical rank %u; pattern %s\n",
+              newcomer.device(0).backend.rank_index(),
+              c_intact ? "intact" : "LOST");
 
   // Later the interactive tenant leaves; the batch tenant resumes — on
   // whatever rank is free — with its 0xA1 pattern restored.
@@ -93,9 +96,9 @@ int main() {
   host.manager.observe();
   host.manager.observe();
   if (!fe_a.resume()) return 1;
-  std::printf("batch resumed; pattern %s\n",
-              check_pattern(fe_a, batch.vmm(), 0xA1) ? "intact" : "LOST");
+  const bool a_intact = check_pattern(fe_a, batch.vmm(), 0xA1);
+  std::printf("batch resumed; pattern %s\n", a_intact ? "intact" : "LOST");
 
   std::printf("simulated time: %.1f ms\n", ns_to_ms(host.clock.now()));
-  return 0;
+  return c_intact && a_intact ? 0 : 1;
 }

@@ -104,19 +104,21 @@ void broadcast_banks(upmem::Rank& rank, std::uint64_t mram_offset,
 // ---------------------------------------------------------------- mapping
 
 RankMapping::RankMapping(UpmemDriver& drv, std::uint32_t rank_index)
-    : drv_(&drv), rank_index_(rank_index) {}
+    : drv_(&drv),
+      rank_index_(rank_index),
+      gbps_(drv.machine().cost().interleave_wide_gbps) {}
 
 RankMapping::RankMapping(RankMapping&& other) noexcept
     : drv_(std::exchange(other.drv_, nullptr)),
       rank_index_(other.rank_index_),
-      data_path_(other.data_path_) {}
+      gbps_(other.gbps_) {}
 
 RankMapping& RankMapping::operator=(RankMapping&& other) noexcept {
   if (this != &other) {
     unmap();
     drv_ = std::exchange(other.drv_, nullptr);
     rank_index_ = other.rank_index_;
-    data_path_ = other.data_path_;
+    gbps_ = other.gbps_;
   }
   return *this;
 }
@@ -135,21 +137,9 @@ std::uint32_t RankMapping::nr_dpus() const {
   return drv_->machine().rank(rank_index_).nr_dpus();
 }
 
-double RankMapping::copy_gbps() const {
-  const CostModel& cost = drv_->machine().cost();
-  if (data_path_.gbps_override > 0.0) return data_path_.gbps_override;
-  return data_path_.naive ? cost.interleave_naive_gbps
-                          : cost.interleave_wide_gbps;
-}
-
-void RankMapping::transfer(const TransferMatrix& matrix, CopyBacklog* defer,
-                           std::span<upmem::MramBank::Pin> pins) {
+upmem::Rank& RankMapping::stream(std::uint64_t bytes, std::uint32_t entries) {
   VPIM_CHECK(drv_ != nullptr, "use of unmapped rank");
   upmem::PimMachine& machine = drv_->machine();
-  const CostModel& cost = machine.cost();
-  const std::uint64_t bytes = matrix.total_bytes();
-  VPIM_CHECK(bytes <= upmem::kMaxXferBytes,
-             "rank operations move at most 4 GiB");
   upmem::Rank& rank = machine.rank(rank_index_);
   // Serial DMA-window entry: injected faults fire here, before any time is
   // charged or bytes move, so retries see an unchanged bank.
@@ -163,42 +153,31 @@ void RankMapping::transfer(const TransferMatrix& matrix, CopyBacklog* defer,
   obs::ScopedSpan span(trace_of(machine), machine.clock(),
                        obs::SpanKind::kDriverXfer);
   span.set_bytes(bytes);
-  span.set_entries(static_cast<std::uint32_t>(matrix.entries.size()));
+  span.set_entries(entries);
   span.set_rank(rank_index_);
-  machine.clock().advance(cost.native_xfer_fixed_ns +
-                          CostModel::bytes_time(bytes, copy_gbps()));
+  machine.clock().advance(machine.cost().native_xfer_fixed_ns +
+                          CostModel::bytes_time(bytes, gbps_));
+  return rank;
+}
+
+void RankMapping::transfer(const TransferMatrix& matrix, CopyBacklog* defer,
+                           std::span<upmem::MramBank::Pin> pins) {
+  const std::uint64_t bytes = matrix.total_bytes();
+  VPIM_CHECK(bytes <= upmem::kMaxXferBytes,
+             "rank operations move at most 4 GiB");
   // A pipelined drain parks the copies for one batched replay at the end
-  // of the drain; every cost and fault above fired normally either way.
-  copy_banks(rank, matrix, defer, pins);
+  // of the drain; every cost and fault fired normally either way.
+  copy_banks(stream(bytes, static_cast<std::uint32_t>(matrix.entries.size())),
+             matrix, defer, pins);
 }
 
 void RankMapping::broadcast(std::uint64_t mram_offset,
                             std::span<const std::uint8_t> data) {
-  VPIM_CHECK(drv_ != nullptr, "use of unmapped rank");
-  upmem::PimMachine& machine = drv_->machine();
-  const CostModel& cost = machine.cost();
-  upmem::Rank& rank = machine.rank(rank_index_);
   VPIM_CHECK(data.size() <= upmem::kMaxXferBytes,
              "rank operations move at most 4 GiB");
-  rank.check_alive();
-  if (FaultPlan* plan = machine.fault_plan()) {
-    if (auto fault = plan->on_transfer(rank_index_, machine.clock().now())) {
-      if (fault->kind == FaultKind::kRankDeath) rank.fail();
-      throw FaultError(*fault);
-    }
-  }
-
   // The host physically streams the payload into every bank.
-  obs::ScopedSpan span(trace_of(machine), machine.clock(),
-                       obs::SpanKind::kDriverXfer);
-  span.set_bytes(data.size() * rank.nr_dpus());
-  span.set_entries(rank.nr_dpus());
-  span.set_rank(rank_index_);
-  machine.clock().advance(
-      cost.native_xfer_fixed_ns +
-      CostModel::bytes_time(data.size() * rank.nr_dpus(), copy_gbps()));
-
-  broadcast_banks(rank, mram_offset, data);
+  const std::uint32_t banks = nr_dpus();
+  broadcast_banks(stream(data.size() * banks, banks), mram_offset, data);
 }
 
 void RankMapping::ci_load(std::string_view kernel_name) {

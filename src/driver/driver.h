@@ -28,17 +28,6 @@
 
 namespace vpim::driver {
 
-// Selects the host copy bandwidth a mapping's transfers are charged at.
-// The bytes move the same way on every path; only virtual time differs.
-struct DataPath {
-  // Charge the per-byte interleave loop (the paper's Rust baseline)
-  // instead of the wide-word path (the C/AVX512 rewrite).
-  bool naive = false;
-  // Overrides the cost-model bandwidth, e.g. for backend copies gathering
-  // from scattered guest pages. 0 = use the cost model.
-  double gbps_override = 0.0;
-};
-
 class UpmemDriver;
 
 // Deferred copy sink for the pipelined request path. A backend drain parks
@@ -119,7 +108,10 @@ class RankMapping {
   std::uint32_t rank_index() const { return rank_index_; }
   std::uint32_t nr_dpus() const;
 
-  void set_data_path(const DataPath& path) { data_path_ = path; }
+  // The host copy bandwidth transfers and broadcasts are charged at:
+  // interleave_wide_gbps unless the owner sets another. The bytes move the
+  // same way at any bandwidth; only virtual time differs.
+  void set_gbps(double gbps) { gbps_ = gbps; }
 
   // Scatter/gather data transfer for the whole matrix (one fixed software
   // cost per call, plus streaming time). With `defer`, all virtual-time
@@ -152,12 +144,13 @@ class RankMapping {
   // Only UpmemDriver::map_rank builds a mapping, so every mapping owns the
   // rank it names and unmaps it exactly once.
   RankMapping(UpmemDriver& drv, std::uint32_t rank_index);
-
-  double copy_gbps() const;
+  // The one physical stream entry of transfer and broadcast: fault hooks,
+  // then `bytes` charged at gbps_ under a driver.xfer span.
+  upmem::Rank& stream(std::uint64_t bytes, std::uint32_t entries);
 
   UpmemDriver* drv_ = nullptr;  // null once unmapped
   std::uint32_t rank_index_ = 0;
-  DataPath data_path_;
+  double gbps_;
 };
 
 class UpmemDriver {

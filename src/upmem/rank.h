@@ -71,12 +71,6 @@ class Rank {
   // be idle.
   struct Snapshot {
     std::vector<Dpu> dpus;
-    // Bytes of resident MRAM content (what a physical save/restore moves).
-    std::uint64_t resident_bytes() const {
-      std::uint64_t n = 0;
-      for (const Dpu& d : dpus) n += d.mram().resident_pages() * kMramPageSize;
-      return n;
-    }
   };
   Snapshot save_snapshot() const;
   void load_snapshot(Snapshot snapshot);

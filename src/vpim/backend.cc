@@ -4,7 +4,6 @@
 
 #include "common/error.h"
 #include "common/log.h"
-#include "common/thread_pool.h"
 #include "upmem/layout.h"
 
 namespace vpim::core {
@@ -34,31 +33,39 @@ Backend::Backend(vmm::Vmm& vmm, driver::UpmemDriver& drv, Manager& manager,
       obs_(obs) {}
 
 std::uint32_t Backend::rank_index() const {
-  VPIM_CHECK(mapping_.has_value(),
+  VPIM_CHECK(bound() && binding_->mapping() != nullptr,
              "device is not linked to a physical rank");
-  return mapping_->rank_index();
-}
-
-upmem::Rank& Backend::bound_rank() {
-  if (mapping_.has_value()) {
-    return drv_.machine().rank(mapping_->rank_index());
-  }
-  VPIM_CHECK(emulated_ != nullptr, "device is not linked to a rank");
-  return emulated_->rank;
+  return binding_->mapping()->rank_index();
 }
 
 virtio::PimConfigSpace Backend::config_space() const {
   VPIM_CHECK(bound(), "device is not linked to a rank");
+  return binding_->config_space();
+}
+
+Backend::Binding::Binding(driver::RankMapping mapping,
+                          upmem::PimMachine& machine, double gbps)
+    : cost_(machine.cost()),
+      rank_(&machine.rank(mapping.rank_index())),
+      gbps_(gbps) {
+  mapping.set_gbps(gbps);
+  phys_.emplace(std::move(mapping));
+}
+
+Backend::Binding::Binding(const CostModel& base, const SimClock& clock,
+                          std::uint32_t nr_dpus, obs::Hub* obs)
+    : cost_(base), gbps_(base.emulated_copy_gbps) {
+  cost_.dpu_hz /= cost_.emulation_slowdown;
+  rank_ = &host_.emplace(0xEE, nr_dpus, clock, cost_);
+  // Built outside the machine, so it must be wired into the observability
+  // hub explicitly to emit launch spans.
+  rank_->set_obs(obs);
+}
+
+virtio::PimConfigSpace Backend::Binding::config_space() const {
   virtio::PimConfigSpace cfg;
-  if (mapping_.has_value()) {
-    cfg.nr_dpus = drv_.machine().rank(mapping_->rank_index()).nr_dpus();
-    cfg.dpu_freq_mhz =
-        static_cast<std::uint32_t>(drv_.machine().cost().dpu_hz / 1e6);
-  } else {
-    cfg.nr_dpus = emulated_->rank.nr_dpus();
-    cfg.dpu_freq_mhz =
-        static_cast<std::uint32_t>(emulated_->cost.dpu_hz / 1e6);
-  }
+  cfg.nr_dpus = rank_->nr_dpus();
+  cfg.dpu_freq_mhz = static_cast<std::uint32_t>(cost_.dpu_hz / 1e6);
   cfg.clock_division = 2;
   cfg.nr_control_interfaces = upmem::kChipsPerRank;
   cfg.mram_bytes_per_dpu = upmem::kMramSize;
@@ -66,67 +73,48 @@ virtio::PimConfigSpace Backend::config_space() const {
   return cfg;
 }
 
-driver::DataPath Backend::data_path() const {
-  driver::DataPath path;
-  path.naive = !config_.c_enhancement;
-  if (config_.c_enhancement) {
-    // Wide kernels, but gathering from scattered guest pages.
-    path.gbps_override = drv_.machine().cost().scattered_copy_gbps;
-  }
-  return path;
+void Backend::bind(driver::RankMapping mapping) {
+  // Wide kernels gather from scattered guest pages; the naive path runs
+  // the per-byte interleave loop.
+  const CostModel& cost = vmm_.cost();
+  binding_.emplace(std::move(mapping), drv_.machine(),
+                   config_.c_enhancement ? cost.scattered_copy_gbps
+                                         : cost.interleave_naive_gbps);
 }
 
 bool Backend::try_bind() {
   if (bound()) return true;
-  mapping_ = manager_.request_rank(tag_);
-  if (mapping_.has_value()) {
-    mapping_->set_data_path(data_path());
+  if (auto mapping = manager_.request_rank(tag_)) {
+    bind(std::move(*mapping));
     return true;
   }
   if (!config_.oversubscribe) return false;
   // Oversubscription (§7): fall back to a host-emulated rank running at
   // reduced performance. Mirrors the geometry of a physical rank.
-  emulated_ = std::make_unique<EmulatedRank>(
-      vmm_.cost(), vmm_.clock(),
-      drv_.machine().rank(0).nr_dpus());
-  // The emulated rank is constructed outside the machine, so it must be
-  // wired into the observability hub explicitly to emit launch spans.
-  emulated_->rank.set_obs(drv_.machine().obs());
+  binding_.emplace(vmm_.cost(), vmm_.clock(),
+                   drv_.machine().rank(0).nr_dpus(), drv_.machine().obs());
   ++stats_.emulated_binds;
   return true;
 }
 
-double Backend::batch_gbps() const {
-  if (emulated_ != nullptr) return vmm_.cost().emulated_copy_gbps;
-  return config_.c_enhancement ? vmm_.cost().scattered_copy_gbps
-                               : vmm_.cost().interleave_naive_gbps;
-}
-
 void Backend::unbind() {
   backlog_.flush();
-  mapping_.reset();
-  emulated_.reset();
-}
-
-std::uint32_t Backend::response_rank() const {
-  return mapping_.has_value() ? mapping_->rank_index() : 0xFFFFFFFFu;
+  binding_.reset();
 }
 
 void Backend::data_transfer(const driver::TransferMatrix& matrix,
                             std::span<upmem::MramBank::Pin> pins) {
-  if (mapping_.has_value()) {
-    mapping_->transfer(matrix, &backlog_, pins);
+  if (driver::RankMapping* m = physical()) {
+    m->transfer(matrix, &backlog_, pins);
     return;
   }
   // Emulated rank: plain host-memory copies, no interleave transform.
-  const CostModel& cost = vmm_.cost();
   const std::uint64_t bytes = matrix.total_bytes();
   VPIM_CHECK(bytes <= upmem::kMaxXferBytes,
              "rank operations move at most 4 GiB");
-  vmm_.clock().advance(cost.native_xfer_fixed_ns +
-                       CostModel::bytes_time(bytes,
-                                             cost.emulated_copy_gbps));
-  driver::copy_banks(emulated_->rank, matrix, &backlog_, pins);
+  vmm_.clock().advance(vmm_.cost().native_xfer_fixed_ns +
+                       CostModel::bytes_time(bytes, binding_->gbps()));
+  driver::copy_banks(binding_->rank(), matrix, &backlog_, pins);
 }
 
 void Backend::settle_prefetch(std::uint32_t dpu, std::uint64_t mram_offset,
@@ -145,16 +133,14 @@ void Backend::drop_prefetch() {
 
 void Backend::data_broadcast(std::uint64_t mram_offset,
                              std::span<const std::uint8_t> data) {
-  if (mapping_.has_value()) {
-    mapping_->broadcast(mram_offset, data);
+  if (driver::RankMapping* m = physical()) {
+    m->broadcast(mram_offset, data);
     return;
   }
-  const CostModel& cost = vmm_.cost();
-  upmem::Rank& rank = emulated_->rank;
+  upmem::Rank& rank = binding_->rank();
   vmm_.clock().advance(
-      cost.native_xfer_fixed_ns +
-      CostModel::bytes_time(data.size() * rank.nr_dpus(),
-                            cost.emulated_copy_gbps));
+      vmm_.cost().native_xfer_fixed_ns +
+      CostModel::bytes_time(data.size() * rank.nr_dpus(), binding_->gbps()));
   driver::broadcast_banks(rank, mram_offset, data);
 }
 
@@ -173,8 +159,9 @@ void Backend::check_deadline(const WireRequest& req) {
 
 std::optional<FaultRecord> Backend::lost_completion() {
   FaultPlan* plan = drv_.machine().fault_plan();
-  if (plan == nullptr || !mapping_.has_value()) return std::nullopt;
-  return plan->on_request(mapping_->rank_index(), vmm_.clock().now());
+  driver::RankMapping* m = physical();
+  if (plan == nullptr || m == nullptr) return std::nullopt;
+  return plan->on_request(m->rank_index(), vmm_.clock().now());
 }
 
 void Backend::run_with_recovery(OpRef op) {
@@ -199,15 +186,13 @@ void Backend::run_with_recovery(OpRef op) {
             virtio::PimStatus::kDeviceFault,
             std::string("transient fault persisted: ") + e.what());
       }
-      if (e.record().kind == FaultKind::kRankDeath &&
-          mapping_.has_value() && recover_rank_death()) {
-        attempt = 0;  // fresh rank, fresh retry budget
-        continue;
-      }
-      // Unrecoverable: drop a dead binding so later requests complete
-      // UNBOUND instead of re-faulting, then fail this one typed.
-      if (mapping_.has_value() &&
-          e.record().kind == FaultKind::kRankDeath) {
+      if (e.record().kind == FaultKind::kRankDeath && physical() != nullptr) {
+        if (recover_rank_death()) {
+          attempt = 0;  // fresh rank, fresh retry budget
+          continue;
+        }
+        // Unrecoverable: drop the dead binding so later requests complete
+        // UNBOUND instead of re-faulting, then fail this one typed.
         unbind();
       }
       ++stats_.fault_failures;
@@ -219,8 +204,8 @@ void Backend::run_with_recovery(OpRef op) {
 }
 
 bool Backend::recover_rank_death() {
-  const std::uint32_t dead = mapping_->rank_index();
-  if (drv_.machine().rank(dead).ci_any_running()) {
+  const std::uint32_t dead = physical()->rank_index();
+  if (binding_->rank().ci_any_running()) {
     return false;  // in-flight kernels are lost
   }
   // Keep the dead mapping held while asking for a replacement so the
@@ -229,24 +214,35 @@ bool Backend::recover_rank_death() {
   if (!replacement.has_value()) return false;
   // Rescue stream: every bank read off the dying rank at degraded
   // bandwidth. The dead rank is freed; its sysfs health stays failed.
-  move_state(std::move(*replacement), vmm_.cost().rank_rescue_gbps);
+  std::optional<upmem::Rank::Snapshot> rescued;
+  move_state(Legs::kBoth, rescued, std::move(replacement),
+             vmm_.cost().rank_rescue_gbps);
   ++stats_.fault_migrations;
   VPIM_WARN("backend", "%s: wrank migrated off dead rank %u onto rank %u",
-            tag_.c_str(), dead, mapping_->rank_index());
+            tag_.c_str(), dead, rank_index());
   return true;
 }
 
-void Backend::move_state(driver::RankMapping to, double gbps) {
+std::uint64_t Backend::move_state(Legs legs,
+                                  std::optional<upmem::Rank::Snapshot>& parked,
+                                  std::optional<driver::RankMapping> to,
+                                  double gbps) {
   backlog_.flush();  // the moved state holds every acknowledged copy
-  to.set_data_path(data_path());
-  upmem::Rank& src = bound_rank();
-  // The host streams every bank out of the old binding and into the new
-  // rank.
-  vmm_.clock().advance(
-      CostModel::bytes_time(2ULL * src.nr_dpus() * upmem::kMramSize, gbps));
-  drv_.machine().rank(to.rank_index()).load_snapshot(src.save_snapshot());
-  unbind();
-  mapping_ = std::move(to);
+  const bool out = legs != Legs::kIn;
+  const bool in = legs != Legs::kOut;
+  const std::uint64_t bytes = (out && in ? 2ULL : 1ULL) *
+                              binding_->rank().nr_dpus() * upmem::kMramSize;
+  vmm_.clock().advance(CostModel::bytes_time(bytes, gbps));
+  if (out) {
+    parked = binding_->rank().save_snapshot();
+    unbind();
+  }
+  if (to.has_value()) bind(std::move(*to));
+  if (in) {
+    binding_->rank().load_snapshot(std::move(*parked));
+    parked.reset();
+  }
+  return bytes;
 }
 
 template <typename Run>
@@ -293,7 +289,9 @@ void Backend::handle_transferq() {
     }
     serve(transferq_, chain,
           [&](const WireRequest& req, obs::ScopedSpan& span) {
-            if (mapping_.has_value()) span.set_rank(mapping_->rank_index());
+            if (driver::RankMapping* m = physical()) {
+              span.set_rank(m->rank_index());
+            }
             handle_request(chain, req);
           });
   }
@@ -397,7 +395,7 @@ void Backend::handle_rank_op(const virtio::DescChain& chain,
   deserialize_matrix(chain, vmm_.memory(), deser_result_, deser_scratch_);
   const DeserializeResult& matrix = deser_result_;
   // Entries must fit the bound rank before anything touches MRAM.
-  upmem::Rank& rank = bound_rank();
+  upmem::Rank& rank = binding_->rank();
   for (const DeserializedEntry& e : matrix.entries) {
     VPIM_REQUEST_CHECK(e.dpu < rank.nr_dpus(),
                        virtio::PimStatus::kBadRequest,
@@ -450,7 +448,7 @@ void Backend::handle_rank_op(const virtio::DescChain& chain,
     // so a broadcast shows up as one identical single-segment entry per
     // DPU — straight span comparisons, no per-request scratch.
     bool broadcast = matrix.direction == driver::XferDirection::kToRank &&
-                     matrix.entries.size() == bound_rank().nr_dpus() &&
+                     matrix.entries.size() == binding_->rank().nr_dpus() &&
                      matrix.entries.size() > 1 &&
                      matrix.entries[0].segments.size() == 1;
     if (broadcast) {
@@ -516,7 +514,7 @@ void Backend::apply_batched_writes(const DeserializeResult& matrix) {
   // Stream cost for the whole batch payload.
   vmm_.clock().advance(
       cost.native_xfer_fixed_ns +
-      CostModel::bytes_time(matrix.total_bytes, batch_gbps()));
+      CostModel::bytes_time(matrix.total_bytes, binding_->gbps()));
 
   // Parse every DPU's batch region into its records before any bank
   // changes, so a malformed batch is rejected whole; the records then
@@ -561,7 +559,7 @@ void Backend::apply_batched_writes(const DeserializeResult& matrix) {
       off += hdr.size;
     }
   }
-  driver::copy_banks(bound_rank(), records);
+  driver::copy_banks(binding_->rank(), records);
 }
 
 void Backend::handle_ci(const virtio::DescChain& chain,
@@ -592,7 +590,7 @@ void Backend::handle_ci(const virtio::DescChain& chain,
   // after wrank migration lands on the replacement rank. Typed request
   // rejections (VpimStatusError) pass straight through the wrapper.
   run_with_recovery([&] {
-    upmem::Rank& rank = bound_rank();
+    upmem::Rank& rank = binding_->rank();
     switch (static_cast<CiOp>(req.ci_op)) {
       case CiOp::kLoad:
         rank.ci_load(name);
@@ -733,8 +731,10 @@ void Backend::handle_control(const virtio::DescChain& chain,
         resp.status = static_cast<std::int32_t>(PimStatus::kNoCapacity);
         break;
       }
-      resp.rank_index = target->rank_index();
-      move_state(std::move(*target), vmm_.cost().interleave_wide_gbps);
+      std::optional<upmem::Rank::Snapshot> moving;
+      move_state(Legs::kBoth, moving, std::move(target),
+                 vmm_.cost().interleave_wide_gbps);
+      resp.rank_index = response_rank();
       resp.config = config_space();
       break;
     }
@@ -745,12 +745,8 @@ void Backend::handle_control(const virtio::DescChain& chain,
                          "device already suspended");
       VPIM_REQUEST_CHECK(bound(), PimStatus::kUnbound,
                          "suspend without a bound rank");
-      suspended_ = bound_rank().save_snapshot();
-      vmm_.clock().advance(CostModel::bytes_time(
-          suspended_->resident_bytes(),
-          vmm_.cost().interleave_wide_gbps));
-      unbind();
-      resp.value = suspended_->resident_bytes();
+      resp.value = move_state(Legs::kOut, suspended_, std::nullopt,
+                              vmm_.cost().interleave_wide_gbps);
       break;
     }
     case CiOp::kResumeRank: {
@@ -760,11 +756,8 @@ void Backend::handle_control(const virtio::DescChain& chain,
         resp.status = static_cast<std::int32_t>(PimStatus::kNoCapacity);
         break;
       }
-      const std::uint64_t bytes = suspended_->resident_bytes();
-      bound_rank().load_snapshot(std::move(*suspended_));
-      vmm_.clock().advance(
-          CostModel::bytes_time(bytes, vmm_.cost().interleave_wide_gbps));
-      suspended_.reset();
+      move_state(Legs::kIn, suspended_, std::nullopt,
+                 vmm_.cost().interleave_wide_gbps);
       resp.rank_index = response_rank();
       resp.value = emulated() ? 1 : 0;
       resp.config = config_space();

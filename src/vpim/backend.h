@@ -1,21 +1,20 @@
 // vUPMEM backend: the device model inside Firecracker (§4.2).
 //
-// Decodes requests popped from the virtqueues, performs them on the
-// physical rank through a performance-mode mapping, and completes them via
-// the used ring. Implements the paper's backend optimizations:
+// Decodes requests popped from the virtqueues, performs them on the bound
+// rank (a performance-mode mapping, or a host-emulated rank under §7
+// oversubscription), and completes them via the used ring. Implements the
+// paper's backend optimizations:
 //   - zero-copy request handling: payload pages are reached through
 //     GPA->HVA translation (spread across translation worker threads),
 //     never copied through the ring;
 //   - contiguous guest pages merge into one segment during translation,
 //     plus broadcast detection, so bulk copies stream at full bandwidth
 //     (and broadcast storage stays copy-on-write);
-//   - the wide-word ("C/AVX512") or naive ("Rust") data path per the
+//   - the wide-word ("C/AVX512") or naive ("Rust") copy bandwidth per the
 //     active VpimConfig;
 //   - per-chip operation workers (8 DPUs at a time).
 #pragma once
 
-#include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <type_traits>
@@ -65,10 +64,10 @@ class Backend {
   void handle_transferq();
   void handle_controlq();
 
-  bool bound() const { return mapping_.has_value() || emulated_ != nullptr; }
+  bool bound() const { return binding_.has_value(); }
   // Oversubscription (§7): true when this device runs on a host-emulated
   // rank rather than physical UPMEM.
-  bool emulated() const { return emulated_ != nullptr; }
+  bool emulated() const { return bound() && binding_->mapping() == nullptr; }
   std::uint32_t rank_index() const;  // physical bindings only
   virtio::PimConfigSpace config_space() const;
   const std::string& tag() const { return tag_; }
@@ -120,36 +119,62 @@ class Backend {
   void complete_with_status(virtio::Virtqueue& queue,
                             const virtio::DescChain& chain,
                             std::int32_t status);
-  driver::DataPath data_path() const;
 
-  // --- rank binding (physical mapping or emulated rank) ----------------
-  struct EmulatedRank {
-    EmulatedRank(const CostModel& base, const SimClock& clock,
-                 std::uint32_t nr_dpus)
-        : cost(slowed(base)), rank(0xEE, nr_dpus, clock, cost) {}
-    static CostModel slowed(CostModel c) {
-      c.dpu_hz /= c.emulation_slowdown;
-      return c;
+  // --- rank binding ------------------------------------------------------
+  // The device's rank: a physical performance-mode mapping granted by the
+  // manager, or (§7 oversubscription) a host-emulated rank that mirrors a
+  // physical rank's geometry with its DPUs slowed by emulation_slowdown.
+  // One copy bandwidth prices every transfer, broadcast and batched write
+  // on it. Destroying a binding releases its rank: unmapping frees a
+  // physical one in sysfs, where the manager's observer sees it (§3.5).
+  class Binding {
+   public:
+    Binding(driver::RankMapping mapping, upmem::PimMachine& machine,
+            double gbps);
+    Binding(const CostModel& base, const SimClock& clock,
+            std::uint32_t nr_dpus, obs::Hub* obs);
+    Binding(Binding&&) = delete;  // rank_ may point into the binding
+
+    upmem::Rank& rank() { return *rank_; }
+    double gbps() const { return gbps_; }
+    virtio::PimConfigSpace config_space() const;
+    // The physical mapping and its rank index; null on an emulated rank.
+    driver::RankMapping* mapping() { return phys_ ? &*phys_ : nullptr; }
+    const driver::RankMapping* mapping() const {
+      return phys_ ? &*phys_ : nullptr;
     }
-    CostModel cost;  // must outlive `rank`
-    upmem::Rank rank;
+
+   private:
+    std::optional<driver::RankMapping> phys_;
+    CostModel cost_;  // the DPUs' clock; must outlive `host_`
+    std::optional<upmem::Rank> host_;  // the emulated rank
+    upmem::Rank* rank_;
+    double gbps_;
   };
-  upmem::Rank& bound_rank();
+  // Binds `mapping` at the configured copy bandwidth.
+  void bind(driver::RankMapping mapping);
   // Binds via the manager; falls back to emulation when allowed. Returns
   // false if neither succeeded.
   bool try_bind();
   // Drops the binding after landing the parked copies, which point into
   // its banks.
   void unbind();
+  // The physical mapping, or null when unbound or emulated. This is the one
+  // test for physical-only behaviour: fault hooks, driver xfer spans, the
+  // response rank index and rank-death recovery.
+  driver::RankMapping* physical() {
+    return bound() ? binding_->mapping() : nullptr;
+  }
   // Rank index for a response: the physical rank, else ~0.
-  std::uint32_t response_rank() const;
+  std::uint32_t response_rank() {
+    return physical() != nullptr ? physical()->rank_index() : 0xFFFFFFFFu;
+  }
   // Data movement over the active binding (cost + storage); `pins` turns
   // a read into prefetch pins (driver::copy_banks).
   void data_transfer(const driver::TransferMatrix& matrix,
                      std::span<upmem::MramBank::Pin> pins = {});
   void data_broadcast(std::uint64_t mram_offset,
                       std::span<const std::uint8_t> data);
-  double batch_gbps() const;
 
   // --- fault recovery (ISSUE 3) -----------------------------------------
   // Runs `op`, absorbing injected faults: transient faults retry with
@@ -160,11 +185,19 @@ class Backend {
   // Moves this device's wrank off its (dead) physical rank onto a freshly
   // allocated one, rescuing MRAM content. False when out of capacity.
   bool recover_rank_death();
-  // The one state move (rank-death rescue and kMigrateRank): charges the
-  // host streaming every bank out of the current binding and into `to`
-  // (2 x nr_dpus x MRAM at `gbps`), copies the rank state, and makes `to`
-  // the binding.
-  void move_state(driver::RankMapping to, double gbps);
+  // The one state move (§3.3 reallocation, rank-death rescue, §7
+  // pause/resume). The host reaches MRAM only through rank-wide transfers,
+  // so a leg streams every bank whole, whatever was written:
+  //   - the out-leg streams the bound rank into `parked` and unbinds;
+  //   - `to`, when given, becomes the binding;
+  //   - the in-leg loads `parked` into the binding and empties it.
+  // The legs run are charged in one bytes_time call,
+  // legs x nr_dpus x kMramSize at `gbps`. Returns the bytes charged.
+  enum class Legs { kOut, kIn, kBoth };
+  std::uint64_t move_state(Legs legs,
+                           std::optional<upmem::Rank::Snapshot>& parked,
+                           std::optional<driver::RankMapping> to,
+                           double gbps);
   // Injected kLostCompletion check at the per-request dispatch point.
   std::optional<FaultRecord> lost_completion();
   // Deadline boundary check (ISSUE 8): throws a typed kTimeout when the
@@ -185,8 +218,7 @@ class Backend {
   DeviceStats& stats_;
   std::string tag_;
   obs::Hub& obs_;
-  std::optional<driver::RankMapping> mapping_;
-  std::unique_ptr<EmulatedRank> emulated_;
+  std::optional<Binding> binding_;
   // Pooled request-path working set: deserialize output/scratch and the
   // driver transfer matrix are reused across requests, so the steady-state
   // hot path performs no heap allocation once high-water marks are reached.

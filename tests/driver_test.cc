@@ -79,7 +79,7 @@ TEST(Driver, NaivePathIsSlower) {
   m.transfer(matrix);
   const SimNs wide = rig.clock.now() - t0;
 
-  m.set_data_path({.naive = true});
+  m.set_gbps(rig.cost.interleave_naive_gbps);
   t0 = rig.clock.now();
   m.transfer(matrix);
   const SimNs naive = rig.clock.now() - t0;

@@ -79,24 +79,64 @@ TEST(SuspendResume, StateSurvivesAndRankFreesInBetween) {
   EXPECT_EQ(ps_back, 12345u);
 }
 
-TEST(SuspendResume, SnapshotCostScalesWithResidentBytes) {
-  Host host(test::small_machine(), CostModel{}, fast_manager());
-  VpimVm vm(host, {.name = "sizer"}, 1);
+// A state move streams whole banks: the host reaches MRAM only through
+// rank-wide transfers, so it cannot know which pages a DPU-side write
+// touched. One leg is nr_dpus x kMramSize at the wide bandwidth; suspend
+// and resume each run one leg, migrate runs both.
+TEST(SuspendResume, StateMovesChargeWholeBanksPerLeg) {
+  const CostModel cost;
+  const std::uint32_t nr_dpus = test::small_machine().functional_dpus_per_rank;
+  const SimNs leg = CostModel::bytes_time(
+      std::uint64_t{nr_dpus} * upmem::kMramSize, cost.interleave_wide_gbps);
+
+  // Suspend+resume costs the same whether the guest wrote 8 MiB of zeros
+  // (pages the simulator materializes) or never wrote at all.
+  const auto park_cost = [&](bool write_zeros) {
+    Host host(test::small_machine(), cost, fast_manager());
+    VpimVm vm(host, {.name = "parker"}, 1);
+    Frontend& fe = vm.device(0).frontend;
+    EXPECT_TRUE(fe.open());
+    if (write_zeros) {
+      auto buf = vm.vmm().memory().alloc(8 * kMiB);
+      std::memset(buf.data(), 0, buf.size());
+      driver::TransferMatrix w;
+      w.entries.push_back({0, 0, buf.data(), buf.size()});
+      fe.write_to_rank(w);
+    }
+    const SimNs t0 = host.clock.now();
+    fe.suspend();
+    const SimNs suspended = host.clock.now();
+    EXPECT_TRUE(fe.resume());
+    return std::pair{suspended - t0, host.clock.now() - suspended};
+  };
+  const auto [suspend_zeros, resume_zeros] = park_cost(true);
+  const auto [suspend_cost, resume_cost] = park_cost(false);
+  EXPECT_EQ(suspend_zeros, suspend_cost);
+  EXPECT_EQ(resume_zeros, resume_cost);
+
+  // The same control round trips without a state move: release, re-bind
+  // (both land on the free rank 1, as resume and migrate do), and a first
+  // bind followed by a migration.
+  Host host(test::small_machine(), cost, fast_manager());
+  VpimVm vm(host, {.name = "plain"}, 1);
   Frontend& fe = vm.device(0).frontend;
   ASSERT_TRUE(fe.open());
-  auto buf = vm.vmm().memory().alloc(8 * kMiB);
-  driver::TransferMatrix w;
-  w.entries.push_back({0, 0, buf.data(), buf.size()});
-  fe.write_to_rank(w);
+  SimNs t0 = host.clock.now();
+  fe.close();
+  const SimNs close_cost = host.clock.now() - t0;
+  t0 = host.clock.now();
+  ASSERT_TRUE(fe.open());
+  const SimNs open_cost = host.clock.now() - t0;
+  EXPECT_EQ(suspend_cost - close_cost, leg);
+  EXPECT_EQ(resume_cost - open_cost, leg);
 
-  const SimNs t0 = host.clock.now();
-  fe.suspend();
-  const SimNs suspend_cost = host.clock.now() - t0;
-  // 8 MiB of resident content at the wide bandwidth ~ 1.4 ms; far less
-  // than snapshotting the nominal 512 MiB rank.
-  EXPECT_GT(suspend_cost, 1 * kMs);
-  EXPECT_LT(suspend_cost, 10 * kMs);
-  ASSERT_TRUE(fe.resume());
+  Host host_m(test::small_machine(), cost, fast_manager());
+  VpimVm vm_m(host_m, {.name = "mover"}, 1);
+  Frontend& fe_m = vm_m.device(0).frontend;
+  ASSERT_TRUE(fe_m.open());
+  t0 = host_m.clock.now();
+  ASSERT_TRUE(fe_m.migrate());
+  EXPECT_EQ(host_m.clock.now() - t0 - open_cost, 2 * leg);
 }
 
 // ---------------------------------------------------------- oversubscription

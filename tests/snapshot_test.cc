@@ -11,6 +11,13 @@
 namespace vpim::upmem {
 namespace {
 
+// MRAM pages a snapshot holds resident, over all its banks.
+std::uint64_t resident_pages(const Rank::Snapshot& snap) {
+  std::uint64_t n = 0;
+  for (const Dpu& d : snap.dpus) n += d.mram().resident_pages();
+  return n;
+}
+
 TEST(Snapshot, RoundTripsContentBinaryAndSymbols) {
   test::register_count_zeros();
   test::TestRig rig(test::small_machine());
@@ -27,7 +34,8 @@ TEST(Snapshot, RoundTripsContentBinaryAndSymbols) {
 
   const Rank::Snapshot snap = src.save_snapshot();
   EXPECT_EQ(snap.dpus.size(), src.nr_dpus());
-  EXPECT_GE(snap.resident_bytes(), data.size());
+  EXPECT_GE(snap.dpus[3].mram().resident_pages() * kMramPageSize,
+            data.size());
 
   dst.load_snapshot(snap);
   std::vector<std::uint8_t> out(data.size());
@@ -67,11 +75,14 @@ TEST(Snapshot, IsolatedFromLaterWritesOnBothSides) {
 TEST(Snapshot, ResidentBytesTracksSparseness) {
   test::TestRig rig(test::small_machine());
   Rank& rank = rig.machine.rank(0);
-  EXPECT_EQ(rank.save_snapshot().resident_bytes(), 0u);
+  EXPECT_EQ(resident_pages(rank.save_snapshot()), 0u);
   std::vector<std::uint8_t> page(4096, 1);
   rank.mram(0).write(0, page);             // 1 page
   rank.mram(5).write(10 * kMiB, page);     // 1 page, far away
-  EXPECT_EQ(rank.save_snapshot().resident_bytes(), 2 * 4096u);
+  const Rank::Snapshot snap = rank.save_snapshot();
+  EXPECT_EQ(snap.dpus[0].mram().resident_pages(), 1u);
+  EXPECT_EQ(snap.dpus[5].mram().resident_pages(), 1u);
+  EXPECT_EQ(resident_pages(snap), 2u);
 }
 
 TEST(Snapshot, RunningRankRefusesSnapshot) {
