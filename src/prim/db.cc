@@ -193,6 +193,9 @@ class SelUniApp final : public PrimApp {
         set.prepare_xfer(d, reinterpret_cast<std::uint8_t*>(&counts[d]));
       }
       set.push_xfer(XferDirection::kFromRank, Target::mram(count_off), 4);
+      std::uint64_t kept = 0;
+      for (const std::uint32_t count : counts) kept += count;
+      result.reserve(kept);
       for (std::uint32_t d = 0; d < prm.nr_dpus; ++d) {
         const std::uint32_t count = counts[d];
         if (count == 0) continue;
@@ -214,6 +217,7 @@ class SelUniApp final : public PrimApp {
 
     // CPU reference.
     std::vector<std::int64_t> ref;
+    ref.reserve(result.size());
     std::int64_t prev = 0;
     bool has_prev = false;
     for (std::uint64_t i = 0; i < total; ++i) {

@@ -249,7 +249,8 @@ void bfs_stage_clear(DpuCtx& ctx) {
       partition(bitmap_bytes, ctx.nr_tasklets(), ctx.me());
   if (bb >= be) return;
   constexpr std::uint32_t kChunk = 2048;
-  auto zeros = ctx.mem_alloc(kChunk);
+  auto zeros = ctx.mem_alloc(
+      static_cast<std::uint32_t>(std::min<std::uint64_t>(kChunk, be - bb)));
   for (std::uint64_t o = bb; o < be; o += kChunk) {
     const auto n = static_cast<std::uint32_t>(
         std::min<std::uint64_t>(kChunk, be - o));

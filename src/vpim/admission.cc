@@ -70,8 +70,7 @@ void AdmissionController::complete(SimNs /*now*/, SimNs queued_ns) {
   if (stats_.inflight > 0) --stats_.inflight;
   ++stats_.completed;
   if (queued_hist_ != nullptr) {
-    queued_hist_->observe(static_cast<std::uint64_t>(
-        queued_ns < 0 ? 0 : queued_ns));
+    queued_hist_->observe(queued_ns);
   }
 }
 
@@ -84,8 +83,8 @@ bool AdmissionController::allow_rank_grant(const std::string& tenant,
   // share: the next free rank belongs to it. Sessions that stopped asking
   // (outside the fairness window) no longer hold anyone back.
   for (const Session& o : sessions_) {
-    if (&o == &s || o.last_contend < 0) continue;
-    if (o.last_contend + config_.fairness_window_ns < now) continue;
+    if (&o == &s || !o.last_contend.has_value()) continue;
+    if (*o.last_contend + config_.fairness_window_ns < now) continue;
     if (o.rank_vtime < s.rank_vtime) {
       ++stats_.fairness_deferrals;
       return false;
@@ -103,8 +102,7 @@ void AdmissionController::on_rank_granted(const std::string& tenant) {
 void AdmissionController::note_shed_lateness(SimNs lateness_ns) {
   std::lock_guard lock(mu_);
   if (shed_hist_ != nullptr) {
-    shed_hist_->observe(static_cast<std::uint64_t>(
-        lateness_ns < 0 ? 0 : lateness_ns));
+    shed_hist_->observe(lateness_ns);
   }
 }
 

@@ -26,6 +26,7 @@
 
 #include <cstdint>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -114,7 +115,7 @@ class AdmissionController {
     std::uint64_t tokens = 0;        // nano-tokens
     SimNs last_refill = 0;
     std::uint64_t rank_vtime = 0;    // WRR weighted share of rank grants
-    SimNs last_contend = -1;         // last allow_rank_grant call, -1 never
+    std::optional<SimNs> last_contend;  // last allow_rank_grant call, if any
   };
 
   Session& session_locked(const std::string& tenant);

@@ -223,13 +223,20 @@ bool Backend::recover_rank_death() {
   return true;
 }
 
+void Backend::require_idle() {
+  VPIM_REQUEST_CHECK(!binding_->rank().ci_any_running(),
+                     virtio::PimStatus::kBadRequest,
+                     "state move out of a rank whose DPUs still run");
+}
+
 std::uint64_t Backend::move_state(Legs legs,
                                   std::optional<upmem::Rank::Snapshot>& parked,
                                   std::optional<driver::RankMapping> to,
                                   double gbps) {
-  backlog_.flush();  // the moved state holds every acknowledged copy
   const bool out = legs != Legs::kIn;
   const bool in = legs != Legs::kOut;
+  if (out) require_idle();
+  backlog_.flush();  // the moved state holds every acknowledged copy
   const std::uint64_t bytes = (out && in ? 2ULL : 1ULL) *
                               binding_->rank().nr_dpus() * upmem::kMramSize;
   vmm_.clock().advance(CostModel::bytes_time(bytes, gbps));
@@ -726,6 +733,7 @@ void Backend::handle_control(const virtio::DescChain& chain,
       // once capacity frees up.
       VPIM_REQUEST_CHECK(bound(), PimStatus::kUnbound,
                          "migration without a bound rank");
+      require_idle();  // before the manager round trip, too
       auto target = manager_.request_rank(tag_);
       if (!target.has_value()) {
         resp.status = static_cast<std::int32_t>(PimStatus::kNoCapacity);

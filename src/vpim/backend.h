@@ -192,8 +192,12 @@ class Backend {
   //   - `to`, when given, becomes the binding;
   //   - the in-leg loads `parked` into the binding and empties it.
   // The legs run are charged in one bytes_time call,
-  // legs x nr_dpus x kMramSize at `gbps`. Returns the bytes charged.
+  // legs x nr_dpus x kMramSize at `gbps`. Returns the bytes charged. An
+  // out-leg is refused (require_idle) before anything is charged.
   enum class Legs { kOut, kIn, kBoth };
+  // Throws kBadRequest while a DPU of the bound rank still runs: streaming
+  // banks out would race its MRAM writes, which hardware cannot do.
+  void require_idle();
   std::uint64_t move_state(Legs legs,
                            std::optional<upmem::Rank::Snapshot>& parked,
                            std::optional<driver::RankMapping> to,

@@ -130,6 +130,20 @@ TEST(AdmissionController, IdleTenantsDoNotBlockTheOnlyContender) {
   }
 }
 
+TEST(AdmissionController, SessionsThatNeverContendedNeverDefer) {
+  AdmissionController adm;
+  // "quiet" exists only through admission and never asks for a rank; its
+  // share stays at zero while "busy" takes grants well inside the first
+  // fairness window.
+  EXPECT_EQ(adm.try_admit("quiet", 0), PimStatus::kOk);
+  const SimNs step = adm.config().fairness_window_ns / 8;
+  for (int i = 1; i < 8; ++i) {
+    EXPECT_TRUE(adm.allow_rank_grant("busy", i * step)) << "grant " << i;
+    adm.on_rank_granted("busy");
+  }
+  EXPECT_EQ(adm.stats().fairness_deferrals, 0u);
+}
+
 // ---- end to end through the device stack --------------------------------
 
 VpimConfig pipe_config(std::uint32_t depth) {

@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <limits>
+#include <random>
+#include <vector>
+
 #include "common/breakdown.h"
 #include "common/cost_model.h"
 #include "common/rng.h"
@@ -135,6 +142,87 @@ TEST(Rng, ZipfSkewsLow) {
   }
   // Zipf(s=1) puts a large share of mass on the first few ranks.
   EXPECT_GT(low, 200);
+}
+
+// Mt19937_64 must emit std::mt19937_64's sequence, refills included.
+TEST(Rng, EngineMatchesStdMt19937_64) {
+  static_assert(Mt19937_64::min() == std::mt19937_64::min());
+  static_assert(Mt19937_64::max() == std::mt19937_64::max());
+  std::vector<std::uint64_t> seeds = {0, 1, 42, 5489,
+                                      ~std::uint64_t{0}};
+  std::mt19937_64 draw(20241019);
+  for (int i = 0; i < 4; ++i) seeds.push_back(draw());
+  for (const std::uint64_t seed : seeds) {
+    Mt19937_64 mine(seed);
+    std::mt19937_64 ref(seed);
+    for (int i = 0; i < 1300; ++i) {  // more than four 312-word refills
+      ASSERT_EQ(mine(), ref()) << "seed " << seed << " output " << i;
+    }
+  }
+  // The standard's check value ([rand.predef]): the 10000th output of a
+  // default-constructed engine.
+  Mt19937_64 dflt;
+  for (int i = 1; i < 10000; ++i) dflt();
+  EXPECT_EQ(dflt(), 9981545732273789042ULL);
+}
+
+// Every Rng draw equals the same std distribution over std::mt19937_64.
+TEST(Rng, DrawsMatchStdDistributionsOverStdMt19937_64) {
+  using Lim = std::numeric_limits<std::int64_t>;
+  // The ranges the PrIM apps, loadgens and fault plans draw from, plus
+  // both extremes (one value, the whole int64 range).
+  const std::pair<std::int64_t, std::int64_t> ranges[] = {
+      {1, 10},         {1, 6},         {0, 8},
+      {-5, 5},         {'A', 'D'},     {-1000000, 1000000},
+      {0, 1LL << 40},  {0, 999},       {-50, 50},
+      {-20, 20},       {-8, 8},        {-100, 100},
+      {-1000, 1000},   {-100000, 100000}, {0, 63},
+      {1, 1 << 30},    {0, (1 << 20) - 1}, {7, 7},
+      {Lim::min(), Lim::max()}};
+  for (const std::uint64_t seed : {1ULL, 2ULL, 77ULL}) {
+    Rng rng(seed);
+    std::mt19937_64 ref(seed);
+    for (int round = 0; round < 200; ++round) {
+      for (const auto& [lo, hi] : ranges) {
+        ASSERT_EQ(rng.uniform(lo, hi),
+                  std::uniform_int_distribution<std::int64_t>(lo, hi)(ref))
+            << "[" << lo << ", " << hi << "] round " << round;
+      }
+      ASSERT_EQ(rng.uniform_real(0.0, 1.0),
+                std::uniform_real_distribution<double>(0.0, 1.0)(ref));
+      ASSERT_EQ(rng.uniform_real(-3.5, 2.0),
+                std::uniform_real_distribution<double>(-3.5, 2.0)(ref));
+      ASSERT_EQ(rng.next_u64(), ref());
+    }
+
+    for (const std::size_t n : {0, 1, 7, 8, 13, 1001}) {
+      std::vector<std::uint8_t> got(n), want(n);
+      rng.fill_bytes(got.data(), n);
+      for (std::size_t i = 0; i < n; i += 8) {
+        const std::uint64_t v = ref();
+        std::memcpy(want.data() + i, &v, std::min<std::size_t>(8, n - i));
+      }
+      ASSERT_EQ(got, want) << "fill_bytes(" << n << ")";
+    }
+
+    for (const auto& [n, s] : {std::pair<std::size_t, double>{1000, 1.0},
+                              {16384, 1.05}}) {
+      std::vector<double> cdf(n);
+      double sum = 0.0;
+      for (std::size_t k = 0; k < n; ++k) {
+        sum += 1.0 / std::pow(static_cast<double>(k + 1), s);
+        cdf[k] = sum;
+      }
+      for (auto& v : cdf) v /= sum;
+      for (int i = 0; i < 500; ++i) {
+        const double u = std::uniform_real_distribution<double>(0.0, 1.0)(ref);
+        ASSERT_EQ(rng.zipf(n, s), static_cast<std::size_t>(
+                                      std::lower_bound(cdf.begin(), cdf.end(),
+                                                       u) -
+                                      cdf.begin()));
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -139,6 +139,74 @@ TEST(SuspendResume, StateMovesChargeWholeBanksPerLeg) {
   EXPECT_EQ(host_m.clock.now() - t0 - open_cost, 2 * leg);
 }
 
+// Banks cannot be streamed out while a DPU still writes them: migrate and
+// suspend of a rank whose kernel runs are refused typed, before any leg or
+// manager round trip is charged, and leave the binding as it was.
+TEST(SuspendResume, MovesOutOfARunningRankAreRefused) {
+  test::register_count_zeros();
+  Host host(test::small_machine(), CostModel{}, fast_manager());
+  VpimVm vm(host, {.name = "busy"}, 1);
+  Frontend& fe = vm.device(0).frontend;
+  ASSERT_TRUE(fe.open());
+  const std::uint32_t rank = vm.device(0).backend.rank_index();
+  const std::uint32_t nr_dpus = fe.nr_dpus();
+
+  // 4 MiB per DPU, every fourth word zero.
+  constexpr std::uint32_t kBytes = 4 * kMiB;
+  auto buf = vm.vmm().memory().alloc(kBytes);
+  for (std::uint32_t i = 0; i < kBytes / 4; ++i) {
+    const std::uint32_t v = i % 4 == 0 ? 0 : i;
+    std::memcpy(buf.data() + std::uint64_t{i} * 4, &v, 4);
+  }
+  fe.ci_load("test_count_zeros");
+  driver::TransferMatrix w;
+  for (std::uint32_t d = 0; d < nr_dpus; ++d) {
+    w.entries.push_back({d, 0, buf.data(), buf.size()});
+    std::uint32_t size = kBytes;
+    fe.ci_copy_to_symbol(d, "partition_size", 0, test::bytes_u32(size));
+  }
+  fe.write_to_rank(w);
+  fe.ci_launch((1ULL << nr_dpus) - 1, 16);
+
+  const auto refused = [&](auto move) {
+    const SimNs t0 = host.clock.now();
+    try {
+      move();
+      ADD_FAILURE() << "a move out of a running rank succeeded";
+    } catch (const VpimStatusError& e) {
+      EXPECT_EQ(e.status(),
+                static_cast<std::int32_t>(virtio::PimStatus::kBadRequest));
+    }
+    return host.clock.now() - t0;
+  };
+  const SimNs migrate_rt = refused([&] { fe.migrate(); });
+  const SimNs suspend_rt = refused([&] { fe.suspend(); });
+  // Both were refused while the kernel still ran, on the same binding.
+  EXPECT_NE(fe.ci_running_mask(), 0u);
+  EXPECT_TRUE(fe.is_open());
+  EXPECT_EQ(vm.device(0).backend.rank_index(), rank);
+  EXPECT_EQ(migrate_rt, suspend_rt);
+
+  while (fe.ci_running_mask() != 0) {  // each poll advances the clock
+  }
+  std::uint32_t zeros = 0;
+  fe.ci_copy_from_symbol(nr_dpus - 1, "zero_count", 0,
+                         test::bytes_u32(zeros));
+  EXPECT_EQ(zeros, kBytes / 16);
+  auto out = vm.vmm().memory().alloc(kBytes);
+  driver::TransferMatrix r;
+  r.direction = driver::XferDirection::kFromRank;
+  r.entries.push_back({nr_dpus - 1, 0, out.data(), out.size()});
+  fe.read_from_rank(r);
+  EXPECT_TRUE(std::memcmp(out.data(), buf.data(), kBytes) == 0);
+
+  // A refusal costs no more than a control round trip that moves no state.
+  const SimNs t0 = host.clock.now();
+  fe.close();
+  const SimNs release_rt = host.clock.now() - t0;
+  EXPECT_LE(migrate_rt, release_rt);
+}
+
 // ---------------------------------------------------------- oversubscription
 
 TEST(Oversubscription, EmulatedBindWhenMachineFull) {
