@@ -82,6 +82,9 @@ inline constexpr std::array<std::string_view, 5> kWrankStepNames = {
 struct StepBreakdown {
   std::array<SimNs, 5> step_time{};
 
+  SimNs& operator[](WrankStep s) {
+    return step_time[static_cast<std::size_t>(s)];
+  }
   void add(WrankStep s, SimNs t) {
     step_time[static_cast<std::size_t>(s)] += t;
   }

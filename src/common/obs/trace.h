@@ -210,13 +210,17 @@ class Tracer {
 };
 
 // RAII span tied to a SimClock: begins at clock.now() on construction, ends
-// at clock.now() on destruction. All operations are no-ops when `tracer`
-// is null, so instrumented code needs no branches of its own.
+// at clock.now() on destruction. All tracer operations are no-ops when
+// `tracer` is null, so instrumented code needs no branches of its own.
+// A non-null `total` receives the span's duration when it closes, traced
+// or not, so a step timed by its span (a Fig 13 W-rank step) is accounted
+// by that one scope.
 class ScopedSpan {
  public:
-  ScopedSpan(Tracer* tracer, const SimClock& clock, SpanKind kind)
-      : tracer_(tracer), clock_(clock) {
-    if (tracer_ != nullptr) tracer_->begin_span(kind, clock_.now());
+  ScopedSpan(Tracer* tracer, const SimClock& clock, SpanKind kind,
+             SimNs* total = nullptr)
+      : tracer_(tracer), clock_(clock), total_(total), start_(clock.now()) {
+    if (tracer_ != nullptr) tracer_->begin_span(kind, start_);
   }
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;
@@ -225,7 +229,10 @@ class ScopedSpan {
   // Ends the span now instead of at scope exit (e.g. to open a sibling
   // span in the same scope). Idempotent; the destructor becomes a no-op.
   void close() {
-    if (tracer_ != nullptr) tracer_->end_span(clock_.now());
+    const SimNs end = clock_.now();
+    if (total_ != nullptr) *total_ += end >= start_ ? end - start_ : 0;
+    if (tracer_ != nullptr) tracer_->end_span(end);
+    total_ = nullptr;
     tracer_ = nullptr;
   }
 
@@ -256,40 +263,8 @@ class ScopedSpan {
  private:
   Tracer* tracer_;
   const SimClock& clock_;
-};
-
-// ScopedSpan that also opens a fresh request scope: used by the frontend
-// at every device-file operation boundary.
-class RequestSpan {
- public:
-  RequestSpan(Tracer* tracer, const SimClock& clock, SpanKind kind,
-              std::uint32_t tenant = kNoTenant)
-      : tracer_(tracer), clock_(clock) {
-    if (tracer_ != nullptr) {
-      tracer_->begin_request();
-      tracer_->begin_span(kind, clock_.now());
-      tracer_->top().tenant = tenant;
-    }
-  }
-  RequestSpan(const RequestSpan&) = delete;
-  RequestSpan& operator=(const RequestSpan&) = delete;
-  ~RequestSpan() {
-    if (tracer_ != nullptr) tracer_->end_span(clock_.now());
-  }
-
-  void set_kind(SpanKind kind) {
-    if (tracer_ != nullptr) tracer_->top().kind = kind;
-  }
-  void set_bytes(std::uint64_t bytes) {
-    if (tracer_ != nullptr) tracer_->top().bytes = bytes;
-  }
-  void set_entries(std::uint32_t entries) {
-    if (tracer_ != nullptr) tracer_->top().entries = entries;
-  }
-
- private:
-  Tracer* tracer_;
-  const SimClock& clock_;
+  SimNs* total_;
+  SimNs start_;
 };
 
 }  // namespace vpim::obs

@@ -397,8 +397,10 @@ void Backend::handle_rank_op(const virtio::DescChain& chain,
       "request type disagrees with transfer direction");
 
   // -- Deserialization + GPA->HVA translation (Fig 13 "Deser") ----------
-  const SimNs deser_start = clock.now();
-  obs::ScopedSpan deser_span(tracer(), clock, obs::SpanKind::kDeserialize);
+  // A write accounts each step in DeviceStats::wsteps through its span.
+  obs::ScopedSpan deser_span(
+      tracer(), clock, obs::SpanKind::kDeserialize,
+      is_write ? &stats_.wsteps[WrankStep::kDeserialize] : nullptr);
   deserialize_matrix(chain, vmm_.memory(), deser_result_, deser_scratch_);
   const DeserializeResult& matrix = deser_result_;
   // Entries must fit the bound rank before anything touches MRAM.
@@ -416,9 +418,6 @@ void Backend::handle_rank_op(const virtio::DescChain& chain,
                 cost.per_dpu_metadata_ns * matrix.entries.size());
   clock.advance(cost.gpa_translate_ns_per_page * matrix.nr_pages /
                 std::max<std::uint32_t>(1, cost.translate_threads));
-  if (is_write) {
-    stats_.wsteps.add(WrankStep::kDeserialize, clock.now() - deser_start);
-  }
   deser_span.set_bytes(matrix.total_bytes);
   deser_span.set_entries(static_cast<std::uint32_t>(matrix.entries.size()));
   deser_span.close();
@@ -428,11 +427,12 @@ void Backend::handle_rank_op(const virtio::DescChain& chain,
   check_deadline(req);
 
   // -- Data movement (Fig 13 "T-data") -----------------------------------
-  const SimNs data_start = clock.now();
   // Covers scheduling, the movement itself, and any fault retries; the
   // kind is refined to batch/broadcast once the shape is known. Driver
   // xfer spans nest underneath.
-  obs::ScopedSpan data_span(tracer(), clock, obs::SpanKind::kTransferData);
+  obs::ScopedSpan data_span(
+      tracer(), clock, obs::SpanKind::kTransferData,
+      is_write ? &stats_.wsteps[WrankStep::kTransferData] : nullptr);
   data_span.set_bytes(matrix.total_bytes);
   data_span.set_entries(static_cast<std::uint32_t>(matrix.entries.size()));
   // Per-chip operation workers walk the matrix 8 DPUs at a time.
@@ -501,9 +501,6 @@ void Backend::handle_rank_op(const virtio::DescChain& chain,
       }
     }
   });
-  if (is_write) {
-    stats_.wsteps.add(WrankStep::kTransferData, clock.now() - data_start);
-  }
   data_span.close();
 
   WireResponse resp;

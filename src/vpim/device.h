@@ -41,7 +41,6 @@ struct VupmemDevice {
  private:
   void collect(obs::Collection& out, const std::string& tag) const {
     const obs::Labels dev = {{"device", tag}};
-    out.counter("vpim_device_notifies_total", dev, stats.notifies);
     out.counter("vpim_device_doorbells_total", dev, stats.doorbells);
     out.counter("vpim_device_coalesced_notifies_total", dev,
                 stats.coalesced_notifies);
@@ -73,13 +72,6 @@ struct VupmemDevice {
     out.counter("vpim_device_deadline_shed_total", dev, stats.deadline_shed);
     out.counter("vpim_device_lost_batched_writes_total", dev,
                 stats.lost_batched_writes);
-    for (std::size_t i = 0; i < kNumRankOps; ++i) {
-      const auto op = static_cast<RankOp>(i);
-      obs::Labels labels = dev;
-      labels.emplace_back("op", std::string(kRankOpNames[i]));
-      out.counter("vpim_device_op_time_ns_total", labels, stats.ops.time(op));
-      out.counter("vpim_device_ops_total", labels, stats.ops.count(op));
-    }
   }
 };
 

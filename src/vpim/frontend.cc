@@ -31,7 +31,44 @@ void throw_if_rejected(const WireResponse& resp, const char* what) {
                         "device did not complete the request within the "
                         "poll deadline");
 }
+
+// The Fig 12 op class a root span of `kind` is accounted under.
+std::optional<RankOp> rank_op_of(obs::SpanKind kind) {
+  switch (obs::category_of(kind)) {
+    case obs::Category::kCi:
+      return RankOp::kCi;
+    case obs::Category::kRead:
+      return RankOp::kReadFromRank;
+    case obs::Category::kWrite:
+      return RankOp::kWriteToRank;
+    default:
+      return std::nullopt;
+  }
+}
 }  // namespace
+
+Frontend::DeviceOp::DeviceOp(Frontend& fe, obs::SpanKind kind)
+    : fe_(fe),
+      tracer_(fe.tracer()),
+      op_(rank_op_of(kind)),
+      start_(fe.vmm_.clock().now()) {
+  if (tracer_ != nullptr) {
+    tracer_->begin_request();
+    tracer_->begin_span(kind, start_);
+    tracer_->top().tenant = tracer_->intern(fe.tag_);
+  }
+  fe.vmm_.clock().advance(fe.vmm_.cost().ioctl_ns);
+}
+
+Frontend::DeviceOp::~DeviceOp() {
+  const SimNs end = fe_.vmm_.clock().now();
+  if (op_.has_value()) {
+    const SimNs duration = end >= start_ ? end - start_ : 0;
+    fe_.stats_.ops.add(*op_, duration);
+    fe_.op_hist_[static_cast<std::size_t>(*op_)]->observe(duration);
+  }
+  if (tracer_ != nullptr) tracer_->end_span(end);
+}
 
 Frontend::Frontend(vmm::Vmm& vmm, Backend& backend,
                    virtio::Virtqueue& transferq, virtio::Virtqueue& controlq,
@@ -113,9 +150,7 @@ void Frontend::ensure_arenas() {
 
 bool Frontend::open() {
   if (open_) return true;
-  obs::RequestSpan span(tracer(), vmm_.clock(), obs::SpanKind::kControl,
-                        tenant_id());
-  vmm_.clock().advance(vmm_.cost().ioctl_ns);
+  DeviceOp op(*this, obs::SpanKind::kControl);
   // Virtio initialization dance (Appendix A.1 / virtio 1.x 3.1): status
   // walk and feature negotiation (the PIM device offers no features).
   if (!state_.driver_ok()) {
@@ -139,9 +174,7 @@ bool Frontend::open() {
 
 void Frontend::close() {
   if (!open_) return;
-  obs::RequestSpan span(tracer(), vmm_.clock(), obs::SpanKind::kControl,
-                        tenant_id());
-  vmm_.clock().advance(vmm_.cost().ioctl_ns);
+  DeviceOp op(*this, obs::SpanKind::kControl);
   // Teardown must never wedge: if the device died (DEVICE_FAULT, UNBOUND,
   // TIMEOUT), pending batched writes are lost with it, but the guest still
   // releases its device file and moves on. The pipeline drains first so
@@ -166,9 +199,7 @@ void Frontend::close() {
 
 bool Frontend::migrate() {
   VPIM_CHECK(open_, "migration on an unlinked device");
-  obs::RequestSpan span(tracer(), vmm_.clock(), obs::SpanKind::kControl,
-                        tenant_id());
-  vmm_.clock().advance(vmm_.cost().ioctl_ns);
+  DeviceOp op(*this, obs::SpanKind::kControl);
   drain();  // in-flight work lands before the rank moves
   invalidate_cache();  // cached segments refer to the old rank
   const WireResponse resp =
@@ -180,9 +211,7 @@ bool Frontend::migrate() {
 
 void Frontend::suspend() {
   VPIM_CHECK(open_, "suspend on an unlinked device");
-  obs::RequestSpan span(tracer(), vmm_.clock(), obs::SpanKind::kControl,
-                        tenant_id());
-  vmm_.clock().advance(vmm_.cost().ioctl_ns);
+  DeviceOp op(*this, obs::SpanKind::kControl);
   drain();  // everything in flight must land before the state is parked
   invalidate_cache();
   control(CiOp::kSuspendRank, "the suspend request");
@@ -191,9 +220,7 @@ void Frontend::suspend() {
 
 bool Frontend::resume() {
   VPIM_CHECK(!open_, "resume on a device that is already linked");
-  obs::RequestSpan span(tracer(), vmm_.clock(), obs::SpanKind::kControl,
-                        tenant_id());
-  vmm_.clock().advance(vmm_.cost().ioctl_ns);
+  DeviceOp op(*this, obs::SpanKind::kControl);
   const WireResponse resp = control(CiOp::kResumeRank, "the resume request");
   if (resp.status != 0) return false;  // stays parked until capacity frees
   config_space_ = resp.config;
@@ -218,24 +245,17 @@ void Frontend::write_to_rank(const driver::TransferMatrix& matrix) {
   VPIM_CHECK(matrix.direction == driver::XferDirection::kToRank,
              "write_to_rank called with a read matrix");
   check_dpus(matrix);
-  SimClock& clock = vmm_.clock();
-  const SimNs t0 = clock.now();
-  obs::RequestSpan span(tracer(), clock, obs::SpanKind::kWrite, tenant_id());
-  span.set_bytes(matrix.total_bytes());
-  span.set_entries(static_cast<std::uint32_t>(matrix.entries.size()));
-  clock.advance(vmm_.cost().ioctl_ns);
+  DeviceOp op(*this, obs::SpanKind::kWrite);
+  op.set_bytes(matrix.total_bytes());
+  op.set_entries(static_cast<std::uint32_t>(matrix.entries.size()));
   // Any write makes cached MRAM contents stale.
   invalidate_cache();
   if (config_.request_batching && try_batch(matrix)) {
-    stats_.ops.add(RankOp::kWriteToRank, clock.now() - t0);
-    observe_op(RankOp::kWriteToRank, clock.now() - t0);
-    span.set_kind(obs::SpanKind::kWriteBatched);
+    op.set_kind(obs::SpanKind::kWriteBatched);
     return;
   }
   flush_batch();
   send_rank_op(matrix, /*is_write=*/true, /*flags=*/0);
-  stats_.ops.add(RankOp::kWriteToRank, clock.now() - t0);
-  observe_op(RankOp::kWriteToRank, clock.now() - t0);
 }
 
 void Frontend::read_from_rank(const driver::TransferMatrix& matrix) {
@@ -245,11 +265,9 @@ void Frontend::read_from_rank(const driver::TransferMatrix& matrix) {
   check_dpus(matrix);
   SimClock& clock = vmm_.clock();
   const CostModel& cost = vmm_.cost();
-  const SimNs t0 = clock.now();
-  obs::RequestSpan span(tracer(), clock, obs::SpanKind::kRead, tenant_id());
-  span.set_bytes(matrix.total_bytes());
-  span.set_entries(static_cast<std::uint32_t>(matrix.entries.size()));
-  clock.advance(cost.ioctl_ns);
+  DeviceOp op(*this, obs::SpanKind::kRead);
+  op.set_bytes(matrix.total_bytes());
+  op.set_entries(static_cast<std::uint32_t>(matrix.entries.size()));
   flush_batch();  // non-write request; also required for coherence
 
   const bool cacheable =
@@ -260,8 +278,6 @@ void Frontend::read_from_rank(const driver::TransferMatrix& matrix) {
                   });
   if (!cacheable) {
     send_rank_op(matrix, /*is_write=*/false, /*flags=*/0);
-    stats_.ops.add(RankOp::kReadFromRank, clock.now() - t0);
-    observe_op(RankOp::kReadFromRank, clock.now() - t0);
     return;
   }
 
@@ -326,9 +342,7 @@ void Frontend::read_from_rank(const driver::TransferMatrix& matrix) {
   if (!direct.entries.empty()) {
     send_rank_op(direct, /*is_write=*/false, /*flags=*/0);
   }
-  stats_.ops.add(RankOp::kReadFromRank, clock.now() - t0);
-  observe_op(RankOp::kReadFromRank, clock.now() - t0);
-  span.set_kind(obs::SpanKind::kReadCached);
+  op.set_kind(obs::SpanKind::kReadCached);
 }
 
 void Frontend::check_dpus(const driver::TransferMatrix& matrix) const {
@@ -482,26 +496,28 @@ std::uint32_t Frontend::stage_rank_op(const driver::TransferMatrix& matrix,
   slot.t0 = clock.now();
 
   // -- Page management: user pages -> kernel page lists (Fig 13 "Page").
-  const SimNs page_start = clock.now();
-  std::uint64_t pages = 0;
-  for (const driver::XferEntry& e : matrix.entries) {
-    const std::uint64_t first_off =
-        vmm_.memory().gpa_of(e.host) % guest::kGuestPageSize;
-    pages += (first_off + e.size + guest::kGuestPageSize - 1) /
-             guest::kGuestPageSize;
-  }
-  clock.advance(cost.page_mgmt_ns_per_page * pages);
-  if (is_write) {
-    stats_.wsteps.add(WrankStep::kPageMgmt, clock.now() - page_start);
-  }
-  if (obs::Tracer* t = tracer()) {
-    t->record(obs::SpanKind::kPageMgmt, page_start,
-              clock.now() - page_start, 0,
-              static_cast<std::uint32_t>(pages));
+  // A write accounts each step in DeviceStats::wsteps through its span.
+  {
+    obs::ScopedSpan page(tracer(), clock, obs::SpanKind::kPageMgmt,
+                         is_write ? &stats_.wsteps[WrankStep::kPageMgmt]
+                                  : nullptr);
+    std::uint64_t pages = 0;
+    for (const driver::XferEntry& e : matrix.entries) {
+      const std::uint64_t first_off =
+          vmm_.memory().gpa_of(e.host) % guest::kGuestPageSize;
+      pages += (first_off + e.size + guest::kGuestPageSize - 1) /
+               guest::kGuestPageSize;
+    }
+    clock.advance(cost.page_mgmt_ns_per_page * pages);
+    page.set_entries(static_cast<std::uint32_t>(pages));
   }
 
   // -- Serialization (Fig 13 "Ser") into this slot's arena.
-  const SimNs ser_start = clock.now();
+  obs::ScopedSpan ser(tracer(), clock, obs::SpanKind::kSerialize,
+                      is_write ? &stats_.wsteps[WrankStep::kSerialize]
+                               : nullptr);
+  ser.set_bytes(matrix.total_bytes());
+  ser.set_entries(static_cast<std::uint32_t>(matrix.entries.size()));
   serialize_matrix(matrix, vmm_.memory(), slot.arena,
                    static_cast<std::uint32_t>(
                        is_write ? virtio::PimRequestType::kWriteToRank
@@ -520,14 +536,7 @@ std::uint32_t Frontend::stage_rank_op(const driver::TransferMatrix& matrix,
   clock.advance(cost.frontend_request_fixed_ns +
                 cost.serialize_ns_per_page * slot.ser.nr_pages +
                 cost.per_dpu_metadata_ns * matrix.entries.size());
-  if (is_write) {
-    stats_.wsteps.add(WrankStep::kSerialize, clock.now() - ser_start);
-  }
-  if (obs::Tracer* t = tracer()) {
-    t->record(obs::SpanKind::kSerialize, ser_start, clock.now() - ser_start,
-              matrix.total_bytes(),
-              static_cast<std::uint32_t>(matrix.entries.size()));
-  }
+  ser.close();
   return publish(slot.ser.chain, is_write, async, is_flush, ticket,
                  deadline_ns);
 }
@@ -772,29 +781,19 @@ WireResponse Frontend::ci_roundtrip(const WireRequest& req,
 
 void Frontend::ci_load(std::string_view kernel_name) {
   VPIM_CHECK(open_, "CI operation on an unlinked device");
-  SimClock& clock = vmm_.clock();
-  const SimNs t0 = clock.now();
-  obs::RequestSpan span(tracer(), clock, obs::SpanKind::kCiLoad,
-                        tenant_id());
-  clock.advance(vmm_.cost().ioctl_ns);
+  DeviceOp op(*this, obs::SpanKind::kCiLoad);
   flush_batch();
   WireRequest req;
   req.type = static_cast<std::uint32_t>(virtio::PimRequestType::kCiWrite);
   req.ci_op = static_cast<std::uint32_t>(CiOp::kLoad);
   copy_name(req.name, kernel_name);
   ci_roundtrip(req, {}, false);
-  stats_.ops.add(RankOp::kCi, clock.now() - t0);
-  observe_op(RankOp::kCi, clock.now() - t0);
 }
 
 void Frontend::ci_launch(std::uint64_t dpu_mask,
                          std::optional<std::uint32_t> nr_tasklets) {
   VPIM_CHECK(open_, "CI operation on an unlinked device");
-  SimClock& clock = vmm_.clock();
-  const SimNs t0 = clock.now();
-  obs::RequestSpan span(tracer(), clock, obs::SpanKind::kCiLaunch,
-                        tenant_id());
-  clock.advance(vmm_.cost().ioctl_ns);
+  DeviceOp op(*this, obs::SpanKind::kCiLaunch);
   flush_batch();
   invalidate_cache();  // DPU programs may rewrite MRAM
   WireRequest req;
@@ -803,24 +802,16 @@ void Frontend::ci_launch(std::uint64_t dpu_mask,
   req.arg0 = dpu_mask;
   req.arg1 = nr_tasklets ? *nr_tasklets + 1 : 0;
   ci_roundtrip(req, {}, false);
-  stats_.ops.add(RankOp::kCi, clock.now() - t0);
-  observe_op(RankOp::kCi, clock.now() - t0);
 }
 
 std::uint64_t Frontend::ci_running_mask() {
   VPIM_CHECK(open_, "CI operation on an unlinked device");
-  SimClock& clock = vmm_.clock();
-  const SimNs t0 = clock.now();
-  obs::RequestSpan span(tracer(), clock, obs::SpanKind::kCiStatus,
-                        tenant_id());
-  clock.advance(vmm_.cost().ioctl_ns);
+  DeviceOp op(*this, obs::SpanKind::kCiStatus);
   flush_batch();
   WireRequest req;
   req.type = static_cast<std::uint32_t>(virtio::PimRequestType::kCiRead);
   req.ci_op = static_cast<std::uint32_t>(CiOp::kReadStatus);
   const WireResponse resp = ci_roundtrip(req, {}, false);
-  stats_.ops.add(RankOp::kCi, clock.now() - t0);
-  observe_op(RankOp::kCi, clock.now() - t0);
   return resp.value;
 }
 
@@ -830,12 +821,8 @@ void Frontend::ci_copy_to_symbol(std::uint32_t dpu, std::string_view symbol,
   VPIM_CHECK(open_, "CI operation on an unlinked device");
   VPIM_CHECK(data.size() <= kCiPayloadBytes,
              "symbol payload exceeds the staging buffer");
-  SimClock& clock = vmm_.clock();
-  const SimNs t0 = clock.now();
-  obs::RequestSpan span(tracer(), clock, obs::SpanKind::kCiSymbol,
-                        tenant_id());
-  span.set_bytes(data.size());
-  clock.advance(vmm_.cost().ioctl_ns);
+  DeviceOp op(*this, obs::SpanKind::kCiSymbol);
+  op.set_bytes(data.size());
   flush_batch();
   std::span<std::uint8_t> payload = ci_payload();
   std::memcpy(payload.data(), data.data(), data.size());
@@ -846,8 +833,6 @@ void Frontend::ci_copy_to_symbol(std::uint32_t dpu, std::string_view symbol,
   req.symbol_offset = offset;
   copy_name(req.name, symbol);
   ci_roundtrip(req, payload.first(data.size()), false);
-  stats_.ops.add(RankOp::kCi, clock.now() - t0);
-  observe_op(RankOp::kCi, clock.now() - t0);
 }
 
 void Frontend::ci_copy_from_symbol(std::uint32_t dpu,
@@ -857,12 +842,8 @@ void Frontend::ci_copy_from_symbol(std::uint32_t dpu,
   VPIM_CHECK(open_, "CI operation on an unlinked device");
   VPIM_CHECK(out.size() <= kCiPayloadBytes,
              "symbol payload exceeds the staging buffer");
-  SimClock& clock = vmm_.clock();
-  const SimNs t0 = clock.now();
-  obs::RequestSpan span(tracer(), clock, obs::SpanKind::kCiSymbol,
-                        tenant_id());
-  span.set_bytes(out.size());
-  clock.advance(vmm_.cost().ioctl_ns);
+  DeviceOp op(*this, obs::SpanKind::kCiSymbol);
+  op.set_bytes(out.size());
   flush_batch();
   std::span<std::uint8_t> payload = ci_payload();
   WireRequest req;
@@ -873,8 +854,6 @@ void Frontend::ci_copy_from_symbol(std::uint32_t dpu,
   copy_name(req.name, symbol);
   ci_roundtrip(req, payload.first(out.size()), true);
   std::memcpy(out.data(), payload.data(), out.size());
-  stats_.ops.add(RankOp::kCi, clock.now() - t0);
-  observe_op(RankOp::kCi, clock.now() - t0);
 }
 
 void Frontend::ci_push_symbols(driver::XferDirection dir,
@@ -885,13 +864,9 @@ void Frontend::ci_push_symbols(driver::XferDirection dir,
   VPIM_CHECK(open_, "CI operation on an unlinked device");
   VPIM_CHECK(bytes_per_dpu > 0 && packed.size() % bytes_per_dpu == 0,
              "packed symbol buffer must hold whole per-DPU values");
-  SimClock& clock = vmm_.clock();
-  const SimNs t0 = clock.now();
-  obs::RequestSpan span(tracer(), clock, obs::SpanKind::kCiSymbol,
-                        tenant_id());
-  span.set_bytes(packed.size());
-  span.set_entries(static_cast<std::uint32_t>(packed.size() / bytes_per_dpu));
-  clock.advance(vmm_.cost().ioctl_ns);
+  DeviceOp op(*this, obs::SpanKind::kCiSymbol);
+  op.set_bytes(packed.size());
+  op.set_entries(static_cast<std::uint32_t>(packed.size() / bytes_per_dpu));
   flush_batch();
   WireRequest req;
   req.type = static_cast<std::uint32_t>(
@@ -908,8 +883,6 @@ void Frontend::ci_push_symbols(driver::XferDirection dir,
   copy_name(req.name, symbol);
   ci_roundtrip(req, packed,
                dir == driver::XferDirection::kFromRank);
-  stats_.ops.add(RankOp::kCi, clock.now() - t0);
-  observe_op(RankOp::kCi, clock.now() - t0);
 }
 
 // ------------------------------------------------------- async SQ/CQ API
@@ -928,14 +901,9 @@ Frontend::Ticket Frontend::submit_async(const driver::TransferMatrix& matrix,
   }
   check_dpus(matrix);
   SimClock& clock = vmm_.clock();
-  const SimNs t0 = clock.now();
-  obs::RequestSpan span(tracer(), clock,
-                        is_write ? obs::SpanKind::kWrite
-                                 : obs::SpanKind::kRead,
-                        tenant_id());
-  span.set_bytes(matrix.total_bytes());
-  span.set_entries(static_cast<std::uint32_t>(matrix.entries.size()));
-  clock.advance(vmm_.cost().ioctl_ns);
+  DeviceOp op(*this, is_write ? obs::SpanKind::kWrite : obs::SpanKind::kRead);
+  op.set_bytes(matrix.total_bytes());
+  op.set_entries(static_cast<std::uint32_t>(matrix.entries.size()));
   // Any write makes cached MRAM contents stale; batched writes must not
   // land after this one (write -> read ordering on the read path).
   if (is_write) invalidate_cache();
@@ -953,9 +921,6 @@ Frontend::Ticket Frontend::submit_async(const driver::TransferMatrix& matrix,
   slots_[idx].admitted = admitted;
   slots_[idx].admit_t0 = admit_t0;
   if (staged_.size() >= depth_) kick();
-  const RankOp op = is_write ? RankOp::kWriteToRank : RankOp::kReadFromRank;
-  stats_.ops.add(op, clock.now() - t0);
-  observe_op(op, clock.now() - t0);
   return ticket;
 }
 
@@ -1040,14 +1005,11 @@ bool Frontend::cancel(Ticket ticket) {
 }
 
 std::span<const Frontend::Completion> Frontend::poll_completions() {
-  SimClock& clock = vmm_.clock();
-  obs::RequestSpan span(tracer(), clock, obs::SpanKind::kCqDrain,
-                        tenant_id());
-  clock.advance(vmm_.cost().ioctl_ns);
+  DeviceOp op(*this, obs::SpanKind::kCqDrain);
   kick();
   cq_out_.swap(cq_);
   cq_.clear();
-  span.set_entries(static_cast<std::uint32_t>(cq_out_.size()));
+  op.set_entries(static_cast<std::uint32_t>(cq_out_.size()));
   return cq_out_;
 }
 

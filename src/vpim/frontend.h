@@ -271,26 +271,45 @@ class Frontend {
            guest::kGuestPageSize;
   }
 
-  obs::Tracer* tracer() const { return obs_.tracer; }
-  // Interned tenant tag for span attribution; re-interned when the
-  // attached tracer changes (indices are per-tracer).
-  std::uint32_t tenant_id() {
-    obs::Tracer* t = obs_.tracer;
-    if (t == nullptr) return obs::kNoTenant;
-    if (t != tenant_tracer_) {
-      tenant_ = t->intern(tag_);
-      tenant_tracer_ = t;
+  // One device-file operation, accounted once when it ends, however it
+  // ends (returned, rejected or thrown). Construction opens the request
+  // scope and its root span, tagged with this device's tenant (interned
+  // per op: a cleared tracer forgets its tags), and charges the syscall.
+  // Destruction adds a CI, R-rank or W-rank op's interval to
+  // DeviceStats::ops and its vpim_op_ns histogram, then ends the span, so
+  // root spans and Fig 12's ops agree to the nanosecond by construction.
+  class DeviceOp {
+   public:
+    DeviceOp(Frontend& fe, obs::SpanKind kind);
+    DeviceOp(const DeviceOp&) = delete;
+    DeviceOp& operator=(const DeviceOp&) = delete;
+    ~DeviceOp();
+
+    // Refines the root's kind within its category (kWrite ->
+    // kWriteBatched, kRead -> kReadCached).
+    void set_kind(obs::SpanKind kind) {
+      if (tracer_ != nullptr) tracer_->top().kind = kind;
     }
-    return tenant_;
-  }
+    void set_bytes(std::uint64_t bytes) {
+      if (tracer_ != nullptr) tracer_->top().bytes = bytes;
+    }
+    void set_entries(std::uint32_t entries) {
+      if (tracer_ != nullptr) tracer_->top().entries = entries;
+    }
+
+   private:
+    Frontend& fe_;
+    obs::Tracer* tracer_;
+    std::optional<RankOp> op_;  // unset for control and CQ ops
+    SimNs start_;
+  };
+
+  obs::Tracer* tracer() const { return obs_.tracer; }
   // Causal id stamped into outgoing WireRequests (0 when untraced).
   std::uint32_t wire_request_id() const {
     return obs_.tracer != nullptr
                ? static_cast<std::uint32_t>(obs_.tracer->current_request())
                : 0;
-  }
-  void observe_op(RankOp op, SimNs duration) {
-    op_hist_[static_cast<std::size_t>(op)]->observe(duration);
   }
 
   vmm::Vmm& vmm_;
@@ -302,8 +321,6 @@ class Frontend {
   DeviceStats& stats_;
   std::string tag_;
   obs::Hub& obs_;
-  obs::Tracer* tenant_tracer_ = nullptr;
-  std::uint32_t tenant_ = obs::kNoTenant;
   // Per-category op-latency histograms (virtual time, log2 buckets),
   // registered once per device; indexed by RankOp.
   std::array<obs::Histogram*, kNumRankOps> op_hist_{};

@@ -107,10 +107,6 @@ TEST(Tracer, NullTracerFastPathRecordsNothing) {
     s.set_kind(SpanKind::kRead);
     s.close();
   }
-  {
-    RequestSpan r(nullptr, clock, SpanKind::kCiLaunch, 3);
-    r.set_entries(9);
-  }
   Tracer::FanoutScope fan(nullptr, 64);
   EXPECT_FALSE(fan.active());
   fan.record(0, SpanKind::kDpuCompute, 0, 1);
@@ -121,6 +117,35 @@ TEST(Tracer, NullTracerFastPathRecordsNothing) {
   Tracer t;
   EXPECT_TRUE(t.spans().empty());
   EXPECT_EQ(t.current_request(), 0u);
+}
+
+TEST(Tracer, ScopedSpanAddsItsDurationToItsTotalOnce) {
+  // The total is the span's own interval, traced or not, and a second
+  // close() (or the destructor after one) adds nothing.
+  SimClock clock;
+  Tracer t;
+  SimNs untraced = 5;
+  SimNs traced = 0;
+  clock.advance(100);
+  {
+    ScopedSpan s(nullptr, clock, SpanKind::kDeserialize, &untraced);
+    clock.advance(30);
+    s.close();
+    clock.advance(7);
+    s.close();
+  }
+  EXPECT_EQ(untraced, 35u);
+  {
+    ScopedSpan s(&t, clock, SpanKind::kTransferData, &traced);
+    clock.advance(40);
+    s.close();
+    clock.advance(9);
+    s.close();
+  }
+  EXPECT_EQ(traced, 40u);
+  ASSERT_EQ(t.spans().size(), 1u);
+  EXPECT_EQ(t.spans()[0].duration, traced);
+  EXPECT_EQ(t.spans()[0].start, 137u);
 }
 
 TEST(Tracer, CategoryTotalsCountOnlyRoots) {

@@ -48,6 +48,17 @@ inline void register_count_zeros() {
   registry.add(std::move(k));
 }
 
+// A kernel that keeps its DPUs running for 1M cycles, for tests of host
+// access to a busy DPU.
+inline void register_busy_kernel() {
+  auto& registry = upmem::KernelRegistry::instance();
+  if (registry.contains("test_busy")) return;
+  upmem::DpuKernel k;
+  k.name = "test_busy";
+  k.stages.push_back([](upmem::DpuCtx& ctx) { ctx.exec(1'000'000); });
+  registry.add(std::move(k));
+}
+
 // Byte view of a u32 lvalue, for symbol copies in tests.
 inline std::span<std::uint8_t> bytes_u32(std::uint32_t& v) {
   return {reinterpret_cast<std::uint8_t*>(&v), 4};

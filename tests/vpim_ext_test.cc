@@ -306,15 +306,6 @@ TEST(ControlStatus, FrontendSurfacesTypedErrors) {
 // request error, and leave the device usable once the kernel finishes — on
 // either binding, with or without a FaultPlan, at any queue depth.
 
-void register_busy_kernel() {
-  auto& registry = upmem::KernelRegistry::instance();
-  if (registry.contains("test_busy")) return;
-  upmem::DpuKernel k;
-  k.name = "test_busy";
-  k.stages.push_back([](upmem::DpuCtx& ctx) { ctx.exec(1'000'000); });
-  registry.add(std::move(k));
-}
-
 // (emulated binding, empty FaultPlan installed, queue depth, write)
 using BusyDpuCase = std::tuple<bool, bool, std::uint32_t, bool>;
 
@@ -322,7 +313,7 @@ class BusyDpu : public ::testing::TestWithParam<BusyDpuCase> {};
 
 TEST_P(BusyDpu, AccessCompletesBadRequestAndTheDeviceRecovers) {
   const auto [emulated, plan, depth, is_write] = GetParam();
-  register_busy_kernel();
+  test::register_busy_kernel();
   Host host(test::small_machine(), CostModel{}, fast_manager());
   if (plan) host.install_fault_plan({});
   std::unique_ptr<VpimVm> hog;

@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <map>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "tests/test_kernels.h"
@@ -252,37 +255,108 @@ TEST(Trace, RecordsEveryDeviceOperation) {
   EXPECT_EQ(tracer.spans().size(), before);
 }
 
+// Calls `op`, which the device must refuse with BAD_REQUEST.
+template <typename Op>
+void expect_bad_request(Op op) {
+  try {
+    op();
+    ADD_FAILURE() << "the device accepted a request it must refuse";
+  } catch (const VpimStatusError& e) {
+    EXPECT_EQ(e.status(),
+              static_cast<std::int32_t>(virtio::PimStatus::kBadRequest));
+  }
+}
+
 TEST(Trace, CategoryTotalsMatchDeviceStatsExactly) {
-  // The typed replacement for the old prefix-matching total_for: "read"
-  // must not absorb "read.fill" (a nested internal span), and the root
-  // category totals must reproduce the Fig 12 per-op breakdown to the ns.
+  // Every device-file op is accounted once, when it ends, however it ends:
+  // per Fig 12 class, the root spans, DeviceStats::ops and the vpim_op_ns
+  // histogram agree in time and count, rejected ops included. "read" must
+  // not absorb "read.fill" (a nested internal span), and control and CQ
+  // ops open root spans but are no Fig 12 op.
+  test::register_count_zeros();
+  test::register_busy_kernel();
   Rig rig;
   obs::Tracer tracer;
   rig.host.attach_tracer(&tracer);
-  const DeviceStats& stats = rig.fe().stats();
+  Frontend& fe = rig.fe();
+  const DeviceStats& stats = fe.stats();
+  guest::GuestMemory& mem = rig.vm.vmm().memory();
+  constexpr auto kTo = driver::XferDirection::kToRank;
+  constexpr auto kFrom = driver::XferDirection::kFromRank;
 
-  auto buf = rig.vm.vmm().memory().alloc(128 * kKiB);
-  driver::TransferMatrix w;
-  w.entries.push_back({0, 0, buf.data(), buf.size()});
-  rig.fe().write_to_rank(w);
-  auto out = rig.vm.vmm().memory().alloc(256);
-  driver::TransferMatrix r;
-  r.direction = driver::XferDirection::kFromRank;
-  r.entries.push_back({0, 0, out.data(), 256});
-  rig.fe().read_from_rank(r);  // miss -> nested fill
-  rig.fe().read_from_rank(r);  // hit
-  test::register_count_zeros();
-  rig.fe().ci_load("test_count_zeros");
-  rig.fe().ci_launch(0x1, std::nullopt);
+  // Control ops.
+  ASSERT_TRUE(fe.migrate());
+  fe.suspend();
+  rig.host.manager.observe();
+  ASSERT_TRUE(fe.resume());
+  fe.close();
+  rig.host.manager.observe();
+  ASSERT_TRUE(fe.open());
+  EXPECT_EQ(tracer.count_for(obs::Category::kControl), 5u);
+  EXPECT_EQ(stats.ops.op_count, (std::array<std::uint64_t, 3>{}));
+  EXPECT_EQ(stats.ops.op_time, (std::array<SimNs, 3>{}));
 
-  EXPECT_EQ(tracer.total_for(obs::Category::kWrite),
-            stats.ops.time(RankOp::kWriteToRank));
-  EXPECT_EQ(tracer.total_for(obs::Category::kRead),
-            stats.ops.time(RankOp::kReadFromRank));
-  EXPECT_EQ(tracer.total_for(obs::Category::kCi),
-            stats.ops.time(RankOp::kCi));
-  EXPECT_EQ(tracer.count_for(obs::Category::kRead),
-            stats.ops.count(RankOp::kReadFromRank));
+  // W-rank and R-rank: bulk, batched, cached (a fill, then a hit),
+  // uncached, and one async submit each, reaped by a CQ drain.
+  auto buf = mem.alloc(128 * kKiB);
+  fe.write_to_rank({kTo, {{0, 0, buf.data(), buf.size()}}});
+  fe.write_to_rank({kTo, {{0, 0, buf.data(), 256}}});
+  fe.read_from_rank({kFrom, {{0, 0, buf.data(), 256}}});
+  fe.read_from_rank({kFrom, {{0, 0, buf.data(), 256}}});
+  fe.read_from_rank({kFrom, {{1, 0, buf.data(), buf.size()}}});
+  fe.submit_write({kTo, {{2, 0, buf.data(), 4096}}});
+  fe.submit_read({kFrom, {{2, 0, buf.data(), 4096}}});
+  EXPECT_EQ(fe.poll_completions().size(), 2u);
+
+  // Every CI op.
+  fe.ci_load("test_count_zeros");
+  std::uint32_t value = 4096;
+  fe.ci_copy_to_symbol(0, "partition_size", 0, test::bytes_u32(value));
+  const std::span<std::uint8_t> packed =
+      mem.alloc(std::uint64_t{fe.nr_dpus()} * 4);
+  fe.ci_push_symbols(kTo, "partition_size", 0, packed, 4);
+  fe.ci_launch(0x1, std::nullopt);
+  while (fe.ci_running_mask() != 0) rig.host.clock.advance(20 * kUs);
+  fe.ci_push_symbols(kFrom, "zero_count", 0, packed, 4);
+  fe.ci_copy_from_symbol(0, "zero_count", 0, test::bytes_u32(value));
+
+  // Rejected ops: two CI ops, then a write and a read to a running DPU.
+  expect_bad_request([&] {
+    fe.ci_copy_from_symbol(0, "no_such_symbol", 0, test::bytes_u32(value));
+  });
+  expect_bad_request([&] { fe.ci_load("no_such_kernel"); });
+  fe.ci_load("test_busy");
+  fe.ci_launch(0x1, std::nullopt);
+  expect_bad_request(
+      [&] { fe.write_to_rank({kTo, {{0, 0, buf.data(), buf.size()}}}); });
+  expect_bad_request(
+      [&] { fe.read_from_rank({kFrom, {{0, 0, buf.data(), buf.size()}}}); });
+  while (fe.ci_running_mask() != 0) rig.host.clock.advance(1 * kMs);
+  EXPECT_EQ(stats.request_errors, 4u);
+
+  EXPECT_EQ(stats.ops.count(RankOp::kWriteToRank), 4u);
+  EXPECT_EQ(stats.ops.count(RankOp::kReadFromRank), 5u);
+  struct Class {
+    obs::Category cat;
+    RankOp op;
+  };
+  for (const Class c : {Class{obs::Category::kCi, RankOp::kCi},
+                        Class{obs::Category::kRead, RankOp::kReadFromRank},
+                        Class{obs::Category::kWrite, RankOp::kWriteToRank}}) {
+    const std::string name(kRankOpNames[static_cast<std::size_t>(c.op)]);
+    const obs::Histogram& hist = rig.host.obs.metrics.histogram(
+        "vpim_op_ns", {{"device", "internals/vupmem0"}, {"op", name}});
+    EXPECT_GT(stats.ops.count(c.op), 0u) << name;
+    EXPECT_EQ(tracer.total_for(c.cat), stats.ops.time(c.op)) << name;
+    EXPECT_EQ(tracer.count_for(c.cat), stats.ops.count(c.op)) << name;
+    EXPECT_EQ(hist.sum(), stats.ops.time(c.op)) << name;
+    EXPECT_EQ(hist.count(), stats.ops.count(c.op)) << name;
+  }
+  std::size_t cq_roots = 0;
+  for (const obs::Span& s : tracer.spans()) {
+    cq_roots += s.parent == 0 && s.kind == obs::SpanKind::kCqDrain;
+  }
+  EXPECT_EQ(cq_roots, 1u);
 
   // The fill really recorded — and really is excluded from the read total
   // (under the old prefix match it aliased into "read").
@@ -291,6 +365,74 @@ TEST(Trace, CategoryTotalsMatchDeviceStatsExactly) {
   EXPECT_GT(tracer.total_for(obs::SpanKind::kRead) +
                 tracer.total_for(obs::SpanKind::kReadCached) + fill,
             tracer.total_for(obs::Category::kRead));
+}
+
+TEST(Trace, WriteStepsAreTheTimeOfTheirSpans) {
+  // In a write-only session every Fig 13 step but Int (which has no span)
+  // is exactly the time its spans cover, rejected writes included. T-data
+  // is one span whose kind the request's shape refines to a batch apply
+  // or a broadcast.
+  test::register_busy_kernel();
+  Rig rig;
+  obs::Tracer tracer;
+  rig.host.attach_tracer(&tracer);
+  Frontend& fe = rig.fe();
+  constexpr auto kTo = driver::XferDirection::kToRank;
+  auto buf = rig.vm.vmm().memory().alloc(128 * kKiB);
+
+  fe.write_to_rank({kTo, {{0, 0, buf.data(), buf.size()}}});
+  driver::TransferMatrix bcast{kTo, {}};
+  for (std::uint32_t d = 0; d < fe.nr_dpus(); ++d) {
+    bcast.entries.push_back({d, 1 * kMiB, buf.data(), buf.size()});
+  }
+  fe.write_to_rank(bcast);
+  for (std::uint32_t d = 0; d < 4; ++d) {
+    fe.write_to_rank({kTo, {{d, 4096, buf.data(), 512}}});
+  }
+  fe.submit_write({kTo, {{1, 0, buf.data(), 4096}}});  // flushes the batch
+  EXPECT_EQ(fe.poll_completions().size(), 1u);
+  fe.ci_load("test_busy");
+  fe.ci_launch(0x1, std::nullopt);
+  expect_bad_request(
+      [&] { fe.write_to_rank({kTo, {{0, 0, buf.data(), buf.size()}}}); });
+  while (fe.ci_running_mask() != 0) rig.host.clock.advance(1 * kMs);
+
+  const StepBreakdown& steps = fe.stats().wsteps;
+  EXPECT_GT(tracer.total_for(obs::SpanKind::kBatchApply), 0u);
+  EXPECT_GT(tracer.total_for(obs::SpanKind::kBroadcast), 0u);
+  EXPECT_EQ(steps.time(WrankStep::kPageMgmt),
+            tracer.total_for(obs::SpanKind::kPageMgmt));
+  EXPECT_EQ(steps.time(WrankStep::kSerialize),
+            tracer.total_for(obs::SpanKind::kSerialize));
+  EXPECT_EQ(steps.time(WrankStep::kDeserialize),
+            tracer.total_for(obs::SpanKind::kDeserialize));
+  EXPECT_EQ(steps.time(WrankStep::kTransferData),
+            tracer.total_for(obs::SpanKind::kTransferData) +
+                tracer.total_for(obs::SpanKind::kBatchApply) +
+                tracer.total_for(obs::SpanKind::kBroadcast));
+}
+
+TEST(Trace, RootSpansKeepTheirTenantAcrossATracerClear) {
+  // Two VMs share one tracer. Clearing it empties the tenant table, so a
+  // tag must be interned again at the next op rather than reused by index.
+  Host host(test::small_machine(), CostModel{}, fast_manager());
+  VpimVm a(host, {.name = "vmA"}, 1);
+  VpimVm b(host, {.name = "vmB"}, 1);
+  obs::Tracer tracer;
+  host.attach_tracer(&tracer);
+  ASSERT_TRUE(a.device(0).frontend.open());
+  tracer.clear();
+  ASSERT_TRUE(b.device(0).frontend.open());
+  a.device(0).frontend.ci_running_mask();
+
+  std::vector<std::string> roots;
+  for (const obs::Span& s : tracer.spans()) {
+    if (s.parent != 0) continue;
+    ASSERT_LT(s.tenant, tracer.tenants().size());
+    roots.push_back(tracer.tenants()[s.tenant]);
+  }
+  EXPECT_EQ(roots,
+            (std::vector<std::string>{"vmB/vupmem0", "vmA/vupmem0"}));
 }
 
 TEST(Config, Table2PresetsMatchTheirColumns) {
