@@ -6,8 +6,6 @@
 //  - vhost-style transitions (§7 future work) vs classic virtio-mmio.
 // NW (small transfers) and RED (one tiny Inter-DPU read) are the probe
 // workloads because they sit at opposite ends of the prefetch trade-off.
-#include <benchmark/benchmark.h>
-
 #include <map>
 
 #include "bench/bench_util.h"
@@ -24,29 +22,16 @@ prim::AppParams probe_params() {
   return prm;
 }
 
-void run_probe(benchmark::State& state, const std::string& key,
-               const std::string& app, const core::VpimConfig& config,
-               std::uint32_t translate_threads) {
-  for (auto _ : state) {
+void add(Figure& fig, const std::string& key, const std::string& app,
+         const core::VpimConfig& config, std::uint32_t translate_threads = 8) {
+  fig.point("ablation/" + key, [&](BenchPoint& p) {
     VmRig rig(config, 1);
     rig.host.cost.translate_threads = translate_threads;
     const auto res = prim::make_app(app)->run(rig.platform, probe_params());
-    state.SetIterationTime(ns_to_s(res.total()));
-    state.counters["correct"] = res.correct ? 1 : 0;
+    p.simulated_ns = res.total();
+    p.add("correct", res.correct ? 1ULL : 0ULL);
     g_results[key] = res.total();
-  }
-}
-
-void add(const std::string& key, const std::string& app,
-         const core::VpimConfig& config, std::uint32_t threads = 8) {
-  benchmark::RegisterBenchmark(
-      ("ablation/" + key).c_str(),
-      [=](benchmark::State& state) {
-        run_probe(state, key, app, config, threads);
-      })
-      ->UseManualTime()
-      ->Iterations(1)
-      ->Unit(benchmark::kMillisecond);
+  });
 }
 
 void print_summary() {
@@ -62,44 +47,42 @@ void print_summary() {
 }  // namespace
 }  // namespace vpim::bench
 
-int main(int argc, char** argv) {
+int main() {
   using namespace vpim::bench;
   using vpim::core::VpimConfig;
-  benchmark::Initialize(&argc, argv);
+  Figure fig("ablation_frontend");
 
   // Prefetch cache size sweep (NW benefits, RED suffers).
   for (std::uint32_t pages : {4u, 16u, 64u}) {
     VpimConfig cfg = VpimConfig::full();
     cfg.prefetch_cache_pages = pages;
-    add("cache_pages:" + std::to_string(pages) + "/NW", "NW", cfg);
-    add("cache_pages:" + std::to_string(pages) + "/RED", "RED", cfg);
+    add(fig, "cache_pages:" + std::to_string(pages) + "/NW", "NW", cfg);
+    add(fig, "cache_pages:" + std::to_string(pages) + "/RED", "RED", cfg);
   }
   {
     VpimConfig cfg = VpimConfig::full();
     cfg.prefetch_cache = false;
-    add("cache_off/NW", "NW", cfg);
-    add("cache_off/RED", "RED", cfg);
+    add(fig, "cache_off/NW", "NW", cfg);
+    add(fig, "cache_off/RED", "RED", cfg);
   }
 
   // Batch buffer size sweep (NW writes).
   for (std::uint32_t pages : {16u, 64u, 256u}) {
     VpimConfig cfg = VpimConfig::full();
     cfg.batch_buffer_pages = pages;
-    add("batch_pages:" + std::to_string(pages) + "/NW", "NW", cfg);
+    add(fig, "batch_pages:" + std::to_string(pages) + "/NW", "NW", cfg);
   }
 
   // Translation worker threads (bulk write path; VA is bandwidth-bound).
   for (std::uint32_t threads : {1u, 8u}) {
-    add("translate_threads:" + std::to_string(threads) + "/VA", "VA",
+    add(fig, "translate_threads:" + std::to_string(threads) + "/VA", "VA",
         VpimConfig::full(), threads);
   }
 
   // Classic virtio-mmio vs vhost transitions on the small-transfer probe.
-  add("transport_virtio/NW", "NW", VpimConfig::full());
-  add("transport_vhost/NW", "NW", VpimConfig::vhost());
+  add(fig, "transport_virtio/NW", "NW", VpimConfig::full());
+  add(fig, "transport_vhost/NW", "NW", VpimConfig::vhost());
 
-  benchmark::RunSpecifiedBenchmarks();
   print_summary();
-  benchmark::Shutdown();
-  return 0;
+  return fig.finish();
 }

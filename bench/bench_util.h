@@ -2,9 +2,10 @@
 //
 // Every bench builds a fresh simulated host with the paper's testbed
 // geometry (8 ranks x 60 functional DPUs at 350 MHz, §5.1), runs the
-// workload natively and/or under vPIM, and reports *virtual* time. Bench
-// binaries use google-benchmark with manual time: the reported seconds are
-// simulated seconds, not wall-clock.
+// workload natively and/or under vPIM, and reports *virtual* time. Each
+// bench binary is one Figure (below): it runs every point once, reports its
+// simulated ns next to the host ms it took, checks the figure's claims and
+// writes BENCH_<target>.json.
 //
 // Set VPIM_BENCH_SCALE (e.g. 0.05) to shrink datasets for smoke runs; the
 // default 1.0 reproduces the paper-scale shapes recorded in EXPERIMENTS.md.
@@ -143,15 +144,6 @@ inline void print_header(const char* figure, const char* claim) {
               "==================\n");
 }
 
-// Asserts one paper claim: prints "claim <name>: ok|FAIL (<detail>)" and
-// returns `ok`, so a bench can AND its claims and exit 1 on any failure.
-inline bool claim(const std::string& name, bool ok,
-                  const std::string& detail) {
-  std::printf("claim %s: %s (%s)\n", name.c_str(), ok ? "ok" : "FAIL",
-              detail.c_str());
-  return ok;
-}
-
 inline double ratio(SimNs a, SimNs b) {
   return b == 0 ? 0.0 : static_cast<double>(a) / static_cast<double>(b);
 }
@@ -160,8 +152,8 @@ inline double ratio(SimNs a, SimNs b) {
 //
 // Simulated time (the figures) is virtual and thread-count independent;
 // wall-clock time is what the host-parallel engine actually speeds up. Each
-// bench records both per figure point and dumps BENCH_<target>.json so CI
-// can diff simulated results across VPIM_THREADS settings and trend the
+// bench records both per figure point in BENCH_<target>.json so CI can
+// diff simulated results across VPIM_THREADS settings and trend the
 // wall-clock numbers.
 
 class WallTimer {
@@ -183,7 +175,7 @@ struct BenchPoint {
 
   std::string name;        // figure point, e.g. "fig08/BS/dpus:480/vPIM"
   SimNs simulated_ns = 0;  // virtual time — must not depend on threads
-  double wall_ms = 0.0;    // host wall-clock for the measured iteration
+  double wall_ms = 0.0;    // host wall-clock of the measured region
   // Bench-specific columns, written after wall_ms in insertion order.
   // Values are formatted on insertion so each bench keeps its own format.
   std::vector<std::pair<std::string, std::string>> extra;
@@ -196,6 +188,21 @@ struct BenchPoint {
     std::snprintf(buf, sizeof(buf), "%.*f", decimals, value);
     extra.emplace_back(std::move(key), buf);
   }
+
+  // wall_ms is the host time from start_wall() to stop_wall(). Figure
+  // brackets a point's whole body with them; a body that measures only
+  // part of its work calls start_wall() where that part begins (after a
+  // warmup, say) and stop_wall() where it ends (before teardown, say).
+  void start_wall() { wall_ = WallTimer(); }
+  void stop_wall() {
+    wall_ms = wall_.elapsed_ms();
+    wall_stopped_ = true;
+  }
+  bool wall_stopped() const { return wall_stopped_; }
+
+ private:
+  WallTimer wall_;
+  bool wall_stopped_ = false;
 };
 
 // Where BENCH_*.json (and other bench artifacts) land. Historically the
@@ -248,5 +255,60 @@ inline void write_bench_json(const std::string& target,
   std::printf("wrote %s (%zu points, %u host threads)\n", path.c_str(),
               points.size(), ThreadPool::instance().size());
 }
+
+// ---- the figure harness --------------------------------------------------
+//
+// Each bench binary is one Figure:
+//
+//   Figure fig("fig08");
+//   fig.point("fig08/BS/dpus:60/native", [&](BenchPoint& p) { ... });
+//   print_summary();                   // the bench's own table
+//   fig.claim("name", ok, "detail");   // each claim it checks
+//   return fig.finish();               // BENCH_fig08.json + exit code
+//
+// Points run once each, in the order the bench declares them.
+
+class Figure {
+ public:
+  explicit Figure(std::string target) : target_(std::move(target)) {}
+
+  // Runs `body` once as the point `name`, times it and prints one line.
+  // The body sets p.simulated_ns and adds the point's extra columns; it
+  // must not add points itself (`p` lives in points_).
+  template <class Body>
+  void point(std::string name, Body&& body) {
+    BenchPoint& p = points_.emplace_back(std::move(name), 0, 0.0);
+    p.start_wall();
+    body(p);
+    if (!p.wall_stopped()) p.stop_wall();
+    std::printf("point %-36s %12.3f ms simulated %10.3f ms host\n",
+                p.name.c_str(), ns_to_ms(p.simulated_ns), p.wall_ms);
+  }
+
+  // Records a point computed from the others: no body, no host time.
+  void derived(std::string name, SimNs simulated_ns) {
+    points_.emplace_back(std::move(name), simulated_ns, 0.0);
+  }
+
+  // Checks one claim: prints "claim <name>: ok|FAIL (<detail>)" and
+  // returns `ok`. Any failed claim makes finish() return 1.
+  bool claim(const std::string& name, bool ok, const std::string& detail) {
+    std::printf("claim %s: %s (%s)\n", name.c_str(), ok ? "ok" : "FAIL",
+                detail.c_str());
+    failed_ |= !ok;
+    return ok;
+  }
+
+  // Writes BENCH_<target>.json; returns the exit code, 1 if a claim failed.
+  int finish() const {
+    write_bench_json(target_, points_);
+    return failed_ ? 1 : 0;
+  }
+
+ private:
+  std::string target_;
+  std::vector<BenchPoint> points_;
+  bool failed_ = false;
+};
 
 }  // namespace vpim::bench

@@ -1,8 +1,6 @@
 // Fig 8: execution time of the 16 PrIM applications, native vs vPIM, with
 // 1 rank (60 DPUs) and 8 ranks (480 DPUs), segmented into CPU-DPU / DPU /
 // Inter-DPU / DPU-CPU.
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <map>
 #include "common/stats.h"
@@ -17,27 +15,22 @@ struct Row {
   prim::AppResult vpim;
 };
 std::map<std::pair<std::string, std::uint32_t>, Row> g_rows;
-std::vector<BenchPoint> g_points;
 
-void bench_app(benchmark::State& state, const std::string& name,
-               const std::string& app, std::uint32_t dpus,
-               bool virtualized) {
+void run_app(BenchPoint& p, const std::string& app, std::uint32_t dpus,
+             bool virtualized) {
   prim::AppParams prm;
   prm.nr_dpus = dpus;
   prm.scale = env_scale();
-  for (auto _ : state) {
-    WallTimer wall;
-    prim::AppResult res =
-        virtualized ? run_prim_vpim(app, prm, core::VpimConfig::full())
-                    : run_prim_native(app, prm);
-    const double wall_ms = wall.elapsed_ms();
-    state.SetIterationTime(ns_to_s(res.total()));
-    state.counters["correct"] = res.correct ? 1 : 0;
-    state.counters["wall_ms"] = wall_ms;
-    auto& row = g_rows[{app, dpus}];
-    (virtualized ? row.vpim : row.native) = res;
-    g_points.push_back({name, res.total(), wall_ms});
-  }
+  prim::AppResult res =
+      virtualized ? run_prim_vpim(app, prm, core::VpimConfig::full())
+                  : run_prim_native(app, prm);
+  p.simulated_ns = res.total();
+  p.add("cpu_dpu_ns", res.breakdown[Segment::kCpuDpu]);
+  p.add("dpu_ns", res.breakdown[Segment::kDpu]);
+  p.add("inter_dpu_ns", res.breakdown[Segment::kInterDpu]);
+  p.add("dpu_cpu_ns", res.breakdown[Segment::kDpuCpu]);
+  auto& row = g_rows[{app, dpus}];
+  (virtualized ? row.vpim : row.native) = res;
 }
 
 void print_summary() {
@@ -53,9 +46,7 @@ void print_summary() {
   std::vector<double> overheads60, overheads480;
   for (const auto& app : prim::app_names()) {
     for (std::uint32_t dpus : {60u, 480u}) {
-      auto it = g_rows.find({app, dpus});
-      if (it == g_rows.end()) continue;
-      const Row& row = it->second;
+      const Row& row = g_rows.at({app, dpus});
       for (const bool virtualized : {false, true}) {
         const prim::AppResult& r =
             virtualized ? row.vpim : row.native;
@@ -77,49 +68,33 @@ void print_summary() {
       }
     }
   }
-  if (!overheads60.empty()) {
-    std::printf("\nmeasured overhead @60 DPUs:  min %.2fx  geomean %.2fx  "
-                "max %.2fx   (paper: 1.01x / 1.24x avg / 2.07x)\n",
-                *std::min_element(overheads60.begin(), overheads60.end()),
-                geomean(overheads60),
-                *std::max_element(overheads60.begin(), overheads60.end()));
-  }
-  if (!overheads480.empty()) {
-    std::printf("measured overhead @480 DPUs: min %.2fx  geomean %.2fx  "
-                "max %.2fx   (paper: 1.02x / 1.54x avg / 2.89x)\n",
-                *std::min_element(overheads480.begin(), overheads480.end()),
-                geomean(overheads480),
-                *std::max_element(overheads480.begin(),
-                                  overheads480.end()));
-  }
+  std::printf("\nmeasured overhead @60 DPUs:  min %.2fx  geomean %.2fx  "
+              "max %.2fx   (paper: 1.01x / 1.24x avg / 2.07x)\n",
+              *std::min_element(overheads60.begin(), overheads60.end()),
+              geomean(overheads60),
+              *std::max_element(overheads60.begin(), overheads60.end()));
+  std::printf("measured overhead @480 DPUs: min %.2fx  geomean %.2fx  "
+              "max %.2fx   (paper: 1.02x / 1.54x avg / 2.89x)\n",
+              *std::min_element(overheads480.begin(), overheads480.end()),
+              geomean(overheads480),
+              *std::max_element(overheads480.begin(), overheads480.end()));
 }
 
 }  // namespace
 }  // namespace vpim::bench
 
-int main(int argc, char** argv) {
+int main() {
   using namespace vpim::bench;
-  benchmark::Initialize(&argc, argv);
+  Figure fig("fig08");
   for (const auto& app : vpim::prim::app_names()) {
     for (std::uint32_t dpus : {60u, 480u}) {
       for (const bool virtualized : {false, true}) {
-        const std::string name = "fig08/" + app + "/dpus:" +
-                                 std::to_string(dpus) +
-                                 (virtualized ? "/vPIM" : "/native");
-        benchmark::RegisterBenchmark(
-            name.c_str(),
-            [name, app, dpus, virtualized](benchmark::State& state) {
-              bench_app(state, name, app, dpus, virtualized);
-            })
-            ->UseManualTime()
-            ->Iterations(1)
-            ->Unit(benchmark::kMillisecond);
+        fig.point("fig08/" + app + "/dpus:" + std::to_string(dpus) +
+                      (virtualized ? "/vPIM" : "/native"),
+                  [&](BenchPoint& p) { run_app(p, app, dpus, virtualized); });
       }
     }
   }
-  benchmark::RunSpecifiedBenchmarks();
   print_summary();
-  write_bench_json("fig08", g_points);
-  benchmark::Shutdown();
-  return 0;
+  return fig.finish();
 }

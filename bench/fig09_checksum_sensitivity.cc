@@ -1,7 +1,5 @@
 // Fig 9: checksum sensitivity analysis — (a) #vCPUs, (b) #DPUs, (c) data
 // size per DPU — native vs vPIM.
-#include <benchmark/benchmark.h>
-
 #include <map>
 
 #include "bench/bench_util.h"
@@ -25,41 +23,32 @@ prim::ChecksumParams params_for(std::uint32_t dpus, std::uint64_t mb) {
   return prm;
 }
 
-void run_cell(benchmark::State& state, const std::string& key,
-              std::uint32_t vcpus, std::uint32_t dpus, std::uint64_t mb,
-              bool virtualized) {
+void run_cell(BenchPoint& p, const std::string& key, std::uint32_t vcpus,
+              std::uint32_t dpus, std::uint64_t mb, bool virtualized) {
   const prim::ChecksumParams prm = params_for(dpus, mb);
-  for (auto _ : state) {
-    prim::ChecksumResult res;
-    if (virtualized) {
-      VmRig rig(core::VpimConfig::full(), (dpus + 59) / 60, vcpus);
-      res = prim::run_checksum(rig.platform, prm);
-    } else {
-      NativeRig rig;
-      res = prim::run_checksum(rig.platform, prm);
-    }
-    state.SetIterationTime(ns_to_s(res.total));
-    state.counters["correct"] = res.correct ? 1 : 0;
-    state.counters["ci_ops"] = static_cast<double>(res.ci_ops);
-    Cell& cell = g_cells[key];
-    (virtualized ? cell.vpim : cell.native) = res.total;
-    cell.last = res;
+  prim::ChecksumResult res;
+  if (virtualized) {
+    VmRig rig(core::VpimConfig::full(), (dpus + 59) / 60, vcpus);
+    res = prim::run_checksum(rig.platform, prm);
+  } else {
+    NativeRig rig;
+    res = prim::run_checksum(rig.platform, prm);
   }
+  p.simulated_ns = res.total;
+  p.add("correct", res.correct ? 1ULL : 0ULL);
+  p.add("ci_ops", res.ci_ops);
+  Cell& cell = g_cells[key];
+  (virtualized ? cell.vpim : cell.native) = res.total;
+  cell.last = res;
 }
 
-void add(const std::string& key, std::uint32_t vcpus, std::uint32_t dpus,
-         std::uint64_t mb) {
+void add(Figure& fig, const std::string& key, std::uint32_t vcpus,
+         std::uint32_t dpus, std::uint64_t mb) {
   for (const bool virtualized : {false, true}) {
-    const std::string name =
-        "fig09/" + key + (virtualized ? "/vPIM" : "/native");
-    benchmark::RegisterBenchmark(
-        name.c_str(),
-        [=](benchmark::State& state) {
-          run_cell(state, key, vcpus, dpus, mb, virtualized);
-        })
-        ->UseManualTime()
-        ->Iterations(1)
-        ->Unit(benchmark::kMillisecond);
+    fig.point("fig09/" + key + (virtualized ? "/vPIM" : "/native"),
+              [&](BenchPoint& p) {
+                run_cell(p, key, vcpus, dpus, mb, virtualized);
+              });
   }
 }
 
@@ -74,43 +63,36 @@ void print_summary() {
                 ns_to_ms(cell.native), ns_to_ms(cell.vpim),
                 ratio(cell.vpim, cell.native));
   }
+  const prim::ChecksumResult& last = g_cells.rbegin()->second.last;
   std::printf("\npaper op-count context (§5.3.1): 1 write-to-rank, 60 "
               "read-from-rank, 8k-28k CI ops per run; measured last cell: "
               "%lu writes, %lu reads, %lu CI ops\n",
-              static_cast<unsigned long>(
-                  g_cells.empty() ? 0 : g_cells.rbegin()->second.last
-                                            .write_ops),
-              static_cast<unsigned long>(
-                  g_cells.empty() ? 0 : g_cells.rbegin()->second.last
-                                            .read_ops),
-              static_cast<unsigned long>(
-                  g_cells.empty() ? 0 : g_cells.rbegin()->second.last
-                                            .ci_ops));
+              static_cast<unsigned long>(last.write_ops),
+              static_cast<unsigned long>(last.read_ops),
+              static_cast<unsigned long>(last.ci_ops));
 }
 
 }  // namespace
 }  // namespace vpim::bench
 
-int main(int argc, char** argv) {
+int main() {
   using namespace vpim::bench;
-  benchmark::Initialize(&argc, argv);
+  Figure fig("fig09");
   // (a) vary #vCPUs: 60 DPUs, 60 MB per DPU.
   for (std::uint32_t vcpus : {2u, 4u, 8u, 16u}) {
-    add("a_vcpus:" + std::to_string(vcpus), vcpus, 60, 60);
+    add(fig, "a_vcpus:" + std::to_string(vcpus), vcpus, 60, 60);
   }
   // (b) vary #DPUs: 16 vCPUs, 60 MB per DPU.
   for (std::uint32_t dpus : {1u, 8u, 16u, 60u}) {
-    add("b_dpus:" + std::string(dpus < 10 ? "0" : "") +
-            std::to_string(dpus),
+    add(fig,
+        "b_dpus:" + std::string(dpus < 10 ? "0" : "") + std::to_string(dpus),
         16, dpus, 60);
   }
   // (c) vary data size: 60 DPUs, 16 vCPUs.
   for (std::uint64_t mb : {8u, 20u, 40u, 60u}) {
-    add("c_mb:" + std::string(mb < 10 ? "0" : "") + std::to_string(mb), 16,
-        60, mb);
+    add(fig, "c_mb:" + std::string(mb < 10 ? "0" : "") + std::to_string(mb),
+        16, 60, mb);
   }
-  benchmark::RunSpecifiedBenchmarks();
   print_summary();
-  benchmark::Shutdown();
-  return 0;
+  return fig.finish();
 }

@@ -1,8 +1,6 @@
 // Fig 10: Wikipedia Index Search execution time vs #DPUs (1..128).
 // Both systems slow down as DPUs grow (more transfer work); the relative
 // overhead shrinks (paper: 2.1x @1 DPU -> 1.3x @128 DPUs).
-#include <benchmark/benchmark.h>
-
 #include <map>
 
 #include "bench/bench_util.h"
@@ -15,7 +13,6 @@ struct Cell {
   SimNs vpim = 0;
 };
 std::map<std::uint32_t, Cell> g_cells;
-std::vector<BenchPoint> g_points;
 
 prim::IndexSearchParams params_for(std::uint32_t dpus) {
   prim::IndexSearchParams prm;
@@ -28,31 +25,22 @@ prim::IndexSearchParams params_for(std::uint32_t dpus) {
   return prm;
 }
 
-void run_cell(benchmark::State& state, const std::string& name,
-              std::uint32_t dpus, bool virtualized) {
+void run_cell(BenchPoint& p, std::uint32_t dpus, bool virtualized) {
   const auto prm = params_for(dpus);
-  for (auto _ : state) {
-    prim::IndexSearchResult res;
-    if (virtualized) {
-      VmRig rig(core::VpimConfig::full(), (dpus + 59) / 60);
-      res = prim::run_index_search(rig.platform, prm);
-    } else {
-      NativeRig rig;
-      res = prim::run_index_search(rig.platform, prm);
-    }
-    state.SetIterationTime(ns_to_s(res.total));
-    state.counters["correct"] = res.correct ? 1 : 0;
-    state.counters["index_MB"] =
-        static_cast<double>(res.index_bytes) / (1 << 20);
-    Cell& cell = g_cells[dpus];
-    (virtualized ? cell.vpim : cell.native) = res.total;
-    // wall_ms stays 0: only the simulated columns are gated, host time is
-    // compared on one runner by perfbench.
-    BenchPoint& point = g_points.emplace_back(name, res.total, 0.0);
-    point.add("correct", res.correct ? 1ULL : 0ULL);
-    point.add("index_bytes", res.index_bytes);
-    point.add("matches", res.matches);
+  prim::IndexSearchResult res;
+  if (virtualized) {
+    VmRig rig(core::VpimConfig::full(), (dpus + 59) / 60);
+    res = prim::run_index_search(rig.platform, prm);
+  } else {
+    NativeRig rig;
+    res = prim::run_index_search(rig.platform, prm);
   }
+  p.simulated_ns = res.total;
+  p.add("correct", res.correct ? 1ULL : 0ULL);
+  p.add("index_bytes", res.index_bytes);
+  p.add("matches", res.matches);
+  Cell& cell = g_cells[dpus];
+  (virtualized ? cell.vpim : cell.native) = res.total;
 }
 
 void print_summary() {
@@ -72,26 +60,16 @@ void print_summary() {
 }  // namespace
 }  // namespace vpim::bench
 
-int main(int argc, char** argv) {
+int main() {
   using namespace vpim::bench;
-  benchmark::Initialize(&argc, argv);
+  Figure fig("fig10");
   for (std::uint32_t dpus : {1u, 8u, 16u, 60u, 128u}) {
     for (const bool virtualized : {false, true}) {
-      const std::string name = "fig10/dpus:" + std::to_string(dpus) +
-                               (virtualized ? "/vPIM" : "/native");
-      benchmark::RegisterBenchmark(
-          name.c_str(),
-          [name, dpus, virtualized](benchmark::State& state) {
-            run_cell(state, name, dpus, virtualized);
-          })
-          ->UseManualTime()
-          ->Iterations(1)
-          ->Unit(benchmark::kMillisecond);
+      fig.point("fig10/dpus:" + std::to_string(dpus) +
+                    (virtualized ? "/vPIM" : "/native"),
+                [&](BenchPoint& p) { run_cell(p, dpus, virtualized); });
     }
   }
-  benchmark::RunSpecifiedBenchmarks();
   print_summary();
-  write_bench_json("fig10", g_points);
-  benchmark::Shutdown();
-  return 0;
+  return fig.finish();
 }

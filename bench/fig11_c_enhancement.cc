@@ -1,8 +1,6 @@
 // Fig 11: checksum under vPIM-rust (naive data path) vs vPIM-C (wide
 // path) vs native — (a) varying #DPUs at 60 MB/DPU, (b) varying file size
 // at 60 DPUs. Paper: vPIM-rust ~5.2x native on average, vPIM-C ~1.4x.
-#include <benchmark/benchmark.h>
-
 #include <map>
 
 #include "bench/bench_util.h"
@@ -18,46 +16,37 @@ struct Cell {
 };
 std::map<std::string, Cell> g_cells;
 
-void run_cell(benchmark::State& state, const std::string& key,
-              std::uint32_t dpus, std::uint64_t mb, int system) {
+void run_cell(BenchPoint& p, const std::string& key, std::uint32_t dpus,
+              std::uint64_t mb, int system) {
   prim::ChecksumParams prm;
   prm.nr_dpus = dpus;
   prm.file_bytes = static_cast<std::uint64_t>(
       static_cast<double>(mb * kMiB) * env_scale());
-  for (auto _ : state) {
-    prim::ChecksumResult res;
-    if (system == 0) {
-      NativeRig rig;
-      res = prim::run_checksum(rig.platform, prm);
-    } else {
-      // The rust/C comparison predates prefetch/batching (Table 2).
-      VmRig rig(system == 1 ? core::VpimConfig::rust()
-                            : core::VpimConfig::c_only(),
-                (dpus + 59) / 60);
-      res = prim::run_checksum(rig.platform, prm);
-    }
-    state.SetIterationTime(ns_to_s(res.total));
-    state.counters["correct"] = res.correct ? 1 : 0;
-    Cell& cell = g_cells[key];
-    if (system == 0) cell.native = res.total;
-    if (system == 1) cell.rust = res.total;
-    if (system == 2) cell.c = res.total;
+  prim::ChecksumResult res;
+  if (system == 0) {
+    NativeRig rig;
+    res = prim::run_checksum(rig.platform, prm);
+  } else {
+    // The rust/C comparison predates prefetch/batching (Table 2).
+    VmRig rig(system == 1 ? core::VpimConfig::rust()
+                          : core::VpimConfig::c_only(),
+              (dpus + 59) / 60);
+    res = prim::run_checksum(rig.platform, prm);
   }
+  p.simulated_ns = res.total;
+  p.add("correct", res.correct ? 1ULL : 0ULL);
+  Cell& cell = g_cells[key];
+  if (system == 0) cell.native = res.total;
+  if (system == 1) cell.rust = res.total;
+  if (system == 2) cell.c = res.total;
 }
 
-void add(const std::string& key, std::uint32_t dpus, std::uint64_t mb) {
+void add(Figure& fig, const std::string& key, std::uint32_t dpus,
+         std::uint64_t mb) {
   static const char* kSystems[] = {"native", "vPIM-rust", "vPIM-C"};
   for (int system = 0; system < 3; ++system) {
-    const std::string name =
-        "fig11/" + key + "/" + kSystems[system];
-    benchmark::RegisterBenchmark(
-        name.c_str(),
-        [=](benchmark::State& state) {
-          run_cell(state, key, dpus, mb, system);
-        })
-        ->UseManualTime()
-        ->Iterations(1)
-        ->Unit(benchmark::kMillisecond);
+    fig.point("fig11/" + key + "/" + kSystems[system],
+              [&](BenchPoint& p) { run_cell(p, key, dpus, mb, system); });
   }
 }
 
@@ -84,20 +73,18 @@ void print_summary() {
 }  // namespace
 }  // namespace vpim::bench
 
-int main(int argc, char** argv) {
+int main() {
   using namespace vpim::bench;
-  benchmark::Initialize(&argc, argv);
+  Figure fig("fig11");
   for (std::uint32_t dpus : {1u, 16u, 60u}) {
-    add("a_dpus:" + std::string(dpus < 10 ? "0" : "") +
-            std::to_string(dpus),
+    add(fig,
+        "a_dpus:" + std::string(dpus < 10 ? "0" : "") + std::to_string(dpus),
         dpus, 60);
   }
   for (std::uint64_t mb : {8u, 40u, 60u}) {
-    add("b_mb:" + std::string(mb < 10 ? "0" : "") + std::to_string(mb), 60,
-        mb);
+    add(fig, "b_mb:" + std::string(mb < 10 ? "0" : "") + std::to_string(mb),
+        60, mb);
   }
-  benchmark::RunSpecifiedBenchmarks();
   print_summary();
-  benchmark::Shutdown();
-  return 0;
+  return fig.finish();
 }

@@ -5,8 +5,6 @@
 // steps stay roughly constant. The C rewrite changes only the data
 // movement, so here Page/Ser/Int/Deser are identical across both. Each
 // claim is asserted with claim(); the bench exits 1 when one fails.
-#include <benchmark/benchmark.h>
-
 #include <map>
 
 #include "bench/bench_util.h"
@@ -15,29 +13,19 @@ namespace vpim::bench {
 namespace {
 
 std::map<std::string, StepBreakdown> g_steps;
-std::vector<BenchPoint> g_points;
 
-void run_system(benchmark::State& state, const std::string& label,
+void run_system(BenchPoint& p, const std::string& label,
                 const core::VpimConfig& config) {
   prim::ChecksumParams prm;
   prm.nr_dpus = 60;
   prm.file_bytes = static_cast<std::uint64_t>(
       static_cast<double>(8 * kMiB) * env_scale());
-  for (auto _ : state) {
-    WallTimer wall;
-    VmRig rig(config, 1);
-    prim::run_checksum(rig.platform, prm);
-    const double wall_ms = wall.elapsed_ms();
-    const StepBreakdown& steps = rig.vm.device(0).stats.wsteps;
-    g_steps[label] = steps;
-    state.SetIterationTime(ns_to_s(steps.total()));
-    for (std::size_t i = 0; i < kWrankStepNames.size(); ++i) {
-      state.counters[std::string(kWrankStepNames[i]) + "_ms"] =
-          ns_to_ms(steps.step_time[i]);
-    }
-    state.counters["wall_ms"] = wall_ms;
-    g_points.push_back({"fig13/" + label, steps.total(), wall_ms});
-  }
+  VmRig rig(config, 1);
+  prim::run_checksum(rig.platform, prm);
+  p.stop_wall();
+  const StepBreakdown& steps = rig.vm.device(0).stats.wsteps;
+  g_steps[label] = steps;
+  p.simulated_ns = steps.total();
 }
 
 void print_summary() {
@@ -62,28 +50,21 @@ double tdata_share(const StepBreakdown& steps) {
   return ratio(steps.time(WrankStep::kTransferData), steps.total());
 }
 
-bool check_claims() {
-  const auto rust = g_steps.find("vPIM-rust");
-  const auto c = g_steps.find("vPIM-C");
-  if (rust == g_steps.end() || c == g_steps.end()) {
-    return claim("both_systems_ran", false, "vPIM-rust and vPIM-C needed");
-  }
-  const StepBreakdown& r = rust->second;
-  const StepBreakdown& cc = c->second;
-  bool ok = true;
+void check_claims(Figure& fig) {
+  const StepBreakdown& r = g_steps.at("vPIM-rust");
+  const StepBreakdown& cc = g_steps.at("vPIM-C");
   for (const WrankStep step : {WrankStep::kPageMgmt, WrankStep::kSerialize,
                                WrankStep::kInterrupt,
                                WrankStep::kDeserialize}) {
     const std::string name(kWrankStepNames[static_cast<std::size_t>(step)]);
-    ok &= claim(name + "_identical_in_rust_and_C",
-                r.time(step) == cc.time(step),
-                std::to_string(ns_to_ms(r.time(step))) + " vs " +
-                    std::to_string(ns_to_ms(cc.time(step))) + " ms");
+    fig.claim(name + "_identical_in_rust_and_C",
+              r.time(step) == cc.time(step),
+              std::to_string(ns_to_ms(r.time(step))) + " vs " +
+                  std::to_string(ns_to_ms(cc.time(step))) + " ms");
   }
-  ok &= claim("T-data_share_falls_with_C",
-              tdata_share(r) > tdata_share(cc),
-              std::to_string(100.0 * tdata_share(r)) + "% -> " +
-                  std::to_string(100.0 * tdata_share(cc)) + "%");
+  fig.claim("T-data_share_falls_with_C", tdata_share(r) > tdata_share(cc),
+            std::to_string(100.0 * tdata_share(r)) + "% -> " +
+                std::to_string(100.0 * tdata_share(cc)) + "%");
   for (const auto& [label, steps] : g_steps) {
     const SimNs tdata = steps.time(WrankStep::kTransferData);
     bool largest = true;
@@ -92,38 +73,25 @@ bool check_claims() {
         largest &= tdata > steps.step_time[i];
       }
     }
-    ok &= claim("T-data_largest_step_" + label, largest,
-                std::to_string(100.0 * tdata_share(steps)) + "% of W-rank");
+    fig.claim("T-data_largest_step_" + label, largest,
+              std::to_string(100.0 * tdata_share(steps)) + "% of W-rank");
   }
-  return ok;
 }
 
 }  // namespace
 }  // namespace vpim::bench
 
-int main(int argc, char** argv) {
+int main() {
   using namespace vpim::bench;
-  benchmark::Initialize(&argc, argv);
-  benchmark::RegisterBenchmark("fig13/vPIM-rust",
-                               [](benchmark::State& state) {
-                                 run_system(state, "vPIM-rust",
-                                            vpim::core::VpimConfig::rust());
-                               })
-      ->UseManualTime()
-      ->Iterations(1)
-      ->Unit(benchmark::kMillisecond);
-  benchmark::RegisterBenchmark("fig13/vPIM-C",
-                               [](benchmark::State& state) {
-                                 run_system(state, "vPIM-C",
-                                            vpim::core::VpimConfig::c_only());
-                               })
-      ->UseManualTime()
-      ->Iterations(1)
-      ->Unit(benchmark::kMillisecond);
-  benchmark::RunSpecifiedBenchmarks();
+  using vpim::core::VpimConfig;
+  Figure fig("fig13");
+  fig.point("fig13/vPIM-rust", [](BenchPoint& p) {
+    run_system(p, "vPIM-rust", VpimConfig::rust());
+  });
+  fig.point("fig13/vPIM-C", [](BenchPoint& p) {
+    run_system(p, "vPIM-C", VpimConfig::c_only());
+  });
   print_summary();
-  write_bench_json("fig13", g_points);
-  const bool ok = check_claims();
-  benchmark::Shutdown();
-  return ok ? 0 : 1;
+  check_claims(fig);
+  return fig.finish();
 }

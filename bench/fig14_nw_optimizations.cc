@@ -3,8 +3,6 @@
 // request batching cuts CPU-DPU and Inter-DPU writes ~95.8%/95.3%, the
 // combination improves vPIM-C by ~10.8x; unoptimized vPIM-C is ~53x
 // native.
-#include <benchmark/benchmark.h>
-
 #include <map>
 #include <vector>
 
@@ -18,7 +16,6 @@ struct Row {
   core::DeviceStats stats;
 };
 std::map<int, Row> g_rows;  // ordered by config index
-SimNs g_native_total = 0;
 prim::AppResult g_native;
 
 const std::vector<core::VpimConfig>& configs() {
@@ -40,7 +37,7 @@ const std::vector<core::VpimConfig>& configs() {
 }
 
 double vmexits_per_message(const core::DeviceStats& stats) {
-  const std::uint64_t messages = stats.notifies + stats.coalesced_notifies;
+  const std::uint64_t messages = stats.doorbells + stats.coalesced_notifies;
   return messages == 0 ? 0.0
                        : static_cast<double>(stats.doorbells) /
                              static_cast<double>(messages);
@@ -57,34 +54,26 @@ prim::AppParams nw_params() {
   return prm;
 }
 
-void run_native(benchmark::State& state) {
-  for (auto _ : state) {
-    NativeRig rig;
-    g_native = prim::make_app("NW")->run(rig.platform, nw_params());
-    g_native_total = g_native.total();
-    state.SetIterationTime(ns_to_s(g_native_total));
-    state.counters["correct"] = g_native.correct ? 1 : 0;
-  }
+void run_native(BenchPoint& p) {
+  NativeRig rig;
+  g_native = prim::make_app("NW")->run(rig.platform, nw_params());
+  p.simulated_ns = g_native.total();
+  p.add("correct", g_native.correct ? 1ULL : 0ULL);
 }
 
-void run_config(benchmark::State& state, int index) {
-  const core::VpimConfig& config = configs()[index];
-  for (auto _ : state) {
-    VmRig rig(config, 1);
-    Row row;
-    row.app = prim::make_app("NW")->run(rig.platform, nw_params());
-    row.stats = rig.vm.device(0).stats;
-    state.SetIterationTime(ns_to_s(row.app.total()));
-    state.counters["correct"] = row.app.correct ? 1 : 0;
-    state.counters["messages"] = static_cast<double>(row.stats.notifies);
-    state.counters["vmexits_per_op"] = vmexits_per_message(row.stats);
-    g_rows[index] = row;
-  }
+void run_config(BenchPoint& p, int index) {
+  VmRig rig(configs()[index], 1);
+  Row row;
+  row.app = prim::make_app("NW")->run(rig.platform, nw_params());
+  row.stats = rig.vm.device(0).stats;
+  p.simulated_ns = row.app.total();
+  p.add("correct", row.app.correct ? 1ULL : 0ULL);
+  p.add("messages", row.stats.doorbells);
+  p.add("vmexits_per_op", vmexits_per_message(row.stats), 4);
+  g_rows[index] = row;
 }
 
-// Returns false when the deep-queue row fails to strictly reduce modeled
-// VMEXITs per message relative to the depth-1 +PB row.
-bool print_summary() {
+void print_summary() {
   print_header(
       "Fig 14 - NW with prefetch/batching ablation (single rank)",
       "vPIM-C ~53x native; +P cuts read time ~89.3% (messages 5000->125); "
@@ -98,9 +87,8 @@ bool print_summary() {
               ns_to_ms(g_native.breakdown[Segment::kDpu]),
               ns_to_ms(g_native.breakdown[Segment::kInterDpu]),
               ns_to_ms(g_native.breakdown[Segment::kDpuCpu]),
-              ns_to_ms(g_native_total));
-  const SimNs base =
-      g_rows.count(0) ? g_rows.at(0).app.total() : 0;
+              ns_to_ms(g_native.total()));
+  const SimNs base = g_rows.at(0).app.total();
   for (const auto& [index, row] : g_rows) {
     std::printf(
         "%-9s | %9.1fms %9.1fms %9.1fms %9.1fms | %9.1fms | %7.1fx | "
@@ -110,46 +98,34 @@ bool print_summary() {
         ns_to_ms(row.app.breakdown[Segment::kDpu]),
         ns_to_ms(row.app.breakdown[Segment::kInterDpu]),
         ns_to_ms(row.app.breakdown[Segment::kDpuCpu]),
-        ns_to_ms(row.app.total()), ratio(row.app.total(), g_native_total),
-        static_cast<unsigned long>(row.stats.notifies),
+        ns_to_ms(row.app.total()), ratio(row.app.total(), g_native.total()),
+        static_cast<unsigned long>(row.stats.doorbells),
         ratio(base, row.app.total()));
   }
-  if (g_rows.count(3) == 0 || g_rows.count(4) == 0) return true;
+}
+
+// The deep queue must strictly reduce modeled VMEXITs per message
+// relative to the depth-1 +PB row.
+void check_claims(Figure& fig) {
   const double d1 = vmexits_per_message(g_rows.at(3).stats);
   const double d8 = vmexits_per_message(g_rows.at(4).stats);
   std::printf("vmexits/message: +PB %.4f -> +PB*8 %.4f\n", d1, d8);
-  if (d8 >= d1) {
-    std::fprintf(stderr,
-                 "FAIL: queue depth 8 does not strictly reduce modeled "
-                 "vmexits per message (%.4f vs %.4f)\n",
-                 d8, d1);
-    return false;
-  }
-  return true;
+  fig.claim("queue_depth_8_cuts_vmexits_per_message", d8 < d1,
+            std::to_string(d1) + " -> " + std::to_string(d8));
 }
 
 }  // namespace
 }  // namespace vpim::bench
 
-int main(int argc, char** argv) {
+int main() {
   using namespace vpim::bench;
-  benchmark::Initialize(&argc, argv);
-  benchmark::RegisterBenchmark("fig14/native", run_native)
-      ->UseManualTime()
-      ->Iterations(1)
-      ->Unit(benchmark::kMillisecond);
+  Figure fig("fig14");
+  fig.point("fig14/native", run_native);
   for (int i = 0; i < static_cast<int>(configs().size()); ++i) {
-    const std::string name = "fig14/" + configs()[i].label;
-    benchmark::RegisterBenchmark(name.c_str(),
-                                 [i](benchmark::State& state) {
-                                   run_config(state, i);
-                                 })
-        ->UseManualTime()
-        ->Iterations(1)
-        ->Unit(benchmark::kMillisecond);
+    fig.point("fig14/" + configs()[i].label,
+              [i](BenchPoint& p) { run_config(p, i); });
   }
-  benchmark::RunSpecifiedBenchmarks();
-  const bool ok = print_summary();
-  benchmark::Shutdown();
-  return ok ? 0 : 1;
+  print_summary();
+  check_claims(fig);
+  return fig.finish();
 }

@@ -1,8 +1,6 @@
 // Fig 15: parallel operation handling on multiple ranks (checksum).
 // Paper: ~1.13x average whole-application speedup (growing with ranks),
 // ~1.4x on the write-to-rank operation.
-#include <benchmark/benchmark.h>
-
 #include <map>
 
 #include "bench/bench_util.h"
@@ -16,33 +14,31 @@ struct Cell {
 };
 std::map<std::uint32_t, Cell> g_cells;
 
-void run_cell(benchmark::State& state, std::uint32_t ranks, bool parallel) {
+void run_cell(BenchPoint& p, std::uint32_t ranks, bool parallel) {
   prim::ChecksumParams prm;
   prm.nr_dpus = ranks * 60;
   prm.file_bytes = static_cast<std::uint64_t>(
       static_cast<double>(20 * kMiB) * env_scale());
-  for (auto _ : state) {
-    VmRig rig(parallel ? core::VpimConfig::full()
-                       : core::VpimConfig::sequential(),
-              ranks);
-    const auto res = prim::run_checksum(rig.platform, prm);
-    // Whole-app time plus the write-to-rank time summed over devices
-    // (Fig 15b looks at the broadcast write specifically).
-    // Wall time of the write op = the slowest device's completion; the
-    // guest submits to every rank concurrently, so the sequential event
-    // loop gives later ranks long queueing delays (Fig 16).
-    SimNs write_time = 0;
-    for (std::uint32_t i = 0; i < rig.vm.nr_devices(); ++i) {
-      write_time = std::max(write_time,
-                            rig.vm.device(i).stats.ops.time(
-                                RankOp::kWriteToRank));
-    }
-    state.SetIterationTime(ns_to_s(res.total));
-    state.counters["correct"] = res.correct ? 1 : 0;
-    Cell& cell = g_cells[ranks];
-    (parallel ? cell.par_total : cell.seq_total) = res.total;
-    (parallel ? cell.par_write : cell.seq_write) = write_time;
+  VmRig rig(parallel ? core::VpimConfig::full()
+                     : core::VpimConfig::sequential(),
+            ranks);
+  const auto res = prim::run_checksum(rig.platform, prm);
+  // Whole-app time plus the write-to-rank time summed over devices
+  // (Fig 15b looks at the broadcast write specifically).
+  // Wall time of the write op = the slowest device's completion; the
+  // guest submits to every rank concurrently, so the sequential event
+  // loop gives later ranks long queueing delays (Fig 16).
+  SimNs write_time = 0;
+  for (std::uint32_t i = 0; i < rig.vm.nr_devices(); ++i) {
+    write_time = std::max(
+        write_time, rig.vm.device(i).stats.ops.time(RankOp::kWriteToRank));
   }
+  p.simulated_ns = res.total;
+  p.add("correct", res.correct ? 1ULL : 0ULL);
+  p.add("write_ns", write_time);
+  Cell& cell = g_cells[ranks];
+  (parallel ? cell.par_total : cell.seq_total) = res.total;
+  (parallel ? cell.par_write : cell.seq_write) = write_time;
 }
 
 void print_summary() {
@@ -64,25 +60,16 @@ void print_summary() {
 }  // namespace
 }  // namespace vpim::bench
 
-int main(int argc, char** argv) {
+int main() {
   using namespace vpim::bench;
-  benchmark::Initialize(&argc, argv);
+  Figure fig("fig15");
   for (std::uint32_t ranks : {2u, 4u, 8u}) {
     for (const bool parallel : {false, true}) {
-      const std::string name = "fig15/ranks:" + std::to_string(ranks) +
-                               (parallel ? "/vPIM" : "/vPIM-Seq");
-      benchmark::RegisterBenchmark(
-          name.c_str(),
-          [ranks, parallel](benchmark::State& state) {
-            run_cell(state, ranks, parallel);
-          })
-          ->UseManualTime()
-          ->Iterations(1)
-          ->Unit(benchmark::kMillisecond);
+      fig.point("fig15/ranks:" + std::to_string(ranks) +
+                    (parallel ? "/vPIM" : "/vPIM-Seq"),
+                [&](BenchPoint& p) { run_cell(p, ranks, parallel); });
     }
   }
-  benchmark::RunSpecifiedBenchmarks();
   print_summary();
-  benchmark::Shutdown();
-  return 0;
+  return fig.finish();
 }

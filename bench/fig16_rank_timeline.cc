@@ -2,8 +2,7 @@
 // operation across 8 ranks. Sequential handling (stock Firecracker event
 // loop) makes each successive rank's request wait behind the previous
 // ones; parallel handling gives near-uniform times.
-#include <benchmark/benchmark.h>
-
+#include <algorithm>
 #include <map>
 #include <vector>
 
@@ -40,14 +39,10 @@ std::vector<SimNs> run_timeline(bool parallel) {
   return rig.host.clock.run_parallel(branches);
 }
 
-void run_bench(benchmark::State& state, bool parallel) {
-  for (auto _ : state) {
-    auto durations = run_timeline(parallel);
-    g_timelines[parallel] = durations;
-    SimNs max_end = 0;
-    for (SimNs d : durations) max_end = std::max(max_end, d);
-    state.SetIterationTime(ns_to_s(max_end));
-  }
+void run_bench(BenchPoint& p, bool parallel) {
+  std::vector<SimNs>& durations = g_timelines[parallel];
+  durations = run_timeline(parallel);
+  p.simulated_ns = *std::max_element(durations.begin(), durations.end());
 }
 
 void print_summary() {
@@ -57,36 +52,19 @@ void print_summary() {
   std::printf("%8s | %14s | %14s\n", "rank id", "vPIM-Seq", "vPIM (par)");
   for (std::uint32_t r = 0; r < kRanks; ++r) {
     std::printf("%8u | %12.1fms | %12.1fms\n", r,
-                g_timelines.count(false)
-                    ? ns_to_ms(g_timelines[false][r])
-                    : 0.0,
-                g_timelines.count(true) ? ns_to_ms(g_timelines[true][r])
-                                        : 0.0);
+                ns_to_ms(g_timelines[false][r]),
+                ns_to_ms(g_timelines[true][r]));
   }
 }
 
 }  // namespace
 }  // namespace vpim::bench
 
-int main(int argc, char** argv) {
+int main() {
   using namespace vpim::bench;
-  benchmark::Initialize(&argc, argv);
-  benchmark::RegisterBenchmark("fig16/vPIM-Seq",
-                               [](benchmark::State& state) {
-                                 run_bench(state, false);
-                               })
-      ->UseManualTime()
-      ->Iterations(1)
-      ->Unit(benchmark::kMillisecond);
-  benchmark::RegisterBenchmark("fig16/vPIM-parallel",
-                               [](benchmark::State& state) {
-                                 run_bench(state, true);
-                               })
-      ->UseManualTime()
-      ->Iterations(1)
-      ->Unit(benchmark::kMillisecond);
-  benchmark::RunSpecifiedBenchmarks();
+  Figure fig("fig16");
+  fig.point("fig16/vPIM-Seq", [](BenchPoint& p) { run_bench(p, false); });
+  fig.point("fig16/vPIM-parallel", [](BenchPoint& p) { run_bench(p, true); });
   print_summary();
-  benchmark::Shutdown();
-  return 0;
+  return fig.finish();
 }

@@ -27,8 +27,6 @@
 //   2. the unmitigated control degrades >= 2x below uniform.
 // The pNN_*_ns columns are gated against the committed baseline by
 // tools/bench_diff.py (10% tolerance) in the bench-regression CI job.
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <string>
 #include <vector>
@@ -55,12 +53,10 @@ constexpr std::array<Arm, 3> kArms = {
 struct Row {
   std::string name;
   SimNs simulated_ns = 0;
-  double wall_ms = 0.0;
   double goodput_ops = 0.0;  // deadline-met ops per simulated second
   double cache_hit_ratio = 0.0;
   std::uint64_t rebalances = 0;
   std::uint64_t cycles = 0;  // device round trips (diagnostic, ungated)
-  SimNs p50_op_ns = 0;
   SimNs p99_op_ns = 0;
 };
 std::vector<Row> g_rows;
@@ -159,106 +155,84 @@ SimNs calibrate_uniform_ns_per_op() {
   return (rig.clock().now() - start) / trace.size();
 }
 
-void run_kv_skew(benchmark::State& state, const Arm& arm,
-                 SimNs ns_per_op) {
-  for (auto _ : state) {
-    // Offered rate = 0.7x uniform capacity, as an exact integer gap so
-    // the arrival schedule is deterministic virtual time.
-    const SimNs gap = ns_per_op * 10 / 7;
-    // An on-time window costs its fill time (kWindow arrivals) plus one
-    // window of service; 2x the fill time covers both with headroom, and
-    // a lane that falls behind eats through it within a few windows.
-    const SimNs budget = 2 * kWindow * gap;
+void run_kv_skew(BenchPoint& p, const Arm& arm, SimNs ns_per_op) {
+  // Offered rate = 0.7x uniform capacity, as an exact integer gap so
+  // the arrival schedule is deterministic virtual time.
+  const SimNs gap = ns_per_op * 10 / 7;
+  // An on-time window costs its fill time (kWindow arrivals) plus one
+  // window of service; 2x the fill time covers both with headroom, and
+  // a lane that falls behind eats through it within a few windows.
+  const SimNs budget = 2 * kWindow * gap;
 
-    KvRig rig(arm.mitigation);
-    const kv::LoadgenConfig lg = trace_config(arm.zipf);
-    if (!rig.preload(lg)) {
-      state.SkipWithError("kv preload failed");
-      return;
+  KvRig rig(arm.mitigation);
+  const kv::LoadgenConfig lg = trace_config(arm.zipf);
+  VPIM_CHECK(rig.preload(lg), "kv preload failed");
+  const auto trace = kv::generate_trace(lg);
+
+  std::uint64_t good = 0;
+  std::vector<SimNs> latencies;
+  latencies.reserve(trace.size());
+  const SimNs start = rig.clock().now();
+  p.start_wall();
+
+  std::vector<kv::KvOp> window;
+  std::vector<SimNs> arrivals;
+  std::size_t issued = 0;
+  auto flush = [&] {
+    if (window.empty()) return;
+    // Open loop: the batch may start once its last op has arrived —
+    // never earlier, but the clock running late is the lane's problem.
+    const SimNs ready = arrivals.back();
+    if (rig.clock().now() < ready) {
+      rig.clock().advance(ready - rig.clock().now());
     }
-    const auto trace = kv::generate_trace(lg);
-
-    std::uint64_t good = 0;
-    std::vector<SimNs> latencies;
-    latencies.reserve(trace.size());
-    const SimNs start = rig.clock().now();
-    WallTimer timer;
-
-    std::vector<kv::KvOp> window;
-    std::vector<SimNs> arrivals;
-    std::size_t issued = 0;
-    auto flush = [&] {
-      if (window.empty()) return;
-      // Open loop: the batch may start once its last op has arrived —
-      // never earlier, but the clock running late is the lane's problem.
-      const SimNs ready = arrivals.back();
-      if (rig.clock().now() < ready) {
-        rig.clock().advance(ready - rig.clock().now());
+    const auto results = rig.svc.execute(window);
+    const SimNs done = rig.clock().now();
+    for (std::size_t i = 0; i < window.size(); ++i) {
+      const SimNs latency = done - arrivals[i];
+      latencies.push_back(latency);
+      if (results[i].status != kv::KvStatus::kDeviceFault &&
+          results[i].status != kv::KvStatus::kTimeout && latency <= budget) {
+        ++good;
       }
-      const auto results = rig.svc.execute(window);
-      const SimNs done = rig.clock().now();
-      for (std::size_t i = 0; i < window.size(); ++i) {
-        const SimNs latency = done - arrivals[i];
-        latencies.push_back(latency);
-        if (results[i].status != kv::KvStatus::kDeviceFault &&
-            results[i].status != kv::KvStatus::kTimeout &&
-            latency <= budget) {
-          ++good;
-        }
-      }
-      window.clear();
-      arrivals.clear();
-    };
-    for (const kv::KvTraceOp& t : trace) {
-      window.push_back(t.op);
-      arrivals.push_back(start + static_cast<SimNs>(issued++) * gap);
-      if (window.size() == kWindow) flush();
     }
-    flush();
-    const double wall = timer.elapsed_ms();
-    const SimNs elapsed = rig.clock().now() - start;
-
-    const kv::KvStats& st = rig.svc.stats();
-    const std::uint64_t point_reads = st.gets;
-    rig.svc.close();
-
-    std::sort(latencies.begin(), latencies.end());
-    const SimNs p50 =
-        latencies.empty() ? 0 : latencies[latencies.size() / 2];
-    const SimNs p99 =
-        latencies.empty()
-            ? 0
-            : latencies[(latencies.size() * 99 + 99) / 100 - 1];
-    const double goodput =
-        elapsed == 0 ? 0.0 : static_cast<double>(good) / ns_to_s(elapsed);
-    const double hit_ratio =
-        point_reads == 0 ? 0.0
-                         : static_cast<double>(st.cache_hits) /
-                               static_cast<double>(point_reads);
-
-    state.SetIterationTime(ns_to_s(elapsed));
-    state.counters["goodput_ops"] = goodput;
-    state.counters["cache_hit_ratio"] = hit_ratio;
-    state.counters["rebalances"] = static_cast<double>(st.rebalances);
-    state.counters["p99_op_ms"] = ns_to_ms(p99);
-    g_rows.push_back({arm.label, elapsed, wall, goodput, hit_ratio,
-                      st.rebalances, st.cycles, p50, p99});
+    window.clear();
+    arrivals.clear();
+  };
+  for (const kv::KvTraceOp& t : trace) {
+    window.push_back(t.op);
+    arrivals.push_back(start + static_cast<SimNs>(issued++) * gap);
+    if (window.size() == kWindow) flush();
   }
-}
+  flush();
+  p.stop_wall();
+  const SimNs elapsed = rig.clock().now() - start;
 
-void write_kv_skew_json() {
-  std::vector<BenchPoint> points;
-  for (const Row& row : g_rows) {
-    BenchPoint& p =
-        points.emplace_back(row.name, row.simulated_ns, row.wall_ms);
-    p.add("goodput_ops", row.goodput_ops, 1);
-    p.add("cache_hit_ratio", row.cache_hit_ratio, 4);
-    p.add("rebalances", row.rebalances);
-    p.add("cycles", row.cycles);
-    p.add("p50_op_ns", row.p50_op_ns);
-    p.add("p99_op_ns", row.p99_op_ns);
-  }
-  write_bench_json("kv_skew", points);
+  const kv::KvStats& st = rig.svc.stats();
+  const std::uint64_t point_reads = st.gets;
+  rig.svc.close();
+
+  std::sort(latencies.begin(), latencies.end());
+  const SimNs p50 = latencies.empty() ? 0 : latencies[latencies.size() / 2];
+  const SimNs p99 =
+      latencies.empty() ? 0
+                        : latencies[(latencies.size() * 99 + 99) / 100 - 1];
+  const double goodput =
+      elapsed == 0 ? 0.0 : static_cast<double>(good) / ns_to_s(elapsed);
+  const double hit_ratio =
+      point_reads == 0 ? 0.0
+                       : static_cast<double>(st.cache_hits) /
+                             static_cast<double>(point_reads);
+
+  p.simulated_ns = elapsed;
+  p.add("goodput_ops", goodput, 1);
+  p.add("cache_hit_ratio", hit_ratio, 4);
+  p.add("rebalances", st.rebalances);
+  p.add("cycles", st.cycles);
+  p.add("p50_op_ns", p50);
+  p.add("p99_op_ns", p99);
+  g_rows.push_back({arm.label, elapsed, goodput, hit_ratio, st.rebalances,
+                    st.cycles, p99});
 }
 
 const Row* find_row(const char* label) {
@@ -268,7 +242,7 @@ const Row* find_row(const char* label) {
   return nullptr;
 }
 
-bool print_summary() {
+void print_summary() {
   print_header(
       "KV skew - Zipf theta=0.99 vs uniform, mitigation on vs off",
       "hot-key cache + partition rebalance hold skewed goodput within 15% "
@@ -284,57 +258,42 @@ bool print_summary() {
         static_cast<unsigned long long>(row.cycles),
         ns_to_ms(row.p99_op_ns));
   }
+}
 
-  bool ok = true;
-  const Row* uniform = find_row("kv/dist:uniform/mit:on");
-  const Row* mitigated = find_row("kv/dist:zipf99/mit:on");
-  const Row* control = find_row("kv/dist:zipf99/mit:off");
-  if (uniform == nullptr || mitigated == nullptr || control == nullptr ||
-      uniform->goodput_ops <= 0.0) {
-    std::fprintf(stderr, "FAIL: missing arm or zero uniform goodput\n");
-    return false;
-  }
-  if (mitigated->goodput_ops < 0.85 * uniform->goodput_ops) {
-    std::fprintf(stderr,
-                 "FAIL: mitigated zipf goodput (%.1f/s) fell below 85%% "
-                 "of uniform (%.1f/s)\n",
-                 mitigated->goodput_ops, uniform->goodput_ops);
-    ok = false;
-  }
-  if (control->goodput_ops > 0.5 * uniform->goodput_ops) {
-    std::fprintf(stderr,
-                 "FAIL: unmitigated control (%.1f/s) did not degrade "
-                 ">= 2x below uniform (%.1f/s)\n",
-                 control->goodput_ops, uniform->goodput_ops);
-    ok = false;
-  }
-  return ok;
+void check_claims(Figure& fig) {
+  const Row& uniform = *find_row("kv/dist:uniform/mit:on");
+  const Row& mitigated = *find_row("kv/dist:zipf99/mit:on");
+  const Row& control = *find_row("kv/dist:zipf99/mit:off");
+  const auto versus = [&](const Row& row) {
+    return std::to_string(row.goodput_ops) + "/s vs uniform " +
+           std::to_string(uniform.goodput_ops) + "/s";
+  };
+  fig.claim("uniform_goodput_nonzero", uniform.goodput_ops > 0.0,
+            std::to_string(uniform.goodput_ops) + "/s");
+  fig.claim("mitigated_zipf_within_15pct_of_uniform",
+            mitigated.goodput_ops >= 0.85 * uniform.goodput_ops,
+            versus(mitigated));
+  fig.claim("unmitigated_control_degrades_2x_below_uniform",
+            control.goodput_ops <= 0.5 * uniform.goodput_ops,
+            versus(control));
 }
 
 }  // namespace
 }  // namespace vpim::bench
 
-int main(int argc, char** argv) {
+int main() {
   using namespace vpim::bench;
-  benchmark::Initialize(&argc, argv);
+  Figure fig("kv_skew");
   const vpim::SimNs ns_per_op = calibrate_uniform_ns_per_op();
-  if (ns_per_op == 0) {
-    std::fprintf(stderr, "FAIL: uniform calibration measured zero\n");
-    return 1;
+  if (!fig.claim("uniform_calibration_nonzero", ns_per_op != 0,
+                 std::to_string(ns_per_op) + " ns/op")) {
+    return fig.finish();
   }
   for (const Arm& arm : kArms) {
-    benchmark::RegisterBenchmark(
-        arm.label,
-        [&arm, ns_per_op](benchmark::State& state) {
-          run_kv_skew(state, arm, ns_per_op);
-        })
-        ->UseManualTime()
-        ->Iterations(1)
-        ->Unit(benchmark::kMillisecond);
+    fig.point(arm.label,
+              [&](BenchPoint& p) { run_kv_skew(p, arm, ns_per_op); });
   }
-  benchmark::RunSpecifiedBenchmarks();
-  const bool ok = print_summary();
-  write_kv_skew_json();
-  benchmark::Shutdown();
-  return ok ? 0 : 1;
+  print_summary();
+  check_claims(fig);
+  return fig.finish();
 }

@@ -22,8 +22,6 @@
 //   2. at 4x the admission-off control's goodput is strictly worse.
 // The admitted-p99 column is gated against the committed baseline by
 // tools/bench_diff.py (10% tolerance) in the perf-regression CI job.
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <array>
 #include <map>
@@ -54,7 +52,6 @@ constexpr std::array<Level, 4> kLevels = {
 struct Row {
   std::string name;
   SimNs simulated_ns = 0;
-  double wall_ms = 0.0;
   double goodput_ops = 0.0;  // deadline-met completions per simulated sec
   double shed_ratio = 0.0;   // typed try_submit sheds / offered
   SimNs p99_admitted_ns = 0; // submit -> reap, admitted requests only
@@ -81,243 +78,205 @@ core::VpimConfig overload_config() {
   return config;
 }
 
-void run_overload(benchmark::State& state, const Level& level,
-                  bool admission_on) {
-  for (auto _ : state) {
-    VmRig rig(overload_config(), /*nr_devices=*/kTenants);
-    std::array<core::Frontend*, kTenants> fes{};
-    std::array<std::span<std::uint8_t>, kTenants> bufs{};
+void run_overload(BenchPoint& p, const Level& level, bool admission_on) {
+  VmRig rig(overload_config(), /*nr_devices=*/kTenants);
+  std::array<core::Frontend*, kTenants> fes{};
+  std::array<std::span<std::uint8_t>, kTenants> bufs{};
+  for (std::uint32_t t = 0; t < kTenants; ++t) {
+    fes[t] = &rig.vm.device(t).frontend;
+    VPIM_CHECK(fes[t]->open(), "no rank available");
+    bufs[t] = rig.vm.vmm().memory().alloc(4 * kKiB);
+  }
+  const std::uint32_t nr_dpus = fes[0]->nr_dpus();
+  auto matrix_for = [&](std::uint32_t t, std::uint32_t seq) {
+    driver::TransferMatrix m;
+    m.direction = driver::XferDirection::kToRank;
+    m.entries.push_back({seq % nr_dpus, 0, bufs[t].data(), bufs[t].size()});
+    return m;
+  };
+
+  // Calibration phase 1 — rough estimate from closed-loop bursts of 4
+  // through the deep-queue pipelined path, just to size the reap
+  // cadence of phase 2.
+  constexpr std::uint32_t kCalibRounds = 8;
+  constexpr std::uint32_t kCalibBurst = 4;
+  const SimNs est_start = rig.host.clock.now();
+  for (std::uint32_t r = 0; r < kCalibRounds; ++r) {
     for (std::uint32_t t = 0; t < kTenants; ++t) {
-      fes[t] = &rig.vm.device(t).frontend;
-      if (!fes[t]->open()) {
-        state.SkipWithError("no rank available");
-        return;
+      for (std::uint32_t b = 0; b < kCalibBurst; ++b) {
+        fes[t]->submit_write(matrix_for(t, r * kCalibBurst + b));
       }
-      bufs[t] = rig.vm.vmm().memory().alloc(4 * kKiB);
-    }
-    const std::uint32_t nr_dpus = fes[0]->nr_dpus();
-    auto matrix_for = [&](std::uint32_t t, std::uint32_t seq) {
-      driver::TransferMatrix m;
-      m.direction = driver::XferDirection::kToRank;
-      m.entries.push_back(
-          {seq % nr_dpus, 0, bufs[t].data(), bufs[t].size()});
-      return m;
-    };
-
-    // Calibration phase 1 — rough estimate from closed-loop bursts of 4
-    // through the deep-queue pipelined path, just to size the reap
-    // cadence of phase 2.
-    constexpr std::uint32_t kCalibRounds = 8;
-    constexpr std::uint32_t kCalibBurst = 4;
-    const SimNs est_start = rig.host.clock.now();
-    for (std::uint32_t r = 0; r < kCalibRounds; ++r) {
-      for (std::uint32_t t = 0; t < kTenants; ++t) {
-        for (std::uint32_t b = 0; b < kCalibBurst; ++b) {
-          fes[t]->submit_write(matrix_for(t, r * kCalibBurst + b));
-        }
-        while (!fes[t]->poll_completions().empty()) {
-        }
+      while (!fes[t]->poll_completions().empty()) {
       }
     }
-    const SimNs service_est = (rig.host.clock.now() - est_start) /
-                              (kCalibRounds * kTenants * kCalibBurst);
-    if (service_est == 0) {
-      state.SkipWithError("calibration measured zero service time");
-      return;
-    }
+  }
+  const SimNs service_est = (rig.host.clock.now() - est_start) /
+                            (kCalibRounds * kTenants * kCalibBurst);
+  VPIM_CHECK(service_est != 0, "calibration measured zero service time");
 
-    // Calibration phase 2 — true capacity of the generator's own shape:
-    // run its arrival loop wide open (zero inter-arrival gap, no
-    // deadlines, no admission yet) with the same fixed-cadence reaps the
-    // measured region uses. This folds the reap/poll overheads into the
-    // service time, which a synthetic burst pass understates — and an
-    // offered-load multiplier only means anything against the rate this
-    // exact loop can actually sustain. Both lanes run it identically.
-    constexpr std::uint32_t kSatRequests = 64;
-    std::array<SimNs, kTenants> sat_reap{};
-    const SimNs sat_period = 8 * service_est;
-    const SimNs sat_start = rig.host.clock.now();
+  // Calibration phase 2 — true capacity of the generator's own shape:
+  // run its arrival loop wide open (zero inter-arrival gap, no
+  // deadlines, no admission yet) with the same fixed-cadence reaps the
+  // measured region uses. This folds the reap/poll overheads into the
+  // service time, which a synthetic burst pass understates — and an
+  // offered-load multiplier only means anything against the rate this
+  // exact loop can actually sustain. Both lanes run it identically.
+  constexpr std::uint32_t kSatRequests = 64;
+  std::array<SimNs, kTenants> sat_reap{};
+  const SimNs sat_period = 8 * service_est;
+  const SimNs sat_start = rig.host.clock.now();
+  for (std::uint32_t t = 0; t < kTenants; ++t) {
+    sat_reap[t] = sat_start + (t + 1) * (sat_period / kTenants);
+  }
+  std::uint32_t sat_reaped = 0;
+  for (std::uint32_t i = 0; i < kSatRequests; ++i) {
     for (std::uint32_t t = 0; t < kTenants; ++t) {
-      sat_reap[t] = sat_start + (t + 1) * (sat_period / kTenants);
-    }
-    std::uint32_t sat_reaped = 0;
-    for (std::uint32_t i = 0; i < kSatRequests; ++i) {
-      for (std::uint32_t t = 0; t < kTenants; ++t) {
-        if (rig.host.clock.now() >= sat_reap[t]) {
-          sat_reaped += static_cast<std::uint32_t>(
-              fes[t]->poll_completions().size());
-          sat_reap[t] = rig.host.clock.now() + sat_period;
-        }
-      }
-      fes[i % kTenants]->submit_write(
-          matrix_for(i % kTenants, i / kTenants));
-    }
-    for (std::uint32_t t = 0; t < kTenants; ++t) {
-      while (sat_reaped < kSatRequests &&
-             !fes[t]->poll_completions().empty()) {
-        // poll_completions drains the CQ in batches; keep going until dry.
+      if (rig.host.clock.now() >= sat_reap[t]) {
+        sat_reaped += static_cast<std::uint32_t>(
+            fes[t]->poll_completions().size());
+        sat_reap[t] = rig.host.clock.now() + sat_period;
       }
     }
-    const SimNs service_ns =
-        (rig.host.clock.now() - sat_start) / kSatRequests;
-    if (service_ns == 0) {
-      state.SkipWithError("saturation pass measured zero service time");
-      return;
+    fes[i % kTenants]->submit_write(matrix_for(i % kTenants, i / kTenants));
+  }
+  for (std::uint32_t t = 0; t < kTenants; ++t) {
+    while (sat_reaped < kSatRequests && !fes[t]->poll_completions().empty()) {
+      // poll_completions drains the CQ in batches; keep going until dry.
     }
+  }
+  const SimNs service_ns = (rig.host.clock.now() - sat_start) / kSatRequests;
+  VPIM_CHECK(service_ns != 0, "saturation pass measured zero service time");
 
-    if (admission_on) {
-      core::AdmissionConfig acfg;
-      // The binding control in this sweep is the in-flight budget: at 1x
-      // each tenant holds at most ~4 admitted-unreaped requests between
-      // reap turns, so 4 per tenant is exactly the pre-knee high-water
-      // mark and everything past it is overload. The token rate is each
-      // tenant's fair share of measured capacity with slack for the
-      // calibration margin.
-      acfg.tokens_per_sec =
-          2'000'000'000ull / (static_cast<std::uint64_t>(service_ns) *
-                              kTenants);
-      acfg.bucket_burst = 16;
-      // One reap period holds 8 service times of admitted work across 4
-      // tenants, so ~2 admitted-unreaped requests per tenant is the
-      // pre-knee high-water mark; 10 leaves one period of jitter slack
-      // above it and everything beyond is overload.
-      acfg.global_inflight_budget = 10;
-      rig.host.install_admission(acfg);
+  if (admission_on) {
+    core::AdmissionConfig acfg;
+    // The binding control in this sweep is the in-flight budget: at 1x
+    // each tenant holds at most ~4 admitted-unreaped requests between
+    // reap turns, so 4 per tenant is exactly the pre-knee high-water
+    // mark and everything past it is overload. The token rate is each
+    // tenant's fair share of measured capacity with slack for the
+    // calibration margin.
+    acfg.tokens_per_sec =
+        2'000'000'000ull / (static_cast<std::uint64_t>(service_ns) * kTenants);
+    acfg.bucket_burst = 16;
+    // One reap period holds 8 service times of admitted work across 4
+    // tenants, so ~2 admitted-unreaped requests per tenant is the
+    // pre-knee high-water mark; 10 leaves one period of jitter slack
+    // above it and everything beyond is overload.
+    acfg.global_inflight_budget = 10;
+    rig.host.install_admission(acfg);
+  }
+
+  const std::uint32_t offered = offered_requests();
+  const SimNs gap = service_ns * level.den / level.num;
+  // Reaps run on a fixed virtual-time cadence (below), so a request
+  // admitted on time waits at most one reap period plus its batch
+  // (~12 service times); the rest of the budget is the lateness
+  // headroom overload eats through before submissions go dead on
+  // arrival.
+  const SimNs reap_period = 8 * service_ns;
+  const SimNs deadline_budget = 24 * service_ns;
+
+  struct Pending {
+    SimNs submit_t = 0;
+    SimNs deadline = 0;
+  };
+  std::array<std::map<core::Frontend::Ticket, Pending>, kTenants> pend;
+  std::uint64_t sheds = 0;
+  std::uint64_t good = 0;
+  std::uint64_t reaped = 0;
+  std::vector<SimNs> latencies;
+  latencies.reserve(offered);
+
+  auto drain = [&](std::uint32_t t) {
+    for (const core::Frontend::Completion& c : fes[t]->poll_completions()) {
+      auto it = pend[t].find(c.ticket);
+      if (it == pend[t].end()) continue;
+      latencies.push_back(rig.host.clock.now() - it->second.submit_t);
+      // The device is the deadline authority: work it could not start
+      // by the wire deadline comes back as a typed TIMEOUT shed, so a
+      // zero status means the request was served in time.
+      if (c.status == 0) ++good;
+      ++reaped;
+      pend[t].erase(it);
     }
+  };
 
-    const std::uint32_t offered = offered_requests();
-    const SimNs gap = service_ns * level.den / level.num;
-    // Reaps run on a fixed virtual-time cadence (below), so a request
-    // admitted on time waits at most one reap period plus its batch
-    // (~12 service times); the rest of the budget is the lateness
-    // headroom overload eats through before submissions go dead on
-    // arrival.
-    const SimNs reap_period = 8 * service_ns;
-    const SimNs deadline_budget = 24 * service_ns;
-
-    struct Pending {
-      SimNs submit_t = 0;
-      SimNs deadline = 0;
-    };
-    std::array<std::map<core::Frontend::Ticket, Pending>, kTenants> pend;
-    std::uint64_t sheds = 0;
-    std::uint64_t good = 0;
-    std::uint64_t reaped = 0;
-    std::vector<SimNs> latencies;
-    latencies.reserve(offered);
-
-    auto drain = [&](std::uint32_t t) {
-      for (const core::Frontend::Completion& c :
-           fes[t]->poll_completions()) {
-        auto it = pend[t].find(c.ticket);
-        if (it == pend[t].end()) continue;
-        latencies.push_back(rig.host.clock.now() - it->second.submit_t);
-        // The device is the deadline authority: work it could not start
-        // by the wire deadline comes back as a typed TIMEOUT shed, so a
-        // zero status means the request was served in time.
-        if (c.status == 0) ++good;
-        ++reaped;
-        pend[t].erase(it);
-      }
-    };
-
-    const SimNs start = rig.host.clock.now();
-    // Reaps happen on a fixed virtual-time schedule, staggered per
-    // tenant, NOT per submission: that keeps the reap cadence identical
-    // across offered loads, so overload shows up as admitted-unreaped
-    // work piling up between reap turns rather than as a polling
-    // artifact of the generator.
-    std::array<SimNs, kTenants> next_reap{};
-    for (std::uint32_t t = 0; t < kTenants; ++t) {
-      next_reap[t] = start + (t + 1) * (reap_period / kTenants);
-    }
-    WallTimer timer;
-    for (std::uint32_t i = 0; i < offered; ++i) {
-      const SimNs arrival = start + static_cast<SimNs>(i) * gap;
-      if (rig.host.clock.now() < arrival) {
-        rig.host.clock.advance(arrival - rig.host.clock.now());
-      }
-      for (std::uint32_t t = 0; t < kTenants; ++t) {
-        if (rig.host.clock.now() >= next_reap[t]) {
-          drain(t);
-          next_reap[t] = rig.host.clock.now() + reap_period;
-        }
-      }
-      const std::uint32_t t = i % kTenants;
-      // The deadline keys off the intended arrival, not the (possibly
-      // late) submit: work the host cannot start on time is already dead.
-      const SimNs deadline = arrival + deadline_budget;
-      const core::Frontend::SubmitResult r =
-          fes[t]->try_submit_write(matrix_for(t, i / kTenants), deadline);
-      if (!r.ok()) {
-        ++sheds;
-        continue;
-      }
-      pend[t][r.ticket] = {rig.host.clock.now(), deadline};
+  const SimNs start = rig.host.clock.now();
+  // Reaps happen on a fixed virtual-time schedule, staggered per
+  // tenant, NOT per submission: that keeps the reap cadence identical
+  // across offered loads, so overload shows up as admitted-unreaped
+  // work piling up between reap turns rather than as a polling
+  // artifact of the generator.
+  std::array<SimNs, kTenants> next_reap{};
+  for (std::uint32_t t = 0; t < kTenants; ++t) {
+    next_reap[t] = start + (t + 1) * (reap_period / kTenants);
+  }
+  p.start_wall();
+  for (std::uint32_t i = 0; i < offered; ++i) {
+    const SimNs arrival = start + static_cast<SimNs>(i) * gap;
+    if (rig.host.clock.now() < arrival) {
+      rig.host.clock.advance(arrival - rig.host.clock.now());
     }
     for (std::uint32_t t = 0; t < kTenants; ++t) {
-      int idle = 0;
-      while (!pend[t].empty() && idle < 2) {
-        const std::size_t before = pend[t].size();
+      if (rig.host.clock.now() >= next_reap[t]) {
         drain(t);
-        idle = pend[t].size() == before ? idle + 1 : 0;
+        next_reap[t] = rig.host.clock.now() + reap_period;
       }
-      fes[t]->close();
     }
-    const double wall = timer.elapsed_ms();
-    const SimNs elapsed = rig.host.clock.now() - start;
-
-    const bool correct = reaped + sheds == offered;
-    std::sort(latencies.begin(), latencies.end());
-    const SimNs p99 =
-        latencies.empty()
-            ? 0
-            : latencies[(latencies.size() * 99 + 99) / 100 - 1];
-    const double goodput =
-        elapsed == 0 ? 0.0 : static_cast<double>(good) / ns_to_s(elapsed);
-    const double shed_ratio =
-        static_cast<double>(sheds) / static_cast<double>(offered);
-
-    state.SetIterationTime(ns_to_s(elapsed));
-    state.counters["correct"] = correct ? 1 : 0;
-    state.counters["goodput_ops"] = goodput;
-    state.counters["shed_ratio"] = shed_ratio;
-    state.counters["p99_admitted_ms"] = ns_to_ms(p99);
-    const std::string name = std::string("overload/adm:") +
-                             (admission_on ? "on" : "off") +
-                             "/load:" + level.label;
-    g_rows.push_back({name, elapsed, wall, goodput, shed_ratio, p99,
-                      admission_on, &level});
-    if (!correct) {
-      state.SkipWithError("requests lost: reaped + sheds != offered");
-      return;
+    const std::uint32_t t = i % kTenants;
+    // The deadline keys off the intended arrival, not the (possibly
+    // late) submit: work the host cannot start on time is already dead.
+    const SimNs deadline = arrival + deadline_budget;
+    const core::Frontend::SubmitResult r =
+        fes[t]->try_submit_write(matrix_for(t, i / kTenants), deadline);
+    if (!r.ok()) {
+      ++sheds;
+      continue;
     }
+    pend[t][r.ticket] = {rig.host.clock.now(), deadline};
   }
+  for (std::uint32_t t = 0; t < kTenants; ++t) {
+    int idle = 0;
+    while (!pend[t].empty() && idle < 2) {
+      const std::size_t before = pend[t].size();
+      drain(t);
+      idle = pend[t].size() == before ? idle + 1 : 0;
+    }
+    fes[t]->close();
+  }
+  p.stop_wall();
+  const SimNs elapsed = rig.host.clock.now() - start;
+
+  VPIM_CHECK(reaped + sheds == offered,
+             "requests lost: reaped + sheds != offered");
+  std::sort(latencies.begin(), latencies.end());
+  const SimNs p99 =
+      latencies.empty() ? 0
+                        : latencies[(latencies.size() * 99 + 99) / 100 - 1];
+  const double goodput =
+      elapsed == 0 ? 0.0 : static_cast<double>(good) / ns_to_s(elapsed);
+  const double shed_ratio =
+      static_cast<double>(sheds) / static_cast<double>(offered);
+
+  p.simulated_ns = elapsed;
+  p.add("goodput_ops", goodput, 1);
+  p.add("shed_ratio", shed_ratio, 4);
+  p.add("p99_admitted_ns", p99);
+  g_rows.push_back(
+      {p.name, elapsed, goodput, shed_ratio, p99, admission_on, &level});
 }
 
-void write_overload_json() {
-  std::vector<BenchPoint> points;
-  for (const Row& row : g_rows) {
-    BenchPoint& p =
-        points.emplace_back(row.name, row.simulated_ns, row.wall_ms);
-    p.add("goodput_ops", row.goodput_ops, 1);
-    p.add("shed_ratio", row.shed_ratio, 4);
-    p.add("p99_admitted_ns", row.p99_admitted_ns);
-  }
-  write_bench_json("overload", points);
-}
-
-const Row* find_row(bool admission_on, const char* label) {
+const Row& find_row(bool admission_on, const char* label) {
   for (const Row& row : g_rows) {
     if (row.admission_on == admission_on &&
         std::string(row.level->label) == label) {
-      return &row;
+      return row;
     }
   }
-  return nullptr;
+  fail(std::string("no overload point at ") + label);
 }
 
-bool print_summary() {
+void print_summary() {
   print_header(
       "Overload - offered-load sweep, admission on vs off (4 tenants)",
       "typed admission sheds the overflow before it costs anything; "
@@ -330,61 +289,40 @@ bool print_summary() {
                 row.goodput_ops, row.shed_ratio * 100.0,
                 ns_to_ms(row.p99_admitted_ns));
   }
+}
 
-  bool ok = true;
-  const Row* on_pre = find_row(true, "0.9x");
-  double plateau = on_pre != nullptr ? on_pre->goodput_ops : 0.0;
-  if (const Row* r = find_row(true, "0.5x")) {
-    plateau = std::max(plateau, r->goodput_ops);
-  }
+void check_claims(Figure& fig) {
+  const double plateau = std::max(find_row(true, "0.9x").goodput_ops,
+                                  find_row(true, "0.5x").goodput_ops);
   for (const char* label : {"2x", "4x"}) {
-    const Row* r = find_row(true, label);
-    if (r == nullptr || plateau <= 0.0) continue;
-    if (r->goodput_ops < 0.9 * plateau) {
-      std::fprintf(stderr,
-                   "FAIL: adm:on goodput at %s (%.1f/s) fell more than "
-                   "10%% below the pre-knee plateau (%.1f/s)\n",
-                   label, r->goodput_ops, plateau);
-      ok = false;
-    }
+    const double goodput = find_row(true, label).goodput_ops;
+    fig.claim(std::string("adm_on_goodput_within_10pct_of_plateau_at_") +
+                  label,
+              goodput >= 0.9 * plateau,
+              std::to_string(goodput) + "/s vs pre-knee plateau " +
+                  std::to_string(plateau) + "/s");
   }
-  const Row* on_4x = find_row(true, "4x");
-  const Row* off_4x = find_row(false, "4x");
-  if (on_4x != nullptr && off_4x != nullptr &&
-      off_4x->goodput_ops >= on_4x->goodput_ops) {
-    std::fprintf(stderr,
-                 "FAIL: admission-off control at 4x (%.1f/s) did not "
-                 "degrade below the protected lane (%.1f/s)\n",
-                 off_4x->goodput_ops, on_4x->goodput_ops);
-    ok = false;
-  }
-  return ok;
+  const double on_4x = find_row(true, "4x").goodput_ops;
+  const double off_4x = find_row(false, "4x").goodput_ops;
+  fig.claim("adm_off_control_degrades_below_adm_on_at_4x", off_4x < on_4x,
+            std::to_string(off_4x) + "/s vs " + std::to_string(on_4x) +
+                "/s");
 }
 
 }  // namespace
 }  // namespace vpim::bench
 
-int main(int argc, char** argv) {
+int main() {
   using namespace vpim::bench;
-  benchmark::Initialize(&argc, argv);
+  Figure fig("overload");
   for (const bool admission_on : {true, false}) {
     for (const Level& level : kLevels) {
-      const std::string name = std::string("overload/adm:") +
-                               (admission_on ? "on" : "off") +
-                               "/load:" + level.label;
-      benchmark::RegisterBenchmark(
-          name.c_str(),
-          [&level, admission_on](benchmark::State& state) {
-            run_overload(state, level, admission_on);
-          })
-          ->UseManualTime()
-          ->Iterations(1)
-          ->Unit(benchmark::kMillisecond);
+      fig.point(std::string("overload/adm:") + (admission_on ? "on" : "off") +
+                    "/load:" + level.label,
+                [&](BenchPoint& p) { run_overload(p, level, admission_on); });
     }
   }
-  benchmark::RunSpecifiedBenchmarks();
-  const bool ok = print_summary();
-  write_overload_json();
-  benchmark::Shutdown();
-  return ok ? 0 : 1;
+  print_summary();
+  check_claims(fig);
+  return fig.finish();
 }

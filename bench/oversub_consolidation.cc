@@ -5,8 +5,6 @@
 // capacity fail; with it, they run on emulated ranks and finish slower.
 // Both outcomes are asserted with claim(); the bench exits 1 when one
 // fails.
-#include <benchmark/benchmark.h>
-
 #include <cstring>
 #include <map>
 
@@ -64,44 +62,41 @@ SimNs run_tenant(core::Host& host, core::VpimVm& vm,
   return host.clock.now() - t0;
 }
 
-void run_cell(benchmark::State& state, std::uint32_t tenants,
-              bool oversubscribe) {
+void run_cell(BenchPoint& p, std::uint32_t tenants, bool oversubscribe) {
   const auto file_bytes = static_cast<std::uint64_t>(
       static_cast<double>(8 * kMiB) * env_scale());
-  for (auto _ : state) {
-    core::Host host(upmem::MachineConfig{}, CostModel{}, bench_manager());
-    core::VpimConfig config = core::VpimConfig::full();
-    config.oversubscribe = oversubscribe;
+  core::Host host(upmem::MachineConfig{}, CostModel{}, bench_manager());
+  core::VpimConfig config = core::VpimConfig::full();
+  config.oversubscribe = oversubscribe;
 
-    Cell cell;
-    std::vector<std::unique_ptr<core::VpimVm>> vms;
-    // Bind phase: every tenant claims its device up front and holds it.
-    for (std::uint32_t t = 0; t < tenants; ++t) {
-      vms.push_back(std::make_unique<core::VpimVm>(
-          host, vmm::VmmParams{.name = "tenant" + std::to_string(t)}, 1,
-          config));
-      if (!vms.back()->device(0).frontend.open()) ++cell.failed;
-    }
-    // Run phase.
-    const SimNs run_start = host.clock.now();
-    for (std::uint32_t t = 0; t < tenants; ++t) {
-      core::VpimVm& vm = *vms[t];
-      if (!vm.device(0).frontend.is_open()) continue;
-      const SimNs took = run_tenant(host, vm, file_bytes);
-      ++cell.completed;
-      if (vm.device(0).backend.emulated()) {
-        ++cell.emulated;
-        cell.emulated_time = took;
-      } else {
-        cell.physical_time = took;
-      }
-    }
-    g_cells[{tenants, oversubscribe}] = cell;
-    state.SetIterationTime(ns_to_s(host.clock.now() - run_start));
-    state.counters["completed"] = cell.completed;
-    state.counters["failed"] = cell.failed;
-    state.counters["emulated"] = cell.emulated;
+  Cell cell;
+  std::vector<std::unique_ptr<core::VpimVm>> vms;
+  // Bind phase: every tenant claims its device up front and holds it.
+  for (std::uint32_t t = 0; t < tenants; ++t) {
+    vms.push_back(std::make_unique<core::VpimVm>(
+        host, vmm::VmmParams{.name = "tenant" + std::to_string(t)}, 1,
+        config));
+    if (!vms.back()->device(0).frontend.open()) ++cell.failed;
   }
+  // Run phase.
+  const SimNs run_start = host.clock.now();
+  for (std::uint32_t t = 0; t < tenants; ++t) {
+    core::VpimVm& vm = *vms[t];
+    if (!vm.device(0).frontend.is_open()) continue;
+    const SimNs took = run_tenant(host, vm, file_bytes);
+    ++cell.completed;
+    if (vm.device(0).backend.emulated()) {
+      ++cell.emulated;
+      cell.emulated_time = took;
+    } else {
+      cell.physical_time = took;
+    }
+  }
+  g_cells[{tenants, oversubscribe}] = cell;
+  p.simulated_ns = host.clock.now() - run_start;
+  p.add("completed", cell.completed);
+  p.add("failed", cell.failed);
+  p.add("emulated", cell.emulated);
 }
 
 void print_summary() {
@@ -119,59 +114,47 @@ void print_summary() {
   }
 }
 
-bool check_claims() {
+void check_claims(Figure& fig) {
   const std::uint32_t ranks = upmem::MachineConfig{}.nr_ranks;
-  bool ok = true;
   for (const auto& [key, cell] : g_cells) {
     const auto [tenants, oversub] = key;
     const std::uint32_t beyond = tenants > ranks ? tenants - ranks : 0;
     const std::string name = "tenants_" + std::to_string(tenants);
     if (!oversub) {
-      ok &= claim(name + "_strict_fails_beyond_capacity",
-                  cell.failed == beyond && cell.completed == tenants - beyond,
-                  std::to_string(cell.failed) + " failed, " +
-                      std::to_string(beyond) + " beyond " +
-                      std::to_string(ranks) + " ranks");
+      fig.claim(name + "_strict_fails_beyond_capacity",
+                cell.failed == beyond && cell.completed == tenants - beyond,
+                std::to_string(cell.failed) + " failed, " +
+                    std::to_string(beyond) + " beyond " +
+                    std::to_string(ranks) + " ranks");
       continue;
     }
-    ok &= claim(name + "_oversub_completes_all",
-                cell.failed == 0 && cell.completed == tenants &&
-                    cell.emulated == beyond,
-                std::to_string(cell.completed) + " completed, " +
-                    std::to_string(cell.emulated) + " emulated");
+    fig.claim(name + "_oversub_completes_all",
+              cell.failed == 0 && cell.completed == tenants &&
+                  cell.emulated == beyond,
+              std::to_string(cell.completed) + " completed, " +
+                  std::to_string(cell.emulated) + " emulated");
     if (cell.emulated > 0) {
       const double slowdown = ratio(cell.emulated_time, cell.physical_time);
-      ok &= claim(name + "_emulated_at_least_2x_slower", slowdown >= 2.0,
-                  std::to_string(slowdown) + "x");
+      fig.claim(name + "_emulated_at_least_2x_slower", slowdown >= 2.0,
+                std::to_string(slowdown) + "x");
     }
   }
-  return ok;
 }
 
 }  // namespace
 }  // namespace vpim::bench
 
-int main(int argc, char** argv) {
+int main() {
   using namespace vpim::bench;
-  benchmark::Initialize(&argc, argv);
+  Figure fig("oversub_consolidation");
   for (std::uint32_t tenants : {8u, 12u, 16u}) {
     for (const bool oversubscribe : {false, true}) {
-      const std::string name =
-          "oversub/tenants:" + std::to_string(tenants) +
-          (oversubscribe ? "/oversub" : "/strict");
-      benchmark::RegisterBenchmark(
-          name.c_str(),
-          [tenants, oversubscribe](benchmark::State& state) {
-            run_cell(state, tenants, oversubscribe);
-          })
-          ->UseManualTime()
-          ->Iterations(1)
-          ->Unit(benchmark::kMillisecond);
+      fig.point("oversub/tenants:" + std::to_string(tenants) +
+                    (oversubscribe ? "/oversub" : "/strict"),
+                [&](BenchPoint& p) { run_cell(p, tenants, oversubscribe); });
     }
   }
-  benchmark::RunSpecifiedBenchmarks();
   print_summary();
-  const bool ok = check_claims();
-  benchmark::Shutdown();
-  return ok ? 0 : 1;
+  check_claims(fig);
+  return fig.finish();
 }

@@ -981,8 +981,7 @@ Frontend::SubmitResult Frontend::try_submit_read(
 
 bool Frontend::cancel(Ticket ticket) {
   VPIM_CHECK(open_, "cancel on an unlinked device");
-  SimClock& clock = vmm_.clock();
-  clock.advance(vmm_.cost().ioctl_ns);
+  DeviceOp op(*this, obs::SpanKind::kControl);
   // Cancellation only wins while the request is still staged (pre-
   // doorbell): the cancel flag is patched into the request block the
   // device has not read yet, and the backend completes it kCancelled

@@ -145,6 +145,7 @@ class Frontend {
   // request block, so the backend completes it kCancelled without
   // executing it; the completion reaps through the CQ like any other.
   // Returns false once the request is past the doorbell (or unknown).
+  // A control-class device-file op: one root span, no DeviceStats::ops.
   bool cancel(Ticket ticket);
   // Batched writes declared lost when a posted flush failed (the lossy-
   // timeout edge): one typed record per absorbed write. Accumulates until

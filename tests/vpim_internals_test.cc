@@ -412,6 +412,41 @@ TEST(Trace, WriteStepsAreTheTimeOfTheirSpans) {
                 tracer.total_for(obs::SpanKind::kBroadcast));
 }
 
+TEST(Trace, CancelChargesItsSyscallInsideOneControlRootSpan) {
+  // cancel() is a device-file op like the other entry points: the ioctl it
+  // charges is exactly one control-class root span, won or lost, and as
+  // no Fig 12 op it leaves DeviceStats::ops untouched.
+  VpimConfig config = VpimConfig::full();
+  config.queue_depth = 4;  // the submit stays staged, so cancel can win
+  Rig rig(config);
+  obs::Tracer tracer;
+  rig.host.attach_tracer(&tracer);
+  Frontend& fe = rig.fe();
+  auto buf = rig.vm.vmm().memory().alloc(4096);
+  const Frontend::Ticket ticket = fe.submit_write(
+      {driver::XferDirection::kToRank, {{0, 0, buf.data(), buf.size()}}});
+  const OpBreakdown ops_before = fe.stats().ops;
+
+  for (const bool wins : {true, false}) {
+    const std::size_t spans_before = tracer.spans().size();
+    const SimNs start = rig.host.clock.now();
+    EXPECT_EQ(fe.cancel(ticket), wins);
+    const SimNs advance = rig.host.clock.now() - start;
+    EXPECT_EQ(advance, rig.host.cost.ioctl_ns);
+    ASSERT_EQ(tracer.spans().size(), spans_before + 1) << "wins=" << wins;
+    const obs::Span& root = tracer.spans().back();
+    EXPECT_EQ(root.parent, 0u);
+    EXPECT_EQ(root.kind, obs::SpanKind::kControl);
+    EXPECT_EQ(root.start, start);
+    EXPECT_EQ(root.duration, advance);
+  }
+  EXPECT_EQ(fe.stats().ops.op_count, ops_before.op_count);
+  EXPECT_EQ(fe.stats().ops.op_time, ops_before.op_time);
+  EXPECT_EQ(fe.stats().cancelled, 0u);  // counted when the backend sheds it
+  EXPECT_EQ(fe.poll_completions().size(), 1u);
+  EXPECT_EQ(fe.stats().cancelled, 1u);
+}
+
 TEST(Trace, RootSpansKeepTheirTenantAcrossATracerClear) {
   // Two VMs share one tracer. Clearing it empties the tenant table, so a
   // tag must be interned again at the next op rather than reused by index.
