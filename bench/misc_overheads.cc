@@ -15,7 +15,7 @@ double g_frontend_mb_per_dpu = 0;
 SimNs g_alloc = 0, g_reset = 0;
 
 void bench_boot(BenchPoint& p) {
-  core::Host host;
+  core::Host host(upmem::MachineConfig{}, bench_cost());
   core::VpimVm plain(host, {.name = "plain"}, 0);
   core::VpimVm with(host, {.name = "with"}, 1);
   g_boot_plain = plain.boot_duration();
@@ -35,7 +35,7 @@ void bench_frontend_memory(BenchPoint& p) {
 }
 
 void bench_manager_alloc(BenchPoint& p) {
-  core::Host host;
+  core::Host host(upmem::MachineConfig{}, bench_cost());
   const SimNs t0 = host.clock.now();
   auto mapping = host.manager.request_rank("bench-vm");
   VPIM_CHECK(mapping.has_value(), "allocation failed");
@@ -44,7 +44,7 @@ void bench_manager_alloc(BenchPoint& p) {
 }
 
 void bench_rank_reset(BenchPoint& p) {
-  core::Host host;
+  core::Host host(upmem::MachineConfig{}, bench_cost());
   {
     auto mapping = host.manager.request_rank("bench-vm");
     VPIM_CHECK(mapping.has_value(), "allocation failed");

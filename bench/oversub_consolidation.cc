@@ -65,7 +65,7 @@ SimNs run_tenant(core::Host& host, core::VpimVm& vm,
 void run_cell(BenchPoint& p, std::uint32_t tenants, bool oversubscribe) {
   const auto file_bytes = static_cast<std::uint64_t>(
       static_cast<double>(8 * kMiB) * env_scale());
-  core::Host host(upmem::MachineConfig{}, CostModel{}, bench_manager());
+  core::Host host(upmem::MachineConfig{}, bench_cost(), bench_manager());
   core::VpimConfig config = core::VpimConfig::full();
   config.oversubscribe = oversubscribe;
 

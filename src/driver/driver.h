@@ -113,16 +113,22 @@ class RankMapping {
   // same way at any bandwidth; only virtual time differs.
   void set_gbps(double gbps) { gbps_ = gbps; }
 
-  // Scatter/gather data transfer for the whole matrix (one fixed software
-  // cost per call, plus streaming time). With `defer`, all virtual-time
-  // costs and fault hooks fire as usual but the physical copies are parked
-  // in the backlog for a batched replay (pipelined backend drain). `pins`
-  // turns a read's copies into pins (copy_banks).
+  // The one physical stream entry: every host<->MRAM movement on this
+  // mapping passes here once, before its bytes move. Injected transfer
+  // faults fire first (a kRankDeath one fails the rank), so a retry sees
+  // unchanged banks; then one fixed software cost plus `bytes` at the
+  // mapping's bandwidth is charged under a driver.xfer span. Returns the
+  // rank to copy into (copy_banks, broadcast_banks).
+  upmem::Rank& stream(std::uint64_t bytes, std::uint32_t entries);
+
+  // Scatter/gather data transfer for the whole matrix: stream, then
+  // copy_banks. With `defer`, the physical copies are parked in the
+  // backlog for a batched replay; `pins` turns a read's copies into pins.
   void transfer(const TransferMatrix& matrix, CopyBacklog* defer = nullptr,
                 std::span<upmem::MramBank::Pin> pins = {});
 
   // Same payload to every DPU (UPMEM broadcast transfers). Physically the
-  // host still writes each bank, so virtual time scales with nr_dpus.
+  // host still writes each bank, so the stream is nr_dpus payloads long.
   void broadcast(std::uint64_t mram_offset, std::span<const std::uint8_t> data);
 
   // Control-interface operations; each charges the perf-mode CI cost.
@@ -144,9 +150,6 @@ class RankMapping {
   // Only UpmemDriver::map_rank builds a mapping, so every mapping owns the
   // rank it names and unmaps it exactly once.
   RankMapping(UpmemDriver& drv, std::uint32_t rank_index);
-  // The one physical stream entry of transfer and broadcast: fault hooks,
-  // then `bytes` charged at gbps_ under a driver.xfer span.
-  upmem::Rank& stream(std::uint64_t bytes, std::uint32_t entries);
 
   UpmemDriver* drv_ = nullptr;  // null once unmapped
   std::uint32_t rank_index_ = 0;

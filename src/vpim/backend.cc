@@ -102,19 +102,13 @@ void Backend::unbind() {
   binding_.reset();
 }
 
-void Backend::data_transfer(const driver::TransferMatrix& matrix,
-                            std::span<upmem::MramBank::Pin> pins) {
-  if (driver::RankMapping* m = physical()) {
-    m->transfer(matrix, &backlog_, pins);
-    return;
-  }
-  // Emulated rank: plain host-memory copies, no interleave transform.
-  const std::uint64_t bytes = matrix.total_bytes();
-  VPIM_CHECK(bytes <= upmem::kMaxXferBytes,
-             "rank operations move at most 4 GiB");
+upmem::Rank& Backend::stream(std::uint64_t bytes, std::uint32_t entries) {
+  if (driver::RankMapping* m = physical()) return m->stream(bytes, entries);
+  // Emulated rank: plain host-memory copies at its own bandwidth, no
+  // interleave transform and no fault plan.
   vmm_.clock().advance(vmm_.cost().native_xfer_fixed_ns +
                        CostModel::bytes_time(bytes, binding_->gbps()));
-  driver::copy_banks(binding_->rank(), matrix, &backlog_, pins);
+  return binding_->rank();
 }
 
 void Backend::settle_prefetch(std::uint32_t dpu, std::uint64_t mram_offset,
@@ -129,19 +123,6 @@ void Backend::drop_prefetch() {
   if (!prefetch_live_) return;  // every write and launch lands here
   for (upmem::MramBank::Pin& pin : prefetch_) pin = {};
   prefetch_live_ = false;
-}
-
-void Backend::data_broadcast(std::uint64_t mram_offset,
-                             std::span<const std::uint8_t> data) {
-  if (driver::RankMapping* m = physical()) {
-    m->broadcast(mram_offset, data);
-    return;
-  }
-  upmem::Rank& rank = binding_->rank();
-  vmm_.clock().advance(
-      vmm_.cost().native_xfer_fixed_ns +
-      CostModel::bytes_time(data.size() * rank.nr_dpus(), binding_->gbps()));
-  driver::broadcast_banks(rank, mram_offset, data);
 }
 
 void Backend::check_deadline(const WireRequest& req) {
@@ -441,8 +422,9 @@ void Backend::handle_rank_op(const virtio::DescChain& chain,
       std::max<std::uint32_t>(1, cost.backend_op_threads);
   clock.advance(entry_batches * cost.backend_per_entry_ns);
 
-  // Faults fire at the serial RankMapping entry points inside; recovery
-  // re-runs the whole movement block so a migrated binding is re-resolved.
+  // Faults fire at the binding's stream entry inside, before any bytes
+  // move; recovery re-runs the whole movement block so a migrated binding
+  // is re-resolved.
   run_with_recovery([&] {
     if ((req.flags & kWireFlagBatched) != 0) {
       data_span.set_kind(obs::SpanKind::kBatchApply);
@@ -471,8 +453,12 @@ void Backend::handle_rank_op(const virtio::DescChain& chain,
     if (broadcast) {
       data_span.set_kind(obs::SpanKind::kBroadcast);
       backlog_.flush();  // broadcasts write banks outside the backlog
+      // The host still writes every bank: one stream of nr_dpus payloads.
       const HvaSegment& seg = matrix.entries[0].segments[0];
-      data_broadcast(matrix.entries[0].mram_offset, {seg.first, seg.second});
+      const auto banks = static_cast<std::uint32_t>(matrix.entries.size());
+      driver::broadcast_banks(stream(seg.second * banks, banks),
+                              matrix.entries[0].mram_offset,
+                              {seg.first, seg.second});
     } else {
       driver::TransferMatrix& xfer = xfer_scratch_;
       xfer.entries.clear();
@@ -486,13 +472,18 @@ void Backend::handle_rank_op(const virtio::DescChain& chain,
           mram += len;
         }
       }
+      const std::uint64_t bytes = xfer.total_bytes();
+      VPIM_CHECK(bytes <= upmem::kMaxXferBytes,
+                 "rank operations move at most 4 GiB");
+      upmem::Rank& dst =
+          stream(bytes, static_cast<std::uint32_t>(xfer.entries.size()));
       const bool fill = !is_write && (req.flags & kWireFlagPrefetch) != 0;
       if (fill && one_segment_each) {
         prefetch_live_ = true;
-        data_transfer(xfer, prefetch_);
+        driver::copy_banks(dst, xfer, &backlog_, prefetch_);
         return;
       }
-      data_transfer(xfer);
+      driver::copy_banks(dst, xfer, &backlog_);
       if (fill) {
         // The fill copied eagerly: its DPUs' cache segments must settle
         // nothing, so their pins go once every parked pin has landed.
@@ -514,11 +505,9 @@ void Backend::apply_batched_writes(const DeserializeResult& matrix) {
   VPIM_REQUEST_CHECK(matrix.direction == driver::XferDirection::kToRank,
                      virtio::PimStatus::kBadRequest,
                      "batched flush must be a write");
-  const CostModel& cost = vmm_.cost();
-  // Stream cost for the whole batch payload.
-  vmm_.clock().advance(
-      cost.native_xfer_fixed_ns +
-      CostModel::bytes_time(matrix.total_bytes, binding_->gbps()));
+  // The whole batch payload, record headers included, is one stream.
+  upmem::Rank& rank = stream(
+      matrix.total_bytes, static_cast<std::uint32_t>(matrix.entries.size()));
 
   // Parse every DPU's batch region into its records before any bank
   // changes, so a malformed batch is rejected whole; the records then
@@ -563,7 +552,7 @@ void Backend::apply_batched_writes(const DeserializeResult& matrix) {
       off += hdr.size;
     }
   }
-  driver::copy_banks(binding_->rank(), records);
+  driver::copy_banks(rank, records);
 }
 
 void Backend::handle_ci(const virtio::DescChain& chain,

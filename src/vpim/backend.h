@@ -169,12 +169,13 @@ class Backend {
   std::uint32_t response_rank() {
     return physical() != nullptr ? physical()->rank_index() : 0xFFFFFFFFu;
   }
-  // Data movement over the active binding (cost + storage); `pins` turns
-  // a read into prefetch pins (driver::copy_banks).
-  void data_transfer(const driver::TransferMatrix& matrix,
-                     std::span<upmem::MramBank::Pin> pins = {});
-  void data_broadcast(std::uint64_t mram_offset,
-                      std::span<const std::uint8_t> data);
+  // The binding's one stream entry. Every host<->MRAM movement of a
+  // request (transfer, broadcast, batched flush) charges `bytes` here once,
+  // then copies into the returned rank (driver::copy_banks,
+  // driver::broadcast_banks). On a mapping it is RankMapping::stream, with
+  // its fault hooks and driver.xfer span; an emulated rank charges the
+  // same formula at its own bandwidth and consults no fault plan.
+  upmem::Rank& stream(std::uint64_t bytes, std::uint32_t entries);
 
   // --- fault recovery (ISSUE 3) -----------------------------------------
   // Runs `op`, absorbing injected faults: transient faults retry with

@@ -517,7 +517,7 @@ TEST_F(DeterminismTest, GoldenDevicePathCapture) {
   for (unsigned t : thread_sweep()) {
     const GoldenCapture got = run_device_session(t);
     EXPECT_TRUE(got.correct) << "threads=" << t;
-    EXPECT_EQ(got.span_digest, 0x3105fdbc410f8897ULL) << "threads=" << t;
+    EXPECT_EQ(got.span_digest, 0xe4a4d8607f78883dULL) << "threads=" << t;
     EXPECT_EQ(got.metrics, 0x5402545d797a73aaULL) << "threads=" << t;
     EXPECT_EQ(got.stats, 0xf631b6c3fa8dc3ceULL) << "threads=" << t;
     EXPECT_EQ(got.clock_end, SimNs{2751031760}) << "threads=" << t;

@@ -2,8 +2,8 @@
 // succeed, or fail typed once the retry budget is spent, permanent rank
 // death migrates the wrank with data intact, exhausted capacity surfaces a
 // typed DEVICE_FAULT, lost completions hit the frontend's poll deadline,
-// and the whole fault pipeline stays bit-identical across VPIM_THREADS
-// settings.
+// a transfer fault at a batched flush recovers like any transfer, and the
+// whole fault pipeline stays bit-identical across VPIM_THREADS settings.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -224,6 +224,106 @@ TEST(FaultInjection, RankDeathWithoutSpareCapacityFailsTyped) {
     EXPECT_EQ(e.status(),
               static_cast<std::int32_t>(virtio::PimStatus::kUnbound));
   }
+}
+
+// ---- faults at a batched flush ------------------------------------------
+
+// Batching on, prefetch off: small writes land in the frontend's batch
+// buffers, so a rank's first transfer is the batched flush.
+VpimConfig batching_config() {
+  VpimConfig cfg = plain_config();
+  cfg.request_batching = true;
+  return cfg;
+}
+
+constexpr std::uint32_t kBatchDpus = 4;
+constexpr std::uint64_t kBatchSpan = 4 * kKiB;
+
+// Twelve small, partly overlapping writes to DPUs 0..3, absorbed into the
+// batch buffers, then flushed by a status read (a CI op lands the batch
+// before it runs). Returns what each DPU's first kBatchSpan MRAM bytes must
+// hold.
+std::vector<std::vector<std::uint8_t>> batched_writes_then_flush(VpimVm& vm) {
+  Frontend& fe = vm.device(0).frontend;
+  std::vector<std::vector<std::uint8_t>> oracle(
+      kBatchDpus, std::vector<std::uint8_t>(kBatchSpan, 0));
+  auto buf = vm.vmm().memory().alloc(256);
+  for (std::uint32_t i = 0; i < 12; ++i) {
+    const std::uint32_t dpu = i % kBatchDpus;
+    const std::uint64_t off = (i / kBatchDpus) * 64;
+    const std::uint64_t size = 32 + 16 * i;
+    for (std::uint64_t b = 0; b < size; ++b) {
+      buf[b] = static_cast<std::uint8_t>(i * 37 + b);
+    }
+    driver::TransferMatrix w;
+    w.direction = driver::XferDirection::kToRank;
+    w.entries.push_back({dpu, off, buf.data(), size});
+    fe.write_to_rank(w);
+    std::memcpy(oracle[dpu].data() + off, buf.data(), size);
+  }
+  EXPECT_EQ(vm.device(0).stats.batched_writes, 12u);
+  fe.ci_running_mask();
+  return oracle;
+}
+
+void expect_banks_hold(VpimVm& vm,
+                       const std::vector<std::vector<std::uint8_t>>& oracle) {
+  auto out = vm.vmm().memory().alloc(kBatchSpan);
+  for (std::uint32_t d = 0; d < kBatchDpus; ++d) {
+    driver::TransferMatrix r;
+    r.direction = driver::XferDirection::kFromRank;
+    r.entries.push_back({d, 0, out.data(), out.size()});
+    vm.device(0).frontend.read_from_rank(r);
+    EXPECT_EQ(std::memcmp(out.data(), oracle[d].data(), kBatchSpan), 0)
+        << "DPU " << d;
+  }
+}
+
+TEST(FaultInjection, MramEccAtABatchedFlushRetries) {
+  Host host(machine(1), CostModel{}, fast_manager());
+  host.install_fault_plan({{FaultKind::kMramEcc, 0, 0, /*at_op=*/1}});
+  VpimVm vm(host, {.name = "flt-batch-ecc"}, 1, batching_config());
+  ASSERT_TRUE(vm.device(0).frontend.open());
+
+  const auto oracle = batched_writes_then_flush(vm);
+  EXPECT_EQ(vm.device(0).stats.fault_retries, 1u);
+  EXPECT_EQ(vm.device(0).stats.fault_failures, 0u);
+  EXPECT_EQ(host.fault_plan->fired_count(FaultKind::kMramEcc), 1u);
+  expect_banks_hold(vm, oracle);
+}
+
+TEST(FaultInjection, RankDeathAtABatchedFlushMigrates) {
+  Host host(machine(2), CostModel{}, fast_manager());
+  host.install_fault_plan({{FaultKind::kRankDeath, 0, 0, /*at_op=*/1}});
+  VpimVm vm(host, {.name = "flt-batch-death"}, 1, batching_config());
+  ASSERT_TRUE(vm.device(0).frontend.open());
+  ASSERT_EQ(vm.device(0).backend.rank_index(), 0u);
+
+  const auto oracle = batched_writes_then_flush(vm);
+  EXPECT_EQ(vm.device(0).stats.fault_migrations, 1u);
+  EXPECT_EQ(vm.device(0).stats.fault_failures, 0u);
+  EXPECT_EQ(vm.device(0).backend.rank_index(), 1u);
+  EXPECT_TRUE(host.machine.rank(0).failed());
+  expect_banks_hold(vm, oracle);
+}
+
+TEST(FaultInjection, EmulatedBatchedFlushFiresNoFault) {
+  Host host(machine(1), CostModel{}, fast_manager());
+  host.install_fault_plan({{FaultKind::kMramEcc, 0, 0, /*at_op=*/1},
+                           {FaultKind::kRankDeath, 0, 0, /*at_op=*/1}});
+  VpimVm hog(host, {.name = "flt-hog"}, 1);
+  ASSERT_TRUE(hog.device(0).frontend.open());
+  VpimConfig cfg = batching_config();
+  cfg.oversubscribe = true;
+  VpimVm vm(host, {.name = "flt-batch-emu"}, 1, cfg);
+  ASSERT_TRUE(vm.device(0).frontend.open());
+  ASSERT_TRUE(vm.device(0).backend.emulated());
+
+  const auto oracle = batched_writes_then_flush(vm);
+  EXPECT_EQ(vm.device(0).stats.fault_retries, 0u);
+  EXPECT_EQ(vm.device(0).stats.fault_migrations, 0u);
+  EXPECT_TRUE(host.fault_plan->fired().empty());
+  expect_banks_hold(vm, oracle);
 }
 
 TEST(FaultInjection, LostCompletionHitsThePollDeadline) {

@@ -12,6 +12,7 @@
 #include <cstring>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
@@ -39,10 +40,11 @@ core::ManagerConfig fast_manager() {
 
 // Frontend buffering off so the blocking reference issues exactly one
 // message per op — the shape the async path must reproduce at depth 1.
-core::VpimConfig depth_config(std::uint32_t depth) {
+// `batching` turns the batch buffers back on (property 3's batching axis).
+core::VpimConfig depth_config(std::uint32_t depth, bool batching = false) {
   core::VpimConfig cfg = core::VpimConfig::full();
   cfg.prefetch_cache = false;
-  cfg.request_batching = false;
+  cfg.request_batching = batching;
   cfg.queue_depth = depth;
   return cfg;
 }
@@ -409,6 +411,7 @@ bool typed_status(std::int32_t status) {
 // Everything observable about one async execution under a fault schedule.
 struct FaultRunResult {
   std::vector<std::int32_t> statuses;            // per ticket, in order
+  std::vector<std::int32_t> absorbed;  // per blocking batched write, in order
   std::vector<std::vector<std::uint8_t>> reads;  // per read op, in order
   // Blocking read-back of every written region after the run, per write op
   // in order: the status, and the bytes when it succeeded.
@@ -417,9 +420,14 @@ struct FaultRunResult {
   SimNs clock_end = 0;
 };
 
-// One async execution under the generated fault schedule.
+// One async execution under the generated fault schedule. With
+// `batching`, every other write is a blocking write_to_rank instead of a
+// ticket: the frontend absorbs it into its batch buffers, and the next op
+// flushes them, so injected faults can land on batched flushes. Those
+// writes are checked by the read-back.
 FaultRunResult run_async_with_faults(const FaultSeqCase& c,
-                                     std::uint32_t depth = 8) {
+                                     std::uint32_t depth = 8,
+                                     bool batching = false) {
   core::Host host(test::small_machine(), CostModel{}, fast_manager());
   FaultPlanConfig cfg;
   cfg.seed = c.fault_seed;
@@ -430,7 +438,7 @@ FaultRunResult run_async_with_faults(const FaultSeqCase& c,
   // nr_ranks=1 aims every event at rank 0 — the rank the device binds —
   // so the schedule actually fires; a death migrates onto rank 1.
   host.install_fault_plan(FaultPlan::generate(cfg, /*nr_ranks=*/1));
-  VpimVm vm(host, {.name = "prop-pipe-flt"}, 1, depth_config(depth));
+  VpimVm vm(host, {.name = "prop-pipe-flt"}, 1, depth_config(depth, batching));
   Frontend& fe = vm.device(0).frontend;
   require(fe.open(), "fault rig: no rank available");
 
@@ -441,7 +449,9 @@ FaultRunResult run_async_with_faults(const FaultSeqCase& c,
   };
   guest::GuestMemory& mem = vm.vmm().memory();
   std::map<Frontend::Ticket, Slot> pending;
-  std::vector<Frontend::Ticket> order;
+  std::vector<std::pair<Frontend::Ticket, bool>> order;  // (ticket, write)
+  FaultRunResult out;
+  bool absorb = false;
   for (const OpShape& op : c.seq.ops) {
     std::span<std::uint8_t> buf = mem.alloc(op_bytes(op));
     if (op.is_write) {
@@ -454,10 +464,23 @@ FaultRunResult run_async_with_faults(const FaultSeqCase& c,
         op, buf,
         op.is_write ? driver::XferDirection::kToRank
                     : driver::XferDirection::kFromRank);
+    if (op.is_write && batching) absorb = !absorb;
+    if (op.is_write && absorb) {
+      std::int32_t status = 0;
+      try {
+        fe.write_to_rank(m);
+      } catch (const VpimStatusError& e) {
+        status = e.status();  // a failed earlier posted flush surfaces here
+      }
+      require(typed_status(status),
+              "untyped blocking write status " + std::to_string(status));
+      out.absorbed.push_back(status);
+      continue;
+    }
     const Frontend::Ticket t =
         op.is_write ? fe.submit_write(m) : fe.submit_read(m);
     require(pending.emplace(t, Slot{buf}).second, "duplicate ticket");
-    order.push_back(t);
+    order.emplace_back(t, op.is_write);
   }
 
   std::size_t reaped = 0;
@@ -481,16 +504,15 @@ FaultRunResult run_async_with_faults(const FaultSeqCase& c,
     }
   }
 
-  FaultRunResult out;
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    const Slot& slot = pending.at(order[i]);
+  for (const auto& [t, is_write] : order) {
+    const Slot& slot = pending.at(t);
     require(slot.completions == 1,
             "ticket reaped " + std::to_string(slot.completions) +
                 " times under faults");
     require(typed_status(slot.status),
             "untyped completion status " + std::to_string(slot.status));
     out.statuses.push_back(slot.status);
-    if (!c.seq.ops[i].is_write) {
+    if (!is_write) {
       out.reads.emplace_back(slot.buf.begin(), slot.buf.end());
     }
   }
@@ -517,6 +539,7 @@ FaultRunResult run_async_with_faults(const FaultSeqCase& c,
 void require_same_fault_run(const FaultRunResult& a, const FaultRunResult& b,
                             const std::string& what) {
   require(a.statuses == b.statuses, "fault statuses " + what);
+  require(a.absorbed == b.absorbed, "batched write statuses " + what);
   require(a.reads == b.reads, "read bytes under faults " + what);
   require(a.readback_statuses == b.readback_statuses,
           "read-back statuses under faults " + what);
@@ -529,12 +552,15 @@ TEST(PropPipeline, EveryTicketReapsExactlyOnceUnderFaults) {
   const auto out = run_property<FaultSeqCase>(
       "pipeline.fault_ticket_accounting", params, fault_seq_gen(),
       [&](const FaultSeqCase& c) {
-        const FaultRunResult first = run_async_with_faults(c);
-        const FaultRunResult second = run_async_with_faults(c);
-        require_same_fault_run(first, second,
-                               "are not reproducible for a fixed seed");
-        require(first.clock_end == second.clock_end,
-                "virtual time under faults is not reproducible");
+        for (const bool batching : {false, true}) {
+          const std::string axis = batching ? " (batching on)" : "";
+          const FaultRunResult first = run_async_with_faults(c, 8, batching);
+          const FaultRunResult second = run_async_with_faults(c, 8, batching);
+          require_same_fault_run(
+              first, second, "are not reproducible for a fixed seed" + axis);
+          require(first.clock_end == second.clock_end,
+                  "virtual time under faults is not reproducible" + axis);
+        }
       },
       show_fault_case);
   EXPECT_TRUE(out.ok) << out.reproducer;

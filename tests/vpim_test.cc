@@ -697,6 +697,23 @@ TEST(PinnedPrefetch, FlagOnABatchedFlushIsIgnored) {
   });
 }
 
+TEST(BatchedFlush, MalformedBatchIsRejectedWhole) {
+  RawRig r;
+  const std::vector<std::uint8_t> before = r.banks();
+  // A valid first record, then a second whose header claims more payload
+  // than the region holds.
+  auto region = pattern(r.mem(), 2 * sizeof(BatchRecordHeader) + 316, 13);
+  const BatchRecordHeader first{100, 300};
+  const BatchRecordHeader second{5000, 64};
+  std::memcpy(region.data(), &first, sizeof(first));
+  std::memcpy(region.data() + sizeof(first) + 300, &second, sizeof(second));
+  driver::TransferMatrix m;
+  m.entries.push_back({0, 0, region.data(), region.size()});
+  EXPECT_EQ(r.run(r.stage(m, kWireFlagBatched)).status,
+            static_cast<std::int32_t>(virtio::PimStatus::kBadRequest));
+  EXPECT_TRUE(r.banks() == before);
+}
+
 TEST(PinnedPrefetch, FlagOnAMultiSegmentReadIsIgnored) {
   expect_prefetch_flag_ignored([](RawRig& r, std::uint32_t flag) {
     write_at(r.dev().frontend, 0, 0, pattern(r.mem(), 8 * kKiB, 9));
