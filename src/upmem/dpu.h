@@ -32,9 +32,10 @@ class Dpu {
   // model asynchrony by deferring visibility until the finish time.
   SimNs run(std::uint32_t nr_tasklets, const CostModel& cost);
 
-  // Host access to a WRAM symbol (control-interface path). Symbols sit in
-  // one block in the loaded kernel's declaration order, so a lookup scans
-  // its 1-3 declarations instead of a per-DPU name map.
+  // Host access to a WRAM symbol (control-interface path, and a kernel's
+  // first use of a name in each launch; DpuCtx keeps what it resolved).
+  // Symbols sit in one block in the loaded kernel's declaration order, so
+  // a lookup scans its 1-3 declarations instead of a per-DPU name map.
   std::span<std::uint8_t> symbol_bytes(std::string_view name);
 
   // WRAM left for the tasklet heap after symbol storage.

@@ -88,8 +88,16 @@ void DpuCtx::charge_dma(std::size_t bytes) {
                             dma_cycles_per_byte_ * static_cast<double>(bytes));
 }
 
-std::span<std::uint8_t> DpuCtx::symbol_bytes(std::string_view name) {
-  return dpu_.symbol_bytes(name);
+std::span<std::uint8_t> DpuCtx::symbol_bytes(SymbolLiteral name) {
+  const char* const key = name.view().data();
+  for (std::size_t i = 0; i < nr_resolved_; ++i) {
+    if (resolved_[i].name == key) return resolved_[i].bytes;
+  }
+  const std::span<std::uint8_t> bytes = dpu_.symbol_bytes(name.view());
+  if (nr_resolved_ < resolved_.size()) {
+    resolved_[nr_resolved_++] = {key, bytes};
+  }
+  return bytes;
 }
 
 void DpuCtx::begin_stage() {

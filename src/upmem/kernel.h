@@ -13,6 +13,7 @@
 // tasklet at least kPipelineDepth cycles apart.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -38,6 +39,20 @@ enum class SymbolLocation : std::uint8_t { kWram, kMram };
 struct SymbolDecl {
   std::string name;
   std::uint32_t size = 0;  // bytes (WRAM symbols only)
+};
+
+// A WRAM symbol name as a kernel spells it: a string literal, or a
+// constexpr pointer to one. The constructor is consteval, so the
+// characters are immutable static data and two names at one address are
+// the same name; DpuCtx resolves a repeated name by comparing addresses.
+class SymbolLiteral {
+ public:
+  // Implicit, so kernels write ctx.var<T>("name").
+  consteval SymbolLiteral(const char* name) : name_(name) {}
+  std::string_view view() const { return name_; }
+
+ private:
+  std::string_view name_;
 };
 
 // Name of the implicit MRAM heap symbol, mirroring the SDK's
@@ -69,14 +84,14 @@ class DpuCtx {
   // Typed access to a host-visible WRAM symbol. Tasklets of one DPU share
   // symbol storage, like UPMEM __host variables.
   template <typename T>
-  T& var(std::string_view name, std::uint32_t index = 0) {
+  T& var(SymbolLiteral name, std::uint32_t index = 0) {
     return vars<T>(name, index, 1)[0];
   }
 
   // Elements [first, first + count) of a WRAM symbol array: one symbol
   // lookup for a loop that would otherwise call var() per element.
   template <typename T>
-  std::span<T> vars(std::string_view name, std::uint32_t first,
+  std::span<T> vars(SymbolLiteral name, std::uint32_t first,
                     std::uint32_t count) {
     auto bytes = symbol_bytes(name);
     VPIM_CHECK((std::uint64_t{first} + count) * sizeof(T) <= bytes.size(),
@@ -84,7 +99,9 @@ class DpuCtx {
     return {reinterpret_cast<T*>(bytes.data()) + first, count};
   }
 
-  std::span<std::uint8_t> symbol_bytes(std::string_view name);
+  // The first use of a name in this launch resolves it through
+  // Dpu::symbol_bytes; later uses of the same literal compare addresses.
+  std::span<std::uint8_t> symbol_bytes(SymbolLiteral name);
 
   // Charges `instructions` pipeline instructions to the calling tasklet.
   // Kernels call this alongside their real C++ computation so the DPU
@@ -115,6 +132,16 @@ class DpuCtx {
   std::uint64_t window_page_ = kNoPage;
   const std::uint8_t* window_ = nullptr;
   std::uint8_t* window_writable_ = nullptr;  // null while read-only
+
+  // Symbols this launch resolved, keyed by the address of their literal.
+  // Kernels declare 1-3 symbols; a name past the last entry is resolved on
+  // every use, as before.
+  struct ResolvedSymbol {
+    const char* name = nullptr;
+    std::span<std::uint8_t> bytes;
+  };
+  std::array<ResolvedSymbol, 4> resolved_{};
+  std::size_t nr_resolved_ = 0;
 };
 
 using StageFn = std::function<void(DpuCtx&)>;

@@ -66,6 +66,11 @@ std::span<std::uint8_t, kMramPageSize> MramBank::writable_page_bytes(
   return page_for_write(page_index).bytes;
 }
 
+bool MramBank::resident(std::uint64_t page_index) const {
+  check_page(page_index);
+  return find(page_index) != nullptr;
+}
+
 MramBank::Pin MramBank::pin(std::uint64_t offset, std::uint64_t size) const {
   check_range(offset, size);
   Pin pin;
@@ -103,7 +108,12 @@ void MramBank::write(std::uint64_t offset, std::span<const std::uint8_t> in) {
     const std::uint64_t page = dst / kMramPageSize;
     const std::uint64_t in_page = dst % kMramPageSize;
     const std::uint64_t n = std::min(remaining, kMramPageSize - in_page);
-    mram_copy(page_for_write(page).bytes.data() + in_page, src, n);
+    // Zeros stored onto an absent page leave it absent: it reads as zero
+    // already, so there is nothing to materialize.
+    if (find(page) != nullptr ||
+        std::memcmp(src, kZeroPage.bytes.data(), n) != 0) {
+      mram_copy(page_for_write(page).bytes.data() + in_page, src, n);
+    }
     dst += n;
     src += n;
     remaining -= n;

@@ -5,6 +5,16 @@
 // first write and broadcast transfers (same host buffer pushed to every DPU,
 // e.g. the UPMEM checksum demo) share immutable pages across banks.
 //
+// Writing zeros never materializes a page. An absent page reads as zero, so
+// write() leaves it absent when every byte it would store there is zero (a
+// KV service zeroing its slot headers on a freshly reset rank allocates
+// nothing). A page that is already materialized takes the zeros like any
+// other bytes, copy-on-write as usual. The one exception is
+// writable_page_bytes(), the DPU DMA window: it hands out a raw writable
+// pointer before the bytes are known, so it materializes the page
+// whatever the DMA then stores. Simulated time never depends on which
+// pages are materialized; this is a host-side representation choice.
+//
 // The bookkeeping is as sparse as the data. A bank's 16384 page refs sit in
 // a two-level directory of 128 leaves x 128 refs: the directory is an empty
 // vector until the bank's first write or adopt, and each leaf is allocated
@@ -83,7 +93,8 @@ class MramBank {
   // Pins `size` bytes starting at `offset`: shares the pages, copies none.
   Pin pin(std::uint64_t offset, std::uint64_t size) const;
 
-  // Writes `in.size()` bytes starting at `offset` (copy-on-write).
+  // Writes `in.size()` bytes starting at `offset` (copy-on-write). A page
+  // that is absent stays absent when the bytes stored in it are all zero.
   void write(std::uint64_t offset, std::span<const std::uint8_t> in);
 
   // Shares pre-built immutable pages starting at page-aligned `offset`.
@@ -99,6 +110,8 @@ class MramBank {
 
   // Number of materialized pages, for memory accounting.
   std::size_t resident_pages() const { return touched_.size(); }
+  // Whether page `page_index` is materialized (false: it reads as zero).
+  bool resident(std::uint64_t page_index) const;
 
  private:
   static constexpr std::uint64_t kLeafPages = 128;

@@ -47,13 +47,14 @@ std::optional<RankOp> rank_op_of(obs::SpanKind kind) {
 }
 }  // namespace
 
-Frontend::DeviceOp::DeviceOp(Frontend& fe, obs::SpanKind kind)
+Frontend::DeviceOp::DeviceOp(Frontend& fe, obs::SpanKind kind,
+                             bool request_open)
     : fe_(fe),
       tracer_(fe.tracer()),
       op_(rank_op_of(kind)),
       start_(fe.vmm_.clock().now()) {
   if (tracer_ != nullptr) {
-    tracer_->begin_request();
+    if (!request_open) tracer_->begin_request();
     tracer_->begin_span(kind, start_);
     tracer_->top().tenant = tracer_->intern(fe.tag_);
   }
@@ -889,7 +890,8 @@ void Frontend::ci_push_symbols(driver::XferDirection dir,
 
 Frontend::Ticket Frontend::submit_async(const driver::TransferMatrix& matrix,
                                         bool is_write, SimNs deadline_ns,
-                                        bool admitted, SimNs admit_t0) {
+                                        bool admitted, SimNs admit_t0,
+                                        bool request_open) {
   VPIM_CHECK(open_, is_write ? "write-to-rank on an unlinked device"
                              : "read-from-rank on an unlinked device");
   if (is_write) {
@@ -901,7 +903,8 @@ Frontend::Ticket Frontend::submit_async(const driver::TransferMatrix& matrix,
   }
   check_dpus(matrix);
   SimClock& clock = vmm_.clock();
-  DeviceOp op(*this, is_write ? obs::SpanKind::kWrite : obs::SpanKind::kRead);
+  DeviceOp op(*this, is_write ? obs::SpanKind::kWrite : obs::SpanKind::kRead,
+              request_open);
   op.set_bytes(matrix.total_bytes());
   op.set_entries(static_cast<std::uint32_t>(matrix.entries.size()));
   // Any write makes cached MRAM contents stale; batched writes must not
@@ -926,12 +929,14 @@ Frontend::Ticket Frontend::submit_async(const driver::TransferMatrix& matrix,
 
 Frontend::Ticket Frontend::submit_write(const driver::TransferMatrix& matrix) {
   return submit_async(matrix, /*is_write=*/true, /*deadline_ns=*/0,
-                      /*admitted=*/false, /*admit_t0=*/0);
+                      /*admitted=*/false, /*admit_t0=*/0,
+                      /*request_open=*/false);
 }
 
 Frontend::Ticket Frontend::submit_read(const driver::TransferMatrix& matrix) {
   return submit_async(matrix, /*is_write=*/false, /*deadline_ns=*/0,
-                      /*admitted=*/false, /*admit_t0=*/0);
+                      /*admitted=*/false, /*admit_t0=*/0,
+                      /*request_open=*/false);
 }
 
 Frontend::SubmitResult Frontend::try_submit(
@@ -939,7 +944,9 @@ Frontend::SubmitResult Frontend::try_submit(
   VPIM_CHECK(open_, "try_submit on an unlinked device");
   SimClock& clock = vmm_.clock();
   // The admission decision is real work on the submit path: charge it and
-  // make it visible on its own trace lane, shed or not.
+  // make it visible on its own trace lane, shed or not, under the request
+  // it admits (a shed request ends with its admission span).
+  if (tracer() != nullptr) tracer()->begin_request();
   bool admitted = false;
   {
     obs::ScopedSpan aspan(tracer(), clock, obs::SpanKind::kAdmission);
@@ -966,7 +973,8 @@ Frontend::SubmitResult Frontend::try_submit(
     }
   }
   return {0, submit_async(matrix, is_write, deadline_ns, admitted,
-                          admitted ? clock.now() : 0)};
+                          admitted ? clock.now() : 0,
+                          /*request_open=*/true)};
 }
 
 Frontend::SubmitResult Frontend::try_submit_write(

@@ -225,8 +225,11 @@ class Frontend {
                               SimNs deadline_ns = 0);
   // Shared body of submit_*/try_submit_*: admission bookkeeping rides in
   // `admitted`/`admit_t0`; the plain submit_* path passes none.
+  // try_submit opens the request itself, so its admission span carries the
+  // request it admits, and passes `request_open`.
   Ticket submit_async(const driver::TransferMatrix& matrix, bool is_write,
-                      SimNs deadline_ns, bool admitted, SimNs admit_t0);
+                      SimNs deadline_ns, bool admitted, SimNs admit_t0,
+                      bool request_open);
   SubmitResult try_submit(const driver::TransferMatrix& matrix,
                           bool is_write, SimNs deadline_ns);
   // Parses the batch buffers into typed LostWrite records and retires
@@ -274,14 +277,15 @@ class Frontend {
 
   // One device-file operation, accounted once when it ends, however it
   // ends (returned, rejected or thrown). Construction opens the request
-  // scope and its root span, tagged with this device's tenant (interned
-  // per op: a cleared tracer forgets its tags), and charges the syscall.
+  // scope (unless the caller opened it: `request_open`) and its root span,
+  // tagged with this device's tenant (interned per op: a cleared tracer
+  // forgets its tags), and charges the syscall.
   // Destruction adds a CI, R-rank or W-rank op's interval to
   // DeviceStats::ops and its vpim_op_ns histogram, then ends the span, so
   // root spans and Fig 12's ops agree to the nanosecond by construction.
   class DeviceOp {
    public:
-    DeviceOp(Frontend& fe, obs::SpanKind kind);
+    DeviceOp(Frontend& fe, obs::SpanKind kind, bool request_open = false);
     DeviceOp(const DeviceOp&) = delete;
     DeviceOp& operator=(const DeviceOp&) = delete;
     ~DeviceOp();

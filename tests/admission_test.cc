@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <vector>
 
 #include "common/fault.h"
+#include "common/obs/trace.h"
 #include "tests/testutil.h"
 #include "virtio/pim_spec.h"
 #include "vpim/admission.h"
@@ -194,6 +196,41 @@ TEST(AdmissionEndToEnd, TrySubmitShedsTypedAndNothingIsLost) {
   for (const auto& c : done) EXPECT_EQ(c.status, 0);
   EXPECT_TRUE(fe.try_submit_write(m).ok());
   EXPECT_EQ(host.admission->stats().completed, 2u);
+  fe.close();
+}
+
+// The admission span belongs to the request it admits: it carries the
+// admitted write's causal id, not the previous op's, and a shed request's
+// admission span has a request id of its own.
+TEST(AdmissionEndToEnd, AdmissionSpanCarriesTheRequestItAdmits) {
+  Host host(test::small_machine());
+  AdmissionConfig acfg;
+  acfg.global_inflight_budget = 1;
+  host.install_admission(acfg);
+  obs::Tracer tracer;
+  host.attach_tracer(&tracer);
+  VpimVm vm(host, {.name = "adm"}, 1, pipe_config(/*depth=*/4));
+  Frontend& fe = vm.device(0).frontend;
+  ASSERT_TRUE(fe.open());
+
+  auto buf = vm.vmm().memory().alloc(512);
+  const auto m = one_entry(buf, driver::XferDirection::kToRank);
+  ASSERT_TRUE(fe.try_submit_write(m).ok());
+  ASSERT_EQ(fe.try_submit_write(m).status,
+            static_cast<std::int32_t>(PimStatus::kOverloaded));
+
+  std::vector<std::uint64_t> admissions;
+  std::vector<std::uint64_t> writes;
+  for (const obs::Span& s : tracer.spans()) {
+    if (s.kind == obs::SpanKind::kAdmission) admissions.push_back(s.request);
+    if (s.kind == obs::SpanKind::kWrite && s.parent == 0) {
+      writes.push_back(s.request);
+    }
+  }
+  ASSERT_EQ(admissions.size(), 2u);
+  ASSERT_EQ(writes.size(), 1u);
+  EXPECT_EQ(admissions[0], writes[0]);
+  EXPECT_GT(admissions[1], writes[0]);
   fe.close();
 }
 

@@ -1,4 +1,5 @@
-// KvService hot-key cache: configuration checks and eviction order.
+// KvService hot-key cache (configuration checks and eviction order) and
+// the MRAM pages a service materializes.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -6,6 +7,7 @@
 #include "common/error.h"
 #include "kv/kv_service.h"
 #include "tests/testutil.h"
+#include "upmem/rank.h"
 #include "vpim/host.h"
 #include "vpim/vpim_vm.h"
 
@@ -85,6 +87,44 @@ TEST(KvCache, EvictsLeastRecentlyUsedNotFirstInserted) {
   EXPECT_TRUE(get(a)) << "evicted by insertion order instead of recency";
   EXPECT_FALSE(get(b)) << "b should have been evicted";
   EXPECT_EQ(svc.stats().cache_hits, 2u);
+  svc.close();
+}
+
+// open() zeroes every slot header. On a freshly reset rank those bytes
+// already read as zero, so the open materializes no MRAM page; a PUT then
+// materializes its own slot's page and no other slot's.
+TEST(KvService, ZeroedSlotHeadersMaterializeNoPage) {
+  KvRig rig;
+  KvConfig cfg = small_config();
+  cfg.slot_capacity = 256;  // every slot header on a page of its own
+  KvService svc(rig.vm.device(0).frontend, rig.vm.vmm().memory(),
+                rig.host.clock, rig.host.cost, rig.host.obs, cfg);
+  ASSERT_TRUE(svc.open());
+  upmem::Rank& rank =
+      rig.host.machine.rank(rig.vm.device(0).backend.rank_index());
+  std::size_t resident = 0;
+  for (std::uint32_t d = 0; d < rank.nr_dpus(); ++d) {
+    resident += rank.mram(d).resident_pages();
+  }
+  EXPECT_EQ(resident, 0u) << "open materialized zero slot headers";
+
+  constexpr std::uint64_t kKey = 7;
+  const std::vector<KvOp> put = {{KvOpKind::kPut, kKey, 1, 0}};
+  ASSERT_EQ(svc.execute(put)[0].status, KvStatus::kOk);
+
+  // Partitions start round-robin: partition p lives in slot p / nr_dpus.
+  const KvLayout layout = KvLayout::of(cfg);
+  const std::uint32_t partition = partition_of(kKey, cfg.partitions);
+  const std::uint32_t put_dpu = svc.partition_dpu(partition);
+  const std::uint64_t put_page =
+      (partition / cfg.nr_dpus) * layout.region / upmem::kMramPageSize;
+  const std::uint64_t slot_pages = layout.inbox_off / upmem::kMramPageSize;
+  for (std::uint32_t d = 0; d < rank.nr_dpus(); ++d) {
+    for (std::uint64_t page = 0; page < slot_pages; ++page) {
+      EXPECT_EQ(rank.mram(d).resident(page), d == put_dpu && page == put_page)
+          << "dpu " << d << " slot page " << page;
+    }
+  }
   svc.close();
 }
 

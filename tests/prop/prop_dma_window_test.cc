@@ -5,7 +5,8 @@
 //
 //  - DMAs are 1 B to 8 KiB at unaligned MRAM and WRAM offsets, inside one
 //    page (the window path) or across pages (the bank path), around the
-//    leaf boundary (pages 127/128) and at the bank's last pages;
+//    leaf boundary (pages 127/128) and at the bank's last pages; a quarter
+//    of the writes store only zeros;
 //  - every DPU first reads, writes and re-reads one page of a broadcast
 //    page set that all banks adopted, then reads a page, writes across its
 //    end and reads it again, all in one stage;
@@ -13,7 +14,7 @@
 //    snapshot, so every page the kernel writes is shared when it starts.
 //
 // After the launch: each DPU's WRAM read results, its bank bytes and
-// resident page count, the shared page set, every pin and the snapshot
+// materialized pages, the shared page set, every pin and the snapshot
 // match the oracle, and each DPU's modelled duration matches the DMA cost
 // formula (64 fixed cycles plus the streaming cycles per transfer, under
 // the pipeline rule of Dpu::run).
@@ -71,7 +72,7 @@ constexpr std::uint64_t kSharedPage = 127;
 
 struct Oracle {
   std::array<std::vector<std::uint8_t>, kWindows.size()> bytes;
-  std::set<std::uint64_t> materialized;  // pages the oracle has written
+  std::set<std::uint64_t> materialized;  // pages the bank must hold
 
   Oracle() {
     for (std::size_t w = 0; w < kWindows.size(); ++w) {
@@ -87,11 +88,16 @@ struct Oracle {
     }
     throw PropViolation("address outside the oracle windows");
   }
-  void write(std::uint64_t addr, const std::vector<std::uint8_t>& data) {
+  // A store through the bank path (MramBank::write) materializes only the
+  // pages it puts a non-zero byte in; `every_page` is for the DMA window
+  // and adoption, which materialize every page they cover.
+  void write(std::uint64_t addr, const std::vector<std::uint8_t>& data,
+             bool every_page = false) {
     std::memcpy(at(addr), data.data(), data.size());
-    for (std::uint64_t p = addr / kMramPageSize;
-         p <= (addr + data.size() - 1) / kMramPageSize; ++p) {
-      materialized.insert(p);
+    for (std::uint64_t i = 0; i < data.size(); ++i) {
+      if (every_page || data[i] != 0) {
+        materialized.insert((addr + i) / kMramPageSize);
+      }
     }
   }
   std::vector<std::uint8_t> read(std::uint64_t addr, std::uint64_t size) {
@@ -121,8 +127,8 @@ DmaOp make_op(Rng& r, bool write, const Window& window, std::uint64_t off,
   op.size = size;
   op.wram_off = static_cast<std::uint64_t>(r.uniform(0, 7));
   if (write) {
-    op.data.resize(size);
-    r.fill_bytes(op.data.data(), size);
+    op.data.resize(size);  // zero-filled
+    if (r.uniform(0, 3) != 0) r.fill_bytes(op.data.data(), size);
   }
   return op;
 }
@@ -218,7 +224,7 @@ void run_plan_stage(DpuCtx& ctx, const Plan& plan, std::uint32_t stage,
   }
 }
 
-// Compares `bank`'s window bytes and resident pages with `oracle`.
+// Compares `bank`'s window bytes and materialized pages with `oracle`.
 void check_bank(const MramBank& bank, const Oracle& oracle,
                 const std::string& who) {
   for (std::size_t w = 0; w < kWindows.size(); ++w) {
@@ -235,6 +241,15 @@ void check_bank(const MramBank& bank, const Oracle& oracle,
   require(bank.resident_pages() == oracle.materialized.size(),
           who + " resident_pages " + std::to_string(bank.resident_pages()) +
               ", oracle " + std::to_string(oracle.materialized.size()));
+  for (const Window& win : kWindows) {
+    for (std::uint64_t p = win.first_page; p < win.first_page + win.pages;
+         ++p) {
+      require(bank.resident(p) == oracle.materialized.contains(p),
+              who + " page " + std::to_string(p) +
+                  (bank.resident(p) ? " materialized, oracle absent"
+                                    : " absent, oracle materialized"));
+    }
+  }
 }
 
 // `lose_a_write` plants a bug in the oracle: it drops DPU 0's first kernel
@@ -283,7 +298,8 @@ void run_case(const DmaCase& c, bool lose_a_write) {
       oracle[d].write(op.addr, op.data);
     }
     rank.mram(d).adopt_pages(kSharedPage * kMramPageSize, shared);
-    oracle[d].write(kSharedPage * kMramPageSize, shared_image);
+    oracle[d].write(kSharedPage * kMramPageSize, shared_image,
+                    /*every_page=*/true);
     // A live pin over a random range of either window.
     const Window& w = kWindows[static_cast<std::size_t>(setup.uniform(0, 1))];
     const auto off = static_cast<std::uint64_t>(
@@ -339,7 +355,9 @@ void run_case(const DmaCase& c, bool lose_a_write) {
           if (op.write && lose_next_write) {
             lose_next_write = false;
           } else if (op.write) {
-            oracle[d].write(op.addr, op.data);
+            const bool window =
+                op.addr % kMramPageSize + op.size <= kMramPageSize;
+            oracle[d].write(op.addr, op.data, window);
           } else {
             expected_reads[d].push_back(oracle[d].read(op.addr, op.size));
           }

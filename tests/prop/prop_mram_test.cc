@@ -1,14 +1,18 @@
 // MramBank model-based property: random op sequences over three banks —
 // unaligned writes and reads that straddle a leaf boundary (pages
-// 127/128) and the end of the bank, adoption of one shared build_pages
+// 127/128) and the end of the bank, all-zero writes (sub-page, whole-page
+// and page-straddling) that land on absent, materialized, adopted-shared
+// and pinned pages, adoption of one shared build_pages
 // set into several banks, clear, copy-construction (what Rank snapshots
 // do), copy-assignment and move-assignment (what load_snapshot does) —
 // driven against a dense per-bank byte oracle. After every step:
 //
 //  - every bank, and a parked snapshot copy, reads back exactly its
 //    oracle bytes;
-//  - resident_pages() equals the oracle's count of pages materialized
-//    since the bank's last clear;
+//  - the bank's materialized pages are exactly the oracle's: a write adds
+//    page p only if it stores a non-zero byte in p or p is already
+//    materialized, an adopt adds every page it covers, and a clear drops
+//    them all;
 //  - no write shows through a shared page or into a copy: the shared
 //    page set still holds its original bytes, and the snapshot its own;
 //  - every live pin (MramBank::pin of a random window range) reads exactly
@@ -55,7 +59,7 @@ constexpr std::array<Window, 2> kWindows = {kLeafEdge, kBankEnd};
 
 struct OracleBank {
   std::array<std::vector<std::uint8_t>, kWindows.size()> bytes;
-  std::set<std::uint64_t> materialized;  // pages since the last clear
+  std::set<std::uint64_t> materialized;  // bank pages since the last clear
 
   OracleBank() { clear(); }
   void clear() {
@@ -135,12 +139,34 @@ void check_tracked(const Tracked& t, const std::string& who) {
           who + " resident_pages " +
               std::to_string(t.bank.resident_pages()) + ", oracle " +
               std::to_string(t.oracle.materialized.size()));
+  for (const Window& win : kWindows) {
+    for (std::uint64_t p = win.first_page; p < win.first_page + win.pages;
+         ++p) {
+      require(t.bank.resident(p) == t.oracle.materialized.contains(p),
+              who + " page " + std::to_string(p) +
+                  (t.bank.resident(p) ? " materialized, oracle absent"
+                                      : " absent, oracle materialized"));
+    }
+  }
 }
 
+// Adoption materializes every page it covers, zero or not.
 void mark_pages(OracleBank& o, std::uint64_t offset, std::uint64_t len) {
   for (std::uint64_t p = offset / kMramPageSize;
        p <= (offset + len - 1) / kMramPageSize; ++p) {
     o.materialized.insert(p);
+  }
+}
+
+// Applies a write of `data` at window `w` offset `off` to the oracle: a
+// page joins the materialized set only if the write stores a non-zero
+// byte in it.
+void oracle_write(OracleBank& o, std::size_t w, std::uint64_t off,
+                  const std::vector<std::uint8_t>& data) {
+  std::memcpy(o.bytes[w].data() + off, data.data(), data.size());
+  const std::uint64_t base = kWindows[w].base() + off;
+  for (std::uint64_t i = 0; i < data.size(); ++i) {
+    if (data[i] != 0) o.materialized.insert((base + i) / kMramPageSize);
   }
 }
 
@@ -160,7 +186,7 @@ void run_case(const MramCase& c) {
 
   for (const std::uint64_t s : c.steps) {
     Rng r(s);
-    const int op = static_cast<int>(r.uniform(0, 8));
+    const int op = static_cast<int>(r.uniform(0, 9));
     const auto b = static_cast<std::size_t>(r.uniform(0, kBanks - 1));
     const auto w = static_cast<std::size_t>(r.uniform(0, kWindows.size() - 1));
     const Window& win = kWindows[w];
@@ -176,8 +202,41 @@ void run_case(const MramCase& c) {
         std::vector<std::uint8_t> data(len);
         r.fill_bytes(data.data(), data.size());
         t.bank.write(win.base() + off, data);
-        std::memcpy(t.oracle.bytes[w].data() + off, data.data(), len);
-        mark_pages(t.oracle, win.base() + off, len);
+        oracle_write(t.oracle, w, off, data);
+        break;
+      }
+      case 9: {  // all-zero write: sub-page, whole pages or straddling
+        const auto page = static_cast<std::uint64_t>(
+            r.uniform(0, static_cast<std::int64_t>(win.pages) - 1));
+        std::uint64_t off = page * kMramPageSize;
+        std::uint64_t len = 0;
+        switch (r.uniform(0, 2)) {
+          case 0: {  // inside one page
+            off += static_cast<std::uint64_t>(
+                r.uniform(0, kMramPageSize - 1));
+            len = static_cast<std::uint64_t>(r.uniform(
+                1, static_cast<std::int64_t>((page + 1) * kMramPageSize -
+                                             off)));
+            break;
+          }
+          case 1:  // one or two whole pages
+            len = std::min<std::uint64_t>(
+                static_cast<std::uint64_t>(r.uniform(1, 2)) * kMramPageSize,
+                win.bytes() - off);
+            break;
+          default: {  // across the end of a page
+            if (page + 1 == win.pages) break;
+            const auto before_end = static_cast<std::uint64_t>(
+                r.uniform(1, 64));
+            off += kMramPageSize - before_end;
+            len = before_end + static_cast<std::uint64_t>(r.uniform(1, 256));
+            break;
+          }
+        }
+        if (len == 0) break;
+        const std::vector<std::uint8_t> zeros(len, 0);
+        t.bank.write(win.base() + off, zeros);
+        oracle_write(t.oracle, w, off, zeros);
         break;
       }
       case 2: {  // unaligned read of an arbitrary sub-range

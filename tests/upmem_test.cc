@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstring>
 #include <numeric>
+#include <string>
 
 #include "common/rng.h"
 #include "tests/testutil.h"
@@ -372,6 +375,50 @@ TEST(DpuKernel, SymbolsHaveTheirDeclaredSizes) {
   EXPECT_THROW(dpu.symbol_bytes("no_such_symbol"), VpimError);
   dpu.reset();
   EXPECT_THROW(dpu.symbol_bytes("result"), VpimError);
+}
+
+// A launch resolves each name once and then matches it by the literal's
+// address. Two literals of one name at different addresses still reach
+// one symbol, a kernel with more symbols than DpuCtx keeps resolves every
+// one, and an undeclared name throws on every use.
+TEST(DpuKernel, KernelSymbolLookupsMatchByName) {
+  static constexpr char kFirst[] = "s0";
+  static constexpr char kSameName[] = "s0";
+  ASSERT_NE(static_cast<const void*>(kFirst),
+            static_cast<const void*>(kSameName));
+  DpuKernel kernel;
+  kernel.name = "symbol_lookups";
+  kernel.symbols = {{"s0", 4}, {"s1", 4}, {"s2", 4},
+                    {"s3", 4}, {"s4", 4}, {"s5", 4}};
+  int unknown_throws = 0;
+  kernel.stages.push_back([&](DpuCtx& ctx) {
+    if (ctx.me() != 0) return;
+    for (int round = 0; round < 2; ++round) {
+      ctx.var<std::uint32_t>("s5") += 6;
+      ctx.var<std::uint32_t>("s4") += 5;
+      ctx.var<std::uint32_t>("s3") += 4;
+      ctx.var<std::uint32_t>("s2") += 3;
+      ctx.var<std::uint32_t>("s1") += 2;
+      ctx.var<std::uint32_t>(kFirst) += 1;
+      ctx.var<std::uint32_t>(kSameName) += 10;
+      try {
+        ctx.var<std::uint32_t>("s6");
+      } catch (const VpimError&) {
+        ++unknown_throws;
+      }
+    }
+  });
+  Dpu dpu;
+  dpu.load(kernel);
+  dpu.run(2, CostModel{});
+  const std::array<std::uint32_t, 6> expected = {22, 4, 6, 8, 10, 12};
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const std::string name = "s" + std::to_string(i);
+    std::uint32_t v = 0;
+    std::memcpy(&v, dpu.symbol_bytes(name).data(), sizeof(v));
+    EXPECT_EQ(v, expected[i]) << name;
+  }
+  EXPECT_EQ(unknown_throws, 2);
 }
 
 #if defined(__SANITIZE_ADDRESS__)
