@@ -1,7 +1,5 @@
 #include "common/obs/metrics.h"
 
-#include <sstream>
-
 namespace vpim::obs {
 
 namespace {
@@ -81,21 +79,30 @@ const Labels kOverflowLabels = {{"overflow", "true"}};
 
 void Collection::counter(std::string_view name, const Labels& labels,
                          std::uint64_t value) {
-  samples_.push_back(
-      {std::string(name), labels, true, static_cast<std::int64_t>(value)});
+  add(name, true, labels, static_cast<std::int64_t>(value));
 }
 
 void Collection::gauge(std::string_view name, const Labels& labels,
                        std::int64_t value) {
-  samples_.push_back({std::string(name), labels, false, value});
+  add(name, false, labels, value);
 }
 
-MetricsRegistry::Family& MetricsRegistry::family(std::string_view name,
-                                                 Kind kind) {
+void Collection::add(std::string_view name, bool is_counter,
+                     const Labels& labels, std::int64_t value) {
+  for (Family& f : families_) {
+    if (f.name == name) {
+      f.samples.push_back({labels, value});
+      return;
+    }
+  }
+  families_.push_back({std::string(name), is_counter, {{labels, value}}});
+}
+
+MetricsRegistry::Family& MetricsRegistry::family(std::string_view name) {
   for (Family& f : families_) {
     if (f.name == name) return f;
   }
-  families_.push_back({std::string(name), kind, {}});
+  families_.push_back({std::string(name), {}});
   return families_.back();
 }
 
@@ -110,25 +117,16 @@ MetricsRegistry::Series& MetricsRegistry::series(Family& fam,
     for (Series& s : fam.series) {
       if (s.labels == kOverflowLabels) return s;
     }
-    fam.series.push_back({kOverflowLabels, {}, {}, {}});
+    fam.series.push_back({kOverflowLabels, {}});
     return fam.series.back();
   }
-  fam.series.push_back({labels, {}, {}, {}});
+  fam.series.push_back({labels, {}});
   return fam.series.back();
-}
-
-Counter& MetricsRegistry::counter(std::string_view name,
-                                  const Labels& labels) {
-  return series(family(name, Kind::kCounter), labels).counter;
-}
-
-Gauge& MetricsRegistry::gauge(std::string_view name, const Labels& labels) {
-  return series(family(name, Kind::kGauge), labels).gauge;
 }
 
 Histogram& MetricsRegistry::histogram(std::string_view name,
                                       const Labels& labels) {
-  return series(family(name, Kind::kHistogram), labels).histogram;
+  return series(family(name), labels).histogram;
 }
 
 MetricsRegistry::CollectorHandle MetricsRegistry::add_collector(
@@ -154,70 +152,62 @@ void MetricsRegistry::CollectorHandle::release() {
   }
 }
 
+Collection MetricsRegistry::collect() const {
+  Collection col;
+  for (const CollectorEntry& c : collectors_) c.fn(col);
+  return col;
+}
+
+std::size_t MetricsRegistry::family_count() const {
+  return families_.size() + collect().families_.size();
+}
+
 std::string MetricsRegistry::prometheus_text() const {
   std::string out;
   for (const Family& f : families_) {
     out += "# TYPE ";
     out += f.name;
-    out += f.kind == Kind::kCounter
-               ? " counter\n"
-               : (f.kind == Kind::kGauge ? " gauge\n" : " histogram\n");
+    out += " histogram\n";
     for (const Series& s : f.series) {
-      if (f.kind == Kind::kHistogram) {
-        std::uint64_t cumulative = 0;
-        for (std::size_t i = 0; i <= Histogram::kBuckets; ++i) {
-          cumulative += s.histogram.bucket_count(i);
-          Labels bl = s.labels;
-          bl.emplace_back(
-              "le", i == Histogram::kBuckets
-                        ? std::string("+Inf")
-                        : std::to_string(Histogram::upper_bound(i)));
-          out += f.name;
-          out += "_bucket";
-          append_labels(out, bl);
-          out += ' ';
-          out += std::to_string(cumulative);
-          out += '\n';
-        }
+      std::uint64_t cumulative = 0;
+      for (std::size_t i = 0; i <= Histogram::kBuckets; ++i) {
+        cumulative += s.histogram.bucket_count(i);
+        Labels bl = s.labels;
+        bl.emplace_back("le", i == Histogram::kBuckets
+                                  ? std::string("+Inf")
+                                  : std::to_string(Histogram::upper_bound(i)));
         out += f.name;
-        out += "_sum";
-        append_labels(out, s.labels);
+        out += "_bucket";
+        append_labels(out, bl);
         out += ' ';
-        out += std::to_string(s.histogram.sum());
-        out += '\n';
-        out += f.name;
-        out += "_count";
-        append_labels(out, s.labels);
-        out += ' ';
-        out += std::to_string(s.histogram.count());
-        out += '\n';
-      } else {
-        out += f.name;
-        append_labels(out, s.labels);
-        out += ' ';
-        out += std::to_string(f.kind == Kind::kCounter
-                                  ? static_cast<std::int64_t>(
-                                        s.counter.value())
-                                  : s.gauge.value());
+        out += std::to_string(cumulative);
         out += '\n';
       }
+      out += f.name;
+      out += "_sum";
+      append_labels(out, s.labels);
+      out += ' ';
+      out += std::to_string(s.histogram.sum());
+      out += '\n';
+      out += f.name;
+      out += "_count";
+      append_labels(out, s.labels);
+      out += ' ';
+      out += std::to_string(s.histogram.count());
+      out += '\n';
     }
   }
-  Collection col;
-  for (const CollectorEntry& c : collectors_) c.fn(col);
-  std::string_view last_name;
-  for (const Collection::Sample& s : col.samples_) {
-    if (s.name != last_name) {
-      out += "# TYPE ";
-      out += s.name;
-      out += s.is_counter ? " counter\n" : " gauge\n";
-      last_name = s.name;
+  for (const Collection::Family& f : collect().families_) {
+    out += "# TYPE ";
+    out += f.name;
+    out += f.is_counter ? " counter\n" : " gauge\n";
+    for (const Collection::Sample& s : f.samples) {
+      out += f.name;
+      append_labels(out, s.labels);
+      out += ' ';
+      out += std::to_string(s.value);
+      out += '\n';
     }
-    out += s.name;
-    append_labels(out, s.labels);
-    out += ' ';
-    out += std::to_string(s.value);
-    out += '\n';
   }
   return out;
 }
@@ -238,37 +228,26 @@ std::string MetricsRegistry::json_snapshot() const {
   };
   for (const Family& f : families_) {
     for (const Series& s : f.series) {
-      if (f.kind == Kind::kHistogram) {
-        emit_head(f.name, "histogram", s.labels);
-        out += ",\"count\":";
-        out += std::to_string(s.histogram.count());
-        out += ",\"sum\":";
-        out += std::to_string(s.histogram.sum());
-        out += ",\"buckets\":[";
-        for (std::size_t i = 0; i <= Histogram::kBuckets; ++i) {
-          if (i != 0) out += ',';
-          out += std::to_string(s.histogram.bucket_count(i));
-        }
-        out += "]}";
-      } else {
-        emit_head(f.name, f.kind == Kind::kCounter ? "counter" : "gauge",
-                  s.labels);
-        out += ",\"value\":";
-        out += std::to_string(
-            f.kind == Kind::kCounter
-                ? static_cast<std::int64_t>(s.counter.value())
-                : s.gauge.value());
-        out += '}';
+      emit_head(f.name, "histogram", s.labels);
+      out += ",\"count\":";
+      out += std::to_string(s.histogram.count());
+      out += ",\"sum\":";
+      out += std::to_string(s.histogram.sum());
+      out += ",\"buckets\":[";
+      for (std::size_t i = 0; i <= Histogram::kBuckets; ++i) {
+        if (i != 0) out += ',';
+        out += std::to_string(s.histogram.bucket_count(i));
       }
+      out += "]}";
     }
   }
-  Collection col;
-  for (const CollectorEntry& c : collectors_) c.fn(col);
-  for (const Collection::Sample& s : col.samples_) {
-    emit_head(s.name, s.is_counter ? "counter" : "gauge", s.labels);
-    out += ",\"value\":";
-    out += std::to_string(s.value);
-    out += '}';
+  for (const Collection::Family& f : collect().families_) {
+    for (const Collection::Sample& s : f.samples) {
+      emit_head(f.name, f.is_counter ? "counter" : "gauge", s.labels);
+      out += ",\"value\":";
+      out += std::to_string(s.value);
+      out += '}';
+    }
   }
   out += "]}";
   return out;

@@ -1,19 +1,21 @@
 // Process-wide metrics registry (DESIGN.md §"Observability").
 //
-// Counters, gauges and virtual-time histograms with deterministic
-// semantics: histogram buckets are fixed log2 boundaries (bucket index =
-// bit_width of the value), series are keyed by explicit label sets and
-// enumerated in registration order, and nothing reads the wall clock — so
-// two runs of the same workload export byte-identical text at any
-// VPIM_THREADS. Instruments must only be touched from the serial control
-// path (the SimClock contract); thread-pool bodies aggregate locally and
-// publish on the serial path.
+// Virtual-time histograms are the one registered instrument: fixed log2
+// bucket boundaries (bucket index = bit_width of the value), series keyed
+// by explicit label sets and enumerated in registration order. Nothing
+// reads the wall clock, so two runs of the same workload export
+// byte-identical text at any VPIM_THREADS. Histograms must only be touched
+// from the serial control path (the SimClock contract); thread-pool bodies
+// aggregate locally and publish on the serial path.
 //
-// Live stats structs that predate the registry (DeviceStats, ManagerStats)
-// are published through collectors: a callback registered with
-// add_collector() that contributes point-in-time samples at export. That
-// absorbs the scattered structs into one exporter without double
-// bookkeeping on the hot path.
+// Collectors are the one path for counters and gauges. The live stats
+// structs (DeviceStats, ManagerStats, KvStats, ...) are published through
+// a callback registered with add_collector() that contributes
+// point-in-time samples at export, so the hot path keeps one plain field
+// per counter and no second bookkeeping. Each exporter writes every family
+// once: the registered histograms first, then the collected families in
+// first-appearance order, each with all of its samples together whichever
+// collector emitted them.
 #pragma once
 
 #include <cstdint>
@@ -29,26 +31,6 @@
 namespace vpim::obs {
 
 using Labels = std::vector<std::pair<std::string, std::string>>;
-
-class Counter {
- public:
-  void inc(std::uint64_t n = 1) { value_ += n; }
-  std::uint64_t value() const { return value_; }
-  void reset() { value_ = 0; }
-
- private:
-  std::uint64_t value_ = 0;
-};
-
-class Gauge {
- public:
-  void set(std::int64_t v) { value_ = v; }
-  void add(std::int64_t d) { value_ += d; }
-  std::int64_t value() const { return value_; }
-
- private:
-  std::int64_t value_ = 0;
-};
 
 // Fixed log2-bucket histogram for virtual-time (or byte-size) samples.
 // Bucket i counts values with bit_width(v) == i, i.e. upper bounds
@@ -82,7 +64,9 @@ class Histogram {
   std::uint64_t sum_ = 0;
 };
 
-// A point-in-time sample sink passed to collectors at export time.
+// A point-in-time sample sink passed to collectors at export time. Samples
+// group by family name as they arrive: a family keeps the position of its
+// first sample, and later samples of it join that group.
 class Collection {
  public:
   void counter(std::string_view name, const Labels& labels,
@@ -92,23 +76,26 @@ class Collection {
  private:
   friend class MetricsRegistry;
   struct Sample {
-    std::string name;
     Labels labels;
-    bool is_counter = true;
     std::int64_t value = 0;
   };
-  std::vector<Sample> samples_;
+  struct Family {
+    std::string name;
+    bool is_counter = true;  // the first sample's kind names the family's
+    std::vector<Sample> samples;
+  };
+  void add(std::string_view name, bool is_counter, const Labels& labels,
+           std::int64_t value);
+  std::vector<Family> families_;  // first-appearance order
 };
 
 class MetricsRegistry {
  public:
-  // A family keeps at most this many labeled series; further label
+  // A histogram family keeps at most this many labeled series; further label
   // combinations all fold into one overflow series labeled
   // {"overflow"="true"} so a label-cardinality bug cannot eat memory.
   static constexpr std::size_t kMaxSeriesPerFamily = 64;
 
-  Counter& counter(std::string_view name, const Labels& labels = {});
-  Gauge& gauge(std::string_view name, const Labels& labels = {});
   Histogram& histogram(std::string_view name, const Labels& labels = {});
 
   // Registers a live-stats collector; the returned handle unregisters on
@@ -141,27 +128,25 @@ class MetricsRegistry {
   };
   CollectorHandle add_collector(Collector fn);
 
-  // Prometheus text exposition format, deterministic ordering.
+  // Prometheus text exposition format, deterministic ordering: one
+  // "# TYPE" line per family, followed by all of its samples.
   std::string prometheus_text() const;
-  // JSON snapshot of the same data.
+  // JSON snapshot of the same data, in the same family order.
   std::string json_snapshot() const;
 
-  std::size_t family_count() const { return families_.size(); }
+  // Families in one export: registered histograms plus collected ones.
+  std::size_t family_count() const;
 
  private:
   friend class CollectorHandle;
-  enum class Kind : std::uint8_t { kCounter, kGauge, kHistogram };
   struct Series {
     Labels labels;
-    Counter counter;
-    Gauge gauge;
     Histogram histogram;
   };
-  // Deques keep references returned by counter()/gauge()/histogram()
-  // stable while later registrations grow the registry.
+  // Deques keep references returned by histogram() stable while later
+  // registrations grow the registry.
   struct Family {
     std::string name;
-    Kind kind;
     std::deque<Series> series;  // registration order
   };
   struct CollectorEntry {
@@ -169,8 +154,9 @@ class MetricsRegistry {
     Collector fn;
   };
 
-  Family& family(std::string_view name, Kind kind);
+  Family& family(std::string_view name);
   Series& series(Family& fam, const Labels& labels);
+  Collection collect() const;
   void remove_collector(std::uint64_t id);
 
   std::deque<Family> families_;  // registration order

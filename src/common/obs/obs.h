@@ -15,8 +15,6 @@ namespace vpim::obs {
 struct Hub {
   Tracer* tracer = nullptr;
   MetricsRegistry metrics;
-
-  Tracer* trace() { return tracer; }
 };
 
 }  // namespace vpim::obs

@@ -242,17 +242,11 @@ class ScopedSpan {
   void set_bytes(std::uint64_t bytes) {
     if (tracer_ != nullptr) tracer_->top().bytes = bytes;
   }
-  void add_bytes(std::uint64_t bytes) {
-    if (tracer_ != nullptr) tracer_->top().bytes += bytes;
-  }
   void set_entries(std::uint32_t entries) {
     if (tracer_ != nullptr) tracer_->top().entries = entries;
   }
   void set_rank(std::uint32_t rank) {
     if (tracer_ != nullptr) tracer_->top().rank = rank;
-  }
-  void set_tenant(std::uint32_t tenant) {
-    if (tracer_ != nullptr) tracer_->top().tenant = tenant;
   }
   // Adopts a causal id carried in-band (e.g. WireRequest::request_id) when
   // the span was opened outside the originating request scope.

@@ -1,7 +1,5 @@
 #include "common/proptest/oracle.h"
 
-#include "common/error.h"
-
 namespace vpim::prop {
 namespace {
 
@@ -28,32 +26,6 @@ std::uint64_t load_u64(const std::uint8_t* p) {
 }
 
 }  // namespace
-
-void oracle_interleave(std::span<const std::uint8_t> src,
-                       std::span<std::uint8_t> dst) {
-  VPIM_CHECK(src.size() == dst.size(), "oracle buffers differ in size");
-  VPIM_CHECK(src.size() % 8 == 0, "oracle size not a multiple of 8");
-  const std::uint64_t words = src.size() / 8;
-  // One flat pass over every byte: byte i of the linear image belongs to
-  // word i/8 and chip i%8, and lands in that chip's contiguous stripe.
-  for (std::uint64_t i = 0; i < src.size(); ++i) {
-    const std::uint64_t word = i / 8;
-    const std::uint64_t chip = i % 8;
-    dst[chip * words + word] = src[i];
-  }
-}
-
-void oracle_deinterleave(std::span<const std::uint8_t> src,
-                         std::span<std::uint8_t> dst) {
-  VPIM_CHECK(src.size() == dst.size(), "oracle buffers differ in size");
-  VPIM_CHECK(src.size() % 8 == 0, "oracle size not a multiple of 8");
-  const std::uint64_t words = src.size() / 8;
-  for (std::uint64_t i = 0; i < dst.size(); ++i) {
-    const std::uint64_t word = i / 8;
-    const std::uint64_t chip = i % 8;
-    dst[i] = src[chip * words + word];
-  }
-}
 
 std::optional<OracleMatrix> oracle_deserialize(
     const std::vector<OracleDesc>& descs, const OracleMemReader& mem) {

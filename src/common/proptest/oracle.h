@@ -2,12 +2,11 @@
 //
 // Everything here is a deliberately naive, single-threaded
 // reimplementation of behaviour the production stack implements elsewhere
-// (upmem/interleave.cc, vpim/wire.cc, the cost charges spread across
-// frontend/backend/driver). It shares NO code with those paths — different
-// loop structures, byte-at-a-time data movement, field parsing at explicit
-// byte offsets, page counts via first/last-page transition counting — so a
-// bug has to be made twice, in two different shapes, to escape the
-// differential properties in tests/prop/.
+// (vpim/wire.cc, the cost charges spread across frontend/backend/driver).
+// It shares NO code with those paths — byte-at-a-time data movement, field
+// parsing at explicit byte offsets, page counts via first/last-page
+// transition counting — so a bug has to be made twice, in two different
+// shapes, to escape the differential properties in tests/prop/.
 //
 // Keep it slow and obvious. Do not "optimize" the oracle or refactor it to
 // reuse production helpers; its entire value is independence.
@@ -16,23 +15,12 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "common/cost_model.h"
 
 namespace vpim::prop {
-
-// ---- MRAM byte interleave (8 chips x 8-byte words) -----------------------
-//
-// Reference for upmem::interleave_*: walk every flat byte index once and
-// place it, instead of the production word/chip loop nest. n must be a
-// multiple of 8; src and dst must both hold n bytes.
-void oracle_interleave(std::span<const std::uint8_t> src,
-                       std::span<std::uint8_t> dst);
-void oracle_deinterleave(std::span<const std::uint8_t> src,
-                         std::span<std::uint8_t> dst);
 
 // ---- wire-format deserializer --------------------------------------------
 //

@@ -160,15 +160,12 @@ upmem::Rank& RankMapping::stream(std::uint64_t bytes, std::uint32_t entries) {
   return rank;
 }
 
-void RankMapping::transfer(const TransferMatrix& matrix, CopyBacklog* defer,
-                           std::span<upmem::MramBank::Pin> pins) {
+void RankMapping::transfer(const TransferMatrix& matrix) {
   const std::uint64_t bytes = matrix.total_bytes();
   VPIM_CHECK(bytes <= upmem::kMaxXferBytes,
              "rank operations move at most 4 GiB");
-  // A pipelined drain parks the copies for one batched replay at the end
-  // of the drain; every cost and fault fired normally either way.
   copy_banks(stream(bytes, static_cast<std::uint32_t>(matrix.entries.size())),
-             matrix, defer, pins);
+             matrix);
 }
 
 void RankMapping::broadcast(std::uint64_t mram_offset,

@@ -122,10 +122,8 @@ class RankMapping {
   upmem::Rank& stream(std::uint64_t bytes, std::uint32_t entries);
 
   // Scatter/gather data transfer for the whole matrix: stream, then
-  // copy_banks. With `defer`, the physical copies are parked in the
-  // backlog for a batched replay; `pins` turns a read's copies into pins.
-  void transfer(const TransferMatrix& matrix, CopyBacklog* defer = nullptr,
-                std::span<upmem::MramBank::Pin> pins = {});
+  // copy_banks.
+  void transfer(const TransferMatrix& matrix);
 
   // Same payload to every DPU (UPMEM broadcast transfers). Physically the
   // host still writes each bank, so the stream is nr_dpus payloads long.

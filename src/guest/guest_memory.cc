@@ -1,97 +1,48 @@
 #include "guest/guest_memory.h"
 
-#include <cstring>
-#include <utility>
-
-#if defined(__unix__) || defined(__APPLE__)
-#define VPIM_GUEST_MEMORY_MMAP 1
-#include <sys/mman.h>
-#endif
-
 namespace vpim::guest {
 
-GuestMemory::GuestMemory(std::uint64_t bytes) : size_(bytes) {
+GuestMemory::GuestMemory(std::uint64_t bytes) : ram_(bytes) {
   VPIM_CHECK(bytes % kGuestPageSize == 0,
              "guest RAM must be page-aligned in size");
   VPIM_CHECK(bytes >= 2 * kGuestPageSize, "guest RAM too small");
-#ifdef VPIM_GUEST_MEMORY_MMAP
-  // Demand-zero anonymous mapping: pages materialize (already zeroed) on
-  // first touch, so neither construction nor destruction scales with the
-  // configured guest size — only with the resident set.
-  void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
-                   MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
-  VPIM_CHECK(p != MAP_FAILED, "cannot map guest RAM");
-  base_ = static_cast<std::uint8_t*>(p);
-  mapped_ = true;
-#else
-  base_ = new std::uint8_t[bytes]();
-  mapped_ = false;
-#endif
-}
-
-GuestMemory::~GuestMemory() {
-  if (base_ == nullptr) return;
-#ifdef VPIM_GUEST_MEMORY_MMAP
-  if (mapped_) {
-    ::munmap(base_, size_);
-    return;
-  }
-#endif
-  delete[] base_;
-}
-
-GuestMemory::GuestMemory(GuestMemory&& other) noexcept
-    : base_(std::exchange(other.base_, nullptr)),
-      size_(std::exchange(other.size_, 0)),
-      mapped_(other.mapped_),
-      bump_(other.bump_) {}
-
-GuestMemory& GuestMemory::operator=(GuestMemory&& other) noexcept {
-  if (this != &other) {
-    this->~GuestMemory();
-    base_ = std::exchange(other.base_, nullptr);
-    size_ = std::exchange(other.size_, 0);
-    mapped_ = other.mapped_;
-    bump_ = other.bump_;
-  }
-  return *this;
 }
 
 std::span<std::uint8_t> GuestMemory::alloc(std::uint64_t bytes) {
   const std::uint64_t rounded =
       (bytes + kGuestPageSize - 1) / kGuestPageSize * kGuestPageSize;
-  VPIM_CHECK(bump_ + rounded <= size_, "guest RAM exhausted");
-  std::uint8_t* p = base_ + bump_;
+  VPIM_CHECK(bump_ + rounded <= ram_.size(), "guest RAM exhausted");
+  std::uint8_t* p = ram_.data() + bump_;
   bump_ += rounded;
   return {p, bytes};
 }
 
 std::uint8_t* GuestMemory::hva_of(std::uint64_t gpa) {
-  VPIM_CHECK(gpa < size_, "GPA out of guest RAM");
-  return base_ + gpa;
+  VPIM_CHECK(gpa < ram_.size(), "GPA out of guest RAM");
+  return ram_.data() + gpa;
 }
 
 const std::uint8_t* GuestMemory::hva_of(std::uint64_t gpa) const {
-  VPIM_CHECK(gpa < size_, "GPA out of guest RAM");
-  return base_ + gpa;
+  VPIM_CHECK(gpa < ram_.size(), "GPA out of guest RAM");
+  return ram_.data() + gpa;
 }
 
 std::uint8_t* GuestMemory::hva_range(std::uint64_t gpa, std::uint64_t len) {
-  VPIM_CHECK(len <= size_ && gpa <= size_ - len,
+  VPIM_CHECK(len <= ram_.size() && gpa <= ram_.size() - len,
              "GPA range leaves guest RAM");
-  return base_ + gpa;
+  return ram_.data() + gpa;
 }
 
 const std::uint8_t* GuestMemory::hva_range(std::uint64_t gpa,
                                            std::uint64_t len) const {
-  VPIM_CHECK(len <= size_ && gpa <= size_ - len,
+  VPIM_CHECK(len <= ram_.size() && gpa <= ram_.size() - len,
              "GPA range leaves guest RAM");
-  return base_ + gpa;
+  return ram_.data() + gpa;
 }
 
 std::uint64_t GuestMemory::gpa_of(const std::uint8_t* hva) const {
   VPIM_CHECK(contains(hva), "pointer is not into guest RAM");
-  return static_cast<std::uint64_t>(hva - base_);
+  return static_cast<std::uint64_t>(hva - ram_.data());
 }
 
 }  // namespace vpim::guest

@@ -4,12 +4,12 @@
 // can resolve them to guest physical page lists (the Fig 6/7 transfer
 // matrix) and the backend can translate GPA -> HVA without copying.
 //
-// The backing store is a demand-zero anonymous mapping, not an eagerly
-// zero-filled vector: a 2 GiB guest only pays (host RAM and wall-clock) for
-// the pages it actually touches, exactly like a real VMM's memslots. This
-// removes the dominant fixed cost of constructing a VM — benches build a
-// fresh VM per measurement, and memset'ing gigabytes per point used to dwarf
-// the request path being measured.
+// The backing store is demand-zero pages (common/zero_pages.h), not an
+// eagerly zero-filled vector: a 2 GiB guest only pays (host RAM and
+// wall-clock) for the pages it actually touches, exactly like a real VMM's
+// memslots. This removes the dominant fixed cost of constructing a VM —
+// benches build a fresh VM per measurement, and memset'ing gigabytes per
+// point used to dwarf the request path being measured.
 #pragma once
 
 #include <cstdint>
@@ -19,6 +19,7 @@
 
 #include "common/error.h"
 #include "common/units.h"
+#include "common/zero_pages.h"
 
 namespace vpim::guest {
 
@@ -27,14 +28,8 @@ inline constexpr std::uint64_t kGuestPageSize = 4 * kKiB;
 class GuestMemory {
  public:
   explicit GuestMemory(std::uint64_t bytes);
-  ~GuestMemory();
 
-  GuestMemory(const GuestMemory&) = delete;
-  GuestMemory& operator=(const GuestMemory&) = delete;
-  GuestMemory(GuestMemory&& other) noexcept;
-  GuestMemory& operator=(GuestMemory&& other) noexcept;
-
-  std::uint64_t size() const { return size_; }
+  std::uint64_t size() const { return ram_.size(); }
 
   // Allocates a guest-contiguous buffer (page-granular bump allocator).
   std::span<std::uint8_t> alloc(std::uint64_t bytes);
@@ -54,15 +49,13 @@ class GuestMemory {
   std::uint64_t gpa_of(const std::uint8_t* hva) const;
 
   bool contains(const std::uint8_t* hva) const {
-    return hva >= base_ && hva < base_ + size_;
+    return hva >= ram_.data() && hva < ram_.data() + ram_.size();
   }
 
   std::uint64_t allocated_bytes() const { return bump_; }
 
  private:
-  std::uint8_t* base_ = nullptr;
-  std::uint64_t size_ = 0;
-  bool mapped_ = false;  // base_ came from mmap (else operator new[])
+  ZeroPages ram_;
   std::uint64_t bump_ = kGuestPageSize;  // GPA 0 reserved (null-ish)
 };
 

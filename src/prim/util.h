@@ -51,11 +51,4 @@ void push_symbol(sdk::DpuSet& set, const std::string& symbol,
                 sdk::Target::symbol(symbol), sizeof(T));
 }
 
-// Same value to every DPU.
-template <typename T>
-void broadcast_symbol(sdk::DpuSet& set, const std::string& symbol,
-                      const T& value) {
-  set.broadcast(sdk::Target::symbol(symbol), bytes_of(value));
-}
-
 }  // namespace vpim::prim

@@ -81,8 +81,12 @@ std::vector<std::unique_ptr<RankDevice>> NativePlatform::alloc_ranks(
 }
 
 std::span<std::uint8_t> NativePlatform::alloc(std::size_t bytes) {
-  arena_.emplace_back(bytes, 0);
-  return {arena_.back().data(), arena_.back().size()};
+  if (bytes >= kOwnMappingBytes) {
+    mapped_arena_.emplace_back(bytes);
+    return {mapped_arena_.back().data(), bytes};
+  }
+  heap_arena_.emplace_back(bytes, 0);
+  return {heap_arena_.back().data(), bytes};
 }
 
 }  // namespace vpim::sdk

@@ -8,6 +8,8 @@
 #include <string>
 #include <vector>
 
+#include "common/units.h"
+#include "common/zero_pages.h"
 #include "driver/driver.h"
 #include "sdk/platform.h"
 
@@ -28,7 +30,15 @@ class NativePlatform : public Platform {
  private:
   driver::UpmemDriver& drv_;
   std::string app_name_;
-  std::deque<std::vector<std::uint8_t>> arena_;
+  // Application buffers of kOwnMappingBytes and more get a demand-zero
+  // mapping of their own; smaller ones live on the malloc heap, where the
+  // next run reuses what this one freed. Left to malloc, a buffer that
+  // large lands on the heap or in a mapping of its own depending on glibc's
+  // dynamic mmap threshold, that is on the sizes of earlier, unrelated
+  // allocations, and that choice alone moved peak RSS by up to 12%.
+  static constexpr std::size_t kOwnMappingBytes = 8 * kMiB;
+  std::deque<std::vector<std::uint8_t>> heap_arena_;
+  std::deque<ZeroPages> mapped_arena_;
 };
 
 }  // namespace vpim::sdk

@@ -31,11 +31,6 @@ namespace vpim::upmem {
 
 class Dpu;
 
-// Where a host-visible symbol lives. WRAM symbols are small variables
-// accessed through the control interface; the MRAM heap is the bulk data
-// region targeted by rank read/write operations.
-enum class SymbolLocation : std::uint8_t { kWram, kMram };
-
 struct SymbolDecl {
   std::string name;
   std::uint32_t size = 0;  // bytes (WRAM symbols only)
@@ -54,10 +49,6 @@ class SymbolLiteral {
  private:
   std::string_view name_;
 };
-
-// Name of the implicit MRAM heap symbol, mirroring the SDK's
-// DPU_MRAM_HEAP_POINTER_NAME.
-inline constexpr std::string_view kMramHeapSymbol = "__sys_used_mram_end";
 
 // Execution context handed to each tasklet.
 class DpuCtx {

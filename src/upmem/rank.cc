@@ -64,7 +64,7 @@ void Rank::ci_launch(std::uint64_t dpu_mask,
   // Pool bodies must not touch the tracer directly; per-DPU spans land in
   // per-index FanoutScope slots and merge in index order on this thread,
   // nested under one rank.launch span whose duration is the slowest DPU.
-  obs::Tracer* tracer = obs_ != nullptr ? obs_->trace() : nullptr;
+  obs::Tracer* tracer = obs_ != nullptr ? obs_->tracer : nullptr;
   if (tracer != nullptr) {
     tracer->begin_span(obs::SpanKind::kRankLaunch, start);
   }

@@ -11,8 +11,8 @@
 // models its occupancy as a set of busy *intervals* rather than a single
 // cursor. *Host* concurrency is separate: a dispatched handler's leaf work
 // (DPU kernel execution, per-bank copies, GPA->HVA translation) fans out
-// over Vmm::pool(), so parallel handling now shortens wall-clock too, not
-// just the modeled timeline:
+// over the host ThreadPool, so parallel handling now shortens wall-clock
+// too, not just the modeled timeline:
 //  - sequential mode: a request occupies the loop for its whole handling,
 //    FIFO behind every previously recorded interval;
 //  - parallel mode: a request only occupies the loop for the fixed
@@ -32,9 +32,6 @@ class EventLoop {
  public:
   EventLoop(SimClock& clock, const CostModel& cost, bool parallel_handling)
       : clock_(clock), cost_(cost), parallel_(parallel_handling) {}
-
-  bool parallel_handling() const { return parallel_; }
-  void set_parallel_handling(bool on) { parallel_ = on; }
 
   // Dispatches a request arriving at the current virtual time. `handler`
   // performs the device work (advancing the clock). On return the clock
@@ -86,7 +83,7 @@ class EventLoop {
 
   SimClock& clock_;
   const CostModel& cost_;
-  bool parallel_;
+  const bool parallel_;
   std::multimap<SimNs, SimNs> busy_;  // start -> end
 };
 

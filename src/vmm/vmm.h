@@ -8,7 +8,6 @@
 
 #include "common/cost_model.h"
 #include "common/sim_clock.h"
-#include "common/thread_pool.h"
 #include "guest/guest_memory.h"
 #include "vmm/event_loop.h"
 
@@ -20,18 +19,19 @@ struct VmmParams {
   // Real backing for guest RAM; sized for the workload rather than the
   // paper's nominal 128 GB VMs.
   std::uint64_t guest_ram_bytes = 512 * kMiB;
-  // vPIM's parallel operation handling (Table 2 column 4).
-  bool parallel_handling = false;
 };
 
 class Vmm {
  public:
-  Vmm(const VmmParams& params, SimClock& clock, const CostModel& cost)
+  // `parallel_handling` selects vPIM's parallel operation handling for the
+  // event loop (Table 2 column 4).
+  Vmm(const VmmParams& params, SimClock& clock, const CostModel& cost,
+      bool parallel_handling)
       : params_(params),
         clock_(clock),
         cost_(cost),
         memory_(params.guest_ram_bytes),
-        loop_(clock, cost, params.parallel_handling) {}
+        loop_(clock, cost, parallel_handling) {}
 
   const std::string& name() const { return params_.name; }
   std::uint32_t vcpus() const { return params_.vcpus; }
@@ -39,10 +39,6 @@ class Vmm {
   EventLoop& loop() { return loop_; }
   SimClock& clock() { return clock_; }
   const CostModel& cost() const { return cost_; }
-  // Host thread pool the device models fan leaf work out on. Distinct
-  // from `parallel_handling`, which models virtual-time dispatch: the
-  // pool changes wall-clock only, never simulated time.
-  ThreadPool& pool() { return pool_; }
 
   // Boots the microVM with `nr_virtio_devices` attached vUPMEM devices;
   // returns the boot duration (base microVM boot + ~2 ms per device, §3.2).
@@ -62,7 +58,6 @@ class Vmm {
   const CostModel& cost_;
   guest::GuestMemory memory_;
   EventLoop loop_;
-  ThreadPool& pool_ = ThreadPool::instance();
   bool booted_ = false;
 };
 

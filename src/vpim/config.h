@@ -57,14 +57,10 @@ struct VpimConfig {
   std::uint32_t prefetch_cache_pages = 16;  // per DPU
   std::uint32_t batch_buffer_pages = 64;    // per DPU
 
-  // Overload protection (ISSUE 8). default_deadline_ns, when non-zero, is
-  // a *relative* deadline the frontend stamps on every staged rank op
-  // (absolute = now + default_deadline_ns); try_submit_* may also pass an
-  // explicit absolute deadline per request. cq_capacity bounds unreaped
+  // Overload protection (ISSUE 8). cq_capacity bounds unreaped
   // completions on the async path: once cq backlog + staged requests reach
   // it, try_submit_* returns a typed OVERLOADED would-block instead of
   // growing memory. 0 = unbounded (the pre-ISSUE-8 behaviour).
-  SimNs default_deadline_ns = 0;
   std::uint32_t cq_capacity = 0;
 
   static VpimConfig rust() {

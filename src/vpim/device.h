@@ -41,6 +41,7 @@ struct VupmemDevice {
  private:
   void collect(obs::Collection& out, const std::string& tag) const {
     const obs::Labels dev = {{"device", tag}};
+    out.counter("vpim_requests_total", dev, stats.requests);
     out.counter("vpim_device_doorbells_total", dev, stats.doorbells);
     out.counter("vpim_device_coalesced_notifies_total", dev,
                 stats.coalesced_notifies);

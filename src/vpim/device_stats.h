@@ -13,6 +13,7 @@ struct DeviceStats {
   OpBreakdown ops;       // CI / read-from-rank / write-to-rank time+count
   StepBreakdown wsteps;  // write-to-rank step breakdown (Fig 13)
 
+  std::uint64_t requests = 0;       // wire requests staged, any queue
   std::uint64_t notifies = 0;       // guest->VMM transitions (VMEXITs)
   std::uint64_t cache_hits = 0;     // prefetch cache
   std::uint64_t cache_misses = 0;
@@ -42,8 +43,6 @@ struct DeviceStats {
   std::uint64_t cancelled = 0;           // requests shed via cancel(Ticket)
   std::uint64_t deadline_shed = 0;       // backend shed on an expired deadline
   std::uint64_t lost_batched_writes = 0; // batch records lost to a failed flush
-
-  void reset() { *this = DeviceStats{}; }
 };
 
 }  // namespace vpim::core

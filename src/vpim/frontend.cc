@@ -102,8 +102,6 @@ Frontend::Frontend(vmm::Vmm& vmm, Backend& backend,
   config_.queue_depth = depth_;  // expose the clamped depth via config()
   inflight_hist_ =
       &obs_.metrics.histogram("vpim_inflight_depth", {{"device", tag_}});
-  requests_metric_ =
-      &obs_.metrics.counter("vpim_requests_total", {{"device", tag_}});
 }
 
 void Frontend::alloc_arena(WireArena& arena, guest::GuestMemory& mem) {
@@ -482,7 +480,7 @@ std::uint32_t Frontend::publish(std::span<const virtio::DescBuffer> chain,
   slot.ticket = ticket;
   slot.deadline = deadline_ns;
   slot.admit_t0 = 0;
-  requests_metric_->inc();
+  ++stats_.requests;
   staged_.push_back(idx);
   return idx;
 }
@@ -725,7 +723,7 @@ WireResponse Frontend::control(CiOp op, const char* what) {
        true},
   };
   controlq_.submit(chain);
-  requests_metric_->inc();
+  ++stats_.requests;
   // Control requests stay strictly synchronous: one request, one doorbell,
   // one completion interrupt.
   if (doorbell(controlq_, &Backend::handle_controlq, 1) == 0) {
@@ -902,7 +900,6 @@ Frontend::Ticket Frontend::submit_async(const driver::TransferMatrix& matrix,
                "submit_read called with a write matrix");
   }
   check_dpus(matrix);
-  SimClock& clock = vmm_.clock();
   DeviceOp op(*this, is_write ? obs::SpanKind::kWrite : obs::SpanKind::kRead,
               request_open);
   op.set_bytes(matrix.total_bytes());
@@ -911,16 +908,10 @@ Frontend::Ticket Frontend::submit_async(const driver::TransferMatrix& matrix,
   // land after this one (write -> read ordering on the read path).
   if (is_write) invalidate_cache();
   flush_batch();
-  // An absolute wire deadline: the explicit one wins, otherwise the
-  // configured relative default (0 = no deadline, the classic behavior).
-  SimNs deadline = deadline_ns;
-  if (deadline == 0 && config_.default_deadline_ns > 0) {
-    deadline = clock.now() + config_.default_deadline_ns;
-  }
   const Ticket ticket = ++next_ticket_;
   const std::uint32_t idx =
       stage_rank_op(matrix, is_write, /*flags=*/0, /*async=*/true, ticket,
-                    /*is_flush=*/false, deadline);
+                    /*is_flush=*/false, deadline_ns);
   slots_[idx].admitted = admitted;
   slots_[idx].admit_t0 = admit_t0;
   if (staged_.size() >= depth_) kick();

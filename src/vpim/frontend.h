@@ -131,7 +131,7 @@ class Frontend {
   // kOverloaded no work was queued and no memory grew — the caller
   // retries later (open-loop load generators just count the shed).
   // `deadline_ns` is an absolute virtual-time deadline stamped into the
-  // WireRequest (0 = use VpimConfig::default_deadline_ns, or none).
+  // WireRequest (0 = none).
   struct SubmitResult {
     std::int32_t status = 0;  // virtio::PimStatus; 0 = admitted
     Ticket ticket = 0;        // valid only when status == 0
@@ -362,7 +362,6 @@ class Frontend {
   std::vector<Completion> cq_out_;  // last poll_completions result
   std::vector<LostWrite> lost_writes_;  // ISSUE 8: failed-flush records
   obs::Histogram* inflight_hist_ = nullptr;
-  obs::Counter* requests_metric_ = nullptr;
 };
 
 }  // namespace vpim::core

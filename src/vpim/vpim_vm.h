@@ -20,8 +20,8 @@ class VpimVm {
   VpimVm(Host& host, vmm::VmmParams params, std::uint32_t nr_vupmem_devices,
          const VpimConfig& config = VpimConfig::full())
       : config_(config) {
-    params.parallel_handling = config.parallel_handling;
-    vmm_ = std::make_unique<vmm::Vmm>(params, host.clock, host.cost);
+    vmm_ = std::make_unique<vmm::Vmm>(params, host.clock, host.cost,
+                                      config.parallel_handling);
     boot_duration_ = vmm_->boot(nr_vupmem_devices);
     devices_.reserve(nr_vupmem_devices);
     for (std::uint32_t i = 0; i < nr_vupmem_devices; ++i) {

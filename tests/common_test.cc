@@ -12,6 +12,7 @@
 #include "common/rng.h"
 #include "common/sim_clock.h"
 #include "common/stats.h"
+#include "common/zero_pages.h"
 
 namespace vpim {
 namespace {
@@ -66,6 +67,21 @@ TEST(SimClock, ScopedTimerAccumulates) {
     clock.advance(8);
   }
   EXPECT_EQ(acc, 50u);
+}
+
+TEST(ZeroPages, StartZeroedAndMoveOwnership) {
+  ZeroPages pages(3 * 4096 + 5);
+  ASSERT_NE(pages.data(), nullptr);
+  EXPECT_EQ(pages.size(), 3u * 4096 + 5);
+  EXPECT_TRUE(std::all_of(pages.data(), pages.data() + pages.size(),
+                          [](std::uint8_t b) { return b == 0; }));
+  pages.data()[pages.size() - 1] = 7;
+  std::uint8_t* const base = pages.data();
+  ZeroPages moved(std::move(pages));
+  EXPECT_EQ(moved.data(), base);
+  EXPECT_EQ(moved.data()[moved.size() - 1], 7);
+  EXPECT_EQ(pages.data(), nullptr);
+  EXPECT_EQ(pages.size(), 0u);
 }
 
 TEST(CostModel, BytesTime) {

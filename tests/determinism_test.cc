@@ -518,7 +518,7 @@ TEST_F(DeterminismTest, GoldenDevicePathCapture) {
     const GoldenCapture got = run_device_session(t);
     EXPECT_TRUE(got.correct) << "threads=" << t;
     EXPECT_EQ(got.span_digest, 0xe4a4d8607f78883dULL) << "threads=" << t;
-    EXPECT_EQ(got.metrics, 0x5402545d797a73aaULL) << "threads=" << t;
+    EXPECT_EQ(got.metrics, 0x9218c4e31cfaf2d0ULL) << "threads=" << t;
     EXPECT_EQ(got.stats, 0xf631b6c3fa8dc3ceULL) << "threads=" << t;
     EXPECT_EQ(got.clock_end, SimNs{2751031760}) << "threads=" << t;
   }

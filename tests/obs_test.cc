@@ -5,6 +5,7 @@
 
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/obs/chrome_trace.h"
 #include "common/obs/metrics.h"
@@ -254,41 +255,43 @@ TEST(Histogram, BucketEdges) {
 
 TEST(Metrics, SeriesAreStableAndKeyedByLabels) {
   MetricsRegistry reg;
-  Counter& a = reg.counter("vpim_test_total", {{"op", "W"}});
-  Counter& b = reg.counter("vpim_test_total", {{"op", "R"}});
-  a.inc(2);
-  b.inc(5);
+  Histogram& a = reg.histogram("vpim_test_ns", {{"op", "W"}});
+  Histogram& b = reg.histogram("vpim_test_ns", {{"op", "R"}});
+  a.observe(2);
+  b.observe(5);
   // Same (name, labels) returns the same instrument.
-  EXPECT_EQ(&reg.counter("vpim_test_total", {{"op", "W"}}), &a);
-  EXPECT_EQ(a.value(), 2u);
-  EXPECT_EQ(b.value(), 5u);
+  EXPECT_EQ(&reg.histogram("vpim_test_ns", {{"op", "W"}}), &a);
+  EXPECT_EQ(a.sum(), 2u);
+  EXPECT_EQ(b.sum(), 5u);
   EXPECT_EQ(reg.family_count(), 1u);
 }
 
 TEST(Metrics, LabelCardinalityFoldsIntoOverflowSeries) {
   MetricsRegistry reg;
   for (std::size_t i = 0; i < MetricsRegistry::kMaxSeriesPerFamily; ++i) {
-    reg.counter("vpim_card_total", {{"i", std::to_string(i)}}).inc();
+    reg.histogram("vpim_card_ns", {{"i", std::to_string(i)}}).observe(1);
   }
   // Beyond the cap, every new label set shares one overflow series.
-  Counter& o1 = reg.counter("vpim_card_total", {{"i", "extra-1"}});
-  Counter& o2 = reg.counter("vpim_card_total", {{"i", "extra-2"}});
+  Histogram& o1 = reg.histogram("vpim_card_ns", {{"i", "extra-1"}});
+  Histogram& o2 = reg.histogram("vpim_card_ns", {{"i", "extra-2"}});
   EXPECT_EQ(&o1, &o2);
-  o1.inc(3);
+  o1.observe(3);
   const std::string text = reg.prometheus_text();
-  EXPECT_NE(text.find("vpim_card_total{overflow=\"true\"} 3"),
+  EXPECT_NE(text.find("vpim_card_ns_sum{overflow=\"true\"} 3\n"),
             std::string::npos);
   // Existing series still resolve exactly.
-  EXPECT_EQ(reg.counter("vpim_card_total", {{"i", "0"}}).value(), 1u);
+  EXPECT_EQ(reg.histogram("vpim_card_ns", {{"i", "0"}}).count(), 1u);
 }
 
 TEST(Metrics, PrometheusTextGolden) {
   MetricsRegistry reg;
-  reg.counter("vpim_requests_total", {{"device", "d0"}}).inc(3);
-  reg.gauge("vpim_bound_ranks").set(-2);
   Histogram& h = reg.histogram("vpim_lat_ns");
   h.observe(0);
   h.observe(5);
+  auto handle = reg.add_collector([](Collection& out) {
+    out.counter("vpim_requests_total", {{"device", "d0"}}, 3);
+    out.gauge("vpim_bound_ranks", {}, -2);
+  });
   const std::string text = reg.prometheus_text();
   EXPECT_NE(text.find("# TYPE vpim_requests_total counter\n"
                       "vpim_requests_total{device=\"d0\"} 3\n"),
@@ -305,11 +308,16 @@ TEST(Metrics, PrometheusTextGolden) {
             std::string::npos);
   EXPECT_NE(text.find("vpim_lat_ns_sum 5\n"), std::string::npos);
   EXPECT_NE(text.find("vpim_lat_ns_count 2\n"), std::string::npos);
+  // Registered histograms come first, then the collected families.
+  EXPECT_LT(text.find("# TYPE vpim_lat_ns"),
+            text.find("# TYPE vpim_requests_total"));
+  EXPECT_EQ(reg.family_count(), 3u);
 }
 
 TEST(Metrics, JsonSnapshotIsBalanced) {
   MetricsRegistry reg;
-  reg.counter("vpim_a_total").inc();
+  auto handle = reg.add_collector(
+      [](Collection& out) { out.counter("vpim_a_total", {}, 1); });
   reg.histogram("vpim_b_ns", {{"op", "CI"}}).observe(42);
   const std::string json = reg.json_snapshot();
   EXPECT_EQ(json.find("{\"metrics\":["), 0u);
@@ -342,11 +350,71 @@ TEST(Metrics, CollectorsRunAtExportAndUnregister) {
   EXPECT_EQ(text.find("vpim_live_total"), std::string::npos);
 }
 
+// Two devices publish the same families through two collectors; the
+// export still names each family once, with all of its samples together.
+TEST(Metrics, EachCollectedFamilyExportsOnce) {
+  MetricsRegistry reg;
+  reg.histogram("vpim_op_ns", {{"device", "d0"}}).observe(9);
+  auto first = reg.add_collector([](Collection& out) {
+    out.counter("vpim_a_total", {{"device", "d0"}}, 1);
+    out.counter("vpim_b_total", {{"device", "d0"}}, 2);
+  });
+  auto second = reg.add_collector([](Collection& out) {
+    out.counter("vpim_b_total", {{"device", "d1"}}, 3);
+    out.gauge("vpim_c", {}, -4);
+    out.counter("vpim_a_total", {{"device", "d1"}}, 5);
+  });
+
+  // Each sample line must belong to the family whose "# TYPE" line came
+  // last, and no family may be announced twice.
+  const std::string text = reg.prometheus_text();
+  std::vector<std::string> typed;
+  std::istringstream lines(text);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("# TYPE ", 0) == 0) {
+      typed.push_back(line.substr(7, line.find(' ', 7) - 7));
+      continue;
+    }
+    ASSERT_FALSE(typed.empty()) << line;
+    EXPECT_EQ(line.rfind(typed.back(), 0), 0u) << line;
+  }
+  const std::vector<std::string> families = {"vpim_op_ns", "vpim_a_total",
+                                             "vpim_b_total", "vpim_c"};
+  EXPECT_EQ(typed, families);
+  EXPECT_EQ(reg.family_count(), families.size());
+  EXPECT_NE(text.find("# TYPE vpim_a_total counter\n"
+                      "vpim_a_total{device=\"d0\"} 1\n"
+                      "vpim_a_total{device=\"d1\"} 5\n"
+                      "# TYPE vpim_b_total counter\n"
+                      "vpim_b_total{device=\"d0\"} 2\n"
+                      "vpim_b_total{device=\"d1\"} 3\n"
+                      "# TYPE vpim_c gauge\n"
+                      "vpim_c -4\n"),
+            std::string::npos)
+      << text;
+
+  // The JSON snapshot lists the samples in the same family order.
+  const std::string json = reg.json_snapshot();
+  std::vector<std::string> json_names;
+  const std::string key = "\"name\":\"";
+  for (std::size_t at = json.find(key); at != std::string::npos;
+       at = json.find(key, at + 1)) {
+    const std::size_t start = at + key.size();
+    json_names.push_back(json.substr(start, json.find('"', start) - start));
+  }
+  EXPECT_EQ(json_names,
+            (std::vector<std::string>{"vpim_op_ns", "vpim_a_total",
+                                      "vpim_a_total", "vpim_b_total",
+                                      "vpim_b_total", "vpim_c"}));
+}
+
 TEST(Metrics, PrometheusLabelValuesAreEscaped) {
   // Hostile label values (tenant names flow into labels): quotes,
   // backslashes, and newlines must not break the exposition format.
   MetricsRegistry reg;
-  reg.counter("vpim_esc_total", {{"vm", "a\"b\\c\nd\re"}}).inc();
+  auto handle = reg.add_collector([](Collection& out) {
+    out.counter("vpim_esc_total", {{"vm", "a\"b\\c\nd\re"}}, 1);
+  });
   const std::string text = reg.prometheus_text();
   EXPECT_NE(text.find("vpim_esc_total{vm=\"a\\\"b\\\\c\\nd\\re\"} 1\n"),
             std::string::npos);
@@ -358,7 +426,9 @@ TEST(Metrics, PrometheusLabelValuesAreEscaped) {
 
 TEST(Metrics, JsonLabelValuesAreEscaped) {
   MetricsRegistry reg;
-  reg.gauge("vpim_esc_gauge", {{"vm", "q\"b\\s\nn\tt\x01z"}}).set(4);
+  auto handle = reg.add_collector([](Collection& out) {
+    out.gauge("vpim_esc_gauge", {{"vm", "q\"b\\s\nn\tt\x01z"}}, 4);
+  });
   const std::string json = reg.json_snapshot();
   EXPECT_NE(json.find("\"vm\":\"q\\\"b\\\\s\\nn\\tt\\u0001z\""),
             std::string::npos);

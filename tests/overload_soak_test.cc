@@ -115,8 +115,9 @@ Fingerprint run_storm_soak(std::uint64_t seed) {
   // until the tenant's drain turn comes around, which is what lets the
   // global in-flight budget actually fill up and shed.
   config.queue_depth = 16;
-  config.default_deadline_ns = 100 * kMs;
   config.cq_capacity = 32;
+  // Every submission carries an absolute deadline this far ahead.
+  constexpr SimNs kDeadline = 100 * kMs;
 
   struct Tenant {
     std::unique_ptr<VpimVm> vm;
@@ -184,8 +185,9 @@ Fingerprint run_storm_soak(std::uint64_t seed) {
         m.entries.push_back({dpu, 4096, tenant.buf.data(), size});
         Frontend::SubmitResult r;
         if (!tolerate(t, [&] {
-              r = is_write ? fe(t).try_submit_write(m)
-                           : fe(t).try_submit_read(m);
+              const SimNs deadline = host.clock.now() + kDeadline;
+              r = is_write ? fe(t).try_submit_write(m, deadline)
+                           : fe(t).try_submit_read(m, deadline);
             })) {
           break;
         }

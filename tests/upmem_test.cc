@@ -2,13 +2,11 @@
 
 #include <array>
 #include <cstring>
-#include <numeric>
 #include <string>
 
 #include "common/rng.h"
 #include "tests/testutil.h"
 #include "upmem/dpu.h"
-#include "upmem/interleave.h"
 #include "upmem/kernel.h"
 #include "upmem/mram.h"
 
@@ -71,64 +69,6 @@ TEST(Mram, ClearDropsPages) {
   std::vector<std::uint8_t> out(8);
   bank.read(0, out);
   for (auto b : out) EXPECT_EQ(b, 0);
-}
-
-// ------------------------------------------------------------ interleave
-
-class InterleaveSweep : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(InterleaveSweep, WideMatchesNaive) {
-  const std::size_t n = GetParam();
-  Rng rng(n);
-  std::vector<std::uint8_t> src(n), a(n), b(n);
-  rng.fill_bytes(src.data(), src.size());
-  interleave_naive(src, a);
-  interleave_wide(src, b);
-  EXPECT_EQ(a, b) << "size " << n;
-}
-
-TEST_P(InterleaveSweep, RoundTripIdentity) {
-  const std::size_t n = GetParam();
-  Rng rng(n + 1);
-  std::vector<std::uint8_t> src(n), wire(n), back(n);
-  rng.fill_bytes(src.data(), src.size());
-
-  interleave_wide(src, wire);
-  deinterleave_wide(wire, back);
-  EXPECT_EQ(src, back);
-
-  interleave_naive(src, wire);
-  deinterleave_naive(wire, back);
-  EXPECT_EQ(src, back);
-
-  // Cross pairing: naive interleave, wide deinterleave.
-  interleave_naive(src, wire);
-  deinterleave_wide(wire, back);
-  EXPECT_EQ(src, back);
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, InterleaveSweep,
-                         ::testing::Values(8, 16, 64, 72, 128, 1000, 4096,
-                                           65536, 100000));
-
-TEST(Interleave, KnownStripePattern) {
-  // 16 bytes = 2 words; byte j of word w lands at chip j, position w.
-  std::vector<std::uint8_t> src(16);
-  std::iota(src.begin(), src.end(), 0);
-  std::vector<std::uint8_t> dst(16);
-  interleave_naive(src, dst);
-  // per_chip = 2; dst[c*2 + w] = src[w*8 + c]
-  EXPECT_EQ(dst[0], 0);   // chip 0, word 0
-  EXPECT_EQ(dst[1], 8);   // chip 0, word 1
-  EXPECT_EQ(dst[2], 1);   // chip 1, word 0
-  EXPECT_EQ(dst[15], 15); // chip 7, word 1
-}
-
-TEST(Interleave, RejectsMisalignedSizes) {
-  std::vector<std::uint8_t> a(7), b(7);
-  EXPECT_THROW(interleave_naive(a, b), VpimError);
-  std::vector<std::uint8_t> c(8), d(16);
-  EXPECT_THROW(interleave_wide(c, d), VpimError);
 }
 
 // ------------------------------------------------------------ DPU kernels
