@@ -1,5 +1,7 @@
 #include "common/obs/metrics.h"
 
+#include <iterator>
+
 namespace vpim::obs {
 
 namespace {
@@ -106,27 +108,43 @@ MetricsRegistry::Family& MetricsRegistry::family(std::string_view name) {
   return families_.back();
 }
 
-MetricsRegistry::Series& MetricsRegistry::series(Family& fam,
-                                                 const Labels& labels) {
-  for (Series& s : fam.series) {
-    if (s.labels == labels) return s;
+std::list<MetricsRegistry::Series>::iterator MetricsRegistry::series(
+    Family& fam, const Labels& labels) {
+  for (auto it = fam.series.begin(); it != fam.series.end(); ++it) {
+    if (it->labels == labels) return it;
   }
   if (fam.series.size() >= kMaxSeriesPerFamily) {
     // Cardinality limit: everything beyond the cap shares one overflow
     // series (created on first overflow, so it counts toward the cap + 1).
-    for (Series& s : fam.series) {
-      if (s.labels == kOverflowLabels) return s;
+    for (auto it = fam.series.begin(); it != fam.series.end(); ++it) {
+      if (it->labels == kOverflowLabels) return it;
     }
     fam.series.push_back({kOverflowLabels, {}});
-    return fam.series.back();
+    return std::prev(fam.series.end());
   }
   fam.series.push_back({labels, {}});
-  return fam.series.back();
+  return std::prev(fam.series.end());
 }
 
 Histogram& MetricsRegistry::histogram(std::string_view name,
                                       const Labels& labels) {
-  return series(family(name), labels).histogram;
+  Series& s = *series(family(name), labels);
+  s.permanent = true;
+  return s.histogram;
+}
+
+MetricsRegistry::HistogramHandle MetricsRegistry::scoped_histogram(
+    std::string_view name, const Labels& labels) {
+  Family& fam = family(name);
+  const auto it = series(fam, labels);
+  ++it->handles;
+  return HistogramHandle(&fam, it);
+}
+
+void MetricsRegistry::HistogramHandle::release() {
+  if (fam_ == nullptr) return;
+  if (--it_->handles == 0 && !it_->permanent) fam_->series.erase(it_);
+  fam_ = nullptr;
 }
 
 MetricsRegistry::CollectorHandle MetricsRegistry::add_collector(
@@ -159,12 +177,15 @@ Collection MetricsRegistry::collect() const {
 }
 
 std::size_t MetricsRegistry::family_count() const {
-  return families_.size() + collect().families_.size();
+  std::size_t n = collect().families_.size();
+  for (const Family& f : families_) n += !f.series.empty();
+  return n;
 }
 
 std::string MetricsRegistry::prometheus_text() const {
   std::string out;
   for (const Family& f : families_) {
+    if (f.series.empty()) continue;  // every series left with its handles
     out += "# TYPE ";
     out += f.name;
     out += " histogram\n";

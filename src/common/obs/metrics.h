@@ -2,7 +2,9 @@
 //
 // Virtual-time histograms are the one registered instrument: fixed log2
 // bucket boundaries (bucket index = bit_width of the value), series keyed
-// by explicit label sets and enumerated in registration order. Nothing
+// by explicit label sets and enumerated in registration order. A series
+// registered through a HistogramHandle leaves the registry with its last
+// handle, so a per-device series goes with its device. Nothing
 // reads the wall clock, so two runs of the same workload export
 // byte-identical text at any VPIM_THREADS. Histograms must only be touched
 // from the serial control path (the SimClock contract); thread-pool bodies
@@ -21,6 +23,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <list>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -91,12 +94,64 @@ class Collection {
 
 class MetricsRegistry {
  public:
-  // A histogram family keeps at most this many labeled series; further label
-  // combinations all fold into one overflow series labeled
+  // A histogram family keeps at most this many live labeled series;
+  // further label combinations all fold into one overflow series labeled
   // {"overflow"="true"} so a label-cardinality bug cannot eat memory.
   static constexpr std::size_t kMaxSeriesPerFamily = 64;
 
+  // Registers (or finds) a series that stays for the registry's lifetime.
   Histogram& histogram(std::string_view name, const Labels& labels = {});
+
+ private:
+  struct Series {
+    Labels labels;
+    Histogram histogram;
+    std::uint32_t handles = 0;  // live HistogramHandles on this series
+    bool permanent = false;     // reached through histogram()
+  };
+  // Lists keep references returned by histogram() stable while series
+  // come and go.
+  struct Family {
+    std::string name;
+    std::list<Series> series;  // registration order
+  };
+
+ public:
+  // Registers (or shares) a series that lives while a handle on it does:
+  // the last handle's destruction removes it from every export and frees
+  // its place under the cardinality cap. Same (name, labels) share one
+  // series, as with histogram().
+  class HistogramHandle {
+   public:
+    HistogramHandle() = default;
+    HistogramHandle(HistogramHandle&& o) noexcept
+        : fam_(o.fam_), it_(o.it_) {
+      o.fam_ = nullptr;
+    }
+    HistogramHandle& operator=(HistogramHandle&& o) noexcept {
+      release();
+      fam_ = o.fam_;
+      it_ = o.it_;
+      o.fam_ = nullptr;
+      return *this;
+    }
+    HistogramHandle(const HistogramHandle&) = delete;
+    HistogramHandle& operator=(const HistogramHandle&) = delete;
+    ~HistogramHandle() { release(); }
+    void release();
+
+    Histogram& operator*() const { return it_->histogram; }
+    Histogram* operator->() const { return &it_->histogram; }
+
+   private:
+    friend class MetricsRegistry;
+    HistogramHandle(Family* fam, std::list<Series>::iterator it)
+        : fam_(fam), it_(it) {}
+    Family* fam_ = nullptr;
+    std::list<Series>::iterator it_;
+  };
+  HistogramHandle scoped_histogram(std::string_view name,
+                                   const Labels& labels = {});
 
   // Registers a live-stats collector; the returned handle unregisters on
   // destruction. Collectors run (in registration order) at every export.
@@ -134,32 +189,23 @@ class MetricsRegistry {
   // JSON snapshot of the same data, in the same family order.
   std::string json_snapshot() const;
 
-  // Families in one export: registered histograms plus collected ones.
+  // Families in one export: registered histograms with a live series plus
+  // collected ones.
   std::size_t family_count() const;
 
  private:
   friend class CollectorHandle;
-  struct Series {
-    Labels labels;
-    Histogram histogram;
-  };
-  // Deques keep references returned by histogram() stable while later
-  // registrations grow the registry.
-  struct Family {
-    std::string name;
-    std::deque<Series> series;  // registration order
-  };
   struct CollectorEntry {
     std::uint64_t id;
     Collector fn;
   };
 
   Family& family(std::string_view name);
-  Series& series(Family& fam, const Labels& labels);
+  std::list<Series>::iterator series(Family& fam, const Labels& labels);
   Collection collect() const;
   void remove_collector(std::uint64_t id);
 
-  std::deque<Family> families_;  // registration order
+  std::deque<Family> families_;  // registration order; never shrinks
   std::vector<CollectorEntry> collectors_;
   std::uint64_t next_collector_id_ = 1;
 };

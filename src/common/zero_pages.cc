@@ -1,12 +1,14 @@
 #include "common/zero_pages.h"
 
 #include <utility>
+#include <vector>
 
 #include "common/error.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #define VPIM_ZERO_PAGES_MMAP 1
 #include <sys/mman.h>
+#include <unistd.h>
 #endif
 
 namespace vpim {
@@ -35,6 +37,20 @@ ZeroPages& ZeroPages::operator=(ZeroPages&& other) noexcept {
     size_ = std::exchange(other.size_, 0);
   }
   return *this;
+}
+
+std::uint64_t ZeroPages::resident_pages() const {
+#ifdef VPIM_ZERO_PAGES_MMAP
+  const auto page = static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
+  std::vector<unsigned char> vec((size_ + page - 1) / page);
+  VPIM_CHECK(::mincore(base_, size_, vec.data()) == 0,
+             "cannot query resident zero pages");
+  std::uint64_t n = 0;
+  for (unsigned char v : vec) n += v & 1;
+  return n;
+#else
+  return (size_ + 4095) / 4096;
+#endif
 }
 
 void ZeroPages::release() {

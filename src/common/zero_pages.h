@@ -22,6 +22,9 @@ class ZeroPages {
 
   std::uint8_t* data() const { return base_; }
   std::uint64_t size() const { return size_; }
+  // Host pages of the range that are resident, read or written (mincore);
+  // every page counts without a demand-zero mapping.
+  std::uint64_t resident_pages() const;
 
  private:
   void release();

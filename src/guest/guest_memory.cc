@@ -9,6 +9,15 @@ GuestMemory::GuestMemory(std::uint64_t bytes) : ram_(bytes) {
 }
 
 std::span<std::uint8_t> GuestMemory::alloc(std::uint64_t bytes) {
+  if (bytes < kGuestPageSize) {
+    if (sub_next_ + bytes > sub_end_) {
+      sub_next_ = alloc(kGuestPageSize).data() - ram_.data();
+      sub_end_ = sub_next_ + kGuestPageSize;
+    }
+    std::uint8_t* p = ram_.data() + sub_next_;
+    sub_next_ += (bytes + kSubPageAlign - 1) / kSubPageAlign * kSubPageAlign;
+    return {p, bytes};
+  }
   const std::uint64_t rounded =
       (bytes + kGuestPageSize - 1) / kGuestPageSize * kGuestPageSize;
   VPIM_CHECK(bump_ + rounded <= ram_.size(), "guest RAM exhausted");

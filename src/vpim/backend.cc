@@ -111,12 +111,13 @@ upmem::Rank& Backend::stream(std::uint64_t bytes, std::uint32_t entries) {
   return binding_->rank();
 }
 
-void Backend::settle_prefetch(std::uint32_t dpu, std::uint64_t mram_offset,
+bool Backend::settle_prefetch(std::uint32_t dpu, std::uint64_t mram_offset,
                               std::span<std::uint8_t> out) const {
   VPIM_CHECK(dpu < prefetch_.size(), "DPU index out of range");
   const upmem::MramBank::Pin& pin = prefetch_[dpu];
-  if (pin.empty() || out.empty()) return;
-  pin.read(mram_offset, out);
+  if (pin.empty()) return false;
+  if (!out.empty()) pin.read(mram_offset, out);
+  return true;
 }
 
 void Backend::drop_prefetch() {

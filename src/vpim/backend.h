@@ -77,14 +77,15 @@ class Backend {
 
   // Prefetch pins (kWireFlagPrefetch). A fill read whose entries each
   // reach one guest segment pins each entry's MRAM range into its DPU's
-  // slot instead of copying it; the frontend's cache segment then holds
-  // only what settle_prefetch has copied into it. Copy-on-write keeps a
-  // pin at the bytes of its fill, whatever the rank or binding does later.
+  // slot instead of copying it, so the frontend's cache segment is never
+  // written. Copy-on-write keeps a pin at the bytes of its fill, whatever
+  // the rank or binding does later.
   //
-  // Copies `out.size()` bytes at `mram_offset` from DPU `dpu`'s pin into
-  // `out`, the cache buffer's bytes for that range; a no-op when the DPU
-  // holds no pin (the fill copied eagerly).
-  void settle_prefetch(std::uint32_t dpu, std::uint64_t mram_offset,
+  // Serves a cache hit: copies `out.size()` bytes at `mram_offset` from
+  // DPU `dpu`'s pin straight into `out`, the caller's buffer, and returns
+  // true. Returns false, `out` untouched, when the DPU holds no pin (the
+  // fill copied eagerly, so the cache segment holds the bytes).
+  bool settle_prefetch(std::uint32_t dpu, std::uint64_t mram_offset,
                        std::span<std::uint8_t> out) const;
   // Drops every pin; the frontend calls it when its cache segments go.
   void drop_prefetch();

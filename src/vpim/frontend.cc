@@ -84,10 +84,11 @@ Frontend::Frontend(vmm::Vmm& vmm, Backend& backend,
       stats_(stats),
       tag_(std::move(tag)),
       obs_(obs) {
-  // Per-device op-latency distributions (the registry hands back stable
-  // references, so the hot path is one array index + one observe()).
+  // Per-device op-latency distributions (the handles point at stable
+  // series, so the hot path is one array index + one observe()); they
+  // leave the registry with the device.
   for (std::size_t i = 0; i < kNumRankOps; ++i) {
-    op_hist_[i] = &obs_.metrics.histogram(
+    op_hist_[i] = obs_.metrics.scoped_histogram(
         "vpim_op_ns",
         {{"device", tag_}, {"op", std::string(kRankOpNames[i])}});
   }
@@ -101,49 +102,38 @@ Frontend::Frontend(vmm::Vmm& vmm, Backend& backend,
   depth_ = std::min(config_.queue_depth, kMaxQueueDepth);
   config_.queue_depth = depth_;  // expose the clamped depth via config()
   inflight_hist_ =
-      &obs_.metrics.histogram("vpim_inflight_depth", {{"device", tag_}});
-}
-
-void Frontend::alloc_arena(WireArena& arena, guest::GuestMemory& mem) {
-  constexpr std::uint32_t kDpus = upmem::kDpuSlotsPerRank;
-  constexpr std::uint64_t kPageListBytes =
-      static_cast<std::uint64_t>(kDpus) * upmem::kMramPages * 8;
-  // The control blocks every request writes (64-byte aligned, about
-  // 2.9 KiB) share the first guest page with the start of the page-list
-  // area right behind them, so a small request first-touches one page.
-  const std::span<std::uint8_t> block =
-      mem.alloc(guest::kGuestPageSize + kPageListBytes);
-  std::uint64_t off = 0;
-  auto carve = [&](std::uint64_t bytes) {
-    const std::span<std::uint8_t> out = block.subspan(off, bytes);
-    off = (off + bytes + 63) / 64 * 64;
-    return out;
-  };
-  arena.request = carve(sizeof(WireRequest));
-  arena.matrix_meta = carve(sizeof(WireMatrixMeta));
-  arena.response = carve(sizeof(WireResponse));
-  arena.entry_meta = carve(kDpus * sizeof(WireEntryMeta));
-  VPIM_CHECK(off <= guest::kGuestPageSize, "control blocks exceed a page");
-  arena.page_lists = carve(kPageListBytes);
-  // Only CI ops touch the payload, so it keeps its own pages.
-  arena.payload = mem.alloc(kCiPayloadBytes);
+      obs_.metrics.scoped_histogram("vpim_inflight_depth", {{"device", tag_}});
 }
 
 void Frontend::ensure_arenas() {
   if (arenas_ready_) return;
   guest::GuestMemory& mem = vmm_.memory();
   constexpr std::uint32_t kDpus = upmem::kDpuSlotsPerRank;
+  constexpr std::uint64_t kPageListBytes =
+      static_cast<std::uint64_t>(kDpus) * upmem::kMramPages * 8;
+  constexpr std::uint64_t kPage = guest::kGuestPageSize;
 
+  // Guest layout, in first-touch order: every request writes its slot's
+  // control page, so all of them sit side by side, then the CI payloads;
+  // the batch buffers before the cache segments; the page-list areas,
+  // which only wide requests reach, last.
   slots_.resize(depth_);
-  for (SqSlot& slot : slots_) alloc_arena(slot.arena, mem);
+  const std::span<std::uint8_t> control = mem.alloc(depth_ * kPage);
+  for (std::uint32_t i = 0; i < depth_; ++i) {
+    carve_control_page(slots_[i].arena, control.subspan(i * kPage, kPage));
+  }
+  for (SqSlot& slot : slots_) slot.arena.payload = mem.alloc(kCiPayloadBytes);
 
   caches_.resize(kDpus);
   batches_.resize(kDpus);
   filling_.resize(kDpus);
-  for (std::uint32_t d = 0; d < kDpus; ++d) {
-    if (config_.prefetch_cache) caches_[d].buf = mem.alloc(cache_bytes());
-    if (config_.request_batching) batches_[d].buf = mem.alloc(batch_bytes());
+  if (config_.request_batching) {
+    for (DpuBatch& b : batches_) b.buf = mem.alloc(batch_bytes());
   }
+  if (config_.prefetch_cache) {
+    for (DpuCache& c : caches_) c.buf = mem.alloc(cache_bytes());
+  }
+  for (SqSlot& slot : slots_) slot.arena.page_lists = mem.alloc(kPageListBytes);
   arenas_ready_ = true;
 }
 
@@ -328,13 +318,12 @@ void Frontend::read_from_rank(const driver::TransferMatrix& matrix) {
       direct.entries.push_back(e);
       continue;
     }
-    // The fill pinned the segment's pages; only the bytes read here are
-    // copied into the cache buffer.
-    const DpuCache& c = caches_[e.dpu];
-    const std::span<std::uint8_t> cached =
-        c.buf.subspan(e.mram_offset - c.base, e.size);
-    backend_.settle_prefetch(e.dpu, e.mram_offset, cached);
-    std::memcpy(e.host, cached.data(), e.size);
+    // A pinned fill serves the hit straight from its MRAM pages; the
+    // cache segment holds bytes only after an eager fill.
+    if (!backend_.settle_prefetch(e.dpu, e.mram_offset, {e.host, e.size})) {
+      const DpuCache& c = caches_[e.dpu];
+      std::memcpy(e.host, c.buf.data() + (e.mram_offset - c.base), e.size);
+    }
     clock.advance(cost.cache_hit_fixed_ns +
                   CostModel::bytes_time(e.size, cost.guest_memcpy_gbps));
   }
@@ -360,14 +349,17 @@ bool Frontend::try_batch(const driver::TransferMatrix& matrix) {
   // A posted flush owns the batch buffers until its completion arrives;
   // appending would hand the device a torn buffer.
   if (batch_locked_) return false;
-  // Batch only small writes that fit their DPU buffer's remaining space.
+  // Batch only small writes, and only a matrix whose records all fit their
+  // DPU buffers' remaining space: a matrix may name one DPU many times, so
+  // each DPU's records are summed before anything is absorbed.
   const std::uint64_t small_max =
       std::uint64_t{kBatchEntryMaxPages} * guest::kGuestPageSize;
+  std::array<std::uint64_t, upmem::kDpuSlotsPerRank> need{};
   for (const driver::XferEntry& e : matrix.entries) {
     VPIM_CHECK(e.dpu < batches_.size(), "DPU index out of range");
-    const DpuBatch& b = batches_[e.dpu];
+    need[e.dpu] += e.size + kBatchRecordOverhead;
     if (e.size > small_max ||
-        b.cursor + e.size + kBatchRecordOverhead > batch_bytes()) {
+        batches_[e.dpu].cursor + need[e.dpu] > batch_bytes()) {
       return false;
     }
   }

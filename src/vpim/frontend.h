@@ -7,8 +7,10 @@
 //    cache; a miss fetches a cache-sized segment from the backend in one
 //    message. Invalidated by write-to-rank, DPU launches, and rank release.
 //    The fill message carries kWireFlagPrefetch, so the device pins the
-//    segment's MRAM pages rather than copying them, and a hit settles just
-//    its own bytes (Backend::settle_prefetch).
+//    segment's MRAM pages rather than copying them, and a hit copies just
+//    its own bytes from the pin straight into the caller's buffer
+//    (Backend::settle_prefetch). The guest cache segment is read only
+//    after an eager (unpinned) fill, so a pinned one never touches it.
 //  - Request batching: a 64-page-per-DPU buffer absorbs small writes as
 //    {offset,size,data} records; the batch is flushed as a single message
 //    when a buffer fills or any non-write request arrives.
@@ -25,7 +27,10 @@
 // (submit_write/submit_read/poll_completions) exposes the pipeline. At
 // depth 1 the stats, spans, metrics and virtual time are bit-identical to
 // the classic synchronous device; the guest GPA layout is not, because the
-// wire arenas pack their control blocks into shared guest pages.
+// wire arenas pack their control blocks into one control page per slot,
+// laid side by side, with small page lists in the same page (WireArena).
+// ensure_arenas lays the guest staging out in first-touch order: control
+// pages, CI payloads, batch buffers, cache segments, page-list areas.
 //
 // Error semantics: every request completes with a WireResponse status
 // (virtio::PimStatus). Capacity failures (bind/migrate/resume) surface as
@@ -204,7 +209,6 @@ class Frontend {
   static constexpr std::uint64_t kCiPayloadBytes = 8 * kKiB;
 
   void ensure_arenas();
-  void alloc_arena(WireArena& arena, guest::GuestMemory& mem);
   void check_dpus(const driver::TransferMatrix& matrix) const;
   void send_rank_op(const driver::TransferMatrix& matrix, bool is_write,
                     std::uint32_t flags);
@@ -328,7 +332,7 @@ class Frontend {
   obs::Hub& obs_;
   // Per-category op-latency histograms (virtual time, log2 buckets),
   // registered once per device; indexed by RankOp.
-  std::array<obs::Histogram*, kNumRankOps> op_hist_{};
+  std::array<obs::MetricsRegistry::HistogramHandle, kNumRankOps> op_hist_;
 
   // vhost mode: per-device kernel worker standing in for the VMM loop.
   std::optional<vmm::EventLoop> vhost_worker_;
@@ -361,7 +365,7 @@ class Frontend {
   std::vector<Completion> cq_;      // reaped, not yet handed out
   std::vector<Completion> cq_out_;  // last poll_completions result
   std::vector<LostWrite> lost_writes_;  // ISSUE 8: failed-flush records
-  obs::Histogram* inflight_hist_ = nullptr;
+  obs::MetricsRegistry::HistogramHandle inflight_hist_;
 };
 
 }  // namespace vpim::core

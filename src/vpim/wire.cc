@@ -26,12 +26,29 @@ T read_pod(const std::uint8_t* src) {
 }
 }  // namespace
 
+void carve_control_page(WireArena& arena, std::span<std::uint8_t> page) {
+  std::uint64_t off = 0;
+  auto carve = [&](std::uint64_t bytes) {
+    const std::span<std::uint8_t> out = page.subspan(off, bytes);
+    off = (off + bytes + 63) / 64 * 64;
+    return out;
+  };
+  arena.request = carve(sizeof(WireRequest));
+  arena.matrix_meta = carve(sizeof(WireMatrixMeta));
+  arena.response = carve(sizeof(WireResponse));
+  arena.entry_meta =
+      carve(std::uint64_t{upmem::kDpuSlotsPerRank} * sizeof(WireEntryMeta));
+  VPIM_CHECK(off <= page.size(), "control blocks exceed a page");
+  arena.page_head = page.subspan(off);
+}
+
 void serialize_matrix(const driver::TransferMatrix& matrix,
                       guest::GuestMemory& mem, WireArena& arena,
                       std::uint32_t request_type, SerializeResult& result) {
   VPIM_CHECK(matrix.entries.size() <= upmem::kDpuSlotsPerRank,
              "matrix has more entries than DPUs in a rank");
-  VPIM_CHECK(matrix.total_bytes() <= upmem::kMaxXferBytes,
+  const std::uint64_t total_bytes = matrix.total_bytes();
+  VPIM_CHECK(total_bytes <= upmem::kMaxXferBytes,
              "rank operations move at most 4 GiB");
 
   result.chain.clear();
@@ -47,7 +64,7 @@ void serialize_matrix(const driver::TransferMatrix& matrix,
   result.chain.push_back({mem.gpa_of(arena.request.data()),
                           sizeof(WireRequest), false});
 
-  WireMatrixMeta meta{matrix.entries.size(), matrix.total_bytes()};
+  WireMatrixMeta meta{matrix.entries.size(), total_bytes};
   write_pod(arena.matrix_meta, meta);
   result.chain.push_back({mem.gpa_of(arena.matrix_meta.data()),
                           sizeof(WireMatrixMeta), false});
@@ -55,7 +72,13 @@ void serialize_matrix(const driver::TransferMatrix& matrix,
   const bool device_writes =
       matrix.direction == driver::XferDirection::kFromRank;
 
-  std::uint64_t page_list_cursor = 0;  // bytes into arena.page_lists
+  // Page lists: in the control page's head when they surely fit there.
+  const std::uint64_t list_bound =
+      8 * (2 * matrix.entries.size() + total_bytes / kPage);
+  const std::span<std::uint8_t> lists = list_bound <= arena.page_head.size()
+                                            ? arena.page_head
+                                            : arena.page_lists;
+  std::uint64_t page_list_cursor = 0;  // bytes into `lists`
   for (std::size_t k = 0; k < matrix.entries.size(); ++k) {
     const driver::XferEntry& e = matrix.entries[k];
     VPIM_CHECK(e.size > 0, "zero-sized matrix entry");
@@ -79,9 +102,9 @@ void serialize_matrix(const driver::TransferMatrix& matrix,
          sizeof(WireEntryMeta), false});
 
     // Page buffer: one u64 guest-physical page address per covered page.
-    VPIM_CHECK(page_list_cursor + nr_pages * 8 <= arena.page_lists.size(),
+    VPIM_CHECK(page_list_cursor + nr_pages * 8 <= lists.size(),
                "page-list arena exhausted");
-    std::uint8_t* list = arena.page_lists.data() + page_list_cursor;
+    std::uint8_t* list = lists.data() + page_list_cursor;
     for (std::uint64_t p = 0; p < nr_pages; ++p) {
       const std::uint64_t page_gpa = (gpa - first_off) + p * kPage;
       std::memcpy(list + p * 8, &page_gpa, 8);

@@ -111,15 +111,27 @@ struct WireEntryMeta {
 // Guest-kernel staging areas the frontend serializes into. Allocated once
 // per device at initialization; their size is the frontend's per-DPU
 // memory overhead (§4.1). The four control blocks share one guest page,
-// with the page lists behind it (Frontend::alloc_arena).
+// the control page, and the rest of that page is the page-list head
+// (carve_control_page). serialize_matrix writes a request's page lists
+// into the head when an O(1) bound on their size fits there, 8 x (2 x
+// entries + total_bytes / 4096) bytes (an entry of `size` bytes covers at
+// most size / 4096 + 2 pages), and into the slot's own page-list area
+// otherwise; so a small request touches exactly one arena page. The
+// frontend lays every slot's control page side by side
+// (Frontend::ensure_arenas).
 struct WireArena {
   std::span<std::uint8_t> request;      // sizeof(WireRequest)
   std::span<std::uint8_t> matrix_meta;  // sizeof(WireMatrixMeta)
   std::span<std::uint8_t> entry_meta;   // 64 * sizeof(WireEntryMeta)
+  std::span<std::uint8_t> page_head;    // rest of the control page
   std::span<std::uint8_t> page_lists;   // nr_dpus * 16384 * 8 bytes
   std::span<std::uint8_t> payload;      // small CI payloads (symbols)
   std::span<std::uint8_t> response;     // device-writable scratch
 };
+
+// Lays the control blocks out 64-byte aligned at the start of `page`, one
+// guest page, and leaves the rest of it to `arena.page_head`.
+void carve_control_page(WireArena& arena, std::span<std::uint8_t> page);
 
 struct SerializeResult {
   std::vector<virtio::DescBuffer> chain;

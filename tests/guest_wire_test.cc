@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <utility>
+#include <vector>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -24,16 +27,36 @@ TEST(GuestMemory, AllocAndTranslate) {
   EXPECT_EQ(mem.gpa_of(buf.data() + 5000), gpa + 5000);
 }
 
-TEST(GuestMemory, AllocationsArePageAlignedAndDisjoint) {
+// A buffer of a page or more starts on a page of its own; a smaller one is
+// 64-byte aligned inside one page that it shares with other small buffers,
+// so no transfer's page count depends on the packing.
+TEST(GuestMemory, SmallAllocationsPackInOnePageLargeOnesArePageAligned) {
   GuestMemory mem(16 * kMiB);
-  auto a = mem.alloc(1);
-  auto b = mem.alloc(kGuestPageSize + 1);
-  auto c = mem.alloc(17);
-  EXPECT_EQ(mem.gpa_of(a.data()) % kGuestPageSize, 0u);
-  EXPECT_EQ(mem.gpa_of(b.data()) % kGuestPageSize, 0u);
-  EXPECT_EQ(mem.gpa_of(b.data()), mem.gpa_of(a.data()) + kGuestPageSize);
-  EXPECT_EQ(mem.gpa_of(c.data()),
-            mem.gpa_of(b.data()) + 2 * kGuestPageSize);
+  const std::uint64_t sizes[] = {1,    kGuestPageSize + 1, 17,   4095, 64,
+                                 63,   65,   kGuestPageSize, 2304, 448,
+                                 8193, 2048, 2048, 1};
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> spans;  // gpa, size
+  for (const std::uint64_t size : sizes) {
+    const auto buf = mem.alloc(size);
+    ASSERT_EQ(buf.size(), size);
+    const std::uint64_t gpa = mem.gpa_of(buf.data());
+    if (size >= kGuestPageSize) {
+      EXPECT_EQ(gpa % kGuestPageSize, 0u) << size;
+    } else {
+      EXPECT_EQ(gpa % 64, 0u) << size;
+      EXPECT_EQ(gpa / kGuestPageSize, (gpa + size - 1) / kGuestPageSize)
+          << size;
+    }
+    spans.emplace_back(gpa, size);
+  }
+  // The first three: 1 B and 17 B share a page, the page-plus buffer sits
+  // on the next two pages.
+  EXPECT_EQ(spans[2].first, spans[0].first + 64);
+  EXPECT_EQ(spans[1].first, spans[0].first + kGuestPageSize);
+  std::sort(spans.begin(), spans.end());
+  for (std::size_t i = 1; i < spans.size(); ++i) {
+    EXPECT_LE(spans[i - 1].first + spans[i - 1].second, spans[i].first);
+  }
 }
 
 TEST(GuestMemory, ExhaustionAndBadTranslationsThrow) {
@@ -123,6 +146,84 @@ TEST(Wire, SerializeDeserializeRoundTrip) {
     EXPECT_EQ(covered, entry.size);
   }
   q.push_used(head, 0);
+}
+
+// A frontend-style arena: control blocks and page-list head in one page.
+WireArena control_page_arena(GuestMemory& mem) {
+  WireArena arena;
+  carve_control_page(arena, mem.alloc(kGuestPageSize));
+  arena.page_lists = mem.alloc(64 * 16384 * 8);
+  return arena;
+}
+
+// Serializes `matrix` into `arena` and deserializes it back.
+DeserializeResult round_trip(const driver::TransferMatrix& matrix,
+                             GuestMemory& mem, WireArena& arena,
+                             SerializeResult& ser) {
+  ser = serialize_matrix(
+      matrix, mem, arena,
+      static_cast<std::uint32_t>(virtio::PimRequestType::kWriteToRank));
+  virtio::Virtqueue q(512);
+  q.submit(ser.chain);
+  return deserialize_matrix(*q.pop_avail(), mem);
+}
+
+void expect_same(const DeserializeResult& a, const DeserializeResult& b) {
+  EXPECT_EQ(a.direction, b.direction);
+  EXPECT_EQ(a.nr_pages, b.nr_pages);
+  EXPECT_EQ(a.total_bytes, b.total_bytes);
+  ASSERT_EQ(a.entries.size(), b.entries.size());
+  for (std::size_t k = 0; k < a.entries.size(); ++k) {
+    EXPECT_EQ(a.entries[k].dpu, b.entries[k].dpu);
+    EXPECT_EQ(a.entries[k].mram_offset, b.entries[k].mram_offset);
+    EXPECT_EQ(a.entries[k].size, b.entries[k].size);
+    EXPECT_TRUE(std::equal(a.entries[k].segments.begin(),
+                           a.entries[k].segments.end(),
+                           b.entries[k].segments.begin(),
+                           b.entries[k].segments.end()))
+        << "entry " << k;
+  }
+}
+
+// A small matrix writes its page lists into the control page's head, so
+// every descriptor of the request lies in one guest page.
+TEST(Wire, SmallMatrixListsItsPagesInsideItsRequestPage) {
+  WireRig rig;
+  WireArena arena = control_page_arena(rig.mem);
+  auto buf = rig.mem.alloc(4 * kGuestPageSize);
+  driver::TransferMatrix m;
+  m.entries.push_back({0, 0, buf.data() + 100, 2 * kGuestPageSize});
+  m.entries.push_back({9, 64, buf.data() + 3 * kGuestPageSize, 8});
+
+  SerializeResult ser;
+  const DeserializeResult got = round_trip(m, rig.mem, arena, ser);
+  const std::uint64_t page = rig.mem.gpa_of(arena.request.data());
+  EXPECT_EQ(page % kGuestPageSize, 0u);
+  for (const virtio::DescBuffer& d : ser.chain) {
+    EXPECT_EQ(d.gpa / kGuestPageSize, page / kGuestPageSize);
+    EXPECT_EQ((d.gpa + d.len - 1) / kGuestPageSize, page / kGuestPageSize);
+  }
+  SerializeResult plain;
+  expect_same(got, round_trip(m, rig.mem, rig.arena, plain));
+}
+
+// Lists whose bound exceeds the head go to the page-list area instead and
+// carry the same pages.
+TEST(Wire, ListsPastTheHeadUseThePageListArea) {
+  WireRig rig;
+  WireArena arena = control_page_arena(rig.mem);
+  auto buf = rig.mem.alloc(1 * kMiB + kGuestPageSize);
+  driver::TransferMatrix m;
+  m.entries.push_back({0, 0, buf.data() + 7, 1 * kMiB});
+  ASSERT_GT(8 * (2 + 1 * kMiB / kGuestPageSize), arena.page_head.size());
+
+  SerializeResult ser;
+  const DeserializeResult got = round_trip(m, rig.mem, arena, ser);
+  const std::uint64_t lists = rig.mem.gpa_of(arena.page_lists.data());
+  EXPECT_EQ(ser.chain[3].gpa, lists);
+  EXPECT_EQ(ser.chain[3].len, 8 * (1 * kMiB / kGuestPageSize + 1));
+  SerializeResult plain;
+  expect_same(got, round_trip(m, rig.mem, rig.arena, plain));
 }
 
 TEST(Wire, ZeroCopySharing) {

@@ -1,11 +1,12 @@
-// KvService hot-key cache (configuration checks and eviction order) and
-// the MRAM pages a service materializes.
+// KvService hot-key cache (configuration checks and eviction order), the
+// MRAM pages a service materializes and the guest pages a session touches.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "common/error.h"
 #include "kv/kv_service.h"
+#include "kv/loadgen.h"
 #include "tests/testutil.h"
 #include "upmem/rank.h"
 #include "vpim/host.h"
@@ -125,6 +126,50 @@ TEST(KvService, ZeroedSlotHeadersMaterializeNoPage) {
           << "dpu " << d << " slot page " << page;
     }
   }
+  svc.close();
+}
+
+// A short KV session on a fresh VM, shaped like one tenant_churn session
+// (36 DPUs, 6 slots each, 32 ops at queue depth 8), first-touches a fixed
+// budget of guest pages, each a real host fault and unmap per VM: the 8 SQ
+// slots' control pages (side by side, small page lists inside), slot 0's
+// CI payload page, one first page per DPU batch buffer (open()'s zeroed
+// slot headers go through it), and 26 pages of inboxes and outboxes packed
+// several to a page. With a page per small buffer and the control pages
+// 8 MiB apart, the same session touched 78.
+TEST(KvService, ShortSessionTouchesABoundedSetOfGuestPages) {
+  core::Host host({.nr_ranks = 1}, CostModel{}, fast_manager());
+  core::VpimConfig vcfg = core::VpimConfig::full();
+  vcfg.queue_depth = 8;
+  core::VpimVm vm(host,
+                  {.name = "kv-pages", .vcpus = 2,
+                   .guest_ram_bytes = 128 * kMiB},
+                  1, vcfg);
+  guest::GuestMemory& mem = vm.vmm().memory();
+  const std::uint64_t before = mem.resident_pages();
+
+  KvConfig cfg;
+  cfg.nr_dpus = 36;
+  cfg.slots_per_dpu = 6;
+  cfg.partitions = 2 * cfg.nr_dpus;
+  cfg.slot_capacity = 256;
+  cfg.max_batch_ops = 16;
+  LoadgenConfig lg;
+  lg.nr_ops = 32;
+  lg.key_space = 64;
+  lg.put_permille = 500;
+  lg.delete_permille = 0;
+  lg.scan_permille = 0;
+  std::vector<KvOp> ops;
+  for (const KvTraceOp& t : generate_trace(lg)) ops.push_back(t.op);
+
+  KvService svc(vm.device(0).frontend, mem, host.clock, host.cost, host.obs,
+                cfg);
+  ASSERT_TRUE(svc.open());
+  for (const KvResult& r : svc.execute(ops)) {
+    ASSERT_TRUE(r.status == KvStatus::kOk || r.status == KvStatus::kNotFound);
+  }
+  EXPECT_LE(mem.resident_pages() - before, 8u + 1u + 36u + 26u);
   svc.close();
 }
 

@@ -283,6 +283,48 @@ TEST(Metrics, LabelCardinalityFoldsIntoOverflowSeries) {
   EXPECT_EQ(reg.histogram("vpim_card_ns", {{"i", "0"}}).count(), 1u);
 }
 
+// A scoped series lives while a handle on it does: handles on the same
+// labels share it, the last one takes it out of every export and out of
+// the cardinality count, and a plain histogram() keeps it for good.
+TEST(Metrics, ScopedSeriesLeaveWithTheirLastHandle) {
+  MetricsRegistry reg;
+  {
+    auto a = reg.scoped_histogram("vpim_dev_ns", {{"device", "d0"}});
+    auto b = reg.scoped_histogram("vpim_dev_ns", {{"device", "d0"}});
+    EXPECT_EQ(&*a, &*b);
+    a->observe(4);
+    a.release();
+    EXPECT_NE(reg.prometheus_text().find(
+                  "vpim_dev_ns_count{device=\"d0\"} 1\n"),
+              std::string::npos);
+  }
+  EXPECT_EQ(reg.prometheus_text(), "");
+  EXPECT_EQ(reg.json_snapshot(), "{\"metrics\":[]}");
+  EXPECT_EQ(reg.family_count(), 0u);
+
+  // Churn far past the cap never folds: only live series count.
+  for (std::size_t i = 0; i < 3 * MetricsRegistry::kMaxSeriesPerFamily; ++i) {
+    auto h = reg.scoped_histogram("vpim_dev_ns",
+                                  {{"device", std::to_string(i)}});
+    h->observe(1);
+  }
+  auto live = reg.scoped_histogram("vpim_dev_ns", {{"device", "live"}});
+  const std::string text = reg.prometheus_text();
+  EXPECT_EQ(text.find("overflow"), std::string::npos);
+  EXPECT_NE(text.find("vpim_dev_ns_count{device=\"live\"} 0\n"),
+            std::string::npos);
+  EXPECT_EQ(text.find("device=\"0\""), std::string::npos);
+
+  // A plain registration of the same labels outlives the handle.
+  Histogram& kept = reg.histogram("vpim_dev_ns", {{"device", "live"}});
+  EXPECT_EQ(&kept, &*live);
+  live.release();
+  kept.observe(2);
+  EXPECT_NE(reg.prometheus_text().find(
+                "vpim_dev_ns_count{device=\"live\"} 1\n"),
+            std::string::npos);
+}
+
 TEST(Metrics, PrometheusTextGolden) {
   MetricsRegistry reg;
   Histogram& h = reg.histogram("vpim_lat_ns");

@@ -235,6 +235,49 @@ TEST(VpimVm, BatchFlushesWhenBufferFills) {
   EXPECT_GT(fe.stats().batch_flushes, 0u);
 }
 
+// A matrix may name one DPU many times. One whose records each fit the
+// DPU's batch buffer but together overrun it is not absorbed: it goes to
+// the device directly, and the record already absorbed for the next DPU,
+// whose batch buffer follows in guest RAM, reaches MRAM intact.
+TEST(VpimVm, BatchRefusesAMatrixThatOverrunsItsDpuBuffer) {
+  VmRig rig(1, VpimConfig::with_batching());
+  Frontend& fe = rig.vm.device(0).frontend;
+  guest::GuestMemory& mem = rig.vm.vmm().memory();
+  ASSERT_TRUE(fe.open());
+  auto fill = [](std::span<std::uint8_t> buf, std::uint8_t salt) {
+    for (std::size_t i = 0; i < buf.size(); ++i) {
+      buf[i] = static_cast<std::uint8_t>(i * 13 + salt + (i >> 12));
+    }
+  };
+  auto record = mem.alloc(256);
+  fill(record, 1);
+  driver::TransferMatrix one;
+  one.entries.push_back({1, 4096, record.data(), record.size()});
+  fe.write_to_rank(one);
+  ASSERT_EQ(fe.stats().batched_writes, 1u);
+
+  // Five 64 KiB records for DPU 0: each fits alone, together they do not.
+  constexpr std::uint64_t kPiece = std::uint64_t{kBatchEntryMaxPages} * 4096;
+  auto big = mem.alloc(5 * kPiece);
+  fill(big, 2);
+  driver::TransferMatrix over;
+  for (std::uint64_t i = 0; i < 5; ++i) {
+    over.entries.push_back({0, i * kPiece, big.data() + i * kPiece, kPiece});
+  }
+  fe.write_to_rank(over);
+  EXPECT_EQ(fe.stats().batched_writes, 1u);
+
+  auto out = mem.alloc(5 * kPiece);
+  driver::TransferMatrix read;
+  read.direction = driver::XferDirection::kFromRank;
+  read.entries.push_back({1, 4096, out.data(), record.size()});
+  fe.read_from_rank(read);
+  EXPECT_EQ(std::memcmp(out.data(), record.data(), record.size()), 0);
+  read.entries = {{0, 0, out.data(), out.size()}};
+  fe.read_from_rank(read);
+  EXPECT_EQ(std::memcmp(out.data(), big.data(), big.size()), 0);
+}
+
 TEST(VpimVm, LargeWritesBypassBatching) {
   VmRig rig;
   Frontend& fe = rig.vm.device(0).frontend;
@@ -358,6 +401,55 @@ TEST(VpimVm, EachSqSlotAddsOneControlPagePageListsAndPayload) {
             guest::kGuestPageSize + page_lists + 8 * kKiB);
 }
 
+// A device's histogram series (vpim_op_ns, vpim_inflight_depth) leave the
+// registry with it, like its collected counters, so tenant churn neither
+// exports dead devices nor folds live ones into the overflow series.
+TEST(VpimVm, DeviceHistogramsLeaveWithTheirDevice) {
+  Host host(test::small_machine(), CostModel{}, fast_manager());
+  for (int i = 0; i < 3; ++i) {
+    VpimVm gone(host, {.name = "gone" + std::to_string(i)}, 1);
+  }
+  VpimVm live(host, {.name = "live"}, 1);
+  const std::string text = host.obs.metrics.prometheus_text();
+  EXPECT_EQ(text.find("gone"), std::string::npos);
+  EXPECT_NE(text.find("vpim_inflight_depth_count{device=\"live/"),
+            std::string::npos);
+  for (const std::string_view op : kRankOpNames) {
+    EXPECT_NE(text.find("vpim_op_ns_count{device=\"live/vupmem0\",op=\"" +
+                        std::string(op) + "\"}"),
+              std::string::npos)
+        << op;
+  }
+
+  for (int i = 0; i < 30; ++i) {
+    VpimVm churn(host, {.name = "churn" + std::to_string(i)}, 1);
+  }
+  EXPECT_EQ(host.obs.metrics.prometheus_text().find("overflow"),
+            std::string::npos);
+}
+
+// A one-entry request writes nothing outside its slot's control page: its
+// page list sits in the page's head, so slot 1's first request
+// first-touches exactly one arena page (slot 0's went with open()).
+TEST(VpimVm, OneEntryRequestTouchesOneArenaPage) {
+  VpimConfig cfg = VpimConfig::c_only();  // no cache or batch buffers
+  cfg.queue_depth = 2;
+  VmRig rig(1, cfg);
+  Frontend& fe = rig.vm.device(0).frontend;
+  guest::GuestMemory& mem = rig.vm.vmm().memory();
+  ASSERT_TRUE(fe.open());
+  auto buf = mem.alloc(3 * guest::kGuestPageSize);
+  std::memset(buf.data(), 0x5A, buf.size());
+  const std::uint64_t before = mem.resident_pages();
+
+  driver::TransferMatrix m;
+  m.entries.push_back({0, 0, buf.data() + 100, 2 * guest::kGuestPageSize});
+  fe.submit_write(m);
+  fe.submit_write(m);
+  ASSERT_EQ(fe.poll_completions().size(), 2u);
+  EXPECT_EQ(mem.resident_pages() - before, 1u);
+}
+
 TEST(VpimVm, RustConfigSlowerThanC) {
   auto run = [&](VpimConfig cfg) {
     VmRig rig(1, cfg);
@@ -464,6 +556,31 @@ std::span<std::uint8_t> seed_and_fill(VupmemDevice& dev,
   EXPECT_EQ(dev.stats.cache_fills, fills + 1);
   EXPECT_EQ(std::memcmp(small.data(), seed.data(), small.size()), 0);
   return seed;
+}
+
+// A pinned fill never writes the guest cache segment, and each hit copies
+// from the pin straight into the caller's buffer, so the whole miss-and-
+// hits sequence first-touches no guest page.
+TEST(PinnedPrefetch, PinnedHitsLeaveTheCacheSegmentUntouched) {
+  VmRig rig(1, prefetch_only());
+  VupmemDevice& dev = rig.vm.device(0);
+  guest::GuestMemory& mem = rig.vm.vmm().memory();
+  ASSERT_TRUE(dev.frontend.open());
+  auto seed = pattern(mem, 128 * kKiB, 1);
+  write_at(dev.frontend, 0, 0, seed);
+  auto out = mem.alloc(512);
+  std::memset(out.data(), 0xEE, out.size());
+  const std::uint64_t before = mem.resident_pages();
+
+  for (const std::uint64_t off :
+       {std::uint64_t{0}, std::uint64_t{4093}, 30 * kKiB, 64 * kKiB - 512}) {
+    read_at(dev.frontend, 0, off, out);
+    EXPECT_EQ(std::memcmp(out.data(), seed.data() + off, out.size()), 0)
+        << "offset " << off;
+  }
+  EXPECT_EQ(dev.stats.cache_fills, 1u);
+  EXPECT_EQ(dev.stats.cache_hits, 3u);
+  EXPECT_EQ(mem.resident_pages(), before);
 }
 
 TEST(PinnedPrefetch, HitAfterRankDeathAndRescueReturnsTheFillBytes) {
@@ -739,15 +856,16 @@ TEST(PinnedPrefetch, FlaggedReadPinsAndAnEagerFillDropsThePin) {
   m.entries.push_back({0, 0, dest.data(), 8 * kKiB});
 
   // One segment: the device pins instead of writing the guest buffer, and
-  // settling copies the pinned bytes.
+  // settling copies the pinned bytes into the caller's buffer.
   EXPECT_EQ(r.run(r.stage(m, kWireFlagPrefetch)).status, 0);
   EXPECT_EQ(dest[0], 0xEE);
   std::vector<std::uint8_t> settled(8 * kKiB, 0xEE);
-  r.dev().backend.settle_prefetch(0, 0, settled);
+  EXPECT_TRUE(r.dev().backend.settle_prefetch(0, 0, settled));
   EXPECT_EQ(std::memcmp(settled.data(), seed.data(), settled.size()), 0);
 
-  // The same fill over two segments copies eagerly and drops DPU 0's pin,
-  // so settling leaves the buffer alone.
+  // The same fill over two segments copies eagerly and drops DPU 0's pin:
+  // the guest buffer holds the bytes, and settling declines and leaves the
+  // caller's buffer alone.
   const SerializeResult split = r.stage(m, kWireFlagPrefetch);
   r.repoint_page(1, dest.data() + 2 * guest::kGuestPageSize);
   EXPECT_EQ(r.run(split).status, 0);
@@ -756,7 +874,7 @@ TEST(PinnedPrefetch, FlaggedReadPinsAndAnEagerFillDropsThePin) {
                         4 * kKiB),
             0);
   std::vector<std::uint8_t> untouched(8 * kKiB, 0xEE);
-  r.dev().backend.settle_prefetch(0, 0, untouched);
+  EXPECT_FALSE(r.dev().backend.settle_prefetch(0, 0, untouched));
   EXPECT_TRUE(std::all_of(untouched.begin(), untouched.end(),
                           [](std::uint8_t b) { return b == 0xEE; }));
 }
