@@ -23,6 +23,15 @@ vpim::obs::Tracer* trace_of(upmem::PimMachine& machine) {
 
 // ---------------------------------------------------------------- backlog
 
+std::vector<CopyBacklog::Task>& CopyBacklog::group(std::uint32_t dpu) {
+  std::int32_t& g = slot_[dpu];
+  if (g < 0) {
+    g = static_cast<std::int32_t>(groups_.size());
+    groups_.emplace_back();
+  }
+  return groups_[static_cast<std::size_t>(g)];
+}
+
 void CopyBacklog::add(upmem::Rank& rank, const TransferMatrix& matrix,
                       std::span<upmem::MramBank::Pin> pins) {
   const bool to_rank = matrix.direction == XferDirection::kToRank;
@@ -37,20 +46,41 @@ void CopyBacklog::add(upmem::Rank& rank, const TransferMatrix& matrix,
       to_rank ? Kind::kWrite : (pins.empty() ? Kind::kRead : Kind::kPin);
   for (const XferEntry& e : matrix.entries) {
     if (e.size == 0) continue;
-    std::int32_t& g = slot_[e.dpu];
-    if (g < 0) {
-      g = static_cast<std::int32_t>(groups_.size());
-      groups_.emplace_back();
-    }
-    groups_[static_cast<std::size_t>(g)].push_back(
+    group(e.dpu).push_back(
         {&rank.mram(e.dpu), e.mram_offset, e.host,
-         kind == Kind::kPin ? &pins[e.dpu] : nullptr, e.size, kind});
+         {kind == Kind::kPin ? &pins[e.dpu] : nullptr}, e.size, kind});
+  }
+}
+
+void CopyBacklog::add_broadcast(upmem::Rank& rank, std::uint64_t mram_offset,
+                                std::span<const std::uint8_t> data) {
+  for (std::uint32_t d = 0; d < rank.nr_dpus(); ++d) {
+    rank.mram(d);  // throws for a dead rank or any running DPU
+  }
+  const std::uint64_t shared =
+      mram_offset % upmem::kMramPageSize == 0
+          ? data.size() / upmem::kMramPageSize * upmem::kMramPageSize
+          : 0;
+  const upmem::MramPageRef* pages =
+      shared_.emplace_back(upmem::MramBank::build_pages(data.first(shared)))
+          .data();
+  // A write only reads through its host pointer.
+  std::uint8_t* tail = const_cast<std::uint8_t*>(data.data()) + shared;
+  for (std::uint32_t d = 0; d < rank.nr_dpus(); ++d) {
+    upmem::MramBank* bank = &rank.mram(d);
+    Task adopt{bank, mram_offset, nullptr, {}, shared, Kind::kAdopt};
+    adopt.pages = pages;
+    if (shared > 0) group(d).push_back(adopt);
+    if (shared < data.size()) {
+      group(d).push_back({bank, mram_offset + shared, tail, {},
+                          data.size() - shared, Kind::kWrite});
+    }
   }
 }
 
 void CopyBacklog::flush() {
   if (groups_.empty()) return;
-  // One fan-out replays every parked request's copies; group order (and
+  // One fan-out replays every parked request's tasks; group order (and
   // order within a group) is deterministic first-use order, and distinct
   // DPU banks never share a group, so any thread count yields identical
   // bank contents.
@@ -66,10 +96,15 @@ void CopyBacklog::flush() {
         case Kind::kPin:
           *t.pin = t.bank->pin(t.mram_offset, t.size);
           break;
+        case Kind::kAdopt:
+          t.bank->adopt_pages(t.mram_offset,
+                              {t.pages, t.size / upmem::kMramPageSize});
+          break;
       }
     }
   });
   groups_.clear();
+  shared_.clear();
   slot_.fill(-1);
 }
 
@@ -81,24 +116,10 @@ void copy_banks(upmem::Rank& rank, const TransferMatrix& matrix,
 }
 
 void broadcast_banks(upmem::Rank& rank, std::uint64_t mram_offset,
-                     std::span<const std::uint8_t> data) {
-  const bool page_aligned = (mram_offset % upmem::kMramPageSize) == 0;
-  const std::size_t full_pages = data.size() / upmem::kMramPageSize;
-  if (page_aligned && full_pages > 0) {
-    const std::size_t shared_bytes = full_pages * upmem::kMramPageSize;
-    auto pages = upmem::MramBank::build_pages(data.first(shared_bytes));
-    ThreadPool::instance().parallel_for(rank.nr_dpus(), [&](std::size_t d) {
-      upmem::MramBank& bank = rank.mram(static_cast<std::uint32_t>(d));
-      bank.adopt_pages(mram_offset, pages);
-      if (shared_bytes < data.size()) {
-        bank.write(mram_offset + shared_bytes, data.subspan(shared_bytes));
-      }
-    });
-  } else {
-    ThreadPool::instance().parallel_for(rank.nr_dpus(), [&](std::size_t d) {
-      rank.mram(static_cast<std::uint32_t>(d)).write(mram_offset, data);
-    });
-  }
+                     std::span<const std::uint8_t> data, CopyBacklog* defer) {
+  CopyBacklog now;
+  (defer != nullptr ? *defer : now).add_broadcast(rank, mram_offset, data);
+  now.flush();
 }
 
 // ---------------------------------------------------------------- mapping

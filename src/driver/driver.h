@@ -30,16 +30,16 @@ namespace vpim::driver {
 
 class UpmemDriver;
 
-// Deferred copy sink for the pipelined request path. A backend drain parks
-// every request's host<->MRAM copies here and replays them all in ONE
-// parallel_for, so thread fan-out is paid once per drain, not per request.
-// Virtual time is unaffected: callers charge their cost before adding.
+// The one place a request stores to or pins MRAM. A backend drain parks
+// every request's bank stores here (transfers, broadcasts, batched-flush
+// records, prefetch pins) and replays them all in ONE parallel_for, so
+// thread fan-out is paid once per drain, not per request. Virtual time is
+// unaffected: callers charge their cost before adding.
 //
-// add() checks every target bank through Rank::mram (rank alive, DPU
-// index, DPU not running) before it parks any copy, so the issuing request
-// sees the error, a rejected matrix parks nothing, and the replay only
-// moves bytes. A parked bank pointer lives until its rank's binding
-// changes; the owner flushes before that.
+// add() and add_broadcast() check every target bank through Rank::mram
+// (rank alive, DPU index, DPU not running) before they park anything, so the issuing request sees the error, a rejected request
+// parks nothing, and the replay only moves bytes. A parked bank pointer
+// lives until its rank's binding changes; the owner flushes before that.
 //
 // A read parked with `pins` (one slot per DPU) replays as a pin instead of
 // a copy: MramBank::pin stores the bank range's page refs, as they stand at
@@ -50,49 +50,54 @@ class UpmemDriver;
 // reuses its deserialization scratch across requests in a batch), grouped
 // per DPU in first-use order. Within a group, append order is replay
 // order, so read-after-write on the same DPU stays correct across a
-// batch. Cross-request host-buffer aliasing is excluded by the async
-// API's buffer-stability contract.
+// batch. Host buffers are read or written at replay, not at add(): the
+// async API's buffer-stability contract keeps them in place until then.
 class CopyBacklog {
  public:
   CopyBacklog() { slot_.fill(-1); }
 
   void add(upmem::Rank& rank, const TransferMatrix& matrix,
            std::span<upmem::MramBank::Pin> pins = {});
+  // Parks `data` at `mram_offset` of every bank of `rank`. Whole pages are
+  // built once, here, and adopted copy-on-write by every bank, so a 60 MB
+  // broadcast to 60 DPUs costs 60 MB of real memory; a partial tail page,
+  // or a whole unaligned broadcast, is a plain write per bank.
+  void add_broadcast(upmem::Rank& rank, std::uint64_t mram_offset,
+                     std::span<const std::uint8_t> data);
   bool empty() const { return groups_.empty(); }
-  // Replays every parked copy (one parallel_for over DPU groups), then
+  // Replays every parked task (one parallel_for over DPU groups), then
   // resets for the next batch.
   void flush();
 
  private:
-  enum class Kind : std::uint8_t { kWrite, kRead, kPin };
+  enum class Kind : std::uint8_t { kWrite, kRead, kPin, kAdopt };
   struct Task {
     upmem::MramBank* bank;
     std::uint64_t mram_offset;
-    std::uint8_t* host;
-    upmem::MramBank::Pin* pin;  // kPin only
+    std::uint8_t* host;  // kWrite, kRead
+    union {
+      upmem::MramBank::Pin* pin;         // kPin
+      const upmem::MramPageRef* pages;   // kAdopt: size / page size refs
+    };
     std::uint64_t size;
     Kind kind;
   };
+  std::vector<Task>& group(std::uint32_t dpu);  // opened on first use
   std::array<std::int32_t, upmem::kDpuSlotsPerRank> slot_{};
   std::vector<std::vector<Task>> groups_;
+  std::vector<std::vector<upmem::MramPageRef>> shared_;  // kAdopt pages
 };
 
-// The one bank-copy fan-out. Copies every non-empty entry of `matrix`
-// between its host buffer and `rank`'s MRAM banks: entries for one DPU
-// replay in request order, distinct banks fan out over the host pool. With
-// `defer`, the copies are parked there for a batched replay instead; with
-// `pins`, a read pins its bank ranges instead of copying them (see
-// CopyBacklog). Banks hold DPU-linear bytes, so no (de)interleave runs
-// here. Charges no virtual time; every caller charges its own.
+// One-shot wrappers over CopyBacklog::add and add_broadcast: with `defer`
+// the request parks there for the owner's batched replay, otherwise it
+// replays at once (the native driver's path). Banks hold DPU-linear bytes,
+// so no (de)interleave runs here. Neither charges virtual time.
 void copy_banks(upmem::Rank& rank, const TransferMatrix& matrix,
                 CopyBacklog* defer = nullptr,
                 std::span<upmem::MramBank::Pin> pins = {});
-
-// The one broadcast: writes `data` at `mram_offset` of every bank of
-// `rank`. Whole pages are built once and shared copy-on-write, so a 60 MB
-// broadcast to 60 DPUs costs 60 MB of real memory. Charges no time.
 void broadcast_banks(upmem::Rank& rank, std::uint64_t mram_offset,
-                     std::span<const std::uint8_t> data);
+                     std::span<const std::uint8_t> data,
+                     CopyBacklog* defer = nullptr);
 
 // Performance-mode mapping of one rank. Exclusive: a rank can be mapped by
 // at most one process at a time. Move-only RAII; unmapping frees the rank

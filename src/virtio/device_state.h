@@ -71,8 +71,6 @@ class DeviceState {
     return driver_features_ & device_features_;
   }
 
-  void mark_needs_reset() { status_ |= kStatusNeedsReset; }
-
   void reset() {
     status_ = 0;
     driver_features_ = 0;

@@ -1,5 +1,6 @@
 #include "vpim/backend.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/error.h"
@@ -111,13 +112,12 @@ upmem::Rank& Backend::stream(std::uint64_t bytes, std::uint32_t entries) {
   return binding_->rank();
 }
 
-bool Backend::settle_prefetch(std::uint32_t dpu, std::uint64_t mram_offset,
+void Backend::settle_prefetch(std::uint32_t dpu, std::uint64_t mram_offset,
                               std::span<std::uint8_t> out) const {
   VPIM_CHECK(dpu < prefetch_.size(), "DPU index out of range");
   const upmem::MramBank::Pin& pin = prefetch_[dpu];
-  if (pin.empty()) return false;
+  VPIM_CHECK(!pin.empty(), "settle without a prefetch pin");
   if (!out.empty()) pin.read(mram_offset, out);
-  return true;
 }
 
 void Backend::drop_prefetch() {
@@ -429,7 +429,6 @@ void Backend::handle_rank_op(const virtio::DescChain& chain,
   run_with_recovery([&] {
     if ((req.flags & kWireFlagBatched) != 0) {
       data_span.set_kind(obs::SpanKind::kBatchApply);
-      backlog_.flush();  // batch records write banks outside the backlog
       apply_batched_writes(matrix);
       return;
     }
@@ -437,61 +436,50 @@ void Backend::handle_rank_op(const virtio::DescChain& chain,
     // the same guest segment. Translation already merged contiguous pages,
     // so a broadcast shows up as one identical single-segment entry per
     // DPU — straight span comparisons, no per-request scratch.
-    bool broadcast = matrix.direction == driver::XferDirection::kToRank &&
-                     matrix.entries.size() == binding_->rank().nr_dpus() &&
-                     matrix.entries.size() > 1 &&
-                     matrix.entries[0].segments.size() == 1;
-    if (broadcast) {
-      const DeserializedEntry& head = matrix.entries[0];
-      for (const auto& e : matrix.entries) {
-        if (e.mram_offset != head.mram_offset || e.size != head.size ||
-            e.segments.size() != 1 || e.segments[0] != head.segments[0]) {
-          broadcast = false;
-          break;
-        }
-      }
-    }
+    const auto same_as_first = [&](const DeserializedEntry& e) {
+      const DeserializedEntry& first = matrix.entries[0];
+      return e.mram_offset == first.mram_offset && e.size == first.size &&
+             e.segments.size() == 1 && e.segments[0] == first.segments[0];
+    };
+    const bool broadcast =
+        matrix.direction == driver::XferDirection::kToRank &&
+        matrix.entries.size() == binding_->rank().nr_dpus() &&
+        matrix.entries.size() > 1 &&
+        std::all_of(matrix.entries.begin(), matrix.entries.end(),
+                    same_as_first);
     if (broadcast) {
       data_span.set_kind(obs::SpanKind::kBroadcast);
-      backlog_.flush();  // broadcasts write banks outside the backlog
       // The host still writes every bank: one stream of nr_dpus payloads.
       const HvaSegment& seg = matrix.entries[0].segments[0];
       const auto banks = static_cast<std::uint32_t>(matrix.entries.size());
       driver::broadcast_banks(stream(seg.second * banks, banks),
                               matrix.entries[0].mram_offset,
-                              {seg.first, seg.second});
-    } else {
-      driver::TransferMatrix& xfer = xfer_scratch_;
-      xfer.entries.clear();
-      xfer.direction = matrix.direction;
-      bool one_segment_each = true;
-      for (const auto& e : matrix.entries) {
-        one_segment_each &= e.segments.size() == 1;
-        std::uint64_t mram = e.mram_offset;
-        for (const auto& [ptr, len] : e.segments) {
-          xfer.entries.push_back({e.dpu, mram, ptr, len});
-          mram += len;
-        }
-      }
-      const std::uint64_t bytes = xfer.total_bytes();
-      VPIM_CHECK(bytes <= upmem::kMaxXferBytes,
-                 "rank operations move at most 4 GiB");
-      upmem::Rank& dst =
-          stream(bytes, static_cast<std::uint32_t>(xfer.entries.size()));
-      const bool fill = !is_write && (req.flags & kWireFlagPrefetch) != 0;
-      if (fill && one_segment_each) {
-        prefetch_live_ = true;
-        driver::copy_banks(dst, xfer, &backlog_, prefetch_);
-        return;
-      }
-      driver::copy_banks(dst, xfer, &backlog_);
-      if (fill) {
-        // The fill copied eagerly: its DPUs' cache segments must settle
-        // nothing, so their pins go once every parked pin has landed.
-        backlog_.flush();
-        for (const auto& e : matrix.entries) prefetch_[e.dpu] = {};
+                              {seg.first, seg.second}, &backlog_);
+      return;
+    }
+    // A copy parks one entry per guest segment. A prefetch fill pins each
+    // entry's whole MRAM range, whatever its segments: one entry each.
+    const bool fill = !is_write && (req.flags & kWireFlagPrefetch) != 0;
+    driver::TransferMatrix& xfer = xfer_scratch_;
+    xfer.entries.clear();
+    xfer.direction = matrix.direction;
+    for (const auto& e : matrix.entries) {
+      std::uint64_t mram = e.mram_offset;
+      for (const auto& [ptr, len] : e.segments) {
+        xfer.entries.push_back({e.dpu, mram, ptr, fill ? e.size : len});
+        if (fill) break;
+        mram += len;
       }
     }
+    const std::uint64_t bytes = xfer.total_bytes();
+    VPIM_CHECK(bytes <= upmem::kMaxXferBytes,
+               "rank operations move at most 4 GiB");
+    upmem::Rank& dst =
+        stream(bytes, static_cast<std::uint32_t>(xfer.entries.size()));
+    prefetch_live_ |= fill;
+    driver::copy_banks(dst, xfer, &backlog_,
+                       fill ? std::span(prefetch_)
+                            : std::span<upmem::MramBank::Pin>{});
   });
   data_span.close();
 
@@ -510,28 +498,21 @@ void Backend::apply_batched_writes(const DeserializeResult& matrix) {
   upmem::Rank& rank = stream(
       matrix.total_bytes, static_cast<std::uint32_t>(matrix.entries.size()));
 
-  // Parse every DPU's batch region into its records before any bank
-  // changes, so a malformed batch is rejected whole; the records then
-  // replay through the one bank-copy fan-out, in order per DPU.
+  // Parse every DPU's batch region into its records before any record is
+  // parked, so a malformed batch is rejected whole; the records then park
+  // in the backlog like any transfer, in order per DPU.
   driver::TransferMatrix& records = xfer_scratch_;
   records.direction = driver::XferDirection::kToRank;
   records.entries.clear();
-  std::vector<std::vector<std::uint8_t>> joined;  // multi-segment regions
   for (const auto& e : matrix.entries) {
     VPIM_REQUEST_CHECK(e.dpu < upmem::kDpuSlotsPerRank,
                        virtio::PimStatus::kBadRequest,
                        "batch entry targets an invalid DPU slot");
-    std::span<std::uint8_t> region;
-    if (e.segments.size() == 1) {
-      region = {e.segments[0].first, e.segments[0].second};
-    } else {
-      std::vector<std::uint8_t>& buf = joined.emplace_back();
-      buf.reserve(e.size);
-      for (const auto& [ptr, len] : e.segments) {
-        buf.insert(buf.end(), ptr, ptr + len);
-      }
-      region = buf;
-    }
+    VPIM_REQUEST_CHECK(e.segments.size() == 1,
+                       virtio::PimStatus::kBadRequest,
+                       "batched region is not guest-contiguous");
+    const std::span<std::uint8_t> region(e.segments[0].first,
+                                         e.segments[0].second);
     std::uint64_t off = 0;
     while (off < region.size()) {
       VPIM_REQUEST_CHECK(off + sizeof(BatchRecordHeader) <= region.size(),
@@ -553,7 +534,7 @@ void Backend::apply_batched_writes(const DeserializeResult& matrix) {
       off += hdr.size;
     }
   }
-  driver::copy_banks(rank, records);
+  driver::copy_banks(rank, records, &backlog_);
 }
 
 void Backend::handle_ci(const virtio::DescChain& chain,

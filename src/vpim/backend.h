@@ -75,17 +75,15 @@ class Backend {
   // the frontend consults it on the try_submit path.
   AdmissionController* admission() const { return manager_.admission(); }
 
-  // Prefetch pins (kWireFlagPrefetch). A fill read whose entries each
-  // reach one guest segment pins each entry's MRAM range into its DPU's
-  // slot instead of copying it, so the frontend's cache segment is never
-  // written. Copy-on-write keeps a pin at the bytes of its fill, whatever
-  // the rank or binding does later.
+  // Prefetch pins (kWireFlagPrefetch). A fill read pins each entry's whole
+  // MRAM range into its DPU's slot instead of copying it, so the frontend's
+  // cache segment is never written. Copy-on-write keeps a pin at the bytes
+  // of its fill, whatever the rank or binding does later.
   //
   // Serves a cache hit: copies `out.size()` bytes at `mram_offset` from
-  // DPU `dpu`'s pin straight into `out`, the caller's buffer, and returns
-  // true. Returns false, `out` untouched, when the DPU holds no pin (the
-  // fill copied eagerly, so the cache segment holds the bytes).
-  bool settle_prefetch(std::uint32_t dpu, std::uint64_t mram_offset,
+  // DPU `dpu`'s pin straight into `out`, the caller's buffer. The DPU must
+  // hold a pin: a valid cache segment always comes from a fill.
+  void settle_prefetch(std::uint32_t dpu, std::uint64_t mram_offset,
                        std::span<std::uint8_t> out) const;
   // Drops every pin; the frontend calls it when its cache segments go.
   void drop_prefetch();
@@ -172,10 +170,11 @@ class Backend {
   }
   // The binding's one stream entry. Every host<->MRAM movement of a
   // request (transfer, broadcast, batched flush) charges `bytes` here once,
-  // then copies into the returned rank (driver::copy_banks,
-  // driver::broadcast_banks). On a mapping it is RankMapping::stream, with
-  // its fault hooks and driver.xfer span; an emulated rank charges the
-  // same formula at its own bandwidth and consults no fault plan.
+  // then parks its stores to the returned rank in backlog_
+  // (driver::copy_banks, driver::broadcast_banks). On a mapping it is
+  // RankMapping::stream, with its fault hooks and driver.xfer span; an
+  // emulated rank charges the same formula at its own bandwidth and
+  // consults no fault plan.
   upmem::Rank& stream(std::uint64_t bytes, std::uint32_t entries);
 
   // --- fault recovery (ISSUE 3) -----------------------------------------
@@ -232,8 +231,9 @@ class Backend {
   DeserializeScratch deser_scratch_;
   driver::TransferMatrix xfer_scratch_;
   virtio::DescChain chain_scratch_;
-  // Every transfer's copies, on either binding. Replayed at the end of a
-  // drain and before any bank access or binding change that bypasses it.
+  // Every rank op's bank stores and pins, on either binding. Replayed at
+  // the end of a drain, before CI and controlq ops, and before the binding
+  // changes.
   driver::CopyBacklog backlog_;
   // One prefetch pin slot per DPU slot, written when the backlog replays.
   std::vector<upmem::MramBank::Pin> prefetch_ =

@@ -318,12 +318,9 @@ void Frontend::read_from_rank(const driver::TransferMatrix& matrix) {
       direct.entries.push_back(e);
       continue;
     }
-    // A pinned fill serves the hit straight from its MRAM pages; the
-    // cache segment holds bytes only after an eager fill.
-    if (!backend_.settle_prefetch(e.dpu, e.mram_offset, {e.host, e.size})) {
-      const DpuCache& c = caches_[e.dpu];
-      std::memcpy(e.host, c.buf.data() + (e.mram_offset - c.base), e.size);
-    }
+    // The fill pinned the segment: the hit is served straight from its
+    // MRAM pages.
+    backend_.settle_prefetch(e.dpu, e.mram_offset, {e.host, e.size});
     clock.advance(cost.cache_hit_fixed_ns +
                   CostModel::bytes_time(e.size, cost.guest_memcpy_gbps));
   }

@@ -9,8 +9,8 @@
 //    The fill message carries kWireFlagPrefetch, so the device pins the
 //    segment's MRAM pages rather than copying them, and a hit copies just
 //    its own bytes from the pin straight into the caller's buffer
-//    (Backend::settle_prefetch). The guest cache segment is read only
-//    after an eager (unpinned) fill, so a pinned one never touches it.
+//    (Backend::settle_prefetch). The guest cache segment is never touched;
+//    it stays allocated because the fill's wire request describes it.
 //  - Request batching: a 64-page-per-DPU buffer absorbs small writes as
 //    {offset,size,data} records; the batch is flushed as a single message
 //    when a buffer fills or any non-write request arrives.

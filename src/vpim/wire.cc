@@ -69,9 +69,6 @@ void serialize_matrix(const driver::TransferMatrix& matrix,
   result.chain.push_back({mem.gpa_of(arena.matrix_meta.data()),
                           sizeof(WireMatrixMeta), false});
 
-  const bool device_writes =
-      matrix.direction == driver::XferDirection::kFromRank;
-
   // Page lists: in the control page's head when they surely fit there.
   const std::uint64_t list_bound =
       8 * (2 * matrix.entries.size() + total_bytes / kPage);
@@ -115,7 +112,6 @@ void serialize_matrix(const driver::TransferMatrix& matrix,
     // The data pages themselves are not chained: the device reaches them
     // through the GPAs in the page buffer (zero-copy). Whether the device
     // may write them is implied by the request direction.
-    (void)device_writes;
     page_list_cursor += nr_pages * 8;
     result.nr_pages += nr_pages;
   }

@@ -52,10 +52,10 @@ inline constexpr std::uint32_t kWireFlagBatched = 1;  // batch-buffer flush
 // (ISSUE 8). Patched into the staged request block in guest memory, so
 // cancellation travels through the wire like any other request field.
 inline constexpr std::uint32_t kWireFlagCancelled = 2;
-// Prefetch-cache fill. The device may pin the MRAM range of each entry
-// instead of copying it into the guest buffer; the guest then settles the
-// bytes it reads through Backend::settle_prefetch. Costs, spans and fault
-// hooks are those of any read.
+// Prefetch-cache fill on a read. The device pins each entry's MRAM range,
+// whatever its guest segments, instead of copying it into the guest
+// buffer; the guest settles the bytes it reads through
+// Backend::settle_prefetch. Costs, spans and fault hooks are any read's.
 inline constexpr std::uint32_t kWireFlagPrefetch = 4;
 
 struct WireRequest {

@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "common/rng.h"
+#include "tests/test_kernels.h"
 #include "tests/testutil.h"
 
 namespace vpim::driver {
@@ -118,6 +119,30 @@ TEST(Driver, BroadcastCostScalesWithDpus) {
   const double expected =
       rig.cost.native_xfer_fixed_ns + 8.0 * 1048576 / 6.0;
   EXPECT_NEAR(static_cast<double>(cost), expected, 100.0);
+}
+
+TEST(Driver, BroadcastOntoABusyDpuThrowsAndLeavesEveryBankUnchanged) {
+  // The running DPU is the rank's last, so a broadcast that stored bank by
+  // bank would reach every other bank before it failed.
+  test::register_busy_kernel();
+  test::TestRig rig(test::small_machine());
+  auto m = rig.drv.map_rank(0, "bcast-busy");
+  auto& rank = rig.machine.rank(0);
+  const std::uint32_t last = rank.nr_dpus() - 1;
+  const std::vector<std::uint8_t> seed(8 * kKiB, 0x5A);
+  m.broadcast(0, seed);
+  m.ci_load("test_busy");
+  m.ci_launch(std::uint64_t{1} << last);
+  ASSERT_EQ(m.ci_running_mask(), std::uint64_t{1} << last);
+
+  const std::vector<std::uint8_t> data(8 * kKiB, 0xC3);
+  EXPECT_THROW(m.broadcast(0, data), VpimError);
+  while (m.ci_running_mask() != 0) rig.clock.advance(1 * kMs);
+  std::vector<std::uint8_t> out(seed.size());
+  for (std::uint32_t d = 0; d < rank.nr_dpus(); ++d) {
+    rank.mram(d).read(0, out);
+    EXPECT_EQ(out, seed) << "dpu " << d;
+  }
 }
 
 TEST(Driver, OversizedTransferRejected) {

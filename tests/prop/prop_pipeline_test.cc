@@ -566,6 +566,86 @@ TEST(PropPipeline, EveryTicketReapsExactlyOnceUnderFaults) {
   EXPECT_TRUE(out.ok) << out.reproducer;
 }
 
+// ---- property 3b: a read sees a posted batched flush in its drain --------
+//
+// Batching axis without faults: every write is a blocking write_to_rank
+// the frontend absorbs into its batch buffers, and every read is a ticket.
+// At depth 8 the read's submission posts the batch flush and stages the
+// read behind it, so one drain carries both; the device parks the flush's
+// records and the read in one backlog. Every read must return what a
+// program-order model of the windows holds.
+
+TEST(PropPipeline, ReadsInTheDrainOfAPostedBatchedFlushSeeItsRecords) {
+  const Params params = Params::from_env(0xA51E1, 30);
+  const auto out = run_property<OpSeqCase>(
+      "pipeline.posted_flush_reads", params, op_seq_gen(),
+      [&](const OpSeqCase& c) {
+        core::Host host(test::small_machine(), CostModel{}, fast_manager());
+        VpimVm vm(host, {.name = "prop-pipe-batch"}, 1,
+                  depth_config(/*depth=*/8, /*batching=*/true));
+        Frontend& fe = vm.device(0).frontend;
+        require(fe.open(), "batch rig: no rank available");
+        guest::GuestMemory& mem = vm.vmm().memory();
+        std::vector<std::vector<std::uint8_t>> model(
+            kWindows,
+            std::vector<std::uint8_t>(kMaxEntries * kMaxEntryBytes, 0));
+        struct Read {
+          std::span<std::uint8_t> buf;
+          std::vector<std::uint8_t> expect;
+        };
+        std::map<Frontend::Ticket, Read> reads;
+        const std::uint64_t absorbed = vm.device(0).stats.batched_writes;
+        for (const OpShape& op : c.ops) {
+          std::span<std::uint8_t> buf = mem.alloc(op_bytes(op));
+          std::vector<std::uint8_t>& window = model[op.window];
+          if (op.is_write) {
+            Rng data(op.data_seed);
+            data.fill_bytes(buf.data(), buf.size());
+            std::uint64_t cursor = 0;
+            for (std::size_t e = 0; e < op.sizes.size(); ++e) {
+              std::memcpy(window.data() + e * kMaxEntryBytes,
+                          buf.data() + cursor, op.sizes[e]);
+              cursor += op.sizes[e];
+            }
+            fe.write_to_rank(
+                matrix_for(op, buf, driver::XferDirection::kToRank));
+            continue;
+          }
+          std::memset(buf.data(), 0, buf.size());
+          Read r{buf, {}};
+          for (std::size_t e = 0; e < op.sizes.size(); ++e) {
+            const auto* at = window.data() + e * kMaxEntryBytes;
+            r.expect.insert(r.expect.end(), at, at + op.sizes[e]);
+          }
+          reads.emplace(fe.submit_read(matrix_for(
+                            op, buf, driver::XferDirection::kFromRank)),
+                        std::move(r));
+        }
+        std::size_t reaped = 0;
+        for (int idle = 0; reaped < reads.size() && idle < 2;) {
+          const auto done = fe.poll_completions();
+          idle = done.empty() ? idle + 1 : 0;
+          for (const Frontend::Completion& d : done) {
+            require(d.status == 0,
+                    "read status " + std::to_string(d.status));
+            ++reaped;
+          }
+        }
+        require(reaped == reads.size(), "pipeline lost completions");
+        for (const auto& [ticket, r] : reads) {
+          require(std::equal(r.buf.begin(), r.buf.end(), r.expect.begin()),
+                  "read " + std::to_string(ticket) +
+                      " missed a batched write");
+        }
+        require(vm.device(0).stats.batched_writes > absorbed ||
+                    reads.size() == c.ops.size(),
+                "no write was absorbed into the batch buffers");
+        fe.close();
+      },
+      show_case);
+  EXPECT_TRUE(out.ok) << out.reproducer;
+}
+
 // ---- property 4: random deadlines race random completion times ----------
 //
 // ISSUE 8: every op carries an absolute deadline drawn from "certainly

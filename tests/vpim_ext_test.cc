@@ -301,18 +301,34 @@ TEST(ControlStatus, FrontendSurfacesTypedErrors) {
 
 // ------------------------------------------------ host access to a busy DPU
 //
-// A write or read aimed at a DPU whose kernel is still running is a guest
-// error: it must complete typed kBadRequest, move no byte, count one
-// request error, and leave the device usable once the kernel finishes — on
-// either binding, with or without a FaultPlan, at any queue depth.
+// A write, read or broadcast that reaches a DPU whose kernel is still
+// running is a guest error: it must complete typed kBadRequest, move no
+// byte into any bank or out of one, count one request error, and leave the
+// device usable once the kernel finishes — on either binding, with or
+// without a FaultPlan, at any queue depth. The busy DPU is the rank's last,
+// so a broadcast that stored bank by bank would reach the others first.
 
-// (emulated binding, empty FaultPlan installed, queue depth, write)
-using BusyDpuCase = std::tuple<bool, bool, std::uint32_t, bool>;
+enum class Access { kRead, kWrite, kBroadcast };
+
+const char* access_name(Access access) {
+  switch (access) {
+    case Access::kRead:
+      return "Read";
+    case Access::kWrite:
+      return "Write";
+    case Access::kBroadcast:
+      return "Broadcast";
+  }
+  return "?";
+}
+
+// (emulated binding, empty FaultPlan installed, queue depth, access)
+using BusyDpuCase = std::tuple<bool, bool, std::uint32_t, Access>;
 
 class BusyDpu : public ::testing::TestWithParam<BusyDpuCase> {};
 
 TEST_P(BusyDpu, AccessCompletesBadRequestAndTheDeviceRecovers) {
-  const auto [emulated, plan, depth, is_write] = GetParam();
+  const auto [emulated, plan, depth, access] = GetParam();
   test::register_busy_kernel();
   Host host(test::small_machine(), CostModel{}, fast_manager());
   if (plan) host.install_fault_plan({});
@@ -333,31 +349,65 @@ TEST_P(BusyDpu, AccessCompletesBadRequestAndTheDeviceRecovers) {
   guest::GuestMemory& mem = vm.vmm().memory();
   ASSERT_TRUE(fe.open());
   ASSERT_EQ(dev.backend.emulated(), emulated);
+  const std::uint32_t busy_dpu = fe.nr_dpus() - 1;
 
+  // One entry per buffer, for DPU busy_dpu - n + 1 + i; a single buffer
+  // given `all` goes to every DPU.
+  const auto matrix = [&](driver::XferDirection dir,
+                          std::span<const std::span<std::uint8_t>> bufs,
+                          bool all = false) {
+    driver::TransferMatrix m;
+    m.direction = dir;
+    const std::uint32_t first = all ? 0 : busy_dpu + 1 - bufs.size();
+    for (std::uint32_t d = first; d <= busy_dpu; ++d) {
+      const std::span<std::uint8_t> buf = bufs[all ? 0 : d - first];
+      m.entries.push_back({d, 0, buf.data(), buf.size()});
+    }
+    return m;
+  };
   const auto write = [&](std::span<std::uint8_t> buf) {
-    fe.write_to_rank({driver::XferDirection::kToRank,
-                      {{0, 0, buf.data(), buf.size()}}});
+    fe.write_to_rank(matrix(driver::XferDirection::kToRank, {{buf}}));
   };
   const auto read = [&](std::span<std::uint8_t> buf) {
-    fe.read_from_rank({driver::XferDirection::kFromRank,
-                       {{0, 0, buf.data(), buf.size()}}});
+    fe.read_from_rank(matrix(driver::XferDirection::kFromRank, {{buf}}));
   };
   const auto filled = [&](std::uint8_t byte) {
-    std::span<std::uint8_t> buf = mem.alloc(4096);
+    std::span<std::uint8_t> buf = mem.alloc(8 * kKiB);
     std::memset(buf.data(), byte, buf.size());
     return buf;
   };
-  const std::span<std::uint8_t> before = filled(0x5A);
-  write(before);
+  // Every bank's first 8 KiB, one buffer per DPU.
+  const auto read_banks = [&] {
+    std::vector<std::span<std::uint8_t>> banks;
+    for (std::uint32_t d = 0; d <= busy_dpu; ++d) banks.push_back(filled(0));
+    fe.read_from_rank(matrix(driver::XferDirection::kFromRank, banks));
+    return banks;
+  };
+  std::vector<std::span<std::uint8_t>> before;
+  for (std::uint32_t d = 0; d <= busy_dpu; ++d) {
+    before.push_back(filled(static_cast<std::uint8_t>(0x50 + d)));
+  }
+  fe.write_to_rank(matrix(driver::XferDirection::kToRank, before));
   fe.ci_load("test_busy");
-  fe.ci_launch(0x1, std::nullopt);
-  ASSERT_EQ(fe.ci_running_mask(), 0x1u);
+  fe.ci_launch(std::uint64_t{1} << busy_dpu, std::nullopt);
+  ASSERT_EQ(fe.ci_running_mask(), std::uint64_t{1} << busy_dpu);
 
   // The rejected request moves no byte in either direction.
   const std::span<std::uint8_t> busy = filled(0xC3);
   const std::uint64_t errors = dev.stats.request_errors;
   try {
-    is_write ? write(busy) : read(busy);
+    switch (access) {
+      case Access::kRead:
+        read(busy);
+        break;
+      case Access::kWrite:
+        write(busy);
+        break;
+      case Access::kBroadcast:
+        fe.write_to_rank(
+            matrix(driver::XferDirection::kToRank, {{busy}}, /*all=*/true));
+        break;
+    }
     ADD_FAILURE() << "host access to a running DPU completed OK";
   } catch (const VpimStatusError& e) {
     EXPECT_EQ(e.status(),
@@ -368,24 +418,30 @@ TEST_P(BusyDpu, AccessCompletesBadRequestAndTheDeviceRecovers) {
                           [](std::uint8_t b) { return b == 0xC3; }));
 
   while (fe.ci_running_mask() != 0) host.clock.advance(1 * kMs);
-  const std::span<std::uint8_t> after = filled(0);
-  read(after);
-  EXPECT_TRUE(std::equal(after.begin(), after.end(), before.begin()));
+  const auto after = read_banks();
+  for (std::uint32_t d = 0; d <= busy_dpu; ++d) {
+    EXPECT_TRUE(std::equal(after[d].begin(), after[d].end(),
+                           before[d].begin()))
+        << "DPU " << d << " changed";
+  }
   write(busy);
-  read(after);
-  EXPECT_TRUE(std::equal(after.begin(), after.end(), busy.begin()));
+  const std::span<std::uint8_t> last = filled(0);
+  read(last);
+  EXPECT_TRUE(std::equal(last.begin(), last.end(), busy.begin()));
   fe.close();
 }
 
 INSTANTIATE_TEST_SUITE_P(
     BindingsPlansDepths, BusyDpu,
     ::testing::Combine(::testing::Bool(), ::testing::Bool(),
-                       ::testing::Values(1u, 8u), ::testing::Bool()),
+                       ::testing::Values(1u, 8u),
+                       ::testing::Values(Access::kRead, Access::kWrite,
+                                         Access::kBroadcast)),
     [](const ::testing::TestParamInfo<BusyDpuCase>& info) {
       return std::string(std::get<0>(info.param) ? "Emulated" : "Physical") +
              (std::get<1>(info.param) ? "EmptyPlan" : "NoPlan") + "Depth" +
              std::to_string(std::get<2>(info.param)) +
-             (std::get<3>(info.param) ? "Write" : "Read");
+             access_name(std::get<3>(info.param));
     });
 
 }  // namespace

@@ -831,52 +831,78 @@ TEST(BatchedFlush, MalformedBatchIsRejectedWhole) {
   EXPECT_TRUE(r.banks() == before);
 }
 
-TEST(PinnedPrefetch, FlagOnAMultiSegmentReadIsIgnored) {
-  expect_prefetch_flag_ignored([](RawRig& r, std::uint32_t flag) {
-    write_at(r.dev().frontend, 0, 0, pattern(r.mem(), 8 * kKiB, 9));
-    auto dest = r.mem().alloc(3 * guest::kGuestPageSize);
-    std::memset(dest.data(), 0xEE, dest.size());
-    driver::TransferMatrix m;
-    m.direction = driver::XferDirection::kFromRank;
-    m.entries.push_back({0, 0, dest.data(), 2 * guest::kGuestPageSize});
-    const SerializeResult ser = r.stage(m, flag);
-    r.repoint_page(1, dest.data() + 2 * guest::kGuestPageSize);
-    return std::pair{r.run(ser), dest};
-  });
+TEST(BatchedFlush, RegionSpanningTwoGuestSegmentsIsRejected) {
+  RawRig r;
+  const std::vector<std::uint8_t> before = r.banks();
+  // One record whose payload fills the rest of a two-page region; the
+  // region's second page is then pointed elsewhere, so it reaches two
+  // guest segments.
+  auto region = pattern(r.mem(), 3 * guest::kGuestPageSize, 17);
+  const std::uint64_t size = 2 * guest::kGuestPageSize;
+  const BatchRecordHeader record{0, size - sizeof(BatchRecordHeader)};
+  std::memcpy(region.data(), &record, sizeof(record));
+  driver::TransferMatrix m;
+  m.entries.push_back({0, 0, region.data(), size});
+  const SerializeResult split = r.stage(m, kWireFlagBatched);
+  r.repoint_page(1, region.data() + 2 * guest::kGuestPageSize);
+  const std::uint64_t errors = r.dev().stats.request_errors;
+  EXPECT_EQ(r.run(split).status,
+            static_cast<std::int32_t>(virtio::PimStatus::kBadRequest));
+  EXPECT_EQ(r.dev().stats.request_errors, errors + 1);
+  EXPECT_TRUE(r.banks() == before);
 }
 
-TEST(PinnedPrefetch, FlaggedReadPinsAndAnEagerFillDropsThePin) {
+// A flagged read pins instead of writing the guest buffer, and settling
+// copies the pinned bytes into the caller's buffer.
+TEST(PinnedPrefetch, FlaggedReadPinsInsteadOfWritingTheGuestBuffer) {
   RawRig r;
   auto seed = pattern(r.mem(), 8 * kKiB, 11);
   write_at(r.dev().frontend, 0, 0, seed);
-  auto dest = r.mem().alloc(3 * guest::kGuestPageSize);
+  auto dest = r.mem().alloc(8 * kKiB);
   std::memset(dest.data(), 0xEE, dest.size());
   driver::TransferMatrix m;
   m.direction = driver::XferDirection::kFromRank;
   m.entries.push_back({0, 0, dest.data(), 8 * kKiB});
 
-  // One segment: the device pins instead of writing the guest buffer, and
-  // settling copies the pinned bytes into the caller's buffer.
   EXPECT_EQ(r.run(r.stage(m, kWireFlagPrefetch)).status, 0);
-  EXPECT_EQ(dest[0], 0xEE);
-  std::vector<std::uint8_t> settled(8 * kKiB, 0xEE);
-  EXPECT_TRUE(r.dev().backend.settle_prefetch(0, 0, settled));
-  EXPECT_EQ(std::memcmp(settled.data(), seed.data(), settled.size()), 0);
-
-  // The same fill over two segments copies eagerly and drops DPU 0's pin:
-  // the guest buffer holds the bytes, and settling declines and leaves the
-  // caller's buffer alone.
-  const SerializeResult split = r.stage(m, kWireFlagPrefetch);
-  r.repoint_page(1, dest.data() + 2 * guest::kGuestPageSize);
-  EXPECT_EQ(r.run(split).status, 0);
-  EXPECT_EQ(std::memcmp(dest.data(), seed.data(), 4 * kKiB), 0);
-  EXPECT_EQ(std::memcmp(dest.data() + 8 * kKiB, seed.data() + 4 * kKiB,
-                        4 * kKiB),
-            0);
-  std::vector<std::uint8_t> untouched(8 * kKiB, 0xEE);
-  EXPECT_FALSE(r.dev().backend.settle_prefetch(0, 0, untouched));
-  EXPECT_TRUE(std::all_of(untouched.begin(), untouched.end(),
+  EXPECT_TRUE(std::all_of(dest.begin(), dest.end(),
                           [](std::uint8_t b) { return b == 0xEE; }));
+  std::vector<std::uint8_t> settled(8 * kKiB, 0xEE);
+  r.dev().backend.settle_prefetch(0, 0, settled);
+  EXPECT_EQ(std::memcmp(settled.data(), seed.data(), settled.size()), 0);
+}
+
+// A flagged read whose entry reaches two guest segments pins the entry's
+// whole MRAM range like any fill, at the cost of the same unflagged read.
+TEST(PinnedPrefetch, FlaggedMultiSegmentReadPinsLikeAnyFill) {
+  // Returns the rig's clock after the read.
+  const auto read_split = [](RawRig& r, std::uint32_t flag,
+                             std::span<std::uint8_t> seed) {
+    write_at(r.dev().frontend, 0, 0, seed);
+    auto dest = r.mem().alloc(3 * guest::kGuestPageSize);
+    std::memset(dest.data(), 0xEE, dest.size());
+    driver::TransferMatrix m;
+    m.direction = driver::XferDirection::kFromRank;
+    m.entries.push_back({0, 0, dest.data(), 2 * guest::kGuestPageSize});
+    const SerializeResult split = r.stage(m, flag);
+    r.repoint_page(1, dest.data() + 2 * guest::kGuestPageSize);
+    EXPECT_EQ(r.run(split).status, 0);
+    if (flag != 0) {
+      EXPECT_TRUE(std::all_of(dest.begin(), dest.end(),
+                              [](std::uint8_t b) { return b == 0xEE; }));
+    }
+    return r.rig.host.clock.now();
+  };
+  RawRig plain;
+  RawRig flagged;
+  const SimNs plain_end = read_split(
+      plain, 0, pattern(plain.mem(), 2 * guest::kGuestPageSize, 9));
+  auto seed = pattern(flagged.mem(), 2 * guest::kGuestPageSize, 9);
+  EXPECT_EQ(read_split(flagged, kWireFlagPrefetch, seed), plain_end);
+
+  std::vector<std::uint8_t> settled(seed.size(), 0xEE);
+  flagged.dev().backend.settle_prefetch(0, 0, settled);
+  EXPECT_EQ(std::memcmp(settled.data(), seed.data(), settled.size()), 0);
 }
 
 }  // namespace
