@@ -115,8 +115,10 @@ void Frontend::ensure_arenas() {
 
   // Guest layout, in first-touch order: every request writes its slot's
   // control page, so all of them sit side by side, then the CI payloads;
-  // the batch buffers before the cache segments; the page-list areas,
-  // which only wide requests reach, last.
+  // the batch head slots (sub-page allocations, sixteen to a page, so four
+  // pages hold all 64), then the batch buffers a DPU moves to once its
+  // records outgrow the head, before the cache segments; the page-list
+  // areas, which only wide requests reach, last.
   slots_.resize(depth_);
   const std::span<std::uint8_t> control = mem.alloc(depth_ * kPage);
   for (std::uint32_t i = 0; i < depth_; ++i) {
@@ -128,7 +130,8 @@ void Frontend::ensure_arenas() {
   batches_.resize(kDpus);
   filling_.resize(kDpus);
   if (config_.request_batching) {
-    for (DpuBatch& b : batches_) b.buf = mem.alloc(batch_bytes());
+    for (DpuBatch& b : batches_) b.buf = mem.alloc(kBatchHeadBytes);
+    batch_full_ = mem.alloc(kDpus * batch_bytes());
   }
   if (config_.prefetch_cache) {
     for (DpuCache& c : caches_) c.buf = mem.alloc(cache_bytes());
@@ -348,7 +351,9 @@ bool Frontend::try_batch(const driver::TransferMatrix& matrix) {
   if (batch_locked_) return false;
   // Batch only small writes, and only a matrix whose records all fit their
   // DPU buffers' remaining space: a matrix may name one DPU many times, so
-  // each DPU's records are summed before anything is absorbed.
+  // each DPU's records are summed before anything is absorbed. A DPU whose
+  // records would overflow its head slot first moves the ones there into
+  // its full buffer and stays there, so each DPU moves at most once.
   const std::uint64_t small_max =
       std::uint64_t{kBatchEntryMaxPages} * guest::kGuestPageSize;
   std::array<std::uint64_t, upmem::kDpuSlotsPerRank> need{};
@@ -358,6 +363,15 @@ bool Frontend::try_batch(const driver::TransferMatrix& matrix) {
     if (e.size > small_max ||
         batches_[e.dpu].cursor + need[e.dpu] > batch_bytes()) {
       return false;
+    }
+  }
+  for (const driver::XferEntry& e : matrix.entries) {
+    DpuBatch& b = batches_[e.dpu];
+    if (b.cursor + need[e.dpu] > b.buf.size()) {
+      const std::span<std::uint8_t> full =
+          batch_full_.subspan(e.dpu * batch_bytes(), batch_bytes());
+      std::memcpy(full.data(), b.buf.data(), b.cursor);
+      b.buf = full;
     }
   }
   SimClock& clock = vmm_.clock();
@@ -1009,7 +1023,9 @@ std::uint64_t Frontend::memory_overhead_bytes() const {
              slot.arena.payload.size() + slot.arena.response.size();
   }
   for (const auto& c : caches_) total += c.buf.size();
-  for (const auto& b : batches_) total += b.buf.size();
+  if (config_.request_batching) {
+    total += batches_.size() * (kBatchHeadBytes + batch_bytes());
+  }
   return total;
 }
 

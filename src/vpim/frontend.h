@@ -13,7 +13,10 @@
 //    it stays allocated because the fill's wire request describes it.
 //  - Request batching: a 64-page-per-DPU buffer absorbs small writes as
 //    {offset,size,data} records; the batch is flushed as a single message
-//    when a buffer fills or any non-write request arrives.
+//    when a buffer fills or any non-write request arrives. A DPU's records
+//    start in a 256-byte head slot that shares a guest page with fifteen
+//    other DPUs' heads, and move once into the full buffer when they
+//    outgrow it.
 //
 // Every public operation charges the guest syscall cost; messages to the
 // backend pay the VMEXIT/IRQ transition costs that the paper identifies as
@@ -30,7 +33,8 @@
 // wire arenas pack their control blocks into one control page per slot,
 // laid side by side, with small page lists in the same page (WireArena).
 // ensure_arenas lays the guest staging out in first-touch order: control
-// pages, CI payloads, batch buffers, cache segments, page-list areas.
+// pages, CI payloads, batch head slots, batch buffers, cache segments,
+// page-list areas.
 //
 // Error semantics: every request completes with a WireResponse status
 // (virtio::PimStatus). Capacity failures (bind/migrate/resume) surface as
@@ -181,9 +185,17 @@ class Frontend {
     std::uint64_t len = 0;
     std::span<std::uint8_t> buf;
   };
+  // A DPU's batch region. Records start in a kBatchHeadBytes head slot,
+  // sixteen to a guest page, so a few small writes per DPU share pages;
+  // when a matrix would overflow the head, try_batch moves the records
+  // into the DPU's page-aligned batch_bytes() slice of batch_full_, where
+  // it stays for the rest of the VM. Either region is one guest-contiguous
+  // segment covering as many guest pages as a page-aligned buffer of the
+  // same bytes would, so a flush's page count and charge do not depend on
+  // where its records live.
   struct DpuBatch {
     std::uint64_t cursor = 0;  // bytes used
-    std::span<std::uint8_t> buf;
+    std::span<std::uint8_t> buf;  // the head slot, or the full buffer
   };
   // One submission slot: a full wire arena plus the bookkeeping to match
   // its completion back out of the used ring. Slots recycle per batch
@@ -207,6 +219,7 @@ class Frontend {
   };
   static constexpr std::uint32_t kMaxQueueDepth = 64;
   static constexpr std::uint64_t kCiPayloadBytes = 8 * kKiB;
+  static constexpr std::uint64_t kBatchHeadBytes = 256;
 
   void ensure_arenas();
   void check_dpus(const driver::TransferMatrix& matrix) const;
@@ -342,6 +355,9 @@ class Frontend {
   virtio::PimConfigSpace config_space_{};
   std::vector<DpuCache> caches_;
   std::vector<DpuBatch> batches_;
+  // Every DPU's full batch buffer: DPU d's is batch_bytes() at
+  // d * batch_bytes(). Address space only until a DPU moves there.
+  std::span<std::uint8_t> batch_full_;
   std::uint64_t batch_pending_ = 0;  // total records pending
   // Pooled request-path working set, reused across device-file calls so
   // the steady-state hot path performs no heap allocation: the transfer

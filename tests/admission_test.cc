@@ -408,5 +408,78 @@ TEST(AdmissionEndToEnd, FailedFlushSurfacesEveryLostBatchedWrite) {
   fe.close();
 }
 
+// A failed flush that holds one DPU's records still in its head slot and
+// another's already moved to its full batch buffer reports every record
+// lost exactly once, in each DPU's program order, wherever it lived.
+TEST(AdmissionEndToEnd, FailedFlushLosesHeadAndMovedRecordsOnce) {
+  Host host(test::small_machine());
+  host.install_fault_plan(
+      {{FaultKind::kLostCompletion, /*rank=*/0, 0, /*at_op=*/1, 0, 0}});
+  VpimConfig cfg = VpimConfig::full();
+  cfg.prefetch_cache = false;
+  cfg.request_batching = true;
+  cfg.queue_depth = 4;
+  VpimVm vm(host, {.name = "adm-lost-head"}, 1, cfg);
+  Frontend& fe = vm.device(0).frontend;
+  ASSERT_TRUE(fe.open());
+
+  // DPU 0: two records in its head. DPU 1: one record in its head, then a
+  // 300-byte one that moves both to its full buffer.
+  auto src = vm.vmm().memory().alloc(8 * kKiB);
+  struct Expect {
+    std::uint32_t dpu;
+    std::uint64_t offset;
+    std::uint64_t size;
+  };
+  const std::vector<Expect> writes = {
+      {1, 0, 32}, {0, 4096, 64}, {1, 512, 300}, {0, 64, 96}};
+  for (const Expect& x : writes) {
+    driver::TransferMatrix w;
+    w.direction = driver::XferDirection::kToRank;
+    w.entries.push_back({x.dpu, x.offset, src.data(), x.size});
+    fe.write_to_rank(w);
+  }
+  ASSERT_EQ(vm.device(0).stats.batched_writes, writes.size());
+
+  // The async submit posts the flush ahead of itself; the fault swallows
+  // the flush's completion.
+  auto big = vm.vmm().memory().alloc(8 * kKiB);
+  ASSERT_TRUE(
+      fe.try_submit_write(one_entry(big, driver::XferDirection::kToRank))
+          .ok());
+  ASSERT_EQ(fe.poll_completions().size(), 1u);
+
+  const std::vector<Expect> expect = {writes[1], writes[3], writes[0],
+                                      writes[2]};
+  const auto lost = fe.lost_writes();
+  ASSERT_EQ(lost.size(), expect.size());
+  EXPECT_EQ(vm.device(0).stats.lost_batched_writes, expect.size());
+  for (std::size_t i = 0; i < expect.size(); ++i) {
+    EXPECT_EQ(lost[i].dpu, expect[i].dpu) << i;
+    EXPECT_EQ(lost[i].mram_offset, expect[i].offset) << i;
+    EXPECT_EQ(lost[i].size, expect[i].size) << i;
+    EXPECT_EQ(lost[i].status, static_cast<std::int32_t>(PimStatus::kTimeout));
+  }
+
+  // The next blocking op surfaces the failure; later batched writes to
+  // both DPUs flush cleanly and nothing is reported lost a second time.
+  auto probe = vm.vmm().memory().alloc(64);
+  driver::TransferMatrix rd;
+  rd.direction = driver::XferDirection::kFromRank;
+  rd.entries.push_back({0, 4096, probe.data(), probe.size()});
+  EXPECT_THROW(fe.read_from_rank(rd), VpimStatusError);
+  for (const std::uint32_t dpu : {0u, 1u}) {
+    driver::TransferMatrix w;
+    w.direction = driver::XferDirection::kToRank;
+    w.entries.push_back({dpu, 4096, src.data(), 64});
+    fe.write_to_rank(w);
+  }
+  fe.read_from_rank(rd);
+  EXPECT_EQ(std::memcmp(probe.data(), src.data(), probe.size()), 0);
+  EXPECT_EQ(fe.lost_writes().size(), expect.size());
+  EXPECT_EQ(vm.device(0).stats.lost_batched_writes, expect.size());
+  fe.close();
+}
+
 }  // namespace
 }  // namespace vpim::core

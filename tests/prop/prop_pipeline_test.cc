@@ -79,19 +79,24 @@ std::string show_case(const OpSeqCase& c) {
   return s + "]";
 }
 
-Gen<OpSeqCase> op_seq_gen() {
+// `small_entries` makes a quarter of the ops writes whose entries are all
+// 1-64 bytes, so batched records pile up in a DPU's 256-byte head slot
+// across several ops and move to its full batch buffer partway through a
+// sequence. Without it the draws are unchanged.
+Gen<OpSeqCase> op_seq_gen(bool small_entries = false) {
   Gen<OpSeqCase> gen;
-  gen.sample = [](Rng& rng) {
+  gen.sample = [small_entries](Rng& rng) {
     OpSeqCase c;
     const auto n = rng.uniform(4, 24);
     for (std::int64_t i = 0; i < n; ++i) {
       OpShape op;
-      op.is_write = rng.uniform(0, 1) == 0;
+      const bool small = small_entries && rng.uniform(0, 3) == 0;
+      op.is_write = small || rng.uniform(0, 1) == 0;
       op.window = static_cast<std::uint32_t>(rng.uniform(0, kWindows - 1));
       const auto entries = rng.uniform(1, kMaxEntries);
       for (std::int64_t e = 0; e < entries; ++e) {
-        op.sizes.push_back(static_cast<std::uint64_t>(
-            rng.uniform(1, static_cast<std::int64_t>(kMaxEntryBytes))));
+        op.sizes.push_back(static_cast<std::uint64_t>(rng.uniform(
+            1, small ? 64 : static_cast<std::int64_t>(kMaxEntryBytes))));
       }
       op.data_seed = rng.next_u64();
       c.ops.push_back(std::move(op));
@@ -573,12 +578,15 @@ TEST(PropPipeline, EveryTicketReapsExactlyOnceUnderFaults) {
 // At depth 8 the read's submission posts the batch flush and stages the
 // read behind it, so one drain carries both; the device parks the flush's
 // records and the read in one backlog. Every read must return what a
-// program-order model of the windows holds.
+// program-order model of the windows holds. A quarter of the ops are
+// writes of 1-64-byte entries, so a DPU's records sit in its head slot for
+// several ops before some matrix moves them to its full buffer.
 
 TEST(PropPipeline, ReadsInTheDrainOfAPostedBatchedFlushSeeItsRecords) {
   const Params params = Params::from_env(0xA51E1, 30);
   const auto out = run_property<OpSeqCase>(
-      "pipeline.posted_flush_reads", params, op_seq_gen(),
+      "pipeline.posted_flush_reads", params,
+      op_seq_gen(/*small_entries=*/true),
       [&](const OpSeqCase& c) {
         core::Host host(test::small_machine(), CostModel{}, fast_manager());
         VpimVm vm(host, {.name = "prop-pipe-batch"}, 1,

@@ -238,7 +238,8 @@ TEST(VpimVm, BatchFlushesWhenBufferFills) {
 // A matrix may name one DPU many times. One whose records each fit the
 // DPU's batch buffer but together overrun it is not absorbed: it goes to
 // the device directly, and the record already absorbed for the next DPU,
-// whose batch buffer follows in guest RAM, reaches MRAM intact.
+// too big for its head slot and so in its batch buffer, which follows
+// DPU 0's in guest RAM, reaches MRAM intact.
 TEST(VpimVm, BatchRefusesAMatrixThatOverrunsItsDpuBuffer) {
   VmRig rig(1, VpimConfig::with_batching());
   Frontend& fe = rig.vm.device(0).frontend;
@@ -378,8 +379,9 @@ TEST(VpimVm, MemoryOverheadIsBounded) {
   ASSERT_TRUE(fe.open());
   const double per_dpu =
       static_cast<double>(fe.memory_overhead_bytes()) / 64.0;
-  // Page lists (128 KiB) + cache (64 KiB) + batch (256 KiB) per DPU, plus
-  // fixed staging: well under the paper's 1.37 MB/DPU bound.
+  // Page lists (128 KiB) + cache (64 KiB) + batch (256 KiB buffer and a
+  // 256 B head slot) per DPU, plus fixed staging: well under the paper's
+  // 1.37 MB/DPU bound.
   EXPECT_GT(per_dpu, 400.0 * 1024);
   EXPECT_LT(per_dpu, 1.37 * 1024 * 1024);
 }
@@ -903,6 +905,107 @@ TEST(PinnedPrefetch, FlaggedMultiSegmentReadPinsLikeAnyFill) {
   std::vector<std::uint8_t> settled(seed.size(), 0xEE);
   flagged.dev().backend.settle_prefetch(0, 0, settled);
   EXPECT_EQ(std::memcmp(settled.data(), seed.data(), settled.size()), 0);
+}
+
+// ------------------------------------------------------ batch head slots
+//
+// A DPU's batched records start in a 256-byte head slot, sixteen to a guest
+// page, and move once into its page-aligned batch buffer when a matrix
+// would overflow the head.
+
+// One matrix of 8-byte writes to all 64 DPUs lands in their head slots:
+// absorbing and flushing it first-touches the 4 head pages, not the first
+// page of 64 page-aligned batch buffers.
+TEST(BatchHeadSlot, SmallBatchedWritesShareHeadPages) {
+  VmRig rig(1, VpimConfig::with_batching(),
+            {.nr_ranks = 1, .functional_dpus_per_rank = 64});
+  Frontend& fe = rig.vm.device(0).frontend;
+  guest::GuestMemory& mem = rig.vm.vmm().memory();
+  ASSERT_TRUE(fe.open());
+  auto src = pattern(mem, 64 * 8, 21);
+  auto out = mem.alloc(64 * 8);
+  std::memset(out.data(), 0, out.size());
+  const std::uint64_t before = mem.resident_pages();
+
+  driver::TransferMatrix w;
+  for (std::uint32_t d = 0; d < 64; ++d) {
+    w.entries.push_back({d, 512, src.data() + 8 * d, 8});
+  }
+  fe.write_to_rank(w);
+  ASSERT_EQ(fe.stats().batched_writes, 64u);
+  fe.ci_running_mask();  // a non-write request flushes the batch
+  EXPECT_EQ(fe.stats().batch_flushes, 1u);
+  EXPECT_EQ(mem.resident_pages() - before, 4u);
+
+  for (std::uint32_t d = 0; d < 64; ++d) {
+    read_at(fe, d, 512, out.subspan(8 * d, 8));
+  }
+  EXPECT_EQ(std::memcmp(out.data(), src.data(), src.size()), 0);
+}
+
+// Records absorbed into a head survive the move to the full buffer in
+// program order, and the move is for the rest of the VM: a later cycle of
+// small writes leaves the head's bytes alone.
+TEST(BatchHeadSlot, BatchedRecordsSurviveTheMoveToTheFullBuffer) {
+  VmRig rig(1, VpimConfig::with_batching());
+  Frontend& fe = rig.vm.device(0).frontend;
+  guest::GuestMemory& mem = rig.vm.vmm().memory();
+  // Start a fresh shared page just before open(), so the head slots are
+  // carved right behind this buffer: DPU 0's is the next 64-byte slot.
+  std::span<std::uint8_t> probe;
+  do {
+    probe = mem.alloc(64);
+  } while (mem.gpa_of(probe.data()) % guest::kGuestPageSize != 0);
+  ASSERT_TRUE(fe.open());
+  const std::uint8_t* head = probe.data() + 64;
+
+  std::vector<std::uint8_t> model(512, 0);
+  std::uint64_t writes = 0;
+  auto write = [&](driver::TransferMatrix& m) {
+    for (const driver::XferEntry& e : m.entries) {
+      std::memcpy(model.data() + e.mram_offset, e.host, e.size);
+    }
+    fe.write_to_rank(m);
+    writes += m.entries.size();
+    m.entries.clear();
+  };
+  auto check = [&](const char* when) {
+    auto out = mem.alloc(model.size());
+    read_at(fe, 0, 0, out);
+    EXPECT_EQ(std::vector<std::uint8_t>(out.begin(), out.end()), model)
+        << when;
+    EXPECT_EQ(fe.stats().batched_writes, writes) << when;
+  };
+
+  // Three overlapping 40-byte writes: 3 x 56 bytes of records in the head.
+  driver::TransferMatrix m;
+  m.entries.push_back({0, 100, pattern(mem, 40, 1).data(), 40});
+  write(m);
+  m.entries.push_back({0, 120, pattern(mem, 40, 2).data(), 40});
+  write(m);
+  m.entries.push_back({0, 110, pattern(mem, 40, 3).data(), 40});
+  write(m);
+  BatchRecordHeader first;
+  std::memcpy(&first, head, sizeof(first));
+  ASSERT_EQ(first.mram_offset, 100u) << "DPU 0's head is not where expected";
+  ASSERT_EQ(first.size, 40u);
+
+  // One matrix naming DPU 0 twice, 184 more bytes of records: past 256.
+  m.entries.push_back({0, 130, pattern(mem, 80, 4).data(), 80});
+  m.entries.push_back({0, 90, pattern(mem, 72, 5).data(), 72});
+  write(m);
+  check("after the move");
+  EXPECT_EQ(fe.stats().batch_flushes, 1u);
+
+  const std::vector<std::uint8_t> head_after(head, head + 256);
+  m.entries.push_back({0, 200, pattern(mem, 8, 6).data(), 8});
+  write(m);
+  m.entries.push_back({0, 300, pattern(mem, 8, 7).data(), 8});
+  write(m);
+  check("after a later cycle");
+  EXPECT_EQ(fe.stats().batch_flushes, 2u);
+  EXPECT_TRUE(std::equal(head_after.begin(), head_after.end(), head))
+      << "a later small write went back to the head";
 }
 
 }  // namespace
